@@ -30,13 +30,15 @@ from .estimators import (
     theta_pq,
 )
 from .losses import LossKind
-from .reliability import certify, margin_certificate, verify_contract
-from .version_space import concept_from_dict, erm, fit_version_space
+from .lp import LPError
+from .reliability import LabelConstancyError, certify, margin_certificate, verify_contract
+from .version_space import ConeSearchError, concept_from_dict, erm, fit_version_space
 
 FINGERPRINT = f"relicert {__version__}"
 
 USAGE_ERROR = 2
 VIOLATION_ERROR = 1
+INTERNAL_ERROR = 3  # a library self-check or solver failed
 
 
 class UsageError(ValueError):
@@ -401,6 +403,9 @@ def main(argv=None) -> int:
     except (UsageError, DatasetFormatError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (LabelConstancyError, ConeSearchError, LPError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    DimensionMismatchError,
     FiniteMap,
     Hypothesis,
     LinearHomogeneous,
@@ -57,16 +58,27 @@ def _check_pair(h: Hypothesis, hstar: Hypothesis) -> None:
         raise ValueError("h and hstar must come from the same concept class")
 
 
-def fixed_loss(kind: LossKind, h: Hypothesis, hstar: Hypothesis, x, z) -> int:
-    """Indicator loss at one fixed perturbation z of the point x."""
+def fixed_loss_many(kind: LossKind, h: Hypothesis, hstar: Hypothesis, x, Z) -> np.ndarray:
+    """Indicator losses at the perturbations Z (one per row) of the point x."""
     _check_pair(h, hstar)
     x = _as_point(x)
-    z = _as_point(z, dim=x.shape[0])
-    if kind is LossKind.TL:
-        return int(predict(h, z) != predict(hstar, z))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if Z.ndim != 2 or Z.shape[1] != x.shape[0]:
+        raise DimensionMismatchError(f"perturbations must have shape (k, {x.shape[0]})")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("point coordinates must be finite")
+    hz = h.predict_many(Z)
     if kind is LossKind.ST:
-        return int(predict(h, z) != predict(hstar, x))
-    return int(predict(h, z) != predict(hstar, z) and predict(hstar, z) == predict(hstar, x))
+        return (hz != predict(hstar, x)).astype(np.int64)
+    sz = hstar.predict_many(Z)
+    if kind is LossKind.TL:
+        return (hz != sz).astype(np.int64)
+    return ((hz != sz) & (sz == predict(hstar, x))).astype(np.int64)
+
+
+def fixed_loss(kind: LossKind, h: Hypothesis, hstar: Hypothesis, x, z) -> int:
+    """Indicator loss at one fixed perturbation z of the point x."""
+    return int(fixed_loss_many(kind, h, hstar, x, _as_point(z)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +212,7 @@ def robust_loss_sup(
     x = _as_point(x)
 
     if isinstance(model, FiniteMap):
-        zs = model.perturbations(x)
-        val = max(fixed_loss(kind, h, hstar, x, z) for z in zs)
+        val = int(fixed_loss_many(kind, h, hstar, x, model.perturbations(x)).max())
         return RobustLossResult(value=val, method="enumerated")
 
     if isinstance(model, MetricBall):
@@ -213,7 +224,7 @@ def robust_loss_sup(
         rng = np.random.Generator(np.random.Philox(key=seed))
         zs = _sample_ball(rng, x, model.radius, n_samples)
         zs = np.vstack([x[None, :], zs])  # the identity perturbation always counts
-        val = int(max(fixed_loss(kind, h, hstar, x, z) for z in zs))
+        val = int(fixed_loss_many(kind, h, hstar, x, zs).max())
         log.debug("sampled robust loss: kind=%s n=%d value=%d", kind.value, n_samples, val)
         return RobustLossResult(value=val, method="sampled-lower-bound", samples=n_samples)
 

@@ -46,6 +46,7 @@ from .version_space import (
     OffsetClass,
     VersionSpace,
     agree_membership,
+    canonical_member,
     cone_dis_direction,
     cone_dis_distance_info,
     fit_version_space,
@@ -97,25 +98,6 @@ class ReliabilityCertificate:
         }
 
 
-def _canonical_member(vs: VersionSpace) -> Hypothesis:
-    if isinstance(vs, IntervalVS):
-        if math.isinf(vs.lo) and math.isinf(vs.hi):
-            t = 0.0
-        elif math.isinf(vs.lo):
-            t = vs.hi - 1.0
-        elif math.isinf(vs.hi):
-            t = vs.lo + 1.0
-        else:
-            t = 0.5 * (vs.lo + vs.hi)
-        if vs.base is not None:
-            return OffsetBoundary(vs.base, t)
-        return Threshold(t)
-    if isinstance(vs, AngleArcVS):
-        phi = 0.5 * (vs.phi_lo + vs.phi_hi)
-        return LinearHomogeneous(np.array([math.cos(phi), math.sin(phi)]))
-    return LinearHomogeneous(vs.interior)
-
-
 def _assert_ball_label_constancy(
     vs: VersionSpace, z: np.ndarray, radius: float, label: int, seed: int
 ) -> None:
@@ -125,8 +107,7 @@ def _assert_ball_label_constancy(
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
     radii = radius * (1.0 - 1e-9) * rng.random(BALL_CONSTANCY_SAMPLES) ** (1.0 / d)
     pts = z[None, :] + g * radii[:, None]
-    h = _canonical_member(vs)
-    preds = h.predict_many(pts)
+    preds = canonical_member(vs).predict_many(pts)
     if np.any(preds != label):
         raise LabelConstancyError(
             f"certified ball of radius {radius} around {z} contains both labels"
@@ -148,8 +129,7 @@ def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> Reliabilit
         radius = info.value
     elif isinstance(vs, AngleArcVS) and vs.width <= 0.0:
         # singleton version space: the label-constancy condition binds instead
-        h = _canonical_member(vs)
-        radius = float(abs(h.margins(z[None, :])[0]))
+        radius = float(abs(canonical_member(vs).margins(z[None, :])[0]))
     else:
         radius = float(vs.dis_distance_many(z[None, :])[0])
     if 0.0 < radius < math.inf:
@@ -183,33 +163,119 @@ def certify_general_finite(vs: VersionSpace, z, u_inverse) -> ReliabilityCertifi
 # ---------------------------------------------------------------------------
 
 
-def _min_over_cap(u: np.ndarray, a: np.ndarray, x: np.ndarray, eta: float) -> float:
-    """min <u, z> over the closed ball B(x, eta) intersected with {a.z >= 0};
-    a is a unit vector and x satisfies a.x >= 0 (so the cap is nonempty)."""
-    nu = float(np.linalg.norm(u))
-    if nu < 1e-300:
-        return 0.0
-    zstar = x - (eta / nu) * u
-    if float(a @ zstar) >= 0.0:
-        return float(u @ x) - eta * nu
-    beta = -float(a @ x)  # move this far along a to reach the face a.z = 0
-    beta = max(beta, -eta)
-    ut = u - float(u @ a) * a
-    rad = math.sqrt(max(eta * eta - beta * beta, 0.0))
-    return float(u @ x) + beta * float(u @ a) - rad * float(np.linalg.norm(ut))
+SR_CHUNK_ELEMS = 1 << 18  # points x rays per block of the cone cap test
 
 
-def _cap_stays_unanimous(
-    rays: np.ndarray, wstar: np.ndarray, x: np.ndarray, label: int, eta: float
-) -> bool:
-    """Whether the same-label part of B(x, eta) keeps <w, label*z> >= 0 for
-    all achievable normals w (tested on rays; sufficient on their conic hull
-    because the cap minimum is superadditive in w)."""
-    a = float(label) * wstar
-    for w in rays:
-        if _min_over_cap(float(label) * w, a, x, eta) < 0.0:
-            return False
-    return True
+def _cap_rays(vs: AngleArcVS | ConeVS) -> np.ndarray:
+    """Normals whose conic hull holds every consistent normal: the arc's
+    endpoints and midpoint, or the cone's candidate bank."""
+    if isinstance(vs, AngleArcVS):
+        h_lo, h_hi = vs.endpoint_hypotheses()
+        return np.vstack([h_lo.w, canonical_member(vs).w, h_hi.w])
+    bank = vs.candidate_bank()
+    if not bank.exhaustive:
+        log.debug("constrained-adversary cap test on a sampled (non-exhaustive) bank")
+    return bank.W
+
+
+def _caps_stay_unanimous(
+    rays: np.ndarray, hstar: LinearHomogeneous, X: np.ndarray, eta: float
+) -> np.ndarray:
+    """Per point x: whether the part of B(x, eta) sharing the target label y
+    keeps <w, y*z> >= 0 for every ray w (sufficient on the rays' conic hull
+    because the cap minimum is superadditive in w).
+
+    With u = y*w and a = y*w*, the minimum of <u, z> over B(x, eta) cut by
+    {a.z >= 0} is <u, x> - eta*|u| when the free minimiser x - eta*u/|u|
+    lies in the cut, and otherwise sits on the face a.z = 0.  Rays enter
+    only through |w|, w.w* and |w - (w.w*) w*|; points only through x.w
+    and x.w*.
+    """
+    wstar = hstar.w
+    nu = np.linalg.norm(rays, axis=1)
+    ua = rays @ wstar  # u.a for either label
+    ut = np.linalg.norm(rays - ua[:, None] * wstar[None, :], axis=1)
+    step = eta / nu
+    ok = np.ones(X.shape[0], dtype=bool)
+    size = max(1, SR_CHUNK_ELEMS // max(rays.shape[0], 1))
+    for lo in range(0, X.shape[0], size):
+        Xc = X[lo : lo + size]
+        s = hstar.margins(Xc)
+        y = np.where(s >= 0.0, 1.0, -1.0)
+        ax = y * s  # a.x >= 0: the cap is never empty
+        ux = y[:, None] * (Xc @ rays.T)
+        free = ax[:, None] - step[None, :] * ua[None, :] >= 0.0
+        beta = np.maximum(-ax, -eta)  # move this far along a to reach a.z = 0
+        rad = np.sqrt(np.maximum(eta * eta - beta * beta, 0.0))
+        face = ux + beta[:, None] * ua[None, :] - rad[:, None] * ut[None, :]
+        low = np.where(free, ux - eta * nu[None, :], face)
+        ok[lo : lo + size] = ~np.any(low < 0.0, axis=1)
+    return ok
+
+
+def _ca_cap_mask(
+    vs: VersionSpace, hstar: Hypothesis, X: np.ndarray, eta1: float
+) -> np.ndarray:
+    """Constrained adversary: whether the eta1-ball's part with the target
+    label of x stays unanimous, for every point (agreement not checked)."""
+    if isinstance(vs, IntervalVS):
+        if not isinstance(hstar, (Threshold, OffsetBoundary)):
+            raise ValueError("target concept does not match the version space")
+        cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
+        y = hstar.predict_many(X)
+        u_x = vs.coords(X)
+        reach = eta1 / vs._scale  # residual reach of the eta1 point ball
+        cap_lo = np.where(y > 0, np.maximum(u_x - reach, cut), u_x - reach)
+        cap_hi = np.where(y > 0, u_x + reach, np.minimum(u_x + reach, cut))
+        return ~((cap_lo < vs.hi) & (cap_hi > vs.lo))
+    if not isinstance(hstar, LinearHomogeneous):
+        raise ValueError("target concept does not match the version space")
+    return _caps_stay_unanimous(_cap_rays(vs), hstar, X, eta1)
+
+
+def sr_membership_mask(
+    vs: VersionSpace,
+    hstar: Hypothesis | None,
+    X,
+    eta1: float,
+    eta2: float,
+    kind: LossKind,
+    *,
+    seed: int = 0,
+) -> np.ndarray:
+    """Safely-reliable membership of every row of X, batched for every loss
+    and version space (see `safely_reliable_membership` for the regions).
+
+    Stability and true-label compare the disagreement distance with
+    eta1 + eta2 or eta1 (plain agreement when that is 0).  The distance is
+    batched for intervals and arcs, and still computed per agreed point for
+    cones (`cone_dis_distance_info`, with `seed`).  The constrained-adversary
+    cap test is closed form for intervals and one points x rays array for
+    arcs and cones, built in blocks of at most SR_CHUNK_ELEMS entries.
+    """
+    if eta1 < 0.0 or eta2 < 0.0:
+        raise ValueError("attack strengths must be nonnegative")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("point coordinates must be finite")
+    if kind is LossKind.CA:
+        if hstar is None:
+            raise ValueError("the constrained-adversary region needs the target concept")
+        codes = vs.membership_many(X)
+        mask = codes != 0
+        mask[mask] = _ca_cap_mask(vs, hstar, X[mask], eta1)
+        return mask
+    need = eta1 + eta2 if kind is LossKind.ST else eta1
+    if need == 0.0:
+        return vs.membership_many(X) != 0
+    if isinstance(vs, ConeVS):
+        codes = vs.membership_many(X)
+        dist = np.zeros(X.shape[0])
+        for i in np.flatnonzero(codes):
+            dist[i] = cone_dis_distance_info(vs, X[i], int(codes[i]), seed=seed).value
+        return dist >= need
+    # interval and arc distances are 0 on the disagreement region
+    return vs.dis_distance_many(X) >= need
 
 
 def safely_reliable_membership(
@@ -229,50 +295,10 @@ def safely_reliable_membership(
     (triangle inequality).  True-label: the eta1-ball must stay inside the
     agreement region.  Constrained-adversary: only the part of the ball
     sharing the target label of x must stay inside, which needs hstar.
+    This is the one-point call of `sr_membership_mask`.
     """
-    if eta1 < 0.0 or eta2 < 0.0:
-        raise ValueError("attack strengths must be nonnegative")
     x = _as_point(x)
-    member = agree_membership(vs, x)
-    if member is Membership.DISAGREE:
-        return False
-    if kind is LossKind.ST:
-        return _dis_distance_for(vs, x, member, seed) >= eta1 + eta2
-    if kind is LossKind.TL:
-        return _dis_distance_for(vs, x, member, seed) >= eta1
-    # constrained adversary
-    if hstar is None:
-        raise ValueError("the constrained-adversary region needs the target concept")
-    y = predict(hstar, x)
-    if isinstance(vs, IntervalVS):
-        if not isinstance(hstar, (Threshold, OffsetBoundary)):
-            raise ValueError("target concept does not match the version space")
-        cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
-        u_x = float(vs.coords(x[None, :])[0])
-        reach = eta1 / vs._scale  # residual reach of the eta1 point ball
-        if y > 0:
-            cap_lo, cap_hi = max(u_x - reach, cut), u_x + reach
-        else:
-            cap_lo, cap_hi = u_x - reach, min(u_x + reach, cut)
-        return not (cap_lo < vs.hi and cap_hi > vs.lo)
-    if not isinstance(hstar, LinearHomogeneous):
-        raise ValueError("target concept does not match the version space")
-    if isinstance(vs, AngleArcVS):
-        h_lo, h_hi = vs.endpoint_hypotheses()
-        mid = _canonical_member(vs)
-        rays = np.vstack([h_lo.w, mid.w, h_hi.w])
-        return _cap_stays_unanimous(rays, hstar.w, x, y, eta1)
-    bank = vs.candidate_bank()
-    if not bank.exhaustive:
-        log.debug("constrained-adversary cap test on a sampled (non-exhaustive) bank")
-    return _cap_stays_unanimous(bank.W, hstar.w, x, y, eta1)
-
-
-def _dis_distance_for(vs: VersionSpace, x: np.ndarray, member: Membership, seed: int) -> float:
-    if isinstance(vs, ConeVS):
-        sign = 1 if member is Membership.AGREE_PLUS else -1
-        return cone_dis_distance_info(vs, x, sign, seed=seed).value
-    return float(vs.dis_distance_many(x[None, :])[0])
+    return bool(sr_membership_mask(vs, hstar, x[None, :], eta1, eta2, kind, seed=seed)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -582,7 +582,9 @@ def _fit_arc(S: Dataset) -> AngleArcVS:
     order = np.lexsort((-deltas, events))  # +1 before -1 at equal angles
     ev = np.concatenate([[0.0], events[order]])
     dv = np.concatenate([[0], deltas[order]])
-    count = int(np.sum(np.mod(-starts, TWO_PI) < math.pi))  # coverage just above 0
+    # coverage just below 2*pi; the events at angle 0 (half-circles that
+    # start or end there) are applied by the sweep itself
+    count = int(np.sum(starts >= math.pi))
     segments = []
     for k in range(ev.size):
         count += int(dv[k])
@@ -713,10 +715,10 @@ def fit_version_space(
     raise ValueError(f"unknown concept class {concept!r}")
 
 
-def erm(S: Dataset, concept: ConceptClass, representation: str = "auto") -> Hypothesis:
-    """A canonical zero-error hypothesis: interval/arc midpoints, or the
-    max-margin LP direction for constraint cones."""
-    vs = fit_version_space(S, concept, representation=representation)
+def canonical_member(vs: VersionSpace) -> Hypothesis:
+    """The canonical consistent hypothesis: the interval midpoint (one unit
+    inside a half-infinite interval, 0 for the whole line), the arc midpoint,
+    or the cone's interior normal."""
     if isinstance(vs, IntervalVS):
         if math.isinf(vs.lo) and math.isinf(vs.hi):
             t = 0.0
@@ -733,6 +735,12 @@ def erm(S: Dataset, concept: ConceptClass, representation: str = "auto") -> Hypo
         phi = 0.5 * (vs.phi_lo + vs.phi_hi)
         return LinearHomogeneous(np.array([math.cos(phi), math.sin(phi)]))
     return LinearHomogeneous(vs.interior)
+
+
+def erm(S: Dataset, concept: ConceptClass, representation: str = "auto") -> Hypothesis:
+    """A canonical zero-error hypothesis: interval/arc midpoints, or the
+    max-margin LP direction for constraint cones."""
+    return canonical_member(fit_version_space(S, concept, representation=representation))
 
 
 # ---------------------------------------------------------------------------

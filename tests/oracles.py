@@ -137,3 +137,72 @@ def cone_min_abs_inner_svd(A, z, sign):
             if float((A @ rr).min()) >= -1e-10:
                 best = min(best, float(rr @ v))
     return best
+
+
+# ---------------------------------------------------------------------------
+# safely-reliable membership, one point at a time: the scalar cap minimum
+# and ray loop that the batched mask replaces, kept as its reference
+# ---------------------------------------------------------------------------
+
+
+def min_over_cap(u, a, x, eta):
+    """min <u, z> over the closed ball B(x, eta) intersected with {a.z >= 0};
+    a is a unit vector and x satisfies a.x >= 0 (so the cap is nonempty)."""
+    nu = float(np.linalg.norm(u))
+    if nu < 1e-300:
+        return 0.0
+    zstar = x - (eta / nu) * u
+    if float(a @ zstar) >= 0.0:
+        return float(u @ x) - eta * nu
+    beta = -float(a @ x)  # move this far along a to reach the face a.z = 0
+    beta = max(beta, -eta)
+    ut = u - float(u @ a) * a
+    rad = math.sqrt(max(eta * eta - beta * beta, 0.0))
+    return float(u @ x) + beta * float(u @ a) - rad * float(np.linalg.norm(ut))
+
+
+def cap_stays_unanimous(rays, wstar, x, label, eta):
+    """Whether the same-label part of B(x, eta) keeps <w, label*z> >= 0 for
+    every ray w."""
+    a = float(label) * wstar
+    return all(min_over_cap(float(label) * w, a, x, eta) >= 0.0 for w in rays)
+
+
+def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=0):
+    """Safely-reliable membership of one point, decided ray by ray."""
+    from relicert.core import Threshold, predict
+    from relicert.losses import LossKind
+    from relicert.version_space import (
+        AngleArcVS,
+        ConeVS,
+        IntervalVS,
+        canonical_member,
+        cone_dis_distance_info,
+    )
+
+    x = np.asarray(x, dtype=float).reshape(-1)
+    code = int(vs.membership_many(x[None, :])[0])
+    if code == 0:
+        return False
+    if kind is not LossKind.CA:
+        if isinstance(vs, ConeVS):
+            dist = cone_dis_distance_info(vs, x, code, seed=seed).value
+        else:
+            dist = float(vs.dis_distance_many(x[None, :])[0])
+        return dist >= (eta1 + eta2 if kind is LossKind.ST else eta1)
+    y = predict(hstar, x)
+    if isinstance(vs, IntervalVS):
+        cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
+        u_x = float(vs.coords(x[None, :])[0])
+        reach = eta1 / vs._scale
+        if y > 0:
+            cap_lo, cap_hi = max(u_x - reach, cut), u_x + reach
+        else:
+            cap_lo, cap_hi = u_x - reach, min(u_x + reach, cut)
+        return not (cap_lo < vs.hi and cap_hi > vs.lo)
+    if isinstance(vs, AngleArcVS):
+        h_lo, h_hi = vs.endpoint_hypotheses()
+        rays = np.vstack([h_lo.w, canonical_member(vs).w, h_hi.w])
+    else:
+        rays = vs.candidate_bank().W
+    return cap_stays_unanimous(rays, hstar.w, x, y, eta1)

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from relicert.cli import main, read_points_csv
+from relicert.cli import INTERNAL_ERROR, main, read_points_csv
 from relicert.core import read_dataset_csv
 from relicert.estimators import ESTIMATE_CSV_HEADER
 from relicert.losses import LossKind
-from relicert.reliability import certify
-from relicert.version_space import fit_version_space
+from relicert.lp import LPError
+from relicert.reliability import LabelConstancyError, certify
+from relicert.version_space import ConeSearchError, fit_version_space
 
 GAUSS1 = '{"kind":"gaussian","d":1}'
 THRESH = '{"kind":"threshold"}'
@@ -197,3 +198,30 @@ def test_points_csv_requires_coordinate_header(tmp_path):
 
 def test_version_flag():
     assert run("--version") == 0
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("relicert.reliability._assert_ball_label_constancy", LabelConstancyError),
+        ("relicert.reliability.cone_dis_distance_info", ConeSearchError),
+        ("relicert.version_space.max_margin_direction", LPError),
+    ],
+)
+def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys, target, error):
+    train = tmp_path / "train3.csv"
+    assert run("gen", "--dist", '{"kind":"gaussian","d":3}',
+               "--hstar", '{"kind":"linear","w":[1.0,0.0,0.0]}',
+               "--m", "40", "--seed", "2", "--out", str(train)) == 0
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3\n3.0,0.0,0.0\n")
+
+    def boom(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(target, boom)
+    capsys.readouterr()
+    code = run("certify", "--data", str(train), "--points", str(pts), "--loss", "st",
+               "--concept", '{"kind":"linear"}', "--out", str(tmp_path / "c.json"))
+    assert code == INTERNAL_ERROR == 3
+    assert capsys.readouterr().err == "error: injected failure\n"

@@ -14,7 +14,7 @@ from relicert.core import (
     Threshold,
     predict,
 )
-from relicert.losses import LossKind, fixed_loss, robust_loss_sup
+from relicert.losses import LossKind, fixed_loss, fixed_loss_many, robust_loss_sup
 
 
 def _lin(a, b):
@@ -42,6 +42,28 @@ def test_fixed_loss_ca_constraint_gates():
     # hstar flips between x and z, so the constrained adversary scores zero
     assert predict(hstar, x) != predict(hstar, z)
     assert fixed_loss(LossKind.CA, h, hstar, x, z) == 0
+
+
+@pytest.mark.parametrize("family", ["threshold", "linear", "offset"])
+def test_fixed_loss_many_matches_pointwise(family):
+    rng = np.random.default_rng(3)
+    base = BaseBoundary("sine", (0.1, 0.3, 1.5))
+    for _ in range(20):
+        if family == "threshold":
+            h, hstar = Threshold(rng.normal()), Threshold(rng.normal())
+            d = 1
+        elif family == "linear":
+            h, hstar = _lin(*rng.normal(size=2)), _lin(*rng.normal(size=2))
+            d = 2
+        else:
+            h, hstar = OffsetBoundary(base, rng.normal()), OffsetBoundary(base, rng.normal())
+            d = 2
+        x = rng.normal(size=d)
+        Z = np.vstack([x, x + 0.8 * rng.normal(size=(40, d))])
+        for kind in LossKind:
+            many = fixed_loss_many(kind, h, hstar, x, Z)
+            assert many.dtype.kind == "i" and many.shape == (Z.shape[0],)
+            assert many.tolist() == [fixed_loss(kind, h, hstar, x, z) for z in Z]
 
 
 @given(
@@ -148,7 +170,7 @@ def test_exact_ball_sup_against_dense_sampling():
         zs = np.vstack([x + r * eta * ring for r in (1.0, 0.6, 0.25)] + [x[None, :]])
         for kind in LossKind:
             exact = robust_loss_sup(kind, h, hstar, x, MetricBall(eta)).value
-            sampled = max(fixed_loss(kind, h, hstar, x, z) for z in zs)
+            sampled = int(fixed_loss_many(kind, h, hstar, x, zs).max())
             if sampled > exact:
                 disagreements += 1  # sampled witness beats 'exact': a bug
             # sampled is a lower bound, so exact >= sampled must always hold

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from relicert.core import Dataset, LinearHomogeneous, Threshold, predict
+from oracles import safely_reliable_pointwise
+
+from relicert.core import (
+    BaseBoundary,
+    Dataset,
+    LinearHomogeneous,
+    OffsetBoundary,
+    Threshold,
+    predict,
+)
 from relicert.distributions import IsotropicGaussian, UniformCube
 from relicert.estimators import sample_size_for_epsilon
 from relicert.losses import LossKind
@@ -15,9 +24,17 @@ from relicert.reliability import (
     margin_certify,
     margin_certify_halving,
     safely_reliable_membership,
+    sr_membership_mask,
     verify_contract,
 )
-from relicert.version_space import Membership, agree_membership, dis_distance, fit_version_space
+from relicert.version_space import (
+    ConeVS,
+    Membership,
+    OffsetClass,
+    agree_membership,
+    dis_distance,
+    fit_version_space,
+)
 
 
 def interval_vs():
@@ -181,6 +198,66 @@ def test_sr_ca_on_cone_matches_arc_decisions():
         a = safely_reliable_membership(v_arc, hstar, x, 0.1, 0.0, LossKind.CA)
         b = safely_reliable_membership(v_cone, hstar, x, 0.1, 0.0, LossKind.CA)
         assert a == b
+
+
+def _mask_case(name: str):
+    """A version space, its target concept and test points, with the edge
+    points x = 0 and points on the target's boundary (a.x = 0 exactly)."""
+    rng = np.random.default_rng(31)
+    if name in ("interval", "interval-empty"):
+        hstar, concept = Threshold(0.25), "threshold"
+        X = rng.uniform(-1.0, 1.0, size=(0 if name.endswith("empty") else 25, 1))
+        if not name.endswith("empty"):
+            X = np.vstack([X, [[0.25]]])  # on the target cut: hi = 0.25
+        edges = [[0.0], [0.25], [0.35], [-0.35]]
+        T = np.vstack([rng.uniform(-1.5, 1.5, size=(60, 1)), edges])
+    elif name == "offset":
+        base = BaseBoundary("affine", (0.25, 0.5))
+        hstar, concept = OffsetBoundary(base, 0.125), OffsetClass(base)
+        X = np.vstack([rng.uniform(0.0, 1.0, size=(30, 2)), [[0.5, 0.625]]])
+        # x2 - (0.25 + 0.5 x1) - 0.125 is exactly 0 at (0.5, 0.625): hi = 0.125
+        edges = [[0.0, 0.0], [0.5, 0.625], [0.5, 0.9], [0.5, 0.3]]
+        T = np.vstack([rng.uniform(-0.2, 1.2, size=(60, 2)), edges])
+    elif name in ("arc", "arc-empty"):
+        hstar, concept = LinearHomogeneous(np.array([1.0, 0.0])), "linear"
+        X = rng.standard_normal((0 if name.endswith("empty") else 40, 2))
+        if not name.endswith("empty"):
+            X = np.vstack([X, [[0.0, 1.0]]])  # on the target boundary: hstar is an endpoint
+        edges = [[0.0, 0.0], [0.0, 2.0], [0.0, -2.0], [2.0, 0.0], [0.05, 1.0]]
+        T = np.vstack([1.5 * rng.standard_normal((60, 2)), edges])
+    else:  # cone, d = 3, with an exhaustive ray bank
+        hstar, concept = LinearHomogeneous(np.array([1.0, 0.0, 0.0])), "linear"
+        X = rng.standard_normal((0 if name.endswith("empty") else 11, 3))
+        if not name.endswith("empty"):
+            X = np.vstack([X, [[0.0, 1.0, 0.0]]])
+        edges = [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]]
+        T = np.vstack([1.5 * rng.standard_normal((40, 3)), edges])
+    S = Dataset(X, hstar.predict_many(X)) if len(X) else Dataset.empty(T.shape[1])
+    rep = "cone" if name.startswith("cone") else "auto"
+    vs = fit_version_space(S, concept, representation=rep)
+    return vs, hstar, T
+
+
+@pytest.mark.parametrize(
+    "name", ["interval", "offset", "arc", "cone", "interval-empty", "arc-empty", "cone-empty"]
+)
+def test_sr_mask_matches_pointwise_oracle(name):
+    vs, hstar, T = _mask_case(name)
+    if name == "cone":
+        assert isinstance(vs, ConeVS) and vs.candidate_bank().exhaustive
+    hits = 0
+    for kind in LossKind:
+        for eta1, eta2 in [(0.0, 0.0), (0.0, 0.1), (0.1, 0.05), (0.3, 0.0)]:
+            mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind, seed=4)
+            assert mask.dtype == bool and mask.shape == (T.shape[0],)
+            want = [safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=4) for x in T]
+            assert mask.tolist() == want
+            one = [safely_reliable_membership(vs, hstar, x, eta1, eta2, kind, seed=4) for x in T]
+            assert one == want
+            hits += int(np.sum(mask))
+    # an empty sample leaves every point disputed, except the origin of the
+    # homogeneous classes
+    assert hits > 0 or name == "interval-empty"
 
 
 def test_sr_rejects_negative_strengths():

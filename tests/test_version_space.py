@@ -173,6 +173,28 @@ def test_membership_matches_angle_grid_oracle():
             assert got == membership_2d(S.X, S.y, z, step=2e-4)
 
 
+@pytest.mark.parametrize(
+    "points, labels",
+    [
+        ([[0.0, 1.0]], [1]),
+        ([[0.0, -1.0]], [1]),
+        ([[0.0, 1.0]], [-1]),
+        ([[0.0, 1.0], [1.0, 0.3]], [1, 1]),
+        ([[0.0, -2.0], [1.0, -0.3]], [-1, 1]),
+    ],
+)
+def test_arc_fit_with_samples_on_the_second_axis(points, labels):
+    # a constraint half-circle that starts or ends exactly at angle 0
+    S = Dataset.from_points(points, labels)
+    vs = fit_version_space(S, "linear")
+    rng = np.random.default_rng(6)
+    for z in rng.standard_normal((40, 2)) * 1.5:
+        if vs.boundary_margin(z) < 1e-3:
+            continue
+        got = int(vs.membership_many(z[None, :])[0])
+        assert got == membership_2d(S.X, S.y, z, step=2e-4)
+
+
 def test_cone_membership_matches_interval_on_lifted_thresholds():
     rng = np.random.default_rng(5)
     for _ in range(30):
