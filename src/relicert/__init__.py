@@ -49,7 +49,6 @@ from .reliability import (
     certify_general_finite,
     margin_certificate,
     margin_certify,
-    margin_certify_halving,
     safely_reliable_membership,
     verify_contract,
 )

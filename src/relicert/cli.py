@@ -8,6 +8,7 @@ byte-identical output.  All randomness derives from the single --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -179,15 +180,13 @@ def _cmd_certify(args) -> int:
         for i, z in enumerate(pts):
             cert = certify(vs, z, kind, seed=seed ^ i)
             certs.append(cert.to_json_dict(z, seed=seed))
-    elif cfg["method"] in ("margin", "bisection"):
+    elif cfg["method"] == "margin":
         if kind is not LossKind.ST:
             raise UsageError("the margin certifier issues stability-loss certificates")
         _require(cfg, "eps")
         h = erm(S, concept)
         for z in pts:
-            cert = margin_certificate(
-                h, z, float(cfg["eps"]), c1=float(cfg.get("c1", 1.0)), method=cfg["method"]
-            )
+            cert = margin_certificate(h, z, float(cfg["eps"]), c1=float(cfg.get("c1", 1.0)))
             certs.append(cert.to_json_dict(z, seed=seed))
     else:
         raise UsageError(f"unknown certify method {cfg['method']!r}")
@@ -331,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="CSV of points to certify (header x1,...,xd)")
     p.add_argument("--loss", choices=["ca", "tl", "st"])
     p.add_argument("--concept", help="concept class JSON")
-    p.add_argument("--method", choices=["exact", "margin", "bisection"])
+    p.add_argument("--method", choices=["exact", "margin"])
     p.add_argument("--eps", type=float, help="scale for the margin certifier")
     p.add_argument("--c1", type=float, help="margin certifier constant")
     p.set_defaults(func=_cmd_certify)
@@ -391,10 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

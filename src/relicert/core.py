@@ -7,7 +7,6 @@ with the convention sign(0) = +1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -379,21 +378,3 @@ def write_dataset_csv(path, S: Dataset) -> None:
         for i in range(len(S)):
             coords = ",".join(repr(float(v)) for v in S.X[i])
             f.write(f"{coords},{label_to_external(int(S.y[i]))}\n")
-
-
-def dataset_to_json(S: Dataset) -> str:
-    payload = {
-        "dimension": S.dimension,
-        "points": [[float(v) for v in row] for row in S.X],
-        "labels": [label_to_external(int(v)) for v in S.y],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def dataset_from_json(text: str) -> Dataset:
-    payload = json.loads(text)
-    pts = np.asarray(payload["points"], dtype=float).reshape(-1, payload["dimension"])
-    labels = np.asarray([label_from_external(v) for v in payload["labels"]], dtype=np.int64)
-    if pts.shape[0] == 0:
-        return Dataset.empty(payload["dimension"])
-    return Dataset(pts, labels)

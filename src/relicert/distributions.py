@@ -37,6 +37,24 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def map_trial_chunks(fn, args_base: tuple, trials: int, jobs: int) -> list:
+    """fn(args_base + (lo, hi)) over contiguous chunks of range(trials), one
+    chunk per worker process (in this process when jobs <= 1 or one chunk
+    covers every trial); the results in chunk order.  Each trial seeds its
+    own generator from (seed, trial), so the results do not depend on jobs."""
+    if jobs <= 1:
+        chunks = [args_base + (0, trials)]
+    else:
+        size = max(1, (trials + jobs - 1) // jobs)
+        chunks = [args_base + (lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    if len(chunks) <= 1:
+        return [fn(c) for c in chunks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, chunks))
+
+
 @dataclass(frozen=True, eq=False)
 class IsotropicGaussian:
     d: int

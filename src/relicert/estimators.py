@@ -20,8 +20,8 @@ from .distributions import (
     _draw,
     cdf_1d,
     derive_rng,
-    dimension,
     is_rotation_invariant,
+    map_trial_chunks,
     quantile_1d,
     sample,
 )
@@ -29,7 +29,7 @@ from .losses import LossKind
 # the one-point form stays importable here: perfbench's layer tracer wraps
 # it, and a missing name would report its metrics as absent instead of 0
 from .reliability import safely_reliable_membership, sr_membership_mask  # noqa: F401
-from .version_space import ConceptClass, OffsetClass, fit_version_space
+from .version_space import ConceptClass, OffsetClass, fit_version_space, interior_hint
 
 log = logging.getLogger(__name__)
 
@@ -86,37 +86,6 @@ def mc_mass(predicate, spec: DistributionSpec, n: int, seed: int) -> RegionEstim
 # ---------------------------------------------------------------------------
 
 
-def _interior_hint(concept: ConceptClass, hstar: Hypothesis):
-    if concept == "linear" and isinstance(hstar, LinearHomogeneous):
-        return hstar.w
-    return None
-
-
-def _sr_trial_mean(args) -> list[float]:
-    concept, hstar, spec, m, eta1, eta2, kind, n_test, seed, lo, hi = args
-    out = []
-    for t in range(lo, hi):
-        X = _draw(spec, derive_rng(seed, t, 0), m)
-        S = Dataset(X, hstar.predict_many(X))
-        vs = fit_version_space(S, concept, interior_hint=_interior_hint(concept, hstar))
-        T = _draw(spec, derive_rng(seed, t, 1), n_test)
-        mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind, seed=seed ^ t)
-        out.append(float(np.mean(mask)))
-    return out
-
-
-def _map_trials(fn, args_base: tuple, trials: int, jobs: int) -> list[float]:
-    if jobs <= 1:
-        return fn(args_base + (0, trials))
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = max(1, (trials + jobs - 1) // jobs)
-    chunks = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(fn, [args_base + c for c in chunks]))
-    return [v for part in parts for v in part]
-
-
 def sr_mass(
     concept: ConceptClass,
     hstar: Hypothesis,
@@ -130,15 +99,15 @@ def sr_mass(
     seed: int,
     jobs: int = 1,
 ) -> RegionEstimate:
-    """Mean over fresh training draws of the safely-reliable test mass.
+    """Mean over fresh training draws of the safely-reliable test mass:
+    `reliable_correctness` with the test distribution equal to the
+    training one.
 
     Per-trial seeds are derived by counter, so the result is independent of
     the worker count."""
-    if trials < 1 or n_test < 1:
-        raise ValueError("trials and n_test must be positive")
-    base = (concept, hstar, spec, m, eta1, eta2, kind, n_test, seed)
-    means = _map_trials(_sr_trial_mean, base, trials, jobs)
-    return _estimate(float(np.mean(means)), trials, seed)
+    return reliable_correctness(
+        concept, hstar, spec, spec, m, trials, n_test, eta1, eta2, kind, seed, jobs=jobs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +200,19 @@ def _cdf_at(Q, t: float) -> float:
     return cdf_1d(Q, t)
 
 
+def _quantile_band_masses(ref: np.ndarray, xq: np.ndarray, cut: float, grid) -> np.ndarray:
+    """Per radius r: the share of xq strictly inside the band of reference
+    quantiles F(cut) -/+ r, where F is the empirical CDF of ref."""
+    ref = np.sort(ref)
+    fc = float(np.searchsorted(ref, cut, side="right")) / ref.size
+    masses = []
+    for r in grid:
+        lo = float(np.quantile(ref, max(fc - float(r), 0.0)))
+        hi = float(np.quantile(ref, min(fc + float(r), 1.0)))
+        masses.append(float(np.mean((xq > lo) & (xq < hi))))
+    return np.array(masses)
+
+
 def _theta_threshold(hstar: Threshold, P, Q, grid, n, seed) -> tuple[np.ndarray, str]:
     try:
         masses = []
@@ -242,32 +224,18 @@ def _theta_threshold(hstar: Threshold, P, Q, grid, n, seed) -> tuple[np.ndarray,
         pass
     # no closed-form CDF: empirical interval from a reference sample
     ref = sample(P, seed ^ 0xA5A5, n)[:, 0]
-    ref.sort()
     xq = sample(Q, seed, n)[:, 0]
-    masses = []
-    fc = float(np.searchsorted(ref, hstar.t, side="right")) / ref.size
-    for r in grid:
-        lo = float(np.quantile(ref, max(fc - float(r), 0.0)))
-        hi = float(np.quantile(ref, min(fc + float(r), 1.0)))
-        masses.append(float(np.mean((xq > lo) & (xq < hi))))
-    return np.array(masses), "threshold-empirical"
+    return _quantile_band_masses(ref, xq, hstar.t, grid), "threshold-empirical"
 
 
 def _theta_offset(concept: OffsetClass, hstar, P, Q, grid, n, seed) -> np.ndarray:
     """Offsets of a fixed boundary behave as thresholds on the residual."""
     base = concept.base
     ref = sample(P, seed ^ 0xA5A5, n)
-    ref_u = np.sort(ref[:, -1] - base(ref[:, :-1]))
     xq = sample(Q, seed, n)
-    xq_u = xq[:, -1] - base(xq[:, :-1])
-    cut = hstar.offset
-    fc = float(np.searchsorted(ref_u, cut, side="right")) / ref_u.size
-    masses = []
-    for r in grid:
-        lo = float(np.quantile(ref_u, max(fc - float(r), 0.0)))
-        hi = float(np.quantile(ref_u, min(fc + float(r), 1.0)))
-        masses.append(float(np.mean((xq_u > lo) & (xq_u < hi))))
-    return np.array(masses)
+    return _quantile_band_masses(
+        ref[:, -1] - base(ref[:, :-1]), xq[:, -1] - base(xq[:, :-1]), hstar.offset, grid
+    )
 
 
 def theta_pq(
@@ -329,7 +297,7 @@ def _shift_trial_mean(args) -> list[float]:
     for t in range(lo, hi):
         X = _draw(P, derive_rng(seed, t, 0), m)
         S = Dataset(X, hstar.predict_many(X))
-        vs = fit_version_space(S, concept, interior_hint=_interior_hint(concept, hstar))
+        vs = fit_version_space(S, concept, interior_hint=interior_hint(hstar))
         T = _draw(Q, derive_rng(seed, t, 1), n_test)
         if kind is None:
             out.append(float(np.mean(vs.membership_many(T) != 0)))
@@ -361,14 +329,16 @@ def reliable_correctness(
     correctness: the fraction of target draws in the agreement region.
     Passing a labeled target sample enforces the realizability premise.
     """
+    if trials < 1 or n_test < 1:
+        raise ValueError("trials and n_test must be positive")
     if kind is None and (eta1 != 0.0 or eta2 != 0.0):
         raise ValueError("plain reliable correctness is defined at zero attack strength")
     if labeled_test is not None and len(labeled_test):
         if np.any(hstar.predict_many(labeled_test.X) != labeled_test.y):
             raise ValueError("target data is not realizable by the given target concept")
     base = (concept, hstar, P, Q, m, eta1, eta2, kind, n_test, seed)
-    means = _map_trials(_shift_trial_mean, base, trials, jobs)
-    return _estimate(float(np.mean(means)), trials, seed)
+    parts = map_trial_chunks(_shift_trial_mean, base, trials, jobs)
+    return _estimate(float(np.mean([v for part in parts for v in part])), trials, seed)
 
 
 # ---------------------------------------------------------------------------

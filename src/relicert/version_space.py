@@ -10,15 +10,35 @@ Three representations, one per concept class:
   ConeVS      - general-d homogeneous linear separators as the polyhedral
                 cone {w : <y_i x_i, w> >= 0}, queried through small LPs.
 
+Every class answers the same geometry queries, and no other module looks
+inside a representation:
+
+  membership_many(X)         agreement code per row: +1, -1, or 0 (disputed);
+  dis_distance_many(X, codes, seed=)
+                             the distance below, 0 on disputed rows;
+  canonical_member()         the interval or arc midpoint, the cone's
+                             interior normal;
+  random_member(rng)         a consistent hypothesis away from the boundary;
+  attack_direction(x, rng)   a unit step from x toward the nearest disputed
+                             point (random where x is disputed);
+  ca_cap_mask(hstar, X, eta) whether the part of B(x, eta) with the target
+                             label of x stays unanimous, per row.
+
 Membership in the agreement region is exact for intervals and arcs, and
-LP-decided for cones.  Distances to the disagreement region are closed
-form for intervals and arcs.  For cones the distance is the minimum of
-|<w, z>| over unit normals w in the cone; that minimum sits on an extreme
-ray (the ratio of a nonnegative linear functional to the norm is
-quasiconcave along segments), so whenever the active-set enumeration is
-tractable it is evaluated exactly over all candidate rays, and otherwise
-by projected gradient descent over the sphere-cone slice, cross-checked
-against a sampled bound with the optimality gap reported.
+LP-decided for cones.  The distance of an agreed point z is the Euclidean
+distance to the disagreement region for intervals (a lower bound for offset
+classes with a non-constant boundary).  For linear classes it is the
+minimum of |<w, z>| over consistent unit normals w: the distance to the
+disagreement region when the version space has more than one normal, and
+the single normal's |margin| when it has one (a one-hypothesis arc or
+cone), where no point is disputed but a stability ball still may not cross
+the decision boundary.  Arcs evaluate it in closed form.  For cones that
+minimum sits on an extreme ray (the ratio of a nonnegative linear
+functional to the norm is quasiconcave along segments), so whenever the
+active-set enumeration is tractable it is evaluated exactly over all
+candidate rays, and otherwise by projected gradient descent over the
+sphere-cone slice, cross-checked against a sampled bound with the
+optimality gap reported.
 """
 
 from __future__ import annotations
@@ -39,7 +59,7 @@ from .core import (
     Threshold,
     _as_point,
 )
-from .lp import max_inner_product_over_cone, max_margin_direction
+from .lp import max_inner_product_over_cone, max_margin_direction, maximize_over_cone_box
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +126,18 @@ def _residuals(base: BaseBoundary, X: np.ndarray) -> np.ndarray:
     return X[:, -1] - base(X[:, :-1])
 
 
+def _interior_fraction(rng: np.random.Generator) -> float:
+    """A fraction in [0.02, 0.98] that places a random member away from the
+    version-space boundary.  Every `random_member` draws it first, so the
+    random stream is consumed in the same order for every class."""
+    return 0.02 + 0.96 * rng.random()
+
+
+def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
+    g = rng.standard_normal(d)
+    return g / max(float(np.linalg.norm(g)), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # interval version spaces (thresholds; offset-boundary offsets)
 # ---------------------------------------------------------------------------
@@ -126,14 +158,6 @@ class IntervalVS:
     lo_open: bool = True
     hi_open: bool = False
     base: BaseBoundary | None = None  # set for the offset class
-
-    @property
-    def dis_lo(self) -> float:
-        return self.lo
-
-    @property
-    def dis_hi(self) -> float:
-        return self.hi
 
     @property
     def _scale(self) -> float:
@@ -158,7 +182,9 @@ class IntervalVS:
         out[plus] = 1
         return out
 
-    def dis_distance_many(self, X: np.ndarray) -> np.ndarray:
+    def dis_distance_many(self, X: np.ndarray, codes=None, *, seed: int = 0) -> np.ndarray:
+        """Distance to the open interval (lo, hi) of disputed cuts; `codes`
+        and `seed` are not needed here."""
         u = self.coords(X)
         below = np.maximum(self.lo - u, 0.0)
         above = np.maximum(u - self.hi, 0.0)
@@ -168,10 +194,112 @@ class IntervalVS:
         u = float(self.coords(np.atleast_2d(_as_point(z)))[0])
         return min(abs(u - self.lo), abs(u - self.hi))
 
+    def _member(self, t: float) -> Hypothesis:
+        return OffsetBoundary(self.base, t) if self.base is not None else Threshold(t)
+
+    def canonical_member(self) -> Hypothesis:
+        """The midpoint cut; one unit inside a half-infinite interval, 0 for
+        the whole line."""
+        if math.isinf(self.lo) and math.isinf(self.hi):
+            t = 0.0
+        elif math.isinf(self.lo):
+            t = self.hi - 1.0
+        elif math.isinf(self.hi):
+            t = self.lo + 1.0
+        else:
+            t = 0.5 * (self.lo + self.hi)
+        return self._member(t)
+
+    def random_member(self, rng: np.random.Generator) -> Hypothesis:
+        u = _interior_fraction(rng)
+        if math.isinf(self.lo) and math.isinf(self.hi):
+            t = rng.standard_normal()
+        elif math.isinf(self.lo):
+            t = self.hi - rng.random()
+        elif math.isinf(self.hi):
+            t = self.lo + rng.random()
+        else:
+            t = self.lo + u * (self.hi - self.lo)
+        return self._member(t)
+
+    def attack_direction(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Along the last axis toward the disputed cuts; a coin flip inside."""
+        u_x = float(self.coords(x[None, :])[0])
+        direction = np.zeros(x.shape[0])
+        if u_x >= self.hi:
+            direction[-1] = -1.0
+        elif u_x <= self.lo:
+            direction[-1] = 1.0
+        else:
+            direction[-1] = 1.0 if rng.random() < 0.5 else -1.0
+        return direction
+
+    def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
+        """Closed form: the cut values the same-label part of each eta-ball
+        reaches must miss the disputed interval."""
+        if not isinstance(hstar, (Threshold, OffsetBoundary)):
+            raise ValueError("target concept does not match the version space")
+        cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
+        y = hstar.predict_many(X)
+        u_x = self.coords(X)
+        reach = eta / self._scale  # residual reach of the eta point ball
+        cap_lo = np.where(y > 0, np.maximum(u_x - reach, cut), u_x - reach)
+        cap_hi = np.where(y > 0, u_x + reach, np.minimum(u_x + reach, cut))
+        return ~((cap_lo < self.hi) & (cap_hi > self.lo))
+
+
+# ---------------------------------------------------------------------------
+# the constrained-adversary cap test for linear version spaces
+# ---------------------------------------------------------------------------
+
+SR_CHUNK_ELEMS = 1 << 18  # points x rays per block of the cap test
+
+
+def _caps_stay_unanimous(
+    rays: np.ndarray, hstar: Hypothesis, X: np.ndarray, eta: float
+) -> np.ndarray:
+    """Per point x: whether the part of B(x, eta) sharing the target label y
+    keeps <w, y*z> >= 0 for every ray w (sufficient on the rays' conic hull
+    because the cap minimum is superadditive in w).
+
+    With u = y*w and a = y*w*, the minimum of <u, z> over B(x, eta) cut by
+    {a.z >= 0} is <u, x> - eta*|u| when the free minimiser x - eta*u/|u|
+    lies in the cut, and otherwise sits on the face a.z = 0.  Rays enter
+    only through |w|, w.w* and |w - (w.w*) w*|; points only through x.w
+    and x.w*.  The array is built in blocks of at most SR_CHUNK_ELEMS
+    points x rays entries.
+    """
+    if not isinstance(hstar, LinearHomogeneous):
+        raise ValueError("target concept does not match the version space")
+    wstar = hstar.w
+    nu = np.linalg.norm(rays, axis=1)
+    ua = rays @ wstar  # u.a for either label
+    ut = np.linalg.norm(rays - ua[:, None] * wstar[None, :], axis=1)
+    step = eta / nu
+    ok = np.ones(X.shape[0], dtype=bool)
+    size = max(1, SR_CHUNK_ELEMS // max(rays.shape[0], 1))
+    for lo in range(0, X.shape[0], size):
+        Xc = X[lo : lo + size]
+        s = hstar.margins(Xc)
+        y = np.where(s >= 0.0, 1.0, -1.0)
+        ax = y * s  # a.x >= 0: the cap is never empty
+        ux = y[:, None] * (Xc @ rays.T)
+        free = ax[:, None] - step[None, :] * ua[None, :] >= 0.0
+        beta = np.maximum(-ax, -eta)  # move this far along a to reach a.z = 0
+        rad = np.sqrt(np.maximum(eta * eta - beta * beta, 0.0))
+        face = ux + beta[:, None] * ua[None, :] - rad[:, None] * ut[None, :]
+        low = np.where(free, ux - eta * nu[None, :], face)
+        ok[lo : lo + size] = ~np.any(low < 0.0, axis=1)
+    return ok
+
 
 # ---------------------------------------------------------------------------
 # angular-arc version spaces (2-d homogeneous linear)
 # ---------------------------------------------------------------------------
+
+
+def _unit_normal(phi: float) -> np.ndarray:
+    return np.array([math.cos(phi), math.sin(phi)])
 
 
 def _circ_gap(theta: np.ndarray, start: float, width: float) -> np.ndarray:
@@ -219,28 +347,54 @@ class AngleArcVS:
         out[rho == 0.0] = 1  # the origin gets +1 from every hypothesis
         return out
 
-    def dis_distance_many(self, X: np.ndarray) -> np.ndarray:
+    def dis_distance_many(self, X: np.ndarray, codes=None, *, seed: int = 0) -> np.ndarray:
+        """min |<w, z>| over the arc's unit normals, 0 on disputed rows;
+        `codes` are the rows' membership codes when the caller has them."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        member = self.membership_many(X)
-        n = X.shape[0]
+        if codes is None:
+            codes = self.membership_many(X)
         if self.width <= 0.0:
-            out = np.full(n, np.inf)
-            out[member == 0] = 0.0
-            return out
-        theta = np.arctan2(X[:, 1], X[:, 0])
-        rho = np.linalg.norm(X, axis=1)
-        g1 = _circ_gap(theta, self.phi_lo + math.pi / 2.0, self.width)
-        g2 = _circ_gap(theta, self.phi_lo - math.pi / 2.0, self.width)
-        gap = np.minimum(g1, g2)
-        dist = np.where(gap >= math.pi / 2.0, rho, rho * np.sin(gap))
-        dist[member == 0] = 0.0
+            dist = np.abs(X @ _unit_normal(self.phi_lo))
+        else:
+            theta = np.arctan2(X[:, 1], X[:, 0])
+            rho = np.linalg.norm(X, axis=1)
+            g1 = _circ_gap(theta, self.phi_lo + math.pi / 2.0, self.width)
+            g2 = _circ_gap(theta, self.phi_lo - math.pi / 2.0, self.width)
+            gap = np.minimum(g1, g2)
+            dist = np.where(gap >= math.pi / 2.0, rho, rho * np.sin(gap))
+        dist[codes == 0] = 0.0
         return dist
 
     def endpoint_hypotheses(self) -> tuple[LinearHomogeneous, LinearHomogeneous]:
         return (
-            LinearHomogeneous(np.array([math.cos(self.phi_lo), math.sin(self.phi_lo)])),
-            LinearHomogeneous(np.array([math.cos(self.phi_hi), math.sin(self.phi_hi)])),
+            LinearHomogeneous(_unit_normal(self.phi_lo)),
+            LinearHomogeneous(_unit_normal(self.phi_hi)),
         )
+
+    def canonical_member(self) -> LinearHomogeneous:
+        """The normal at the arc's midpoint angle."""
+        return LinearHomogeneous(_unit_normal(0.5 * (self.phi_lo + self.phi_hi)))
+
+    def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
+        u = _interior_fraction(rng)
+        phi = self.phi_lo + u * self.width if self.width > 0.0 else self.phi_lo
+        return LinearHomogeneous(_unit_normal(phi))
+
+    def attack_direction(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Against the endpoint normal with the smaller |margin| at x."""
+        h_lo, h_hi = self.endpoint_hypotheses()
+        m_lo = float(h_lo.margins(x[None, :])[0])
+        m_hi = float(h_hi.margins(x[None, :])[0])
+        w, m = (h_lo.w, m_lo) if abs(m_lo) <= abs(m_hi) else (h_hi.w, m_hi)
+        if abs(m) < 1e-15:
+            return _random_unit(rng, x.shape[0])
+        return -math.copysign(1.0, m) * w
+
+    def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
+        """The cap test on the endpoint and midpoint normals."""
+        h_lo, h_hi = self.endpoint_hypotheses()
+        rays = np.vstack([h_lo.w, self.canonical_member().w, h_hi.w])
+        return _caps_stay_unanimous(rays, hstar, X, eta)
 
     def boundary_margin(self, z) -> float:
         z = _as_point(z, dim=2)
@@ -276,7 +430,7 @@ class ConeVS:
 
     A: np.ndarray  # (m, d), unit rows
     strict: np.ndarray  # (m,) bool, rows from negative labels
-    interior: np.ndarray  # (d,) strictly feasible direction (unit)
+    interior: np.ndarray  # (d,) feasible unit normal, strictly so if the cone has interior
     dim: int
 
     def candidate_bank(self) -> _Bank:
@@ -305,6 +459,59 @@ class ConeVS:
             else:
                 out[i] = 1
         return out
+
+    def dis_distance_many(self, X: np.ndarray, codes=None, *, seed: int = 0) -> np.ndarray:
+        """min |<w, z>| over unit normals w in the cone, 0 on disputed rows:
+        the row minimum over an exhaustive bank, otherwise one
+        `cone_dis_distance_info` search per agreed row, each seeded with
+        `seed`.  `codes` are the rows' membership codes when the caller has
+        them."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if codes is None:
+            codes = self.membership_many(X)
+        dist = np.zeros(X.shape[0])
+        agreed = np.flatnonzero(codes)
+        bank = self.candidate_bank()
+        if bank.exhaustive:
+            V = codes[agreed, None] * X[agreed]
+            dist[agreed] = np.maximum((V @ bank.W.T).min(axis=1), 0.0)
+            return dist
+        for i in agreed:
+            dist[i] = cone_dis_distance_info(self, X[i], int(codes[i]), seed=seed).value
+        return dist
+
+    def canonical_member(self) -> LinearHomogeneous:
+        """The interior normal."""
+        return LinearHomogeneous(self.interior)
+
+    def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
+        """A random step from the interior normal, within 45% of its slack."""
+        _interior_fraction(rng)  # unused here; drawn to keep the stream order
+        if self.A.shape[0] == 0:
+            return LinearHomogeneous(rng.standard_normal(self.dim))
+        slack = float(np.min(self.A @ self.interior))
+        g = _random_unit(rng, self.dim)
+        return LinearHomogeneous(self.interior + 0.45 * slack * rng.random() * g)
+
+    def attack_direction(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Against the bank normal with the smallest agreed margin at x,
+        from the cached candidate bank alone."""
+        code = int(self.membership_many(x[None, :])[0])
+        if code == 0:
+            return _random_unit(rng, x.shape[0])
+        bank = self.candidate_bank().W
+        w = bank[int(np.argmin(bank @ (float(code) * x)))]
+        margin = float(w @ x)
+        if abs(margin) < 1e-15:
+            return w.copy()
+        return -math.copysign(1.0, margin) * w
+
+    def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
+        """The cap test on the candidate bank (exact when it is exhaustive)."""
+        bank = self.candidate_bank()
+        if not bank.exhaustive:
+            log.debug("constrained-adversary cap test on a sampled (non-exhaustive) bank")
+        return _caps_stay_unanimous(bank.W, hstar, X, eta)
 
 
 def _project_rows_into_cone(W: np.ndarray, A: np.ndarray, sweeps: int = 40):
@@ -524,22 +731,6 @@ def cone_dis_distance_info(
     )
 
 
-def cone_dis_direction(vs: ConeVS, x, agreed_sign: int) -> tuple[float, np.ndarray]:
-    """Estimate of the disagreement distance at x and a unit step direction
-    toward the (approximately) nearest disputed point, from the cached
-    candidate bank alone."""
-    x = _as_point(x, dim=vs.dim)
-    bank = vs.candidate_bank().W
-    vals = bank @ (float(agreed_sign) * x)
-    j = int(np.argmin(vals))
-    w = bank[j]
-    margin = float(w @ x)
-    if abs(margin) < 1e-15:
-        return 0.0, w.copy()
-    direction = -math.copysign(1.0, margin) * w
-    return abs(margin), direction
-
-
 VersionSpace = IntervalVS | AngleArcVS | ConeVS
 
 
@@ -668,9 +859,24 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
         # all labels +1 with only marginal separators; any nonzero direction
         # of the closed cone will do
         if np.linalg.norm(w) < 1e-12:
-            raise RealizabilityError("feasible normals reduce to the zero vector")
+            w = _closed_cone_direction(A)
     w = w / np.linalg.norm(w)
     return ConeVS(A=A, strict=strict, interior=w, dim=d)
+
+
+def _closed_cone_direction(A: np.ndarray) -> np.ndarray:
+    """A nonzero w with A w >= 0 for a cone without interior: the LP
+    maximiser of <sum_i A_i, w>, or, when that maximum is 0 (every feasible
+    w then has A w = 0, so the cone is the null space of A), a null vector."""
+    d = A.shape[1]
+    w = maximize_over_cone_box(A.sum(axis=0), A, lo=-np.ones(d), hi=np.ones(d)).x
+    if np.linalg.norm(w) >= 1e-12:
+        return w
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int(np.sum(sv > 1e-10))
+    if rank == d:
+        raise RealizabilityError("feasible normals reduce to the zero vector")
+    return Vt[rank]
 
 
 def fit_version_space(
@@ -715,32 +921,23 @@ def fit_version_space(
     raise ValueError(f"unknown concept class {concept!r}")
 
 
+def interior_hint(hstar: Hypothesis) -> np.ndarray | None:
+    """The normal of a linear target, for `fit_version_space(interior_hint=)`
+    on samples that target labelled; None for other targets."""
+    return hstar.w if isinstance(hstar, LinearHomogeneous) else None
+
+
 def canonical_member(vs: VersionSpace) -> Hypothesis:
     """The canonical consistent hypothesis: the interval midpoint (one unit
     inside a half-infinite interval, 0 for the whole line), the arc midpoint,
     or the cone's interior normal."""
-    if isinstance(vs, IntervalVS):
-        if math.isinf(vs.lo) and math.isinf(vs.hi):
-            t = 0.0
-        elif math.isinf(vs.lo):
-            t = vs.hi - 1.0
-        elif math.isinf(vs.hi):
-            t = vs.lo + 1.0
-        else:
-            t = 0.5 * (vs.lo + vs.hi)
-        if vs.base is not None:
-            return OffsetBoundary(vs.base, t)
-        return Threshold(t)
-    if isinstance(vs, AngleArcVS):
-        phi = 0.5 * (vs.phi_lo + vs.phi_hi)
-        return LinearHomogeneous(np.array([math.cos(phi), math.sin(phi)]))
-    return LinearHomogeneous(vs.interior)
+    return vs.canonical_member()
 
 
 def erm(S: Dataset, concept: ConceptClass, representation: str = "auto") -> Hypothesis:
     """A canonical zero-error hypothesis: interval/arc midpoints, or the
     max-margin LP direction for constraint cones."""
-    return canonical_member(fit_version_space(S, concept, representation=representation))
+    return fit_version_space(S, concept, representation=representation).canonical_member()
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +955,10 @@ def agree_membership(vs: VersionSpace, z) -> Membership:
 
 
 def dis_distance(vs: VersionSpace, z, *, seed: int = 0) -> float:
-    """Euclidean distance from z to the disagreement region (0 inside it)."""
+    """Distance from z to the disagreement region (0 inside it), as defined
+    in the module docstring."""
     z = _as_point(z)
-    if isinstance(vs, (IntervalVS, AngleArcVS)):
-        return float(vs.dis_distance_many(z[None, :])[0])
-    code = int(vs.membership_many(z[None, :])[0])
-    if code == 0:
-        return 0.0
-    return cone_dis_distance_info(vs, z, code, seed=seed).value
+    return float(vs.dis_distance_many(z[None, :], seed=seed)[0])
 
 
 # ---------------------------------------------------------------------------

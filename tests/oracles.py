@@ -168,6 +168,47 @@ def cap_stays_unanimous(rays, wstar, x, label, eta):
     return all(min_over_cap(float(label) * w, a, x, eta) >= 0.0 for w in rays)
 
 
+def _margin_feasible(norm_z: float, margin: float, alpha: float, c1: float,
+                     eps: float, d: int, eta: float) -> bool:
+    root_d = math.sqrt(d)
+    return norm_z < alpha * root_d - eta and margin >= c1 * alpha * eps * root_d + eta
+
+
+def margin_certify_halving(h_erm, z, eps, d=None, alpha=None, c1=1.0, tol=1e-12):
+    """The margin certifier's radius located by halving search on its
+    feasibility predicate (parity check for the closed form)."""
+    from relicert.core import LinearHomogeneous, _as_point
+    from relicert.reliability import margin_alpha
+
+    if not isinstance(h_erm, LinearHomogeneous):
+        raise ValueError("the margin certifier needs a linear hypothesis")
+    z = _as_point(z, dim=h_erm.dimension)
+    if d is None:
+        d = z.shape[0]
+    if alpha is None:
+        alpha = margin_alpha(eps, d)
+    norm_z = float(np.linalg.norm(z))
+    margin = float(abs(h_erm.margins(z[None, :])[0]))
+
+    def ok(eta: float) -> bool:
+        return _margin_feasible(norm_z, margin, alpha, c1, eps, d, eta)
+
+    if not ok(0.0):
+        return -1.0
+    lo, hi = 0.0, 0.5
+    while ok(hi):
+        lo, hi = hi, hi * 2.0
+        if hi > 4.0 * alpha * math.sqrt(d):
+            break
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=0):
     """Safely-reliable membership of one point, decided ray by ray."""
     from relicert.core import Threshold, predict

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from relicert.cli import INTERNAL_ERROR, main, read_points_csv
+from relicert.cli import INTERNAL_ERROR, _parser, main, read_points_csv
 from relicert.core import read_dataset_csv
 from relicert.estimators import ESTIMATE_CSV_HEADER
 from relicert.losses import LossKind
@@ -152,15 +152,16 @@ def test_theta_cli(tmp_path):
 
 def test_shift_cli(tmp_path):
     out = tmp_path / "shift.csv"
-    code = run(
+    argv = [
         "shift", "--concept", THRESH, "--hstar", HSTAR,
         "--p", '{"kind":"uniform_cube","d":1,"lo":-0.5,"hi":0.5}',
         "--q", '{"kind":"uniform_cube","d":1,"lo":-1,"hi":1}',
-        "--m", "500", "--trials", "4", "--n", "1000", "--out", str(out),
-    )
-    assert code == 0
+        "--m", "500", "--n", "1000", "--out", str(out),
+    ]
+    assert run(*argv, "--trials", "4") == 0
     row = [ln for ln in out.read_text().splitlines() if ln.startswith("pq-")][0]
     assert float(row.split(",")[9]) > 0.99
+    assert run(*argv, "--trials", "0") == 2
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -189,6 +190,22 @@ def test_margin_method_cli(tmp_path, train_csv):
     assert rec["method"] == "margin"
 
 
+def test_parser_is_reused_across_calls(tmp_path, train_csv, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1\n0.9\n")
+    out = tmp_path / "m.json"
+    argv = ["certify", "--data", str(train_csv), "--points", str(pts), "--loss", "st",
+            "--concept", '{"kind":"linear"}', "--eps", "0.05", "--out", str(out)]
+    capsys.readouterr()
+    assert run(*argv, "--method", "bisection") == 2  # the halving method is gone
+    first = capsys.readouterr()
+    assert "invalid choice: 'bisection'" in first.err and first.out == ""
+    assert run(*argv, "--method", "margin") == 0
+    second = capsys.readouterr()
+    assert second.err == "" and second.out == f"wrote 1 certificates to {out}\n"
+    assert _parser() is _parser()
+
+
 def test_points_csv_requires_coordinate_header(tmp_path):
     bad = tmp_path / "p.csv"
     bad.write_text("a,b\n1,2\n")
@@ -204,7 +221,7 @@ def test_version_flag():
     "target, error",
     [
         ("relicert.reliability._assert_ball_label_constancy", LabelConstancyError),
-        ("relicert.reliability.cone_dis_distance_info", ConeSearchError),
+        ("relicert.version_space.ConeVS.dis_distance_many", ConeSearchError),
         ("relicert.version_space.max_margin_direction", LPError),
     ],
 )

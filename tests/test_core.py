@@ -16,8 +16,6 @@ from relicert.core import (
     MetricBall,
     OffsetBoundary,
     Threshold,
-    dataset_from_json,
-    dataset_to_json,
     empirical_disagreement,
     empirical_error,
     hypothesis_from_dict,
@@ -120,15 +118,6 @@ def test_hypothesis_serialization_round_trip():
         x = np.array([[0.3, 0.4]]) if not isinstance(h, Threshold) else np.array([[0.3]])
         assert np.array_equal(h.predict_many(x), h2.predict_many(x))
         assert json.dumps(h2.to_dict()) == blob  # bit-exact fields
-
-
-def test_dataset_json_round_trip_bit_exact():
-    rng = np.random.default_rng(0)
-    S = Dataset(rng.standard_normal((7, 3)), np.where(rng.random(7) < 0.5, 1, -1))
-    blob = dataset_to_json(S)
-    S2 = dataset_from_json(blob)
-    assert np.array_equal(S.X, S2.X) and np.array_equal(S.y, S2.y)
-    assert dataset_to_json(S2) == blob
 
 
 def test_dataset_csv_round_trip(tmp_path):

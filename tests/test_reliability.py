@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import safely_reliable_pointwise
+from oracles import margin_certify_halving, safely_reliable_pointwise
 
 from relicert.core import (
     BaseBoundary,
@@ -22,7 +22,6 @@ from relicert.reliability import (
     certify_general_finite,
     margin_certificate,
     margin_certify,
-    margin_certify_halving,
     safely_reliable_membership,
     sr_membership_mask,
     verify_contract,
@@ -260,6 +259,29 @@ def test_sr_mask_matches_pointwise_oracle(name):
     assert hits > 0 or name == "interval-empty"
 
 
+def _one_hypothesis_arc():
+    """(0, 1), (0, -1) and (1, 0), all +1: e1 is the only consistent normal."""
+    S = Dataset.from_points([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1, 1, 1])
+    return fit_version_space(S, "linear")
+
+
+@pytest.mark.parametrize("name", ["interval", "offset", "arc", "arc-width-0", "cone"])
+def test_st_mask_matches_certified_radius(name):
+    if name == "arc-width-0":
+        vs, hstar = _one_hypothesis_arc(), LinearHomogeneous(np.array([1.0, 0.0]))
+        assert vs.width == 0.0
+        z = [0.05, 3.0]
+        assert certify(vs, z, LossKind.ST).radius == pytest.approx(0.05)
+        assert not safely_reliable_membership(vs, hstar, z, 0.1, 0.0, LossKind.ST)
+        T = np.vstack([1.5 * np.random.default_rng(5).standard_normal((60, 2)), [z]])
+    else:
+        vs, hstar, T = _mask_case(name)
+    for eta1, eta2 in [(0.0, 0.1), (0.1, 0.0), (0.1, 0.05), (0.3, 0.2)]:
+        mask = sr_membership_mask(vs, hstar, T, eta1, eta2, LossKind.ST, seed=4)
+        radii = [certify(vs, z, LossKind.ST, seed=4).radius for z in T]
+        assert mask.tolist() == [r >= eta1 + eta2 for r in radii]
+
+
 def test_sr_rejects_negative_strengths():
     vs = interval_vs()
     with pytest.raises(ValueError):
@@ -304,11 +326,8 @@ def test_margin_halving_parity():
 
 def test_margin_certificate_wrapping():
     h = LinearHomogeneous(np.array([1.0, 0.0]))
-    cert = margin_certificate(h, [0.5, 0.5], eps=0.01, method="margin")
+    cert = margin_certificate(h, [0.5, 0.5], eps=0.01)
     assert cert.method == "margin" and cert.prediction == 1
-    cert2 = margin_certificate(h, [0.5, 0.5], eps=0.01, method="bisection")
-    assert cert2.method == "bisection"
-    assert cert.radius == pytest.approx(cert2.radius, abs=1e-9)
     far = margin_certificate(h, [100.0, 0.0], eps=0.01)
     assert far.abstained
 

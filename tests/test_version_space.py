@@ -20,6 +20,7 @@ from relicert.version_space import (
     OffsetClass,
     RealizabilityError,
     agree_membership,
+    canonical_member,
     cone_dis_distance_info,
     dis_distance,
     erm,
@@ -137,6 +138,20 @@ def test_erm_is_always_consistent():
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cone_fit_without_interior(d):
+    # e1 is consistent, but no normal is strictly positive on all three rows
+    X = np.zeros((3, d))
+    X[0, 1], X[1, 1], X[2, 0] = 1.0, -1.0, 1.0
+    S = Dataset.from_points(X, [1, 1, 1])
+    vs = fit_version_space(S, "linear", representation="cone")
+    assert np.array_equal(canonical_member(vs).predict_many(X), S.y)
+    if d == 2:
+        arc = fit_version_space(S, "linear")
+        Z = np.random.default_rng(8).standard_normal((500, 2))
+        assert np.array_equal(vs.membership_many(Z), arc.membership_many(Z))
 
 
 def test_membership_interval_examples():
