@@ -54,7 +54,6 @@ from .reliability import (
 )
 from .version_space import (
     AngleArcVS,
-    ConeSearchError,
     ConeVS,
     DegenerateVersionSpaceError,
     IntervalVS,

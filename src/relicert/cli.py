@@ -33,7 +33,7 @@ from .estimators import (
 from .losses import LossKind
 from .lp import LPError
 from .reliability import LabelConstancyError, certify, margin_certificate, verify_contract
-from .version_space import ConeSearchError, concept_from_dict, erm, fit_version_space
+from .version_space import concept_from_dict, erm, fit_version_space
 
 FINGERPRINT = f"relicert {__version__}"
 
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     except (UsageError, DatasetFormatError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (LabelConstancyError, ConeSearchError, LPError) as exc:
+    except (LabelConstancyError, LPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

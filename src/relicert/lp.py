@@ -122,17 +122,6 @@ def maximize_over_cone_box(
     raise LPError(f"simplex did not terminate in {max_iter} iterations")
 
 
-def max_inner_product_over_cone(
-    target: np.ndarray, constraints: np.ndarray
-) -> float:
-    """max <w, target> over {w : constraints @ w >= 0, ||w||_inf <= 1}."""
-    d = target.shape[0]
-    res = maximize_over_cone_box(
-        target, constraints, lo=-np.ones(d), hi=np.ones(d)
-    )
-    return res.value
-
-
 def max_margin_direction(constraints: np.ndarray, strict: np.ndarray | None = None):
     """Maximize the worst slack s with constraints[i] @ w >= s, ||w||_inf <= 1.
 

@@ -45,8 +45,9 @@ from .version_space import (
     fit_version_space,
     interior_hint,
 )
-# not called here: perfbench's layer tracer wraps this name, and a missing
-# name would report its metrics as absent instead of 0
+# not called here: perfbench's layer tracer wraps this name, so that a cone's
+# one-point distance (called only inside version_space, past the wrapper)
+# reports 0 calls, where a missing name would report its metrics as absent
 from .version_space import cone_dis_distance_info  # noqa: F401
 
 log = logging.getLogger(__name__)

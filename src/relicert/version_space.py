@@ -8,7 +8,7 @@ Three representations, one per concept class:
                 normal angles (the feasible set is a convex cone, hence a
                 single arc);
   ConeVS      - general-d homogeneous linear separators as the polyhedral
-                cone {w : <y_i x_i, w> >= 0}, queried through small LPs.
+                cone {w : <y_i x_i, w> >= 0}, held as its extreme rays.
 
 Every class answers the same geometry queries, and no other module looks
 inside a representation:
@@ -24,27 +24,30 @@ inside a representation:
   ca_cap_mask(hstar, X, eta) whether the part of B(x, eta) with the target
                              label of x stays unanimous, per row.
 
-Membership in the agreement region is exact for intervals and arcs, and
-LP-decided for cones.  The distance of an agreed point z is the Euclidean
-distance to the disagreement region for intervals (a lower bound for offset
-classes with a non-constant boundary).  For linear classes it is the
-minimum of |<w, z>| over consistent unit normals w: the distance to the
-disagreement region when the version space has more than one normal, and
-the single normal's |margin| when it has one (a one-hypothesis arc or
-cone), where no point is disputed but a stability ball still may not cross
-the decision boundary.  Arcs evaluate it in closed form.  For cones that
-minimum sits on an extreme ray (the ratio of a nonnegative linear
-functional to the norm is quasiconcave along segments), so whenever the
-active-set enumeration is tractable it is evaluated exactly over all
-candidate rays, and otherwise by projected gradient descent over the
-sphere-cone slice, cross-checked against a sampled bound with the
-optimality gap reported.
+Membership in the agreement region is exact for every class.  The distance
+of an agreed point z is the Euclidean distance to the disagreement region
+for intervals (a lower bound for offset classes with a non-constant
+boundary).  For linear classes it is the minimum of |<w, z>| over
+consistent unit normals w: the distance to the disagreement region when the
+version space has more than one normal, and the single normal's |margin|
+when it has one (a one-hypothesis arc or cone), where no point is disputed
+but a stability ball still may not cross the decision boundary.  Arcs
+evaluate it in closed form.  For cones that minimum sits on an extreme ray
+(the ratio of a nonnegative linear functional to the norm is quasiconcave
+along segments), so every cone query reads one matrix of unit generators,
+built once per fitted cone by the double-description method (Motzkin et
+al. 1953; Fukuda & Prodon 1996): its extreme rays, plus +-l for an
+orthonormal basis l of the lineality space null(A) when the cone contains a
+line (fewer independent samples than dimensions, or none).  On such a cone
+a point with a component in null(A) is disputed and an agreed point has
+distance 0.  A cone whose ray build holds more than RAY_CAP rays at any
+step is not represented: the fit's first query raises
+DegenerateVersionSpaceError.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
@@ -59,21 +62,11 @@ from .core import (
     Threshold,
     _as_point,
 )
-from .lp import max_inner_product_over_cone, max_margin_direction, maximize_over_cone_box
-
-log = logging.getLogger(__name__)
+from .lp import max_margin_direction, maximize_over_cone_box
 
 TWO_PI = 2.0 * math.pi
 STRICT_LP_TOL = 1e-9
-
-# cone distance search defaults
-PGD_RESTARTS = 32
-PGD_MAX_ITER = 10_000
-PGD_GRAD_TOL = 1e-8
-PGD_DIR_SAMPLES = 10_000
-PGD_RAY_SAMPLES = 256
-PGD_GAP_REL = 1e-3
-RAY_ENUM_CAP = 20_000  # enumerate all active sets when C(m, d-1) is below this
+RAY_CAP = 100_000  # most extreme rays the cone ray build may hold at one step
 
 
 class RealizabilityError(ValueError):
@@ -81,11 +74,8 @@ class RealizabilityError(ValueError):
 
 
 class DegenerateVersionSpaceError(ValueError):
-    """The consistent set is not representable (e.g. two antipodal normals)."""
-
-
-class ConeSearchError(RuntimeError):
-    """Cone distance search failed its sampled cross-check."""
+    """The consistent set is not representable (e.g. two antipodal normals,
+    or a cone whose ray build exceeds RAY_CAP)."""
 
 
 class Membership(enum.Enum):
@@ -252,7 +242,7 @@ class IntervalVS:
 # the constrained-adversary cap test for linear version spaces
 # ---------------------------------------------------------------------------
 
-SR_CHUNK_ELEMS = 1 << 18  # points x rays per block of the cap test
+SR_CHUNK_ELEMS = 1 << 18  # entries per block of the cap test and the ray build's pair tests
 
 
 def _caps_stay_unanimous(
@@ -411,73 +401,60 @@ class AngleArcVS:
 
 @dataclass(frozen=True)
 class _Bank:
-    """Feasible unit normals of a cone; exhaustive when they include every
-    extreme ray, in which case linear-functional minima over the sphere
-    slice are exact."""
+    """Unit generators W of a closed cone: its extreme rays, then +-l for
+    each vector l of an orthonormal basis of its lineality space."""
 
     W: np.ndarray
-    exhaustive: bool
+    exhaustive = True  # every generator is present; read by perfbench's layer tracer
 
 
 @dataclass(frozen=True, eq=False)
 class ConeVS:
     """Feasible normals {w : A w >= 0}, rows A = normalized signed samples.
 
-    A candidate bank of feasible unit normals is built lazily once per
-    fitted cone (deterministically); it witnesses achievable prediction
-    signs cheaply and anchors the disagreement-distance search.
+    Every query reads the cone's unit generators (`rays`), built once per
+    fitted cone.  A point z is disputed when some generator has
+    <w, z> > STRICT_LP_TOL and another has <w, z> < -STRICT_LP_TOL; it
+    reads -1 when only the second kind exists, and +1 otherwise.
+
+    Rows from negative labels are strict (<w, y_i x_i> > 0), so a ray on
+    their facet is a limit of consistent normals, not one itself.  The
+    tolerance decides its ties as the strict row does: for a negative
+    sample x_n, z = x_n / |x_n| reads -1 and z = -x_n / |x_n| reads +1, as
+    every consistent normal labels them.
     """
 
     A: np.ndarray  # (m, d), unit rows
-    strict: np.ndarray  # (m,) bool, rows from negative labels
     interior: np.ndarray  # (d,) feasible unit normal, strictly so if the cone has interior
     dim: int
 
-    def candidate_bank(self) -> _Bank:
+    def rays(self) -> np.ndarray:
+        """The unit generators (see `_Bank`), built on the first call."""
         bank = self.__dict__.get("_bank")
         if bank is None:
             bank = _build_cone_bank(self)
             object.__setattr__(self, "_bank", bank)
-        return bank
+        return bank.W
 
     def membership_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        bank = self.candidate_bank()
-        vals = X @ bank.W.T  # inner products of achievable normals
-        out = np.empty(X.shape[0], dtype=np.int8)
-        for i, z in enumerate(X):
-            plus = vals[i].max() > STRICT_LP_TOL
-            minus = vals[i].min() < -STRICT_LP_TOL
-            if not plus:
-                plus = max_inner_product_over_cone(z, self.A) > STRICT_LP_TOL
-            if plus and not minus:
-                minus = max_inner_product_over_cone(-z, self.A) > STRICT_LP_TOL
-            if plus and minus:
-                out[i] = 0
-            elif minus:
-                out[i] = -1
-            else:
-                out[i] = 1
-        return out
+        vals = X @ self.rays().T
+        plus = np.any(vals > STRICT_LP_TOL, axis=1)
+        minus = np.any(vals < -STRICT_LP_TOL, axis=1)
+        return np.where(minus, np.where(plus, 0, -1), 1).astype(np.int8)
 
     def dis_distance_many(self, X: np.ndarray, codes=None, *, seed: int = 0) -> np.ndarray:
         """min |<w, z>| over unit normals w in the cone, 0 on disputed rows:
-        the row minimum over an exhaustive bank, otherwise one
-        `cone_dis_distance_info` search per agreed row, each seeded with
-        `seed`.  `codes` are the rows' membership codes when the caller has
-        them."""
+        the row minimum of <w, code * z> over the generators.  `codes` are
+        the rows' membership codes when the caller has them; `seed` is not
+        needed here."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if codes is None:
             codes = self.membership_many(X)
         dist = np.zeros(X.shape[0])
         agreed = np.flatnonzero(codes)
-        bank = self.candidate_bank()
-        if bank.exhaustive:
-            V = codes[agreed, None] * X[agreed]
-            dist[agreed] = np.maximum((V @ bank.W.T).min(axis=1), 0.0)
-            return dist
-        for i in agreed:
-            dist[i] = cone_dis_distance_info(self, X[i], int(codes[i]), seed=seed).value
+        V = codes[agreed, None] * X[agreed]
+        dist[agreed] = np.maximum((V @ self.rays().T).min(axis=1), 0.0)
         return dist
 
     def canonical_member(self) -> LinearHomogeneous:
@@ -494,241 +471,141 @@ class ConeVS:
         return LinearHomogeneous(self.interior + 0.45 * slack * rng.random() * g)
 
     def attack_direction(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Against the bank normal with the smallest agreed margin at x,
-        from the cached candidate bank alone."""
+        """Against the generator with the smallest agreed margin at x."""
         code = int(self.membership_many(x[None, :])[0])
         if code == 0:
             return _random_unit(rng, x.shape[0])
-        bank = self.candidate_bank().W
-        w = bank[int(np.argmin(bank @ (float(code) * x)))]
+        w = cone_dis_distance_info(self, x, code).best_w
         margin = float(w @ x)
         if abs(margin) < 1e-15:
             return w.copy()
         return -math.copysign(1.0, margin) * w
 
     def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
-        """The cap test on the candidate bank (exact when it is exhaustive)."""
-        bank = self.candidate_bank()
-        if not bank.exhaustive:
-            log.debug("constrained-adversary cap test on a sampled (non-exhaustive) bank")
-        return _caps_stay_unanimous(bank.W, hstar, X, eta)
-
-
-def _project_rows_into_cone(W: np.ndarray, A: np.ndarray, sweeps: int = 40):
-    """Push each row of W into {w : A w >= 0} by repeated worst-violation
-    hyperplane projections, renormalizing to the unit sphere."""
-    if A.shape[0] == 0:
-        nrm = np.linalg.norm(W, axis=1, keepdims=True)
-        return W / np.maximum(nrm, 1e-300), np.ones(W.shape[0], dtype=bool)
-    for _ in range(sweeps):
-        V = W @ A.T
-        worst = np.argmin(V, axis=1)
-        vals = V[np.arange(W.shape[0]), worst]
-        bad = vals < -1e-12
-        if not np.any(bad):
-            break
-        W[bad] -= vals[bad, None] * A[worst[bad]]
-        nrm = np.linalg.norm(W, axis=1, keepdims=True)
-        W = W / np.maximum(nrm, 1e-300)
-    V = W @ A.T
-    ok = np.min(V, axis=1) >= -1e-9
-    return W, ok
-
-
-def _null_vectors(A: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """Null vectors of the (d-1) x d submatrices A[picks] via signed cofactor
-    determinants; rows of near-degenerate subsets come back near zero."""
-    sub = A[picks]  # (N, d-1, d)
-    d = A.shape[1]
-    cols = []
-    sign = 1.0
-    for col in range(d):
-        minor = np.delete(sub, col, axis=2)
-        cols.append(sign * np.linalg.det(minor))
-        sign = -sign
-    V = np.stack(cols, axis=1)
-    nrm = np.linalg.norm(V, axis=1)
-    good = nrm > 1e-12
-    return V[good] / nrm[good, None]
-
-
-def _enumerated_rays(A: np.ndarray) -> np.ndarray | None:
-    """All extreme-ray candidates of {w : A w >= 0}, or None when the
-    enumeration is intractable or the cone is not pointed."""
-    m, d = A.shape
-    if d == 1:
-        rays = np.array([[1.0], [-1.0]])
-        feas = (rays @ A.T).min(axis=1) >= -1e-12 if m else np.array([True, True])
-        return rays[feas] if np.any(feas) else None
-    if m < d or math.comb(m, d - 1) > RAY_ENUM_CAP:
-        return None
-    if np.linalg.matrix_rank(A, tol=1e-10) < d:
-        return None  # cone contains a line; minima need not sit on rays
-    from itertools import combinations
-
-    picks = np.fromiter(
-        (i for combo in combinations(range(m), d - 1) for i in combo), dtype=np.int64
-    ).reshape(-1, d - 1)
-    rays = _null_vectors(A, picks)
-    rays = np.vstack([rays, -rays])
-    feas = (rays @ A.T).min(axis=1) >= -1e-12
-    if not np.any(feas):
-        return None
-    return rays[feas]
+        """The cap test on the generators, which span the cone."""
+        return _caps_stay_unanimous(self.rays(), hstar, X, eta)
 
 
 def _build_cone_bank(vs: ConeVS) -> _Bank:
-    A, w0, d = vs.A, vs.interior, vs.dim
-    m = A.shape[0]
-    rays = _enumerated_rays(A)
-    if rays is not None:
-        W = np.vstack([w0[None, :], rays])
-        return _Bank(W=np.ascontiguousarray(W), exhaustive=True)
-    # sampled fallback: ray-cast from the interior plus random active sets
-    rng = np.random.Generator(np.random.Philox(key=0x5EED))
-    cands = [w0[None, :]]
-    n_dirs, n_rays = PGD_DIR_SAMPLES, PGD_RAY_SAMPLES
-    U = rng.standard_normal((n_dirs, d))
-    U /= np.maximum(np.linalg.norm(U, axis=1, keepdims=True), 1e-300)
-    if m:
-        AU = U @ A.T
-        Aw0 = A @ w0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(AU < -1e-300, Aw0[None, :] / (-AU), np.inf)
-        t = np.minimum(steps.min(axis=1), 1e6)
-    else:
-        t = np.full(n_dirs, 1e6)
-    B = w0[None, :] + t[:, None] * U
-    B /= np.maximum(np.linalg.norm(B, axis=1, keepdims=True), 1e-300)
-    cands.append(B)
-    if m >= d - 1 and d >= 2:
-        picks = np.argsort(rng.random((n_rays, m)), axis=1)[:, : d - 1]
-        rays = _null_vectors(A, picks)
-        rays = np.vstack([rays, -rays])
-        feas = (rays @ A.T).min(axis=1) >= -1e-12
-        if np.any(feas):
-            cands.append(rays[feas])
-    W = np.vstack(cands)
-    if m:
-        W = W[(W @ A.T).min(axis=1) >= -1e-9]
-        if W.shape[0] == 0:
-            W = w0[None, :]
-    return _Bank(W=np.ascontiguousarray(W), exhaustive=False)
+    """The generators of {w : A w >= 0}.
+
+    Rows are taken in ascending slack A @ interior, so the rows tight near
+    the interior normal, which cut the most, come first.  The first
+    independent ones span the row space of A; its complement null(A) is the
+    lineality space, and the pointed rest of the cone lies in the row
+    space, where `_double_description` finds its extreme rays.
+    """
+    A = vs.A[np.argsort(vs.A @ vs.interior, kind="stable")]
+    first = _independent_rows(A)
+    _, _, Vt = np.linalg.svd(A[first])
+    B, L = Vt[: len(first)], Vt[len(first) :]
+    rays = _double_description(A @ B.T, first) @ B
+    return _Bank(W=np.ascontiguousarray(np.vstack([rays, L, -L])))
+
+
+def _independent_rows(A: np.ndarray) -> list[int]:
+    """Indices of the rows of A independent of the rows before them, taken
+    greedily in order: the residual after two Gram-Schmidt passes against
+    the rows already taken must exceed 1e-10."""
+    d = A.shape[1]
+    Q = np.zeros((0, d))
+    picks: list[int] = []
+    for i, a in enumerate(A):
+        r = a - Q.T @ (Q @ a)
+        r -= Q.T @ (Q @ r)
+        norm = float(np.linalg.norm(r))
+        if norm > 1e-10:
+            Q = np.vstack([Q, r / norm])
+            picks.append(i)
+            if len(picks) == d:
+                break
+    return picks
+
+
+def _double_description(A: np.ndarray, first: list[int]) -> np.ndarray:
+    """Unit extreme rays of the pointed cone {u : A u >= 0}, A (m, k) of
+    rank k, by double description.
+
+    Start from the simplicial cone of the k independent rows `first`, then
+    cut it by the other rows in order.  A cut keeps the rays it does not
+    violate and adds, for every adjacent pair of a kept ray p and a violated
+    ray n, the combination of the two on the cut's hyperplane.  Adjacency
+    is combinatorial (see `_adjacent_pairs`) and reads which cut rows are
+    tight at each ray, within 1e-10.  A row the current cone already
+    satisfies is dropped, since later cuts only shrink the cone.  More than
+    RAY_CAP rays after any cut raise DegenerateVersionSpaceError.
+    """
+    m, k = A.shape
+    tol = 1e-10
+    R = np.linalg.inv(A[first]).T  # row j is tight on every first row but j
+    R /= np.linalg.norm(R, axis=1, keepdims=True)
+    T = 1.0 - np.eye(k, dtype=np.float32)  # T[r, j] = 1: cut j is tight at ray r
+    rest = np.setdiff1d(np.arange(m), first)  # sorted, so still in slack order
+    while rest.size:
+        V = A[rest] @ R.T
+        cuts = np.any(V < -tol, axis=1)
+        rest, V = rest[cuts], V[cuts]
+        if not rest.size:
+            break
+        vals, rest = V[0], rest[1:]
+        neg = vals < -tol
+        T = np.hstack([T, (np.abs(vals) <= tol).astype(np.float32)[:, None]])
+        p, n = _adjacent_pairs(T, np.flatnonzero(vals > tol), np.flatnonzero(neg), k)
+        new = vals[p, None] * R[n] - vals[n, None] * R[p]
+        new /= np.linalg.norm(new, axis=1, keepdims=True)
+        new_T = T[p] * T[n]
+        new_T[:, -1] = 1.0
+        R = np.vstack([R[~neg], new])
+        T = np.vstack([T[~neg], new_T])
+        if R.shape[0] > RAY_CAP:
+            raise DegenerateVersionSpaceError(
+                f"the cone's ray build reached {R.shape[0]} rays, above the cap of {RAY_CAP}"
+            )
+    return R
+
+
+def _adjacent_pairs(T: np.ndarray, P: np.ndarray, N: np.ndarray, k: int):
+    """The adjacent pairs (p, n), p in P and n in N, of the rays whose tight
+    cuts are the rows of T, in a pointed cone of dimension k: p and n share
+    at least k - 2 tight cuts, and no third ray is tight on all of those.
+    Both tests are matrix products over blocks of at most SR_CHUNK_ELEMS
+    entries."""
+    rays, cols = T.shape
+    TN = T[N].T
+    ps, ns = [P[:0]], [N[:0]]
+    step = max(1, SR_CHUNK_ELEMS // max(N.size, cols))
+    sub = max(1, SR_CHUNK_ELEMS // max(rays, cols))
+    for lo in range(0, P.size, step):
+        a, b = np.nonzero(T[P[lo : lo + step]] @ TN >= k - 2)
+        for c in range(0, a.size, sub):
+            p, n = P[lo + a[c : c + sub]], N[b[c : c + sub]]
+            common = T[p] * T[n]
+            holders = common @ T.T == common.sum(axis=1, keepdims=True)
+            keep = holders.sum(axis=1) == 2
+            ps.append(p[keep])
+            ns.append(n[keep])
+    return np.concatenate(ps), np.concatenate(ns)
 
 
 @dataclass(frozen=True)
 class ConeDistanceInfo:
+    """The minimum of <w, agreed_sign * z> over a cone's generators, clamped
+    at 0, and a generator attaining it."""
+
     value: float
-    gap: float
-    flagged: bool
-    iterations: int
     best_w: np.ndarray
-    exhaustive: bool
+    iterations = 0  # no search; read, with `exhaustive`, by perfbench's layer tracer
+    exhaustive = True
 
 
-def cone_dis_distance_info(
-    vs: ConeVS,
-    z,
-    agreed_sign: int,
-    *,
-    seed: int = 0,
-    restarts: int = PGD_RESTARTS,
-    max_iter: int = PGD_MAX_ITER,
-    stall_limit: int = 12,
-) -> ConeDistanceInfo:
-    """min |<w, z>| over unit w in the cone, for z in the agreement region.
-
-    Exact over the enumerated extreme rays when the bank is exhaustive.
-    Otherwise projected gradient over the sphere-cone slice from `restarts`
-    starts, cross-checked against the sampled candidate bank; a material
-    disagreement between the two routes raises instead of returning a
-    doubtful value.
-    """
+def cone_dis_distance_info(vs: ConeVS, z, agreed_sign: int) -> ConeDistanceInfo:
+    """The one-point form of `ConeVS.dis_distance_many` for z in the
+    agreement region, with the minimising generator."""
     z = _as_point(z, dim=vs.dim)
-    v = float(agreed_sign) * z
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    A, w0, d = vs.A, vs.interior, vs.dim
-
-    bank = vs.candidate_bank().W
-    exhaustive = vs.candidate_bank().exhaustive
-    bvals = bank @ v
-    jb = int(np.argmin(bvals))
-    sampled_best, sampled_w = float(bvals[jb]), bank[jb]
-
-    if exhaustive:
-        return ConeDistanceInfo(
-            value=max(sampled_best, 0.0),
-            gap=0.0,
-            flagged=False,
-            iterations=0,
-            best_w=sampled_w,
-            exhaustive=True,
-        )
-
-    # restarts: the most promising bank candidates plus random bank rows,
-    # all jittered except the incumbent, then pushed back into the cone
-    order = np.argsort(bvals)
-    k_best = min(max(restarts // 2, 1), bank.shape[0])
-    idx = np.concatenate(
-        [order[:k_best], rng.integers(0, bank.shape[0], size=max(restarts - k_best, 0))]
-    )
-    W = bank[idx].copy()
-    jitter = 0.2 * rng.standard_normal(W.shape) * rng.random((W.shape[0], 1))
-    jitter[0] = 0.0
-    W += jitter
-    W /= np.maximum(np.linalg.norm(W, axis=1, keepdims=True), 1e-300)
-    W, ok = _project_rows_into_cone(W, A)
-    W[~ok] = w0
-    step = np.full(W.shape[0], 0.25)
-    vals = W @ v
-    iters = 0
-    stall = 0
-    global_best = float(np.min(vals))
-    for it in range(max_iter):
-        iters = it + 1
-        tangent = v[None, :] - vals[:, None] * W
-        gnorm = np.linalg.norm(tangent, axis=1)
-        active = (step > 1e-12) & (gnorm > PGD_GRAD_TOL)
-        if not np.any(active):
-            break
-        trial = W - step[:, None] * tangent
-        trial /= np.maximum(np.linalg.norm(trial, axis=1, keepdims=True), 1e-300)
-        trial, ok = _project_rows_into_cone(trial, A, sweeps=12)
-        tvals = np.where(ok, trial @ v, np.inf)
-        improved = active & (tvals < vals - 1e-15)
-        W[improved] = trial[improved]
-        vals[improved] = tvals[improved]
-        step[improved] *= 1.3
-        step[active & ~improved] *= 0.5
-        new_best = float(np.min(vals))
-        if new_best < global_best - 1e-13:
-            global_best = new_best
-            stall = 0
-        else:
-            stall += 1
-            if stall >= stall_limit:
-                break
-
+    W = vs.rays()
+    vals = W @ (float(agreed_sign) * z)
     j = int(np.argmin(vals))
-    pgd_best, pgd_w = float(vals[j]), W[j]
-    value = min(pgd_best, sampled_best)
-    best_w = pgd_w if pgd_best <= sampled_best else sampled_w
-    gap = pgd_best - sampled_best
-    flagged = gap > PGD_GAP_REL * max(abs(value), 1e-12)
-    if flagged:
-        raise ConeSearchError(
-            f"cone distance search did not converge: descent value {pgd_best:.3e} "
-            f"exceeds sampled bound {sampled_best:.3e} (gap {gap:.3e}) after "
-            f"{iters} iterations"
-        )
-    return ConeDistanceInfo(
-        value=max(value, 0.0),
-        gap=gap,
-        flagged=flagged,
-        iterations=iters,
-        best_w=best_w,
-        exhaustive=False,
-    )
+    return ConeDistanceInfo(value=max(float(vals[j]), 0.0), best_w=W[j])
 
 
 VersionSpace = IntervalVS | AngleArcVS | ConeVS
@@ -830,9 +707,7 @@ def _fit_arc_degenerate(psi: np.ndarray, strict: np.ndarray) -> AngleArcVS:
 
 def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
     d = S.dimension
-    empty = ConeVS(
-        A=np.zeros((0, d)), strict=np.zeros(0, dtype=bool), interior=np.eye(d)[0], dim=d
-    )
+    empty = ConeVS(A=np.zeros((0, d)), interior=np.eye(d)[0], dim=d)
     if len(S) == 0:
         return empty
     raw = S.y[:, None] * S.X
@@ -849,7 +724,7 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
         if w.shape[0] == d and np.linalg.norm(w) > 1e-12:
             w = w / np.linalg.norm(w)
             if float(np.min(A @ w)) > STRICT_LP_TOL:
-                return ConeVS(A=A, strict=strict, interior=w, dim=d)
+                return ConeVS(A=A, interior=w, dim=d)
     w, s = max_margin_direction(A)
     if s <= STRICT_LP_TOL:
         if np.any(strict):
@@ -861,7 +736,7 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
         if np.linalg.norm(w) < 1e-12:
             w = _closed_cone_direction(A)
     w = w / np.linalg.norm(w)
-    return ConeVS(A=A, strict=strict, interior=w, dim=d)
+    return ConeVS(A=A, interior=w, dim=d)
 
 
 def _closed_cone_direction(A: np.ndarray) -> np.ndarray:
@@ -882,24 +757,14 @@ def _closed_cone_direction(A: np.ndarray) -> np.ndarray:
 def fit_version_space(
     S: Dataset,
     concept: ConceptClass,
-    nu: float = 0.0,
     representation: str = "auto",
     interior_hint: np.ndarray | None = None,
 ) -> VersionSpace:
     """Exact representation of the hypotheses consistent with S.
 
-    `nu` is an error-threshold pass-through; only nu = 0 (full consistency)
-    is representable by these variants and anything else is rejected.
     `interior_hint` optionally supplies a known strictly-consistent normal
     for the cone representation, skipping its LP (validated, LP fallback).
     """
-    if not 0.0 <= nu < 1.0:
-        raise ValueError("nu must lie in [0, 1)")
-    if nu > 0.0:
-        raise ValueError(
-            "error-tolerant version spaces (nu > 0) are not representable "
-            "by the interval/arc/cone variants"
-        )
     if isinstance(concept, OffsetClass):
         if len(S) == 0:
             return IntervalVS(lo=-math.inf, hi=math.inf, base=concept.base)

@@ -118,8 +118,9 @@ def lift_threshold_dataset(X, y):
 
 
 # ---------------------------------------------------------------------------
-# cones: exhaustive ray enumeration via SVD (distinct from the package's
-# determinant-cofactor route)
+# cones: extreme rays by SVD subset enumeration or by a convex hull in a
+# polar chart, and membership by LP (all distinct from the package's
+# double-description route)
 # ---------------------------------------------------------------------------
 
 
@@ -137,6 +138,46 @@ def cone_min_abs_inner_svd(A, z, sign):
             if float((A @ rr).min()) >= -1e-10:
                 best = min(best, float(rr @ v))
     return best
+
+
+def cone_rays_qhull(A, w0):
+    """Unit extreme rays of {w : A w >= 0} from qhull, for a pointed cone
+    with m >= d rows and a strictly feasible unit w0.
+
+    The dual cone's slice {y : <y, w0> = 1} is the hull of the points
+    p_i = U^T A_i / <A_i, w0>, with U an orthonormal basis of w0's
+    complement; it is bounded because every <A_i, w0> > 0.  A hull facet
+    n.p + c <= 0 is the extreme ray -(c w0 + U n).
+    """
+    from scipy.spatial import ConvexHull
+
+    A = np.asarray(A, dtype=float)
+    w0 = np.asarray(w0, dtype=float)
+    slack = A @ w0
+    assert np.all(slack > 0.0), "the polar chart needs a strictly feasible w0"
+    U = np.linalg.svd(w0[None, :])[2][1:].T
+    hull = ConvexHull((A @ U) / slack[:, None])
+    R = -(hull.equations[:, -1:] * w0[None, :] + hull.equations[:, :-1] @ U.T)
+    R /= np.linalg.norm(R, axis=1, keepdims=True)
+    assert float((R @ A.T).min()) >= -1e-9
+    return R
+
+
+def cone_membership_lp(A, z, tol=1e-9):
+    """-1/0/+1 membership of z from the extreme values of <w, z> over
+    {A w >= 0, |w|_inf <= 1}, solved by scipy's LP solver."""
+    from scipy.optimize import linprog
+
+    A = np.asarray(A, dtype=float).reshape(-1, len(z))
+    z = np.asarray(z, dtype=float)
+    kw = {"A_ub": -A, "b_ub": np.zeros(A.shape[0])} if A.shape[0] else {}
+    bounds = [(-1.0, 1.0)] * z.shape[0]
+    top = -linprog(-z, bounds=bounds, **kw).fun
+    bottom = linprog(z, bounds=bounds, **kw).fun
+    plus, minus = top > tol, bottom < -tol
+    if plus and minus:
+        return 0
+    return -1 if minus else 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +254,7 @@ def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=0):
     """Safely-reliable membership of one point, decided ray by ray."""
     from relicert.core import Threshold, predict
     from relicert.losses import LossKind
-    from relicert.version_space import (
-        AngleArcVS,
-        ConeVS,
-        IntervalVS,
-        canonical_member,
-        cone_dis_distance_info,
-    )
+    from relicert.version_space import AngleArcVS, ConeVS, IntervalVS, canonical_member
 
     x = np.asarray(x, dtype=float).reshape(-1)
     code = int(vs.membership_many(x[None, :])[0])
@@ -227,7 +262,7 @@ def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=0):
         return False
     if kind is not LossKind.CA:
         if isinstance(vs, ConeVS):
-            dist = cone_dis_distance_info(vs, x, code, seed=seed).value
+            dist = max(min(float(w @ (code * x)) for w in vs.rays()), 0.0)
         else:
             dist = float(vs.dis_distance_many(x[None, :])[0])
         return dist >= (eta1 + eta2 if kind is LossKind.ST else eta1)
@@ -245,5 +280,5 @@ def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=0):
         h_lo, h_hi = vs.endpoint_hypotheses()
         rays = np.vstack([h_lo.w, canonical_member(vs).w, h_hi.w])
     else:
-        rays = vs.candidate_bank().W
+        rays = vs.rays()
     return cap_stays_unanimous(rays, hstar.w, x, y, eta1)

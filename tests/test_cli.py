@@ -10,7 +10,7 @@ from relicert.estimators import ESTIMATE_CSV_HEADER
 from relicert.losses import LossKind
 from relicert.lp import LPError
 from relicert.reliability import LabelConstancyError, certify
-from relicert.version_space import ConeSearchError, fit_version_space
+from relicert.version_space import fit_version_space
 
 GAUSS1 = '{"kind":"gaussian","d":1}'
 THRESH = '{"kind":"threshold"}'
@@ -221,7 +221,6 @@ def test_version_flag():
     "target, error",
     [
         ("relicert.reliability._assert_ball_label_constancy", LabelConstancyError),
-        ("relicert.version_space.ConeVS.dis_distance_many", ConeSearchError),
         ("relicert.version_space.max_margin_direction", LPError),
     ],
 )
@@ -242,3 +241,23 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys, target, error):
                "--concept", '{"kind":"linear"}', "--out", str(tmp_path / "c.json"))
     assert code == INTERNAL_ERROR == 3
     assert capsys.readouterr().err == "error: injected failure\n"
+
+
+def test_ray_cap_exits_2(tmp_path, monkeypatch, capsys):
+    # a cone with more extreme rays than the cap is not represented
+    train = tmp_path / "train5.csv"
+    assert run("gen", "--dist", '{"kind":"gaussian","d":5}',
+               "--hstar", '{"kind":"linear","w":[1.0,0.0,0.0,0.0,0.0]}',
+               "--m", "40", "--seed", "2", "--out", str(train)) == 0
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3,x4,x5\n3.0,0.0,0.0,0.0,0.0\n")
+    argv = ("certify", "--data", str(train), "--points", str(pts), "--loss", "st",
+            "--concept", '{"kind":"linear"}', "--out", str(tmp_path / "c.json"))
+    monkeypatch.setattr("relicert.version_space.RAY_CAP", 8)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the cone's ray build reached ") and "above the cap of 8" in err
+    assert int(err.split("reached ")[1].split()[0]) > 8
+    monkeypatch.setattr("relicert.version_space.RAY_CAP", 100_000)
+    assert run(*argv) == 0

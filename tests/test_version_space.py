@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cone_membership_lp,
     cone_min_abs_inner_svd,
+    cone_rays_qhull,
     lift_threshold_dataset,
     membership_2d,
     membership_threshold,
@@ -12,6 +14,8 @@ from oracles import (
 )
 
 from relicert.core import BaseBoundary, Dataset, LinearHomogeneous, OffsetBoundary, Threshold
+from relicert.losses import LossKind
+from relicert.reliability import certify
 from relicert.version_space import (
     AngleArcVS,
     ConeVS,
@@ -21,7 +25,6 @@ from relicert.version_space import (
     RealizabilityError,
     agree_membership,
     canonical_member,
-    cone_dis_distance_info,
     dis_distance,
     erm,
     fit_version_space,
@@ -83,10 +86,11 @@ def test_fit_rejects_nonrealizable():
 
 
 def test_fit_rejects_positive_nu():
+    # only realizable samples are fitted: there is no error threshold to pass
     S = Dataset.from_points([[0.2], [0.8]], [-1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         fit_version_space(S, "threshold", nu=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         fit_version_space(S, "threshold", nu=1.5)
 
 
@@ -281,12 +285,104 @@ def test_cone_distance_matches_svd_enumeration():
         code = int(vs.membership_many(z[None, :])[0])
         if code == 0:
             continue
-        info = cone_dis_distance_info(vs, z, code, seed=1)
-        assert info.exhaustive
+        value = float(vs.dis_distance_many(z[None, :])[0])
         brute = cone_min_abs_inner_svd(vs.A, z, code)
-        assert info.value == pytest.approx(brute, abs=1e-9)
+        assert value == pytest.approx(brute, abs=1e-9)
         checked += 1
     assert checked >= 6
+
+
+@pytest.mark.parametrize("d, m", [(4, 60), (5, 40), (6, 30)])
+def test_cone_radius_matches_qhull_rays_beyond_subset_enumeration(d, m):
+    # C(m, d - 1) > 20 000: too many subsets to enumerate, so the oracle
+    # takes the rays from a convex hull in the polar chart
+    assert math.comb(m, d - 1) > 20_000
+    rng = np.random.default_rng(40 + d)
+    hstar = LinearHomogeneous(rng.standard_normal(d))
+    X = rng.standard_normal((m, d))
+    S = Dataset(X, hstar.predict_many(X))
+    vs = fit_version_space(S, "linear")
+    rays = cone_rays_qhull(vs.A, hstar.w)
+    checked = 0
+    for z in 3.0 * rng.standard_normal((40, d)):
+        vals = rays @ z
+        if vals.min() < 0.0 < vals.max():
+            continue  # disputed
+        code = 1 if vals.min() >= 0.0 else -1
+        true = float(np.min(code * vals))
+        cert = certify(vs, z, LossKind.ST)
+        assert cert.prediction == code
+        assert cert.radius <= true + 1e-12
+        assert cert.radius == pytest.approx(true, rel=1e-9, abs=1e-12)
+        checked += 1
+    assert checked >= 8
+
+
+def _lineality_case(name):
+    """A sample whose cone contains a line, and an orthonormal basis of
+    null(A) from scipy."""
+    from scipy.linalg import null_space
+
+    if name == "empty":
+        return Dataset.empty(3), np.eye(3)
+    rng = np.random.default_rng(17)
+    if name == "m<d":
+        X = rng.standard_normal((2, 4))
+    else:  # a scaled copy of the first sample leaves A rank-deficient at m = d
+        X = rng.standard_normal((2, 3))
+        X = np.vstack([X, 2.0 * X[:1]])
+    S = Dataset(X, LinearHomogeneous(np.ones(X.shape[1])).predict_many(X))
+    return S, null_space(X).T
+
+
+@pytest.mark.parametrize("name", ["m<d", "repeated-row", "empty"])
+def test_cone_with_lineality_matches_lp_oracle(name):
+    S, null = _lineality_case(name)
+    vs = fit_version_space(S, "linear", representation="cone")
+    d = S.dimension
+    rng = np.random.default_rng(5)
+    # only points of the row space of A, such as the origin, can be agreed
+    Z = np.vstack([rng.standard_normal((20, d)), rng.standard_normal((20, len(S))) @ S.X])
+    codes = vs.membership_many(Z)
+    assert codes.tolist() == [cone_membership_lp(vs.A, z) for z in Z]
+    assert np.any(codes != 0)
+    assert np.all(vs.dis_distance_many(Z)[codes != 0] == 0.0)
+    # the oracle's reason for distance 0: a step along null(A) disputes z
+    for z in Z[codes != 0]:
+        assert all(cone_membership_lp(vs.A, z + 1e-6 * l) == 0 for l in null)
+
+
+def test_cone_in_the_plane_matches_arc():
+    rng = np.random.default_rng(23)
+    Z = 2.0 * rng.standard_normal((2000, 2))
+    for m in (0, 1, 3, 20, 60):
+        hstar = LinearHomogeneous(rng.standard_normal(2))
+        X = rng.standard_normal((m, 2))
+        S = Dataset(X, hstar.predict_many(X)) if m else Dataset.empty(2)
+        arc = fit_version_space(S, "linear")
+        cone = fit_version_space(S, "linear", representation="cone")
+        assert isinstance(arc, AngleArcVS) and isinstance(cone, ConeVS)
+        codes = arc.membership_many(Z)
+        assert np.array_equal(cone.membership_many(Z), codes)
+        assert np.max(np.abs(cone.dis_distance_many(Z) - arc.dis_distance_many(Z))) <= 1e-12
+
+
+def test_cone_tie_rule_on_negative_sample_facets():
+    # rays on a negative sample's facet are limits of consistent normals;
+    # the +-tolerance rule labels the facet's normal direction as they do
+    rng = np.random.default_rng(21)
+    hstar = LinearHomogeneous(np.array([0.3, -0.2, 1.0]))
+    X = rng.standard_normal((8, 3))
+    S = Dataset(X, hstar.predict_many(X))
+    vs = fit_version_space(S, "linear", representation="cone")
+    checked = 0
+    for x in X[S.y < 0]:
+        u = x / np.linalg.norm(x)
+        if np.min(np.abs(vs.rays() @ u)) > 1e-12:
+            continue  # no ray on this facet
+        assert vs.membership_many(np.vstack([u, -u])).tolist() == [-1, 1]
+        checked += 1
+    assert checked >= 2
 
 
 def test_dis_distance_zero_iff_disputed_or_boundary():
