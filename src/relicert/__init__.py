@@ -53,7 +53,6 @@ from .reliability import (
     verify_contract,
 )
 from .version_space import (
-    AngleArcVS,
     ConeVS,
     DegenerateVersionSpaceError,
     IntervalVS,

@@ -302,7 +302,7 @@ def _shift_trial_mean(args) -> list[float]:
         if kind is None:
             out.append(float(np.mean(vs.membership_many(T) != 0)))
         else:
-            mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind, seed=seed ^ t)
+            mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind)
             out.append(float(np.mean(mask)))
     return out
 

@@ -122,7 +122,7 @@ def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> Reliabilit
     if kind in (LossKind.CA, LossKind.TL):
         return ReliabilityCertificate(label, math.inf, kind, "analytic")
     # stability: radius = distance to the disagreement region
-    radius = float(vs.dis_distance_many(z[None, :], codes, seed=seed)[0])
+    radius = float(vs.dis_distance_many(z[None, :], codes)[0])
     if 0.0 < radius < math.inf:
         _assert_ball_label_constancy(vs, z, radius, label, seed)
     return ReliabilityCertificate(label, radius, kind, "analytic")
@@ -161,14 +161,12 @@ def sr_membership_mask(
     eta1: float,
     eta2: float,
     kind: LossKind,
-    *,
-    seed: int = 0,
 ) -> np.ndarray:
     """Safely-reliable membership of every row of X, batched for every loss
     and version space (see `safely_reliable_membership` for the regions).
 
     Stability and true-label compare the disagreement distance
-    (`dis_distance_many`, with `seed`) with eta1 + eta2 or eta1 (plain
+    (`dis_distance_many`) with eta1 + eta2 or eta1 (plain
     agreement when that is 0).  The constrained-adversary region is the
     agreed points that pass the version space's `ca_cap_mask`.
     """
@@ -187,7 +185,7 @@ def sr_membership_mask(
     need = eta1 + eta2 if kind is LossKind.ST else eta1
     if need == 0.0:
         return vs.membership_many(X) != 0
-    return vs.dis_distance_many(X, seed=seed) >= need
+    return vs.dis_distance_many(X) >= need
 
 
 def safely_reliable_membership(
@@ -197,8 +195,6 @@ def safely_reliable_membership(
     eta1: float,
     eta2: float,
     kind: LossKind,
-    *,
-    seed: int = 0,
 ) -> bool:
     """Does x keep a reliability radius of eta2 under any attack of strength
     at most eta1?
@@ -210,7 +206,7 @@ def safely_reliable_membership(
     This is the one-point call of `sr_membership_mask`.
     """
     x = _as_point(x)
-    return bool(sr_membership_mask(vs, hstar, x[None, :], eta1, eta2, kind, seed=seed)[0])
+    return bool(sr_membership_mask(vs, hstar, x[None, :], eta1, eta2, kind)[0])
 
 
 # ---------------------------------------------------------------------------

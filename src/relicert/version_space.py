@@ -1,23 +1,21 @@
 """Exact consistent-hypothesis sets and their agreement geometry.
 
-Three representations, one per concept class:
+Two representations, one per kind of concept class:
 
   IntervalVS  - thresholds, and offsets of a fixed boundary function, as a
                 half-open interval (lo, hi] of feasible cut values;
-  AngleArcVS  - 2-d homogeneous linear separators as an arc of feasible
-                normal angles (the feasible set is a convex cone, hence a
-                single arc);
-  ConeVS      - general-d homogeneous linear separators as the polyhedral
-                cone {w : <y_i x_i, w> >= 0}, held as its extreme rays.
+  ConeVS      - homogeneous linear separators in any dimension d >= 2 as
+                the polyhedral cone {w : <y_i x_i, w> >= 0}, held as its
+                extreme rays.
 
 Every class answers the same geometry queries, and no other module looks
 inside a representation:
 
   membership_many(X)         agreement code per row: +1, -1, or 0 (disputed);
-  dis_distance_many(X, codes, seed=)
+  dis_distance_many(X, codes)
                              the distance below, 0 on disputed rows;
-  canonical_member()         the interval or arc midpoint, the cone's
-                             interior normal;
+  canonical_member()         the interval midpoint, the cone's interior
+                             normal;
   random_member(rng)         a consistent hypothesis away from the boundary;
   attack_direction(x, rng)   a unit step from x toward the nearest disputed
                              point (random where x is disputed);
@@ -30,19 +28,20 @@ for intervals (a lower bound for offset classes with a non-constant
 boundary).  For linear classes it is the minimum of |<w, z>| over
 consistent unit normals w: the distance to the disagreement region when the
 version space has more than one normal, and the single normal's |margin|
-when it has one (a one-hypothesis arc or cone), where no point is disputed
-but a stability ball still may not cross the decision boundary.  Arcs
-evaluate it in closed form.  For cones that minimum sits on an extreme ray
-(the ratio of a nonnegative linear functional to the norm is quasiconcave
-along segments), so every cone query reads one matrix of unit generators,
-built once per fitted cone by the double-description method (Motzkin et
-al. 1953; Fukuda & Prodon 1996): its extreme rays, plus +-l for an
-orthonormal basis l of the lineality space null(A) when the cone contains a
-line (fewer independent samples than dimensions, or none).  On such a cone
-a point with a component in null(A) is disputed and an agreed point has
-distance 0.  A cone whose ray build holds more than RAY_CAP rays at any
-step is not represented: the fit's first query raises
-DegenerateVersionSpaceError.
+when it has one, where no point is disputed but a stability ball still may
+not cross the decision boundary.  That minimum sits on an extreme ray of
+the cone (the ratio of a nonnegative linear functional to the norm is
+quasiconcave along segments), so every cone query reads one matrix R of
+unit generators, built once per fitted cone by the double-description
+method (Motzkin et al. 1953; Fukuda & Prodon 1996): its extreme rays, plus
++-l for an orthonormal basis l of the lineality space null(A) when the cone
+contains a line (fewer independent samples than dimensions, antipodal
+samples, or none).  On such a cone a point with a component in null(A) is
+disputed and an agreed point has distance 0.  Queries are laid out
+ray-major: one product R @ X.T of shape (rays, points), reduced over its
+short leading axis.  A cone whose ray build holds more than RAY_CAP rays at
+any step is not represented: the build raises DegenerateVersionSpaceError,
+at the fit, or at the first query when the fit had an interior hint.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from .core import (
 )
 from .lp import max_margin_direction, maximize_over_cone_box
 
-TWO_PI = 2.0 * math.pi
 STRICT_LP_TOL = 1e-9
 RAY_CAP = 100_000  # most extreme rays the cone ray build may hold at one step
 
@@ -74,8 +72,8 @@ class RealizabilityError(ValueError):
 
 
 class DegenerateVersionSpaceError(ValueError):
-    """The consistent set is not representable (e.g. two antipodal normals,
-    or a cone whose ray build exceeds RAY_CAP)."""
+    """The consistent set is not representable: a cone whose ray build
+    exceeds RAY_CAP."""
 
 
 class Membership(enum.Enum):
@@ -172,17 +170,13 @@ class IntervalVS:
         out[plus] = 1
         return out
 
-    def dis_distance_many(self, X: np.ndarray, codes=None, *, seed: int = 0) -> np.ndarray:
+    def dis_distance_many(self, X: np.ndarray, codes=None) -> np.ndarray:
         """Distance to the open interval (lo, hi) of disputed cuts; `codes`
-        and `seed` are not needed here."""
+        are not needed here."""
         u = self.coords(X)
         below = np.maximum(self.lo - u, 0.0)
         above = np.maximum(u - self.hi, 0.0)
         return np.maximum(below, above) * self._scale
-
-    def boundary_margin(self, z) -> float:
-        u = float(self.coords(np.atleast_2d(_as_point(z)))[0])
-        return min(abs(u - self.lo), abs(u - self.hi))
 
     def _member(self, t: float) -> Hypothesis:
         return OffsetBoundary(self.base, t) if self.base is not None else Threshold(t)
@@ -256,15 +250,15 @@ def _caps_stay_unanimous(
     {a.z >= 0} is <u, x> - eta*|u| when the free minimiser x - eta*u/|u|
     lies in the cut, and otherwise sits on the face a.z = 0.  Rays enter
     only through |w|, w.w* and |w - (w.w*) w*|; points only through x.w
-    and x.w*.  The array is built in blocks of at most SR_CHUNK_ELEMS
-    points x rays entries.
+    and x.w*.  The arrays are (rays, points), built in blocks of at most
+    SR_CHUNK_ELEMS entries and reduced over the rays.
     """
     if not isinstance(hstar, LinearHomogeneous):
         raise ValueError("target concept does not match the version space")
     wstar = hstar.w
-    nu = np.linalg.norm(rays, axis=1)
-    ua = rays @ wstar  # u.a for either label
-    ut = np.linalg.norm(rays - ua[:, None] * wstar[None, :], axis=1)
+    nu = np.linalg.norm(rays, axis=1)[:, None]
+    ua = (rays @ wstar)[:, None]  # u.a for either label
+    ut = np.linalg.norm(rays - ua * wstar[None, :], axis=1)[:, None]
     step = eta / nu
     ok = np.ones(X.shape[0], dtype=bool)
     size = max(1, SR_CHUNK_ELEMS // max(rays.shape[0], 1))
@@ -273,125 +267,14 @@ def _caps_stay_unanimous(
         s = hstar.margins(Xc)
         y = np.where(s >= 0.0, 1.0, -1.0)
         ax = y * s  # a.x >= 0: the cap is never empty
-        ux = y[:, None] * (Xc @ rays.T)
-        free = ax[:, None] - step[None, :] * ua[None, :] >= 0.0
+        ux = y * (rays @ Xc.T)
+        free = ax - step * ua >= 0.0
         beta = np.maximum(-ax, -eta)  # move this far along a to reach a.z = 0
         rad = np.sqrt(np.maximum(eta * eta - beta * beta, 0.0))
-        face = ux + beta[:, None] * ua[None, :] - rad[:, None] * ut[None, :]
-        low = np.where(free, ux - eta * nu[None, :], face)
-        ok[lo : lo + size] = ~np.any(low < 0.0, axis=1)
+        face = ux + beta * ua - rad * ut
+        low = np.where(free, ux - eta * nu, face)
+        ok[lo : lo + size] = ~np.any(low < 0.0, axis=0)
     return ok
-
-
-# ---------------------------------------------------------------------------
-# angular-arc version spaces (2-d homogeneous linear)
-# ---------------------------------------------------------------------------
-
-
-def _unit_normal(phi: float) -> np.ndarray:
-    return np.array([math.cos(phi), math.sin(phi)])
-
-
-def _circ_gap(theta: np.ndarray, start: float, width: float) -> np.ndarray:
-    """Angular distance from theta to the circular interval [start, start+width]."""
-    delta = np.mod(theta - start, TWO_PI)
-    inside = delta <= width
-    gap = np.minimum(delta - width, TWO_PI - delta)
-    return np.where(inside, 0.0, gap)
-
-
-@dataclass(frozen=True, eq=False)
-class AngleArcVS:
-    """Feasible normal angles [phi_lo, phi_hi] (phi_hi - phi_lo <= 2*pi).
-
-    The disagreement region consists of the two open cones of directions
-    within the arc's width of its orthogonal directions.
-    """
-
-    phi_lo: float
-    phi_hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-
-    @property
-    def width(self) -> float:
-        return self.phi_hi - self.phi_lo
-
-    def membership_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != 2:
-            raise ValueError("angle-arc version spaces act on 2-d points")
-        theta = np.arctan2(X[:, 1], X[:, 0])
-        rho = np.linalg.norm(X, axis=1)
-        a, b = self.phi_lo, self.phi_hi
-        # min/max of cos(phi - theta) over phi in [a, b]
-        ca = np.cos(a - theta)
-        cb = np.cos(b - theta)
-        has_pi = np.mod(theta + math.pi - a, TWO_PI) <= self.width
-        has_zero = np.mod(theta - a, TWO_PI) <= self.width
-        cmin = np.where(has_pi, -1.0, np.minimum(ca, cb))
-        cmax = np.where(has_zero, 1.0, np.maximum(ca, cb))
-        out = np.zeros(X.shape[0], dtype=np.int8)
-        out[cmin >= 0.0] = 1
-        out[cmax < 0.0] = -1
-        out[rho == 0.0] = 1  # the origin gets +1 from every hypothesis
-        return out
-
-    def dis_distance_many(self, X: np.ndarray, codes=None, *, seed: int = 0) -> np.ndarray:
-        """min |<w, z>| over the arc's unit normals, 0 on disputed rows;
-        `codes` are the rows' membership codes when the caller has them."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if codes is None:
-            codes = self.membership_many(X)
-        if self.width <= 0.0:
-            dist = np.abs(X @ _unit_normal(self.phi_lo))
-        else:
-            theta = np.arctan2(X[:, 1], X[:, 0])
-            rho = np.linalg.norm(X, axis=1)
-            g1 = _circ_gap(theta, self.phi_lo + math.pi / 2.0, self.width)
-            g2 = _circ_gap(theta, self.phi_lo - math.pi / 2.0, self.width)
-            gap = np.minimum(g1, g2)
-            dist = np.where(gap >= math.pi / 2.0, rho, rho * np.sin(gap))
-        dist[codes == 0] = 0.0
-        return dist
-
-    def endpoint_hypotheses(self) -> tuple[LinearHomogeneous, LinearHomogeneous]:
-        return (
-            LinearHomogeneous(_unit_normal(self.phi_lo)),
-            LinearHomogeneous(_unit_normal(self.phi_hi)),
-        )
-
-    def canonical_member(self) -> LinearHomogeneous:
-        """The normal at the arc's midpoint angle."""
-        return LinearHomogeneous(_unit_normal(0.5 * (self.phi_lo + self.phi_hi)))
-
-    def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
-        u = _interior_fraction(rng)
-        phi = self.phi_lo + u * self.width if self.width > 0.0 else self.phi_lo
-        return LinearHomogeneous(_unit_normal(phi))
-
-    def attack_direction(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Against the endpoint normal with the smaller |margin| at x."""
-        h_lo, h_hi = self.endpoint_hypotheses()
-        m_lo = float(h_lo.margins(x[None, :])[0])
-        m_hi = float(h_hi.margins(x[None, :])[0])
-        w, m = (h_lo.w, m_lo) if abs(m_lo) <= abs(m_hi) else (h_hi.w, m_hi)
-        if abs(m) < 1e-15:
-            return _random_unit(rng, x.shape[0])
-        return -math.copysign(1.0, m) * w
-
-    def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
-        """The cap test on the endpoint and midpoint normals."""
-        h_lo, h_hi = self.endpoint_hypotheses()
-        rays = np.vstack([h_lo.w, self.canonical_member().w, h_hi.w])
-        return _caps_stay_unanimous(rays, hstar, X, eta)
-
-    def boundary_margin(self, z) -> float:
-        z = _as_point(z, dim=2)
-        h1, h2 = self.endpoint_hypotheses()
-        return float(
-            min(abs(h1.margins(z[None, :])[0]), abs(h2.margins(z[None, :])[0]))
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -401,61 +284,77 @@ class AngleArcVS:
 
 @dataclass(frozen=True)
 class _Bank:
-    """Unit generators W of a closed cone: its extreme rays, then +-l for
-    each vector l of an orthonormal basis of its lineality space."""
+    """Unit generators W of a closed cone {w : A w >= 0}: its extreme rays,
+    then +-l for each vector l of an orthonormal basis of its lineality
+    space.  `plus_above[j]` is the value of <W_j, z> above which W_j labels
+    z +1 (see `ConeVS`), and `cuts` indexes rows of A that describe the same
+    cone: the rows the build cut with."""
 
     W: np.ndarray
+    plus_above: np.ndarray
+    cuts: np.ndarray
     exhaustive = True  # every generator is present; read by perfbench's layer tracer
 
 
 @dataclass(frozen=True, eq=False)
 class ConeVS:
-    """Feasible normals {w : A w >= 0}, rows A = normalized signed samples.
+    """Feasible normals {w : A w >= 0}, rows A = normalized signed samples;
+    rows from negative labels are `strict` (<w, A_i> > 0).
 
     Every query reads the cone's unit generators (`rays`), built once per
-    fitted cone.  A point z is disputed when some generator has
-    <w, z> > STRICT_LP_TOL and another has <w, z> < -STRICT_LP_TOL; it
-    reads -1 when only the second kind exists, and +1 otherwise.
+    fitted cone.  A generator w is a -1 witness at z when <w, z> <
+    -STRICT_LP_TOL.  It is a +1 witness when <w, z> > STRICT_LP_TOL, and
+    also when |<w, z>| <= STRICT_LP_TOL if w lies on no strict facet: such
+    a w is itself a consistent normal, and sign(0) = +1.  A point with
+    witnesses of both signs is disputed; it reads -1 when it has only -1
+    witnesses, and +1 otherwise.
 
-    Rows from negative labels are strict (<w, y_i x_i> > 0), so a ray on
-    their facet is a limit of consistent normals, not one itself.  The
-    tolerance decides its ties as the strict row does: for a negative
-    sample x_n, z = x_n / |x_n| reads -1 and z = -x_n / |x_n| reads +1, as
-    every consistent normal labels them.
+    A generator on a strict facet is a limit of consistent normals, not one
+    itself, so a 0 there is no witness: for a negative sample x_n,
+    z = x_n / |x_n| reads -1 and z = -x_n / |x_n| reads +1, as every
+    consistent normal labels them.
     """
 
     A: np.ndarray  # (m, d), unit rows
+    strict: np.ndarray  # (m,) bool
     interior: np.ndarray  # (d,) feasible unit normal, strictly so if the cone has interior
     dim: int
 
-    def rays(self) -> np.ndarray:
-        """The unit generators (see `_Bank`), built on the first call."""
-        bank = self.__dict__.get("_bank")
+    def _bank(self) -> _Bank:
+        """The generators, built on the first call."""
+        bank = self.__dict__.get("_cached_bank")
         if bank is None:
-            bank = _build_cone_bank(self)
-            object.__setattr__(self, "_bank", bank)
-        return bank.W
+            bank = _build_cone_bank(self.A, self.strict, self.interior)
+            object.__setattr__(self, "_cached_bank", bank)
+        return bank
 
-    def membership_many(self, X: np.ndarray) -> np.ndarray:
+    def rays(self) -> np.ndarray:
+        """The unit generators (see `_Bank`), one per row."""
+        return self._bank().W
+
+    def _values(self, X) -> np.ndarray:
+        """<w, z> for every generator w and row z of X: (rays, points)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        vals = X @ self.rays().T
-        plus = np.any(vals > STRICT_LP_TOL, axis=1)
-        minus = np.any(vals < -STRICT_LP_TOL, axis=1)
+        return self.rays() @ X.T
+
+    def _codes(self, V: np.ndarray) -> np.ndarray:
+        plus = np.any(V > self._bank().plus_above[:, None], axis=0)
+        minus = np.any(V < -STRICT_LP_TOL, axis=0)
         return np.where(minus, np.where(plus, 0, -1), 1).astype(np.int8)
 
-    def dis_distance_many(self, X: np.ndarray, codes=None, *, seed: int = 0) -> np.ndarray:
+    def membership_many(self, X: np.ndarray) -> np.ndarray:
+        return self._codes(self._values(X))
+
+    def dis_distance_many(self, X: np.ndarray, codes=None) -> np.ndarray:
         """min |<w, z>| over unit normals w in the cone, 0 on disputed rows:
-        the row minimum of <w, code * z> over the generators.  `codes` are
-        the rows' membership codes when the caller has them; `seed` is not
-        needed here."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        the least <w, z> over the generators on +1 rows, and the least
+        -<w, z> on -1 rows.  `codes` are the rows' membership codes when
+        the caller has them; otherwise they come from the same product."""
+        V = self._values(X)
         if codes is None:
-            codes = self.membership_many(X)
-        dist = np.zeros(X.shape[0])
-        agreed = np.flatnonzero(codes)
-        V = codes[agreed, None] * X[agreed]
-        dist[agreed] = np.maximum((V @ self.rays().T).min(axis=1), 0.0)
-        return dist
+            codes = self._codes(V)
+        dist = np.where(codes > 0, V.min(axis=0), -V.max(axis=0))
+        return np.where(codes != 0, np.maximum(dist, 0.0), 0.0)
 
     def canonical_member(self) -> LinearHomogeneous:
         """The interior normal."""
@@ -486,21 +385,36 @@ class ConeVS:
         return _caps_stay_unanimous(self.rays(), hstar, X, eta)
 
 
-def _build_cone_bank(vs: ConeVS) -> _Bank:
+def _build_cone_bank(A: np.ndarray, strict: np.ndarray, interior: np.ndarray | None) -> _Bank:
     """The generators of {w : A w >= 0}.
 
-    Rows are taken in ascending slack A @ interior, so the rows tight near
-    the interior normal, which cut the most, come first.  The first
-    independent ones span the row space of A; its complement null(A) is the
-    lineality space, and the pointed rest of the cone lies in the row
-    space, where `_double_description` finds its extreme rays.
+    Rows are taken in ascending slack on a reference normal, the feasible
+    `interior` when there is one and the rows' mean otherwise, so the first
+    independent rows are tight near it.  Those rows span the row space
+    of A; its complement null(A) is the lineality space, and the pointed
+    rest of the cone lies in the row space, where `_double_description`
+    finds its extreme rays.  When those rows span R^d there is nothing to
+    rotate.  The cuts are weighted by the inverse slack on `interior`, or
+    all alike without one (see `_double_description`).
     """
-    A = vs.A[np.argsort(vs.A @ vs.interior, kind="stable")]
+    ref = A.mean(axis=0) if interior is None else interior
+    slack = A @ ref
+    order = np.argsort(slack, kind="stable")
+    A = A[order]
+    weight = np.ones(A.shape[0]) if interior is None else 1.0 / slack[order]
     first = _independent_rows(A)
-    _, _, Vt = np.linalg.svd(A[first])
-    B, L = Vt[: len(first)], Vt[len(first) :]
-    rays = _double_description(A @ B.T, first) @ B
-    return _Bank(W=np.ascontiguousarray(np.vstack([rays, L, -L])))
+    if len(first) == A.shape[1]:
+        W, cuts = _double_description(A, first, weight)
+    else:
+        _, _, Vt = np.linalg.svd(A[first])
+        B, L = Vt[: len(first)], Vt[len(first) :]
+        rays, cuts = _double_description(A @ B.T, first, weight)
+        W = np.vstack([rays @ B, L, -L])
+    W = np.ascontiguousarray(W)
+    on_strict = np.any(A[strict[order]] @ W.T <= 1e-10, axis=0)
+    # V > plus_above is V > tol on strict facets and V >= -tol elsewhere
+    plus_above = np.where(on_strict, STRICT_LP_TOL, np.nextafter(-STRICT_LP_TOL, -np.inf))
+    return _Bank(W=W, plus_above=plus_above, cuts=order[cuts])
 
 
 def _independent_rows(A: np.ndarray) -> list[int]:
@@ -522,32 +436,48 @@ def _independent_rows(A: np.ndarray) -> list[int]:
     return picks
 
 
-def _double_description(A: np.ndarray, first: list[int]) -> np.ndarray:
+def _double_description(
+    A: np.ndarray, first: list[int], weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Unit extreme rays of the pointed cone {u : A u >= 0}, A (m, k) of
-    rank k, by double description.
+    rank k, by double description, and the indices of the rows it cut with.
 
     Start from the simplicial cone of the k independent rows `first`, then
-    cut it by the other rows in order.  A cut keeps the rays it does not
-    violate and adds, for every adjacent pair of a kept ray p and a violated
-    ray n, the combination of the two on the cut's hyperplane.  Adjacency
-    is combinatorial (see `_adjacent_pairs`) and reads which cut rows are
-    tight at each ray, within 1e-10.  A row the current cone already
-    satisfies is dropped, since later cuts only shrink the cone.  More than
-    RAY_CAP rays after any cut raise DegenerateVersionSpaceError.
+    cut it by the other rows, each time by the violated row i with the least
+    weight[i] * <r, A_i> over the current rays r.  With weight[i] = 1 / <c,
+    A_i> for an interior point c, that row is the first hyperplane crossed
+    by a segment from c to a violated ray, a facet of the cone, so no cut is
+    spent on a redundant row; with unit weights it is the most violated
+    row.  A cut keeps the rays it does not violate and adds, for every
+    adjacent pair of a kept ray p and a violated ray n, the combination of
+    the two on the cut's hyperplane.  Adjacency is combinatorial (see
+    `_adjacent_pairs`) and reads which cut rows are tight at each ray,
+    within 1e-10.  A row the current cone already satisfies is dropped,
+    since later cuts only shrink the cone; the rows cut with therefore
+    describe the same cone as A.  More than RAY_CAP rays after any cut
+    raise DegenerateVersionSpaceError.
     """
     m, k = A.shape
     tol = 1e-10
     R = np.linalg.inv(A[first]).T  # row j is tight on every first row but j
     R /= np.linalg.norm(R, axis=1, keepdims=True)
     T = 1.0 - np.eye(k, dtype=np.float32)  # T[r, j] = 1: cut j is tight at ray r
-    rest = np.setdiff1d(np.arange(m), first)  # sorted, so still in slack order
+    pending = np.ones(m, dtype=bool)
+    pending[first] = False
+    rest = np.flatnonzero(pending)
+    cuts = list(first)
     while rest.size:
-        V = A[rest] @ R.T
-        cuts = np.any(V < -tol, axis=1)
-        rest, V = rest[cuts], V[cuts]
+        V = R @ A[rest].T  # (rays, rows)
+        low = V.min(axis=0, initial=np.inf)
+        violated = low < -tol
+        rest, V, low = rest[violated], V[:, violated], low[violated]
         if not rest.size:
             break
-        vals, rest = V[0], rest[1:]
+        j = int(np.argmin(low * weight[rest]))
+        vals = V[:, j]
+        cuts.append(int(rest[j]))
+        rest[j] = rest[0]
+        rest = rest[1:]
         neg = vals < -tol
         T = np.hstack([T, (np.abs(vals) <= tol).astype(np.float32)[:, None]])
         p, n = _adjacent_pairs(T, np.flatnonzero(vals > tol), np.flatnonzero(neg), k)
@@ -561,7 +491,7 @@ def _double_description(A: np.ndarray, first: list[int]) -> np.ndarray:
             raise DegenerateVersionSpaceError(
                 f"the cone's ray build reached {R.shape[0]} rays, above the cap of {RAY_CAP}"
             )
-    return R
+    return R, np.array(cuts, dtype=np.intp)
 
 
 def _adjacent_pairs(T: np.ndarray, P: np.ndarray, N: np.ndarray, k: int):
@@ -608,7 +538,7 @@ def cone_dis_distance_info(vs: ConeVS, z, agreed_sign: int) -> ConeDistanceInfo:
     return ConeDistanceInfo(value=max(float(vals[j]), 0.0), best_w=W[j])
 
 
-VersionSpace = IntervalVS | AngleArcVS | ConeVS
+VersionSpace = IntervalVS | ConeVS
 
 
 # ---------------------------------------------------------------------------
@@ -628,104 +558,35 @@ def _fit_interval(values: np.ndarray, labels: np.ndarray, base=None) -> Interval
     return IntervalVS(lo=lo, hi=hi, base=base)
 
 
-def _fit_arc(S: Dataset) -> AngleArcVS:
-    if len(S) == 0:
-        return AngleArcVS(phi_lo=-math.pi, phi_hi=math.pi)
-    norms = np.linalg.norm(S.X, axis=1)
-    if np.any((norms == 0.0) & (S.y < 0)):
-        raise RealizabilityError("the origin always receives label +1")
-    keep = norms > 0.0
-    theta = np.arctan2(S.X[keep, 1], S.X[keep, 0])
-    labels = S.y[keep]
-    if theta.size == 0:
-        return AngleArcVS(phi_lo=-math.pi, phi_hi=math.pi)
-    strict = labels < 0
-    # every constraint reads cos(phi - psi) >= 0 (or > 0 for strict rows),
-    # i.e. phi must lie in the half-circle [psi - pi/2, psi + pi/2]
-    psi = np.where(strict, theta + math.pi, theta)
-    starts = np.mod(psi - math.pi / 2.0, TWO_PI)
-    m = psi.size
-    events = np.concatenate([starts, np.mod(starts + math.pi, TWO_PI)])
-    deltas = np.concatenate([np.ones(m, dtype=np.int64), -np.ones(m, dtype=np.int64)])
-    order = np.lexsort((-deltas, events))  # +1 before -1 at equal angles
-    ev = np.concatenate([[0.0], events[order]])
-    dv = np.concatenate([[0], deltas[order]])
-    # coverage just below 2*pi; the events at angle 0 (half-circles that
-    # start or end there) are applied by the sweep itself
-    count = int(np.sum(starts >= math.pi))
-    segments = []
-    for k in range(ev.size):
-        count += int(dv[k])
-        seg_start = ev[k]
-        seg_end = ev[k + 1] if k + 1 < ev.size else TWO_PI
-        if count == m and seg_end > seg_start:
-            segments.append((seg_start, seg_end))
-    if not segments:
-        return _fit_arc_degenerate(psi, strict)
-    # stitch the wrap-around junction at angle 0 / 2*pi
-    if (
-        len(segments) >= 2
-        and abs(segments[-1][1] - TWO_PI) < 1e-15
-        and abs(segments[0][0]) < 1e-15
-    ):
-        last = segments.pop()
-        first = segments.pop(0)
-        segments.insert(0, (last[0] - TWO_PI, first[1]))
-    if len(segments) > 1:
-        raise DegenerateVersionSpaceError(
-            "feasible normals form a disconnected set (antipodal boundary data)"
-        )
-    lo, hi = segments[0]
-    width = min(hi - lo, TWO_PI)
-    lo = math.remainder(lo, TWO_PI)
-
-    # an endpoint binding a strict (negative-label) constraint is open
-    def _open(phi: float) -> bool:
-        c = np.cos(phi - psi[strict])
-        return bool(c.size and np.min(np.abs(c)) < 1e-12)
-
-    return AngleArcVS(phi_lo=lo, phi_hi=lo + width, lo_open=_open(lo), hi_open=_open(lo + width))
-
-
-def _fit_arc_degenerate(psi: np.ndarray, strict: np.ndarray) -> AngleArcVS:
-    """No positive-width arc: the feasible set is at most isolated angles."""
-    cands = np.unique(np.mod(np.concatenate([psi - math.pi / 2.0, psi + math.pi / 2.0]), TWO_PI))
-    feasible = []
-    for phi in cands:
-        c = np.cos(phi - psi)
-        if np.all(c >= -1e-12) and not np.any(strict & (np.abs(c) < 1e-12)):
-            feasible.append(phi)
-    if not feasible:
-        raise RealizabilityError("no consistent 2-d linear separator")
-    if len(feasible) > 1:
-        raise DegenerateVersionSpaceError(
-            "feasible normals form a disconnected set (antipodal boundary data)"
-        )
-    phi = math.remainder(float(feasible[0]), TWO_PI)
-    return AngleArcVS(phi_lo=phi, phi_hi=phi)
-
-
 def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
+    """The cone of S's consistent normals, with an interior normal: the
+    hint when it is strictly feasible, else the max-margin LP direction.
+
+    Without a hint the generators are built first, and the LP runs over the
+    rows the build cut with.  Those describe the same cone, so every other
+    unit row is a conic combination of them whose weights sum to at least
+    1, and it cannot bind at a margin >= 0: the LP's margin is the margin
+    over all rows, at a size that does not grow with m.
+    """
     d = S.dimension
-    empty = ConeVS(A=np.zeros((0, d)), interior=np.eye(d)[0], dim=d)
-    if len(S) == 0:
-        return empty
     raw = S.y[:, None] * S.X
     norms = np.linalg.norm(raw, axis=1)
     if np.any((norms == 0.0) & (S.y < 0)):
         raise RealizabilityError("the origin always receives label +1")
     keep = norms > 0.0
-    if not np.any(keep):
-        return empty
     A = raw[keep] / norms[keep, None]
     strict = S.y[keep] < 0
+    if A.shape[0] == 0:  # every normal is consistent
+        return ConeVS(A=A, strict=strict, interior=np.eye(d)[0], dim=d)
     if interior_hint is not None:
         w = np.asarray(interior_hint, dtype=float).reshape(-1)
         if w.shape[0] == d and np.linalg.norm(w) > 1e-12:
             w = w / np.linalg.norm(w)
             if float(np.min(A @ w)) > STRICT_LP_TOL:
-                return ConeVS(A=A, interior=w, dim=d)
-    w, s = max_margin_direction(A)
+                return ConeVS(A=A, strict=strict, interior=w, dim=d)
+    bank = _build_cone_bank(A, strict, None)
+    C = A[bank.cuts]
+    w, s = max_margin_direction(C)
     if s <= STRICT_LP_TOL:
         if np.any(strict):
             raise RealizabilityError(
@@ -734,9 +595,10 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
         # all labels +1 with only marginal separators; any nonzero direction
         # of the closed cone will do
         if np.linalg.norm(w) < 1e-12:
-            w = _closed_cone_direction(A)
-    w = w / np.linalg.norm(w)
-    return ConeVS(A=A, interior=w, dim=d)
+            w = _closed_cone_direction(C)
+    vs = ConeVS(A=A, strict=strict, interior=w / np.linalg.norm(w), dim=d)
+    object.__setattr__(vs, "_cached_bank", bank)
+    return vs
 
 
 def _closed_cone_direction(A: np.ndarray) -> np.ndarray:
@@ -755,15 +617,12 @@ def _closed_cone_direction(A: np.ndarray) -> np.ndarray:
 
 
 def fit_version_space(
-    S: Dataset,
-    concept: ConceptClass,
-    representation: str = "auto",
-    interior_hint: np.ndarray | None = None,
+    S: Dataset, concept: ConceptClass, interior_hint: np.ndarray | None = None
 ) -> VersionSpace:
     """Exact representation of the hypotheses consistent with S.
 
     `interior_hint` optionally supplies a known strictly-consistent normal
-    for the cone representation, skipping its LP (validated, LP fallback).
+    for a linear concept, skipping its LP (validated, LP fallback).
     """
     if isinstance(concept, OffsetClass):
         if len(S) == 0:
@@ -776,13 +635,7 @@ def fit_version_space(
             return IntervalVS(lo=-math.inf, hi=math.inf)
         return _fit_interval(S.X[:, 0], S.y)
     if concept == "linear":
-        if representation == "arc" or (representation == "auto" and S.dimension == 2):
-            if S.dimension != 2:
-                raise ValueError("the arc representation needs 2-d data")
-            return _fit_arc(S)
-        if representation in ("auto", "cone"):
-            return _fit_cone(S, interior_hint=interior_hint)
-        raise ValueError(f"unknown representation {representation!r}")
+        return _fit_cone(S, interior_hint=interior_hint)
     raise ValueError(f"unknown concept class {concept!r}")
 
 
@@ -794,15 +647,15 @@ def interior_hint(hstar: Hypothesis) -> np.ndarray | None:
 
 def canonical_member(vs: VersionSpace) -> Hypothesis:
     """The canonical consistent hypothesis: the interval midpoint (one unit
-    inside a half-infinite interval, 0 for the whole line), the arc midpoint,
-    or the cone's interior normal."""
+    inside a half-infinite interval, 0 for the whole line), or the cone's
+    interior normal."""
     return vs.canonical_member()
 
 
-def erm(S: Dataset, concept: ConceptClass, representation: str = "auto") -> Hypothesis:
-    """A canonical zero-error hypothesis: interval/arc midpoints, or the
-    max-margin LP direction for constraint cones."""
-    return fit_version_space(S, concept, representation=representation).canonical_member()
+def erm(S: Dataset, concept: ConceptClass) -> Hypothesis:
+    """A canonical zero-error hypothesis: the interval midpoint, or the
+    max-margin LP direction for linear separators."""
+    return fit_version_space(S, concept).canonical_member()
 
 
 # ---------------------------------------------------------------------------
@@ -819,11 +672,11 @@ def agree_membership(vs: VersionSpace, z) -> Membership:
     return _CODE_TO_MEMBERSHIP[code]
 
 
-def dis_distance(vs: VersionSpace, z, *, seed: int = 0) -> float:
+def dis_distance(vs: VersionSpace, z) -> float:
     """Distance from z to the disagreement region (0 inside it), as defined
     in the module docstring."""
     z = _as_point(z)
-    return float(vs.dis_distance_many(z[None, :], seed=seed)[0])
+    return float(vs.dis_distance_many(z[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,25 @@ def consistent_angles(X, y, step=1e-4):
 
 def membership_2d(X, y, z, step=1e-4):
     """-1/0/+1 membership of z from the consistent angle grid."""
+    return int(geometry_2d_many(X, y, [z], step)[0][0])
+
+
+def geometry_2d_many(X, y, Z, step=1e-4):
+    """-1/0/+1 membership of every row of Z from the consistent angle grid,
+    and min |<w, z>| over the grid's consistent unit normals (0 where
+    disputed).  The grid misses the true extreme normals by at most `step`
+    in angle, so the distance is over by at most |z| * step."""
     _, W = consistent_angles(X, y, step)
-    labels = np.unique(sign01(W @ np.asarray(z)))
-    if labels.size > 1:
-        return 0
-    return int(labels[0])
+    Z = np.asarray(Z, dtype=float)
+    codes = np.empty(Z.shape[0], dtype=int)
+    dist = np.empty(Z.shape[0])
+    for lo in range(0, Z.shape[0], 256):  # chunked to bound memory
+        V = W @ Z[lo : lo + 256].T
+        plus = np.any(V >= 0.0, axis=0)
+        minus = np.any(V < 0.0, axis=0)
+        codes[lo : lo + 256] = np.where(plus & minus, 0, np.where(plus, 1, -1))
+        dist[lo : lo + 256] = np.where(plus & minus, 0.0, np.abs(V).min(axis=0))
+    return codes, dist
 
 
 def dis_direction_mask(X, y, step=1e-3):
@@ -180,6 +194,21 @@ def cone_membership_lp(A, z, tol=1e-9):
     return -1 if minus else 1
 
 
+def cone_membership_pointwise(vs, z, tol=1e-9):
+    """-1/0/+1 membership of z, generator by generator: <w, z> < -tol is a
+    -1 witness; > tol is a +1 witness, and so is |<w, z>| <= tol when w
+    lies on no negative-label (strict) facet, since w is then a consistent
+    normal and sign(0) = +1."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    plus = minus = False
+    for w in vs.rays():
+        v = float(w @ z)
+        free = not np.any(np.abs(vs.A[vs.strict] @ w) <= 1e-10)
+        plus = plus or v > tol or (free and abs(v) <= tol)
+        minus = minus or v < -tol
+    return 0 if plus and minus else (-1 if minus else 1)
+
+
 # ---------------------------------------------------------------------------
 # safely-reliable membership, one point at a time: the scalar cap minimum
 # and ray loop that the batched mask replaces, kept as its reference
@@ -250,21 +279,21 @@ def margin_certify_halving(h_erm, z, eps, d=None, alpha=None, c1=1.0, tol=1e-12)
     return lo
 
 
-def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=0):
+def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind):
     """Safely-reliable membership of one point, decided ray by ray."""
     from relicert.core import Threshold, predict
     from relicert.losses import LossKind
-    from relicert.version_space import AngleArcVS, ConeVS, IntervalVS, canonical_member
+    from relicert.version_space import IntervalVS
 
     x = np.asarray(x, dtype=float).reshape(-1)
     code = int(vs.membership_many(x[None, :])[0])
     if code == 0:
         return False
     if kind is not LossKind.CA:
-        if isinstance(vs, ConeVS):
-            dist = max(min(float(w @ (code * x)) for w in vs.rays()), 0.0)
-        else:
+        if isinstance(vs, IntervalVS):
             dist = float(vs.dis_distance_many(x[None, :])[0])
+        else:
+            dist = max(min(float(w @ (code * x)) for w in vs.rays()), 0.0)
         return dist >= (eta1 + eta2 if kind is LossKind.ST else eta1)
     y = predict(hstar, x)
     if isinstance(vs, IntervalVS):
@@ -276,9 +305,17 @@ def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=0):
         else:
             cap_lo, cap_hi = u_x - reach, min(u_x + reach, cut)
         return not (cap_lo < vs.hi and cap_hi > vs.lo)
-    if isinstance(vs, AngleArcVS):
-        h_lo, h_hi = vs.endpoint_hypotheses()
-        rays = np.vstack([h_lo.w, canonical_member(vs).w, h_hi.w])
-    else:
-        rays = vs.rays()
-    return cap_stays_unanimous(rays, hstar.w, x, y, eta1)
+    return cap_stays_unanimous(vs.rays(), hstar.w, x, y, eta1)
+
+
+def boundary_margin(vs, z):
+    """How far z is from a tie of the version space's membership test: the
+    cut-value gap to lo and hi for intervals, and the least |<w, z>| over a
+    cone's generators."""
+    from relicert.version_space import IntervalVS
+
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if isinstance(vs, IntervalVS):
+        u = float(vs.coords(z[None, :])[0])
+        return min(abs(u - vs.lo), abs(u - vs.hi))
+    return float(np.min(np.abs(vs.rays() @ z)))

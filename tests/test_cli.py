@@ -261,3 +261,18 @@ def test_ray_cap_exits_2(tmp_path, monkeypatch, capsys):
     assert int(err.split("reached ")[1].split()[0]) > 8
     monkeypatch.setattr("relicert.version_space.RAY_CAP", 100_000)
     assert run(*argv) == 0
+
+
+def test_antipodal_training_data_exits_0(tmp_path):
+    # (0, 1) and (0, -1), both labelled 1: the consistent normals are the
+    # line w2 = 0, so points off the second axis are disputed
+    train = tmp_path / "antipodal.csv"
+    train.write_text("x1,x2,label\n0.0,1.0,1\n0.0,-1.0,1\n")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n0.0,2.0\n1.0,0.5\n")
+    out = tmp_path / "c.json"
+    assert run("certify", "--data", str(train), "--points", str(pts), "--loss", "st",
+               "--concept", '{"kind":"linear"}', "--out", str(out)) == 0
+    certs = json.loads(out.read_text())["certificates"]
+    assert [c["prediction"] for c in certs] == [1, "abstain"]
+    assert certs[0]["radius"] == 0.0

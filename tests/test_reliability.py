@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import margin_certify_halving, safely_reliable_pointwise
+from oracles import cap_stays_unanimous, margin_certify_halving, safely_reliable_pointwise
 
 from relicert.core import (
     BaseBoundary,
@@ -101,10 +101,11 @@ def test_certify_st_radius_at_agreement_boundary():
 
 
 def test_certify_singleton_arc_uses_boundary_distance():
-    # two antipodal-ish constraints shrink the arc to nearly one hypothesis
-    from relicert.version_space import AngleArcVS
-
-    vs = AngleArcVS(phi_lo=math.pi / 2, phi_hi=math.pi / 2)
+    # (1, 0) and (-1, 0) pin w1 = 0 and (0, 1) picks w2 >= 0: e2 is the
+    # only consistent normal, so no point is disputed
+    S = Dataset.from_points([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1, 1, 1])
+    vs = fit_version_space(S, "linear")
+    assert np.allclose(vs.rays(), [[0.0, 1.0]])
     cert = certify(vs, [3.0, 2.0], LossKind.ST)
     assert cert.prediction == 1
     assert cert.radius == pytest.approx(2.0)  # distance to the single boundary
@@ -185,17 +186,23 @@ def test_sr_ca_equals_tl_on_random_2d():
 
 
 def test_sr_ca_on_cone_matches_arc_decisions():
+    # the arc's cap test also read the midpoint normal; the cap minimum is
+    # superadditive, so the two extreme rays decide alone
     rng = np.random.default_rng(1)
     wstar = rng.standard_normal(2)
     hstar = LinearHomogeneous(wstar)
     X = rng.standard_normal((60, 2))
     S = Dataset(X, hstar.predict_many(X))
-    v_arc = fit_version_space(S, "linear")
-    v_cone = fit_version_space(S, "linear", representation="cone")
+    vs = fit_version_space(S, "linear")
+    R = vs.rays()
+    assert R.shape == (2, 2)
+    mid = R.sum(axis=0) / np.linalg.norm(R.sum(axis=0))  # the arc's midpoint normal
+    arc = np.vstack([R[0], mid, R[1]])
     for _ in range(120):
         x = rng.standard_normal(2)
-        a = safely_reliable_membership(v_arc, hstar, x, 0.1, 0.0, LossKind.CA)
-        b = safely_reliable_membership(v_cone, hstar, x, 0.1, 0.0, LossKind.CA)
+        a = safely_reliable_membership(vs, hstar, x, 0.1, 0.0, LossKind.CA)
+        code = int(vs.membership_many(x[None, :])[0])
+        b = code != 0 and cap_stays_unanimous(arc, hstar.w, x, predict(hstar, x), 0.1)
         assert a == b
 
 
@@ -232,8 +239,7 @@ def _mask_case(name: str):
         edges = [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]]
         T = np.vstack([1.5 * rng.standard_normal((40, 3)), edges])
     S = Dataset(X, hstar.predict_many(X)) if len(X) else Dataset.empty(T.shape[1])
-    rep = "cone" if name.startswith("cone") else "auto"
-    vs = fit_version_space(S, concept, representation=rep)
+    vs = fit_version_space(S, concept)
     return vs, hstar, T
 
 
@@ -247,11 +253,11 @@ def test_sr_mask_matches_pointwise_oracle(name):
     hits = 0
     for kind in LossKind:
         for eta1, eta2 in [(0.0, 0.0), (0.0, 0.1), (0.1, 0.05), (0.3, 0.0)]:
-            mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind, seed=4)
+            mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind)
             assert mask.dtype == bool and mask.shape == (T.shape[0],)
-            want = [safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind, seed=4) for x in T]
+            want = [safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind) for x in T]
             assert mask.tolist() == want
-            one = [safely_reliable_membership(vs, hstar, x, eta1, eta2, kind, seed=4) for x in T]
+            one = [safely_reliable_membership(vs, hstar, x, eta1, eta2, kind) for x in T]
             assert one == want
             hits += int(np.sum(mask))
     # an empty sample leaves every point disputed, except the origin of the
@@ -269,7 +275,7 @@ def _one_hypothesis_arc():
 def test_st_mask_matches_certified_radius(name):
     if name == "arc-width-0":
         vs, hstar = _one_hypothesis_arc(), LinearHomogeneous(np.array([1.0, 0.0]))
-        assert vs.width == 0.0
+        assert np.allclose(vs.rays(), [[1.0, 0.0]])
         z = [0.05, 3.0]
         assert certify(vs, z, LossKind.ST).radius == pytest.approx(0.05)
         assert not safely_reliable_membership(vs, hstar, z, 0.1, 0.0, LossKind.ST)
@@ -277,7 +283,7 @@ def test_st_mask_matches_certified_radius(name):
     else:
         vs, hstar, T = _mask_case(name)
     for eta1, eta2 in [(0.0, 0.1), (0.1, 0.0), (0.1, 0.05), (0.3, 0.2)]:
-        mask = sr_membership_mask(vs, hstar, T, eta1, eta2, LossKind.ST, seed=4)
+        mask = sr_membership_mask(vs, hstar, T, eta1, eta2, LossKind.ST)
         radii = [certify(vs, z, LossKind.ST, seed=4).radius for z in T]
         assert mask.tolist() == [r >= eta1 + eta2 for r in radii]
 

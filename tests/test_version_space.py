@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    boundary_margin,
+    cap_stays_unanimous,
     cone_membership_lp,
+    cone_membership_pointwise,
     cone_min_abs_inner_svd,
     cone_rays_qhull,
+    geometry_2d_many,
     lift_threshold_dataset,
     membership_2d,
     membership_threshold,
@@ -17,7 +21,6 @@ from relicert.core import BaseBoundary, Dataset, LinearHomogeneous, OffsetBounda
 from relicert.losses import LossKind
 from relicert.reliability import certify
 from relicert.version_space import (
-    AngleArcVS,
     ConeVS,
     IntervalVS,
     Membership,
@@ -58,18 +61,30 @@ def test_fit_threshold_interval():
 
 
 def test_fit_arc_matches_angle_grid():
+    # in the plane the cone is the arc of normal angles [63.43, 116.57] degrees
     S, vs = spec_arc()
-    assert isinstance(vs, AngleArcVS)
-    assert math.degrees(vs.phi_lo) == pytest.approx(63.43494882, abs=1e-4)
-    assert math.degrees(vs.phi_hi) == pytest.approx(116.56505118, abs=1e-4)
-    # endpoints: the negative-label constraint binds at the low end
-    assert vs.lo_open and not vs.hi_open
+    assert isinstance(vs, ConeVS)
+    angles = sorted(math.degrees(math.atan2(r[1], r[0])) for r in vs.rays())
+    assert angles == pytest.approx([63.43494882, 116.56505118], abs=1e-4)
+    # the negative sample's facet is open: its direction reads -1.  The
+    # positive sample's facet is closed: its normal labels the antipode of
+    # that sample +1, against every other normal, so the antipode is disputed
+    x_neg, x_pos = S.X[1] / np.linalg.norm(S.X[1]), S.X[0] / np.linalg.norm(S.X[0])
+    assert vs.membership_many(np.vstack([x_neg, -x_pos])).tolist() == [-1, 0]
+    Z = 1.5 * np.random.default_rng(2).standard_normal((200, 2))
+    Z = Z[[boundary_margin(vs, z) > 1e-3 for z in Z]]
+    codes, _ = geometry_2d_many(S.X, S.y, Z)
+    assert vs.membership_many(Z).tolist() == codes.tolist()
 
 
 def test_fit_empty_dataset_full_class():
     assert fit_version_space(Dataset.empty(1), "threshold").lo == -math.inf
-    arc = fit_version_space(Dataset.empty(2), "linear")
-    assert arc.width == pytest.approx(2 * math.pi)
+    plane = fit_version_space(Dataset.empty(2), "linear")
+    assert isinstance(plane, ConeVS) and plane.A.shape == (0, 2)
+    # every normal is consistent: only the origin is agreed
+    Z = np.vstack([[0.0, 0.0], np.random.default_rng(1).standard_normal((50, 2))])
+    codes, _ = geometry_2d_many(np.zeros((0, 2)), np.zeros(0, dtype=int), Z, step=1e-3)
+    assert plane.membership_many(Z).tolist() == codes.tolist() == [1] + [0] * 50
     cone = fit_version_space(Dataset.empty(3), "linear")
     assert isinstance(cone, ConeVS) and cone.A.shape == (0, 3)
 
@@ -81,8 +96,9 @@ def test_fit_rejects_nonrealizable():
     S2 = Dataset.from_points([[1.0, 0.0], [2.0, 0.0]], [1, -1])
     with pytest.raises(RealizabilityError):
         fit_version_space(S2, "linear")
+    # every homogeneous separator labels the origin +1
     with pytest.raises(RealizabilityError):
-        fit_version_space(S2, "linear", representation="cone")
+        fit_version_space(Dataset.from_points([[0.0, 0.0]], [-1]), "linear")
 
 
 def test_fit_rejects_positive_nu():
@@ -150,12 +166,12 @@ def test_cone_fit_without_interior(d):
     X = np.zeros((3, d))
     X[0, 1], X[1, 1], X[2, 0] = 1.0, -1.0, 1.0
     S = Dataset.from_points(X, [1, 1, 1])
-    vs = fit_version_space(S, "linear", representation="cone")
+    vs = fit_version_space(S, "linear")
     assert np.array_equal(canonical_member(vs).predict_many(X), S.y)
     if d == 2:
-        arc = fit_version_space(S, "linear")
-        Z = np.random.default_rng(8).standard_normal((500, 2))
-        assert np.array_equal(vs.membership_many(Z), arc.membership_many(Z))
+        # e1 is the only consistent normal: every point is agreed, sign(z1)
+        Z = np.vstack([np.random.default_rng(8).standard_normal((500, 2)), [[0.0, 1.0]]])
+        assert np.array_equal(vs.membership_many(Z), np.where(Z[:, 0] >= 0.0, 1, -1))
 
 
 def test_membership_interval_examples():
@@ -186,7 +202,7 @@ def test_membership_matches_angle_grid_oracle():
         vs = fit_version_space(S, "linear")
         for _ in range(8):
             z = rng.standard_normal(2) * 1.5
-            if vs.boundary_margin(z) < 1e-6:
+            if boundary_margin(vs, z) < 1e-6:
                 continue
             got = int(vs.membership_many(z[None, :])[0])
             assert got == membership_2d(S.X, S.y, z, step=2e-4)
@@ -208,7 +224,7 @@ def test_arc_fit_with_samples_on_the_second_axis(points, labels):
     vs = fit_version_space(S, "linear")
     rng = np.random.default_rng(6)
     for z in rng.standard_normal((40, 2)) * 1.5:
-        if vs.boundary_margin(z) < 1e-3:
+        if boundary_margin(vs, z) < 1e-3:
             continue
         got = int(vs.membership_many(z[None, :])[0])
         assert got == membership_2d(S.X, S.y, z, step=2e-4)
@@ -226,7 +242,7 @@ def test_cone_membership_matches_interval_on_lifted_thresholds():
         S = Dataset(X, y)
         vs1 = fit_version_space(S, "threshold")
         XL, yL = lift_threshold_dataset(S.X, S.y)
-        vs2 = fit_version_space(Dataset(XL, yL), "linear", representation="cone")
+        vs2 = fit_version_space(Dataset(XL, yL), "linear")
         for _ in range(8):
             z = rng.standard_normal()
             if min(abs(z - vs1.lo), abs(z - vs1.hi)) < 1e-6:
@@ -338,7 +354,7 @@ def _lineality_case(name):
 @pytest.mark.parametrize("name", ["m<d", "repeated-row", "empty"])
 def test_cone_with_lineality_matches_lp_oracle(name):
     S, null = _lineality_case(name)
-    vs = fit_version_space(S, "linear", representation="cone")
+    vs = fit_version_space(S, "linear")
     d = S.dimension
     rng = np.random.default_rng(5)
     # only points of the row space of A, such as the origin, can be agreed
@@ -353,18 +369,38 @@ def test_cone_with_lineality_matches_lp_oracle(name):
 
 
 def test_cone_in_the_plane_matches_arc():
+    # the angle grid stands in for the arc of consistent normal angles where
+    # it can decide membership; the LP decides the points within 1e-3 of a
+    # ray, and distances are checked exactly against the subset oracle
     rng = np.random.default_rng(23)
     Z = 2.0 * rng.standard_normal((2000, 2))
     for m in (0, 1, 3, 20, 60):
         hstar = LinearHomogeneous(rng.standard_normal(2))
         X = rng.standard_normal((m, 2))
         S = Dataset(X, hstar.predict_many(X)) if m else Dataset.empty(2)
-        arc = fit_version_space(S, "linear")
-        cone = fit_version_space(S, "linear", representation="cone")
-        assert isinstance(arc, AngleArcVS) and isinstance(cone, ConeVS)
-        codes = arc.membership_many(Z)
-        assert np.array_equal(cone.membership_many(Z), codes)
-        assert np.max(np.abs(cone.dis_distance_many(Z) - arc.dis_distance_many(Z))) <= 1e-12
+        vs = fit_version_space(S, "linear")
+        assert isinstance(vs, ConeVS)
+        codes = vs.membership_many(Z)
+        off = np.abs(vs.rays() @ Z.T).min(axis=0) > 1e-3  # no grid tie
+        assert np.array_equal(codes[off], geometry_2d_many(S.X, S.y, Z[off])[0])
+        assert [cone_membership_lp(vs.A, z) for z in Z[~off]] == codes[~off].tolist()
+        dist = vs.dis_distance_many(Z)
+        assert np.all(dist[codes == 0] == 0.0)
+        for i in np.flatnonzero(codes != 0)[:200]:
+            assert abs(dist[i] - cone_min_abs_inner_svd(vs.A, Z[i], codes[i])) <= 1e-12
+
+
+def test_antipodal_samples_give_a_line_of_normals():
+    # (0, 1) and (0, -1), both +1: the normals are the line w2 = 0, where
+    # the arc of normal angles was two isolated points
+    S = Dataset.from_points([[0.0, 1.0], [0.0, -1.0]], [1, 1])
+    vs = fit_version_space(S, "linear")
+    assert np.array_equal(canonical_member(vs).predict_many(S.X), S.y)
+    assert sorted(map(tuple, np.round(vs.rays(), 12))) == [(-1.0, 0.0), (1.0, 0.0)]
+    Z = np.array([[0.0, 2.0], [0.0, -3.0], [0.0, 0.0], [1.0, 0.5], [-1.0, 0.0]])
+    # e1 and -e1 label only the second axis alike (sign(0) = +1)
+    assert vs.membership_many(Z).tolist() == [1, 1, 1, 0, 0]
+    assert vs.dis_distance_many(Z).tolist() == [0.0] * 5
 
 
 def test_cone_tie_rule_on_negative_sample_facets():
@@ -374,7 +410,7 @@ def test_cone_tie_rule_on_negative_sample_facets():
     hstar = LinearHomogeneous(np.array([0.3, -0.2, 1.0]))
     X = rng.standard_normal((8, 3))
     S = Dataset(X, hstar.predict_many(X))
-    vs = fit_version_space(S, "linear", representation="cone")
+    vs = fit_version_space(S, "linear")
     checked = 0
     for x in X[S.y < 0]:
         u = x / np.linalg.norm(x)
@@ -383,6 +419,101 @@ def test_cone_tie_rule_on_negative_sample_facets():
         assert vs.membership_many(np.vstack([u, -u])).tolist() == [-1, 1]
         checked += 1
     assert checked >= 2
+
+
+def test_cone_tie_rule_on_positive_sample_facets():
+    # both samples +1: the rays e1 and e2 are consistent normals, and each
+    # labels the other sample's antipode +1 where the other ray says -1
+    S = Dataset.from_points([[1.0, 0.0], [0.0, 1.0]], [1, 1])
+    vs = fit_version_space(S, "linear")
+    Z = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
+    assert vs.membership_many(Z).tolist() == [0, 0, 1, -1, 1]
+
+
+@pytest.mark.parametrize("d, m, seed, n, rays", [(2, 100, 3, 10_000, 2), (5, 20, 24, 5, 30)])
+def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays):
+    # the queries reduce one (rays, points) product over its leading axis;
+    # the oracles walk the generators one point at a time
+    rng = np.random.default_rng(seed)
+    hstar = LinearHomogeneous(rng.standard_normal(d))
+    X = rng.standard_normal((m, d))
+    S = Dataset(X, hstar.predict_many(X))
+    vs = fit_version_space(S, "linear", interior_hint=hstar.w)
+    R = vs.rays()
+    assert R.shape == (rays, d)
+    # ties: the samples' directions and their antipodes, and the origin
+    U = S.X / np.linalg.norm(S.X, axis=1, keepdims=True)
+    Z = np.vstack([1.5 * rng.standard_normal((n, d)), U, -U, np.zeros((1, d))])
+    codes = vs.membership_many(Z)
+    assert codes.tolist() == [cone_membership_pointwise(vs, z) for z in Z]
+    dist = vs.dis_distance_many(Z)
+    want = [0.0 if c == 0 else max(min(float(w @ (c * z)) for w in R), 0.0)
+            for c, z in zip(codes, Z)]
+    assert np.max(np.abs(dist - want)) <= 1e-12
+    assert np.array_equal(vs.dis_distance_many(Z, codes), dist)
+    for eta in (0.05, 0.3):
+        cap = vs.ca_cap_mask(hstar, Z, eta)
+        y = hstar.predict_many(Z)
+        assert cap.tolist() == [cap_stays_unanimous(R, hstar.w, z, yz, eta) for z, yz in zip(Z, y)]
+    # and the meaning of the codes, away from ties
+    off = np.abs(R @ Z[:n].T).min(axis=0) > 1e-3
+    if d == 2:
+        assert np.array_equal(codes[:n][off], geometry_2d_many(S.X, S.y, Z[:n][off])[0])
+    else:
+        assert codes[:n][off].tolist() == [cone_membership_lp(vs.A, z) for z in Z[:n][off]]
+
+
+@pytest.mark.parametrize("d, m", [(2, 100), (3, 60), (4, 40)])
+def test_hinted_ray_build_cuts_only_facets(d, m):
+    # past the first d rows, every row the build cuts with carries d - 1
+    # independent tight rays: a facet, never a redundant row
+    extra = 0
+    for seed in range(8):
+        rng = np.random.default_rng([70, d, seed])
+        hstar = LinearHomogeneous(rng.standard_normal(d))
+        X = rng.standard_normal((m, d))
+        vs = fit_version_space(Dataset(X, hstar.predict_many(X)), "linear",
+                               interior_hint=hstar.w)
+        W = vs.rays()
+        for i in vs._bank().cuts[d:]:
+            tight = W[np.abs(W @ vs.A[i]) <= 1e-9]
+            assert np.linalg.matrix_rank(tight) == d - 1
+            extra += 1
+    assert extra > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fit_without_hint_solves_a_small_lp_at_large_m(d, monkeypatch):
+    # without a hint the max-margin LP runs over the rows the ray build cut
+    # with; its margin is the minimum slack over all m rows
+    from scipy.optimize import linprog
+
+    import relicert.version_space as version_space
+
+    solved = []
+
+    def recording(C):
+        w, s = max_margin_direction(C)
+        solved.append((C.shape[0], w, s))
+        return w, s
+
+    max_margin_direction = version_space.max_margin_direction
+    monkeypatch.setattr(version_space, "max_margin_direction", recording)
+    rng = np.random.default_rng(60 + d)
+    hstar = LinearHomogeneous(rng.standard_normal(d))
+    X = rng.standard_normal((15_987, d))
+    S = Dataset(X, hstar.predict_many(X))
+    vs = fit_version_space(S, "linear")
+    [(rows, w, s)] = solved
+    assert rows < 100
+    assert s > 0.0
+    assert float(np.min(vs.A @ w)) == pytest.approx(s, rel=1e-9)
+    assert np.allclose(vs.interior, w / np.linalg.norm(w))
+    # the full LP: max s with A w >= s and |w|_inf <= 1, over every row
+    m = vs.A.shape[0]
+    full = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-vs.A, np.ones((m, 1))]),
+                   b_ub=np.zeros(m), bounds=[(-1.0, 1.0)] * d + [(None, None)])
+    assert s == pytest.approx(-full.fun, rel=1e-7)
 
 
 def test_dis_distance_zero_iff_disputed_or_boundary():
@@ -428,10 +559,6 @@ def test_target_always_in_version_space():
         vs = fit_version_space(S, concept)
         if isinstance(vs, IntervalVS):
             assert vs.lo < h.t <= vs.hi
-        elif isinstance(vs, AngleArcVS):
-            phi = math.atan2(h.w[1], h.w[0])
-            rel = (phi - vs.phi_lo) % (2 * math.pi)
-            assert rel <= vs.width + 1e-12
         else:
             assert float(np.min(vs.A @ h.w)) >= -1e-12
 
