@@ -32,7 +32,13 @@ from .estimators import (
 )
 from .losses import LossKind
 from .lp import LPError
-from .reliability import LabelConstancyError, certify, margin_certificate, verify_contract
+from .reliability import (
+    LabelConstancyError,
+    ReliabilityCertificate,
+    certify_many,
+    margin_certificate,
+    verify_contract,
+)
 from .version_space import concept_from_dict, erm, fit_version_space
 
 FINGERPRINT = f"relicert {__version__}"
@@ -177,8 +183,9 @@ def _cmd_certify(args) -> int:
     certs = []
     if cfg["method"] == "exact":
         vs = fit_version_space(S, concept)
-        for i, z in enumerate(pts):
-            cert = certify(vs, z, kind, seed=seed ^ i)
+        labels, radii = certify_many(vs, pts, kind, seed=seed)
+        for z, label, radius in zip(pts, labels.tolist(), radii.tolist()):
+            cert = ReliabilityCertificate(label or None, radius, kind, "analytic")
             certs.append(cert.to_json_dict(z, seed=seed))
     elif cfg["method"] == "margin":
         if kind is not LossKind.ST:
@@ -301,9 +308,9 @@ def _cmd_attack_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed_help: str = "") -> None:
     p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--seed", type=int, help="master seed (sub-seeds are derived)")
+    p.add_argument("--seed", type=int, help="master seed (sub-seeds are derived)" + seed_help)
     p.add_argument("--out", help="output artifact path")
 
 
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("certify", help="certificates for a file of test points")
-    _add_common(p)
+    _add_common(p, "; the stability ball check draws once per call, for every point")
     p.add_argument("--data", help="training dataset CSV")
     p.add_argument("--points", help="CSV of points to certify (header x1,...,xd)")
     p.add_argument("--loss", choices=["ca", "tl", "st"])

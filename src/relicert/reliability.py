@@ -13,8 +13,11 @@ with a constant label.  For the classes here a ball inside the agreement
 region cannot straddle two labels unless it meets the disagreement region
 (margin-exclusion / translation arguments), so the stability radius equals
 the disagreement distance (`dis_distance_many` of the version space); a
-defensive runtime sample of the certified ball fails loudly if that
-structural fact is ever violated.
+defensive runtime sample of the certified balls fails loudly if that
+structural fact is ever violated.  `certify_many` certifies a batch of
+points with one membership and one distance call, and its ball check makes
+one draw per call, from one generator derived from the seed, for every
+certified ball; `certify` is its one-row form.
 
 All geometry goes through the version-space methods listed in
 `version_space`; nothing here depends on the representation.
@@ -96,36 +99,71 @@ class ReliabilityCertificate:
         }
 
 
-def _assert_ball_label_constancy(
-    vs: VersionSpace, z: np.ndarray, radius: float, label: int, seed: int
+def _assert_balls_label_constancy(
+    vs: VersionSpace, Z: np.ndarray, radii: np.ndarray, labels: np.ndarray, seed: int
 ) -> None:
+    """BALL_CONSTANCY_SAMPLES uniform points in each open ball B(Z[i],
+    radii[i]) must all get labels[i] from the canonical member.  One
+    generator, derive_rng(seed, 101), makes one draw for every ball."""
     rng = derive_rng(seed, 101)
-    d = z.shape[0]
-    g = rng.standard_normal((BALL_CONSTANCY_SAMPLES, d))
+    k, d = Z.shape
+    n = BALL_CONSTANCY_SAMPLES
+    g = rng.standard_normal((k * n, d))
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = radius * (1.0 - 1e-9) * rng.random(BALL_CONSTANCY_SAMPLES) ** (1.0 / d)
-    pts = z[None, :] + g * radii[:, None]
-    preds = vs.canonical_member().predict_many(pts)
-    if np.any(preds != label):
+    g *= (rng.random(k * n) ** (1.0 / d) * np.repeat(radii * (1.0 - 1e-9), n))[:, None]
+    g += np.repeat(Z, n, axis=0)
+    bad = vs.canonical_member().predict_many(g) != np.repeat(labels, n)
+    if bad.any():
+        i = int(np.argmax(bad)) // n
         raise LabelConstancyError(
-            f"certified ball of radius {radius} around {z} contains both labels"
+            f"certified ball of radius {radii[i]} around {Z[i]} contains both labels"
         )
 
 
+def certify_many(
+    vs: VersionSpace, Z, kind: LossKind, *, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and reliability radii for every row of Z at once.
+
+    Returns the labels (int8: +1, -1, or 0 for an abstention) and the radii
+    (-1 on abstentions, +inf on the rest for CA and TL).  The stability
+    ball check draws once per call, from `seed`, over every certified row.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if Z.ndim != 2:
+        raise ValueError(f"points must form an (n, d) array, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("point coordinates must be finite")
+    labels = vs.membership_many(Z)
+    if kind is not LossKind.ST:
+        return labels, np.where(labels != 0, math.inf, -1.0)
+    # stability: radius = distance to the disagreement region, 0 on disputed rows
+    radii = vs.dis_distance_many(Z, labels)
+    check = radii > 0.0
+    radii[labels == 0] = -1.0
+    if np.any(check):
+        _assert_balls_label_constancy(vs, Z[check], radii[check], labels[check], seed)
+    return labels, radii
+
+
 def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> ReliabilityCertificate:
-    """Prediction plus reliability radius at z for the given loss."""
+    """Prediction plus reliability radius at z for the given loss.
+
+    The one-row form of `certify_many`, with the same ball check and draw.
+    It stays scalar because `verify_contract` calls it once per trial,
+    where the batch's per-call array steps are pure overhead."""
     z = _as_point(z)
-    codes = vs.membership_many(z[None, :])
+    Z = z[None, :]
+    codes = vs.membership_many(Z)
     label = int(codes[0])
     if label == 0:
         return ReliabilityCertificate(None, -1.0, kind, "analytic")
-    if kind in (LossKind.CA, LossKind.TL):
+    if kind is not LossKind.ST:
         return ReliabilityCertificate(label, math.inf, kind, "analytic")
-    # stability: radius = distance to the disagreement region
-    radius = float(vs.dis_distance_many(z[None, :], codes)[0])
-    if 0.0 < radius < math.inf:
-        _assert_ball_label_constancy(vs, z, radius, label, seed)
-    return ReliabilityCertificate(label, radius, kind, "analytic")
+    radii = vs.dis_distance_many(Z, codes)
+    if radii[0] > 0.0:
+        _assert_balls_label_constancy(vs, Z, radii, codes, seed)
+    return ReliabilityCertificate(label, float(radii[0]), kind, "analytic")
 
 
 def certify_general_finite(vs: VersionSpace, z, u_inverse) -> ReliabilityCertificate:

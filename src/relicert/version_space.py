@@ -42,6 +42,13 @@ ray-major: one product R @ X.T of shape (rays, points), reduced over its
 short leading axis.  A cone whose ray build holds more than RAY_CAP rays at
 any step is not represented: the build raises DegenerateVersionSpaceError,
 at the fit, or at the first query when the fit had an interior hint.
+
+A linear fit without an interior hint solves no LP.  Its generators decide
+realizability: the sample is strictly consistent iff every negative-label
+row has a generator strictly inside it.  Its interior normal is the
+normalised sum of the extreme rays (any generator when the cone is a
+linear subspace).  Only `erm` solves an LP, its documented max-margin
+direction.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from .core import (
     Threshold,
     _as_point,
 )
-from .lp import max_margin_direction, maximize_over_cone_box
+from .lp import max_margin_direction
 
 STRICT_LP_TOL = 1e-9
 RAY_CAP = 100_000  # most extreme rays the cone ray build may hold at one step
@@ -286,13 +293,15 @@ def _caps_stay_unanimous(
 class _Bank:
     """Unit generators W of a closed cone {w : A w >= 0}: its extreme rays,
     then +-l for each vector l of an orthonormal basis of its lineality
-    space.  `plus_above[j]` is the value of <W_j, z> above which W_j labels
-    z +1 (see `ConeVS`), and `cuts` indexes rows of A that describe the same
-    cone: the rows the build cut with."""
+    space; the first `pointed` rows are the extreme rays.  `plus_above[j]`
+    is the value of <W_j, z> above which W_j labels z +1 (see `ConeVS`), and
+    `cuts` indexes rows of A that describe the same cone: the rows the build
+    cut with."""
 
     W: np.ndarray
     plus_above: np.ndarray
     cuts: np.ndarray
+    pointed: int
     exhaustive = True  # every generator is present; read by perfbench's layer tracer
 
 
@@ -313,6 +322,12 @@ class ConeVS:
     itself, so a 0 there is no witness: for a negative sample x_n,
     z = x_n / |x_n| reads -1 and z = -x_n / |x_n| reads +1, as every
     consistent normal labels them.
+
+    `interior` is a consistent unit normal, strictly positive on every row
+    when the cone has interior.  A fit with a strictly feasible hint keeps
+    the hint.  A fit without one takes the normalised sum of the extreme
+    rays, or a generator of a cone that is a linear subspace; the same
+    generators decided that the sample is realizable (see `_fit_cone`).
     """
 
     A: np.ndarray  # (m, d), unit rows
@@ -357,8 +372,12 @@ class ConeVS:
         return np.where(codes != 0, np.maximum(dist, 0.0), 0.0)
 
     def canonical_member(self) -> LinearHomogeneous:
-        """The interior normal."""
-        return LinearHomogeneous(self.interior)
+        """The interior normal, built on the first call."""
+        h = self.__dict__.get("_cached_member")
+        if h is None:
+            h = LinearHomogeneous(self.interior)
+            object.__setattr__(self, "_cached_member", h)
+        return h
 
     def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
         """A random step from the interior normal, within 45% of its slack."""
@@ -405,16 +424,18 @@ def _build_cone_bank(A: np.ndarray, strict: np.ndarray, interior: np.ndarray | N
     first = _independent_rows(A)
     if len(first) == A.shape[1]:
         W, cuts = _double_description(A, first, weight)
+        pointed = W.shape[0]
     else:
         _, _, Vt = np.linalg.svd(A[first])
         B, L = Vt[: len(first)], Vt[len(first) :]
         rays, cuts = _double_description(A @ B.T, first, weight)
+        pointed = rays.shape[0]
         W = np.vstack([rays @ B, L, -L])
     W = np.ascontiguousarray(W)
     on_strict = np.any(A[strict[order]] @ W.T <= 1e-10, axis=0)
     # V > plus_above is V > tol on strict facets and V >= -tol elsewhere
     plus_above = np.where(on_strict, STRICT_LP_TOL, np.nextafter(-STRICT_LP_TOL, -np.inf))
-    return _Bank(W=W, plus_above=plus_above, cuts=order[cuts])
+    return _Bank(W=W, plus_above=plus_above, cuts=order[cuts], pointed=pointed)
 
 
 def _independent_rows(A: np.ndarray) -> list[int]:
@@ -560,13 +581,16 @@ def _fit_interval(values: np.ndarray, labels: np.ndarray, base=None) -> Interval
 
 def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
     """The cone of S's consistent normals, with an interior normal: the
-    hint when it is strictly feasible, else the max-margin LP direction.
+    hint when it is strictly feasible, else the one its generators give.
 
-    Without a hint the generators are built first, and the LP runs over the
-    rows the build cut with.  Those describe the same cone, so every other
-    unit row is a conic combination of them whose weights sum to at least
-    1, and it cannot bind at a margin >= 0: the LP's margin is the margin
-    over all rows, at a size that does not grow with m.
+    Without a hint the generators are built first.  S is strictly
+    consistent iff every negative-label (strict) row has a generator w with
+    <w, A_i> > STRICT_LP_TOL: each such row then has a consistent normal
+    strictly inside it, and their sum serves every row at once.  The
+    interior is the normalised sum of the pointed generators (the extreme
+    rays): it is strictly positive on every row that some consistent normal
+    is strictly positive on.  When that sum is about 0 the cone is a linear
+    subspace, and any generator will do.
     """
     d = S.dimension
     raw = S.y[:, None] * S.X
@@ -585,35 +609,21 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
             if float(np.min(A @ w)) > STRICT_LP_TOL:
                 return ConeVS(A=A, strict=strict, interior=w, dim=d)
     bank = _build_cone_bank(A, strict, None)
-    C = A[bank.cuts]
-    w, s = max_margin_direction(C)
-    if s <= STRICT_LP_TOL:
-        if np.any(strict):
-            raise RealizabilityError(
-                f"no strictly consistent linear separator (best margin {s:.2e})"
-            )
-        # all labels +1 with only marginal separators; any nonzero direction
-        # of the closed cone will do
-        if np.linalg.norm(w) < 1e-12:
-            w = _closed_cone_direction(C)
-    vs = ConeVS(A=A, strict=strict, interior=w / np.linalg.norm(w), dim=d)
+    W = bank.W
+    if W.shape[0] == 0:
+        raise RealizabilityError("feasible normals reduce to the zero vector")
+    missed = ~np.any(A[strict] @ W.T > STRICT_LP_TOL, axis=1)
+    if np.any(missed):
+        raise RealizabilityError(
+            f"no strictly consistent linear separator: no consistent normal is "
+            f"strictly negative on {int(missed.sum())} negative sample(s)"
+        )
+    w = W[: bank.pointed].sum(axis=0)
+    norm = float(np.linalg.norm(w))
+    interior = w / norm if norm > 1e-12 else W[0]
+    vs = ConeVS(A=A, strict=strict, interior=interior, dim=d)
     object.__setattr__(vs, "_cached_bank", bank)
     return vs
-
-
-def _closed_cone_direction(A: np.ndarray) -> np.ndarray:
-    """A nonzero w with A w >= 0 for a cone without interior: the LP
-    maximiser of <sum_i A_i, w>, or, when that maximum is 0 (every feasible
-    w then has A w = 0, so the cone is the null space of A), a null vector."""
-    d = A.shape[1]
-    w = maximize_over_cone_box(A.sum(axis=0), A, lo=-np.ones(d), hi=np.ones(d)).x
-    if np.linalg.norm(w) >= 1e-12:
-        return w
-    _, sv, Vt = np.linalg.svd(A)
-    rank = int(np.sum(sv > 1e-10))
-    if rank == d:
-        raise RealizabilityError("feasible normals reduce to the zero vector")
-    return Vt[rank]
 
 
 def fit_version_space(
@@ -622,7 +632,9 @@ def fit_version_space(
     """Exact representation of the hypotheses consistent with S.
 
     `interior_hint` optionally supplies a known strictly-consistent normal
-    for a linear concept, skipping its LP (validated, LP fallback).
+    for a linear concept; the fit then keeps it as the interior and leaves
+    the ray build to the first query.  A hint that is not strictly feasible
+    is ignored.
     """
     if isinstance(concept, OffsetClass):
         if len(S) == 0:
@@ -653,9 +665,24 @@ def canonical_member(vs: VersionSpace) -> Hypothesis:
 
 
 def erm(S: Dataset, concept: ConceptClass) -> Hypothesis:
-    """A canonical zero-error hypothesis: the interval midpoint, or the
-    max-margin LP direction for linear separators."""
-    return fit_version_space(S, concept).canonical_member()
+    """A canonical zero-error hypothesis: the interval midpoint, or for
+    linear separators the max-margin LP direction, max s with <A_i, w> >= s
+    and |w|_inf <= 1.
+
+    The LP runs over the rows the ray build cut with.  Those describe the
+    same cone, so every other unit row is a conic combination of them whose
+    weights sum to at least 1, and it cannot bind at a margin >= 0: the LP's
+    margin is the margin over all rows, at a size that does not grow with
+    m.  A cone without interior (margin <= STRICT_LP_TOL) gives the cone's
+    interior normal instead.
+    """
+    vs = fit_version_space(S, concept)
+    if not isinstance(vs, ConeVS) or vs.A.shape[0] == 0:
+        return vs.canonical_member()
+    w, s = max_margin_direction(vs.A[vs._bank().cuts])
+    if s <= STRICT_LP_TOL:
+        return vs.canonical_member()
+    return LinearHomogeneous(w / np.linalg.norm(w))
 
 
 # ---------------------------------------------------------------------------

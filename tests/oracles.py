@@ -64,8 +64,10 @@ def dis_direction_mask(X, y, step=1e-3):
     disputed = np.empty(dirs.size, dtype=bool)
     for lo in range(0, dirs.size, 4096):  # chunked to bound memory
         margins = W @ D[lo : lo + 4096].T
-        signs = sign01(margins)
-        disputed[lo : lo + 4096] = np.any(signs != signs[:1, :], axis=0)
+        # both labels occur: some margin >= 0 and some < 0 (sign(0) = +1)
+        plus = margins.max(axis=0, initial=-np.inf) >= 0.0
+        minus = margins.min(axis=0, initial=np.inf) < 0.0
+        disputed[lo : lo + 4096] = plus & minus
     return dirs, disputed
 
 
@@ -192,6 +194,33 @@ def cone_membership_lp(A, z, tol=1e-9):
     if plus and minus:
         return 0
     return -1 if minus else 1
+
+
+def cone_margins_lp(A, strict):
+    """scipy LP values over {A w >= 0, |w|_inf <= 1}: the best margin on the
+    strict rows (max t with <A_i, w> >= t on them, capped at 1; None without
+    strict rows), the best margin on every row, and the largest |w_j|, which
+    is 0 iff the cone is {0}."""
+    from scipy.optimize import linprog
+
+    A = np.asarray(A, dtype=float)
+    m, d = A.shape
+    bounds = [(-1.0, 1.0)] * d + [(None, 1.0)]
+
+    def best_margin(rows):
+        G = np.hstack([-A, rows.astype(float)[:, None]])  # t*flag - A w <= 0
+        return -linprog(np.r_[np.zeros(d), -1.0], A_ub=G, b_ub=np.zeros(m), bounds=bounds).fun
+
+    strict = np.asarray(strict, dtype=bool)
+    on_strict = best_margin(strict) if np.any(strict) else None
+    on_all = best_margin(np.ones(m, dtype=bool))
+    reach = 0.0
+    for j in range(d):
+        for sign in (1.0, -1.0):
+            c = np.zeros(d)
+            c[j] = -sign
+            reach = max(reach, -linprog(c, A_ub=-A, b_ub=np.zeros(m), bounds=bounds[:d]).fun)
+    return on_strict, on_all, reach
 
 
 def cone_membership_pointwise(vs, z, tol=1e-9):

@@ -220,11 +220,12 @@ def test_version_flag():
 @pytest.mark.parametrize(
     "target, error",
     [
-        ("relicert.reliability._assert_ball_label_constancy", LabelConstancyError),
+        ("relicert.reliability._assert_balls_label_constancy", LabelConstancyError),
         ("relicert.version_space.max_margin_direction", LPError),
     ],
 )
 def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys, target, error):
+    # the exact certifier's fit solves no LP; the margin certifier's erm does
     train = tmp_path / "train3.csv"
     assert run("gen", "--dist", '{"kind":"gaussian","d":3}',
                "--hstar", '{"kind":"linear","w":[1.0,0.0,0.0]}',
@@ -237,8 +238,9 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys, target, error):
 
     monkeypatch.setattr(target, boom)
     capsys.readouterr()
+    method = ("--method", "margin", "--eps", "0.01") if error is LPError else ()
     code = run("certify", "--data", str(train), "--points", str(pts), "--loss", "st",
-               "--concept", '{"kind":"linear"}', "--out", str(tmp_path / "c.json"))
+               "--concept", '{"kind":"linear"}', "--out", str(tmp_path / "c.json"), *method)
     assert code == INTERNAL_ERROR == 3
     assert capsys.readouterr().err == "error: injected failure\n"
 

@@ -1,9 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oracles import cap_stays_unanimous, margin_certify_halving, safely_reliable_pointwise
+from oracles import (
+    cap_stays_unanimous,
+    cone_min_abs_inner_svd,
+    margin_certify_halving,
+    safely_reliable_pointwise,
+)
 
 from relicert.core import (
     BaseBoundary,
@@ -17,8 +23,10 @@ from relicert.distributions import IsotropicGaussian, UniformCube
 from relicert.estimators import sample_size_for_epsilon
 from relicert.losses import LossKind
 from relicert.reliability import (
+    LabelConstancyError,
     ReliabilityCertificate,
     certify,
+    certify_many,
     certify_general_finite,
     margin_certificate,
     margin_certify,
@@ -125,6 +133,96 @@ def test_certify_general_finite_examples():
         certify_general_finite(vs, [1.0], np.zeros((0, 1)))
     with pytest.raises(ValueError):
         certify_general_finite(vs, [1.0], [[0.9]])  # must contain z
+
+
+def _certify_many_case(name):
+    """A version space and query points: Gaussian points plus the ties (the
+    samples, their negations and the origin, or the interval's ends)."""
+    rng = np.random.default_rng(31)
+    if name in ("threshold", "offset"):
+        if name == "threshold":
+            vs = interval_vs()
+            Z = np.vstack([rng.uniform(-0.5, 1.5, (40, 1)), [[0.2], [0.8], [0.5]]])
+        else:
+            base = BaseBoundary("sine", (0.2, 0.1, 1.0))
+            X = rng.random((40, 2))
+            vs = fit_version_space(Dataset(X, OffsetBoundary(base, 0.1).predict_many(X)),
+                                   OffsetClass(base))
+            Z = np.vstack([rng.random((40, 2)), X])
+        return vs, Z
+    if name == "antipodal":
+        X = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.5, -0.5]])
+        S = Dataset.from_points(X, [1, 1, -1])
+    elif name == "empty":
+        S = Dataset.empty(3)
+    else:
+        d, m = {"cone2": (2, 30), "cone3": (3, 30), "cone5": (5, 12), "m<d": (4, 2)}[name]
+        X = rng.standard_normal((m, d))
+        S = Dataset(X, LinearHomogeneous(rng.standard_normal(d)).predict_many(X))
+    d = S.dimension
+    Z = np.vstack([2.0 * rng.standard_normal((40, d)), S.X, -S.X, np.zeros((1, d))])
+    return fit_version_space(S, "linear"), Z
+
+
+@pytest.mark.parametrize(
+    "name", ["threshold", "offset", "cone2", "cone3", "cone5", "m<d", "empty", "antipodal"]
+)
+def test_certify_many_matches_pointwise_certify(name):
+    vs, Z = _certify_many_case(name)
+    pointed = name.startswith("cone")
+    for kind in LossKind:
+        labels, radii = certify_many(vs, Z, kind, seed=9)
+        assert labels.dtype == np.int8 and labels.shape == radii.shape == (Z.shape[0],)
+        certs = [certify(vs, z, kind, seed=9) for z in Z]
+        assert labels.tolist() == [c.prediction or 0 for c in certs]
+        one = np.array([c.radius for c in certs])
+        assert np.array_equal(radii == -1.0, labels == 0)
+        finite = np.isfinite(one)
+        assert np.array_equal(np.isinf(radii), ~finite)
+        # one product against many: rounding is relative to the operands, so
+        # a radius that cancels to about 0 at a tie is compared at z's scale
+        scale = np.maximum(np.abs(one), np.abs(Z).max(axis=1))[finite]
+        assert np.all(np.abs(radii[finite] - one[finite]) <= 4 * np.spacing(scale))
+        if kind is not LossKind.ST:
+            assert np.all(np.isinf(radii[labels != 0]))
+        elif pointed:
+            agreed = np.flatnonzero(labels != 0)
+            for i in np.r_[agreed[:12], agreed[-12:]]:  # Gaussian points and ties
+                brute = max(cone_min_abs_inner_svd(vs.A, Z[i], labels[i]), 0.0)
+                assert radii[i] == pytest.approx(brute, abs=1e-9)
+        elif name in ("m<d", "empty", "antipodal"):
+            # a cone with a line of normals certifies its agreed points at 0
+            assert np.all(radii[labels != 0] == 0.0)
+        assert np.any(labels != 0)
+        empty_labels, empty_radii = certify_many(vs, Z[:0], kind, seed=9)
+        assert empty_labels.shape == empty_radii.shape == (0,)
+
+
+def test_certify_many_rejects_bad_points():
+    vs = interval_vs()
+    with pytest.raises(ValueError, match="finite"):
+        certify_many(vs, [[0.1], [math.nan]], LossKind.ST)
+    with pytest.raises(ValueError, match="shape"):
+        certify_many(vs, np.zeros((2, 1, 1)), LossKind.ST)
+
+
+def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
+    S = Dataset.from_points([[1.0, 0.5], [1.0, -0.5]], [1, -1])
+    vs = fit_version_space(S, "linear")
+    assert vs.canonical_member() is vs.canonical_member()  # built once
+    Z = np.array([[3.0, 3.0], [-3.0, 3.0], [0.0, 3.0]])
+    labels, radii = certify_many(vs, Z, LossKind.ST)
+    assert labels.tolist() == [1, 1, 1] and np.all(radii > 0.0)
+    # the boundary of (1, 1) runs through the second point, and through the
+    # third point's ball; the first point's ball stays on its positive side
+    monkeypatch.setattr(ConeVS, "canonical_member", lambda self: LinearHomogeneous([1.0, 1.0]))
+    certify(vs, Z[0], LossKind.ST)
+    named = f"radius {radii[1]} around {Z[1]} contains both labels"
+    with pytest.raises(LabelConstancyError) as err:
+        certify_many(vs, Z, LossKind.ST)
+    assert str(err.value) == f"certified ball of {named}"
+    with pytest.raises(LabelConstancyError, match=re.escape(str(Z[2]))):
+        certify(vs, Z[2], LossKind.ST)
 
 
 # ---------------------------------------------------------------------------

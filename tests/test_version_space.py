@@ -7,6 +7,7 @@ from oracles import (
     boundary_margin,
     cap_stays_unanimous,
     cone_membership_lp,
+    cone_margins_lp,
     cone_membership_pointwise,
     cone_min_abs_inner_svd,
     cone_rays_qhull,
@@ -168,10 +169,21 @@ def test_cone_fit_without_interior(d):
     S = Dataset.from_points(X, [1, 1, 1])
     vs = fit_version_space(S, "linear")
     assert np.array_equal(canonical_member(vs).predict_many(X), S.y)
+    assert np.array_equal(erm(S, "linear").predict_many(X), S.y)  # margin 0: the ray interior
     if d == 2:
         # e1 is the only consistent normal: every point is agreed, sign(z1)
         Z = np.vstack([np.random.default_rng(8).standard_normal((500, 2)), [[0.0, 1.0]]])
         assert np.array_equal(vs.membership_many(Z), np.where(Z[:, 0] >= 0.0, 1, -1))
+
+
+def test_negative_sample_on_a_cone_without_interior_is_realizable():
+    # (0, 1) and (0, -1), both +1, pin w2 = 0, and the negative (1, 0) leaves
+    # w1 < 0: every consistent normal is strict on the negative sample, though
+    # none is strict on all three
+    S = Dataset.from_points([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1, 1, -1])
+    vs = fit_version_space(S, "linear")
+    assert np.allclose(vs.interior, [-1.0, 0.0], atol=1e-12)
+    assert np.array_equal(canonical_member(vs).predict_many(S.X), S.y)
 
 
 def test_membership_interval_examples():
@@ -483,9 +495,10 @@ def test_hinted_ray_build_cuts_only_facets(d, m):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_fit_without_hint_solves_a_small_lp_at_large_m(d, monkeypatch):
-    # without a hint the max-margin LP runs over the rows the ray build cut
-    # with; its margin is the minimum slack over all m rows
+def test_erm_solves_a_small_lp_at_large_m(d, monkeypatch):
+    # the fit without a hint solves no LP; erm's max-margin LP runs over the
+    # rows the ray build cut with, and its margin is the minimum slack over
+    # all m rows
     from scipy.optimize import linprog
 
     import relicert.version_space as version_space
@@ -504,16 +517,72 @@ def test_fit_without_hint_solves_a_small_lp_at_large_m(d, monkeypatch):
     X = rng.standard_normal((15_987, d))
     S = Dataset(X, hstar.predict_many(X))
     vs = fit_version_space(S, "linear")
+    assert solved == []
+    h = erm(S, "linear")
     [(rows, w, s)] = solved
     assert rows < 100
     assert s > 0.0
     assert float(np.min(vs.A @ w)) == pytest.approx(s, rel=1e-9)
-    assert np.allclose(vs.interior, w / np.linalg.norm(w))
+    assert np.allclose(h.w, w / np.linalg.norm(w))
     # the full LP: max s with A w >= s and |w|_inf <= 1, over every row
     m = vs.A.shape[0]
     full = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-vs.A, np.ones((m, 1))]),
                    b_ub=np.zeros(m), bounds=[(-1.0, 1.0)] * d + [(None, None)])
     assert s == pytest.approx(-full.fun, rel=1e-7)
+
+
+def _ray_fit_against_lp(X, y):
+    """Fit (X, y) without a hint and check the realizability decision and
+    the interior against scipy's LP; returns (realizable, has interior)."""
+    S = Dataset(X, y)
+    norms = np.linalg.norm(X, axis=1)
+    A = (y[:, None] * X)[norms > 0] / norms[norms > 0, None]
+    strict = y[norms > 0] < 0
+    if np.any((norms == 0) & (y < 0)):
+        want, on_all = False, 0.0
+    else:
+        on_strict, on_all, reach = cone_margins_lp(A, strict)
+        want = (on_strict if on_strict is not None else reach) > 1e-9
+    try:
+        vs = fit_version_space(S, "linear")
+    except RealizabilityError:
+        assert not want
+        return False, False
+    assert want
+    w = vs.interior
+    assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+    assert np.all(vs.A @ w >= -1e-12)
+    assert np.all(vs.A[vs.strict] @ w > 0.0)
+    if on_all > 1e-9:  # the cone has interior, and the normal lies inside it
+        assert np.min(vs.A @ w) > 0.0
+    # off the ties, the interior normal labels the sample as given
+    clear = np.abs(X @ w) > 1e-12
+    assert np.array_equal(vs.canonical_member().predict_many(X[clear]), y[clear])
+    return True, on_all > 1e-9
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_ray_interior_and_realizability_match_lp(grid, monkeypatch):
+    # Gaussian samples, or degenerate ones on the integer grid {-2..2}^d
+    # (d = 3, 4) with many ties; labels from a target or at random
+    import relicert.lp as lp
+
+    monkeypatch.setattr(lp, "maximize_over_cone_box", None)  # the fit solves no LP
+    rng = np.random.default_rng(70 + grid)
+    seen = set()
+    for _ in range(80 if grid else 40):
+        if grid:
+            d, m = int(rng.integers(3, 5)), int(rng.integers(2, 9))
+            X = rng.integers(-2, 3, (m, d)).astype(float)
+            w = rng.integers(-2, 3, d).astype(float)
+            w[0] += not w.any()
+        else:
+            d, m = int(rng.integers(2, 6)), int(rng.integers(1, 30))
+            X = rng.standard_normal((m, d))
+            w = rng.standard_normal(d)
+        y = np.where(X @ w >= 0.0, 1, -1) if rng.random() < 0.6 else rng.choice([-1, 1], m)
+        seen.add(_ray_fit_against_lp(X, y))
+    assert seen == {(False, False), (True, True)} | ({(True, False)} if grid else set())
 
 
 def test_dis_distance_zero_iff_disputed_or_boundary():
