@@ -308,9 +308,13 @@ def _cmd_attack_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, seed_help: str = "") -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--seed", type=int, help="master seed (sub-seeds are derived)" + seed_help)
+    p.add_argument(
+        "--seed",
+        type=int,
+        help="master seed (sub-seeds are derived; certify's ball check draws once per call)",
+    )
     p.add_argument("--out", help="output artifact path")
 
 
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("certify", help="certificates for a file of test points")
-    _add_common(p, "; the stability ball check draws once per call, for every point")
+    _add_common(p)
     p.add_argument("--data", help="training dataset CSV")
     p.add_argument("--points", help="CSV of points to certify (header x1,...,xd)")
     p.add_argument("--loss", choices=["ca", "tl", "st"])

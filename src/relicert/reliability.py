@@ -15,9 +15,9 @@ region cannot straddle two labels unless it meets the disagreement region
 the disagreement distance (`dis_distance_many` of the version space); a
 defensive runtime sample of the certified balls fails loudly if that
 structural fact is ever violated.  `certify_many` certifies a batch of
-points with one membership and one distance call, and its ball check makes
-one draw per call, from one generator derived from the seed, for every
-certified ball; `certify` is its one-row form.
+points with one membership and one distance call, and its ball check draws
+from one generator per call, derived from the seed, for every certified
+ball; `certify` is its one-row call.
 
 All geometry goes through the version-space methods listed in
 `version_space`; nothing here depends on the representation.
@@ -43,6 +43,7 @@ from .core import (
 from .distributions import DistributionSpec, _draw, derive_rng, map_trial_chunks
 from .losses import LossKind, fixed_loss
 from .version_space import (
+    SR_CHUNK_ELEMS,
     ConceptClass,
     VersionSpace,
     fit_version_space,
@@ -104,20 +105,28 @@ def _assert_balls_label_constancy(
 ) -> None:
     """BALL_CONSTANCY_SAMPLES uniform points in each open ball B(Z[i],
     radii[i]) must all get labels[i] from the canonical member.  One
-    generator, derive_rng(seed, 101), makes one draw for every ball."""
+    generator, derive_rng(seed, 101), draws the balls' points in row blocks
+    of at most SR_CHUNK_ELEMS coordinates; a call with one block makes one
+    draw."""
     rng = derive_rng(seed, 101)
     k, d = Z.shape
     n = BALL_CONSTANCY_SAMPLES
-    g = rng.standard_normal((k * n, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    g *= (rng.random(k * n) ** (1.0 / d) * np.repeat(radii * (1.0 - 1e-9), n))[:, None]
-    g += np.repeat(Z, n, axis=0)
-    bad = vs.canonical_member().predict_many(g) != np.repeat(labels, n)
-    if bad.any():
-        i = int(np.argmax(bad)) // n
-        raise LabelConstancyError(
-            f"certified ball of radius {radii[i]} around {Z[i]} contains both labels"
-        )
+    h = vs.canonical_member()
+    step = max(1, SR_CHUNK_ELEMS // (n * d))
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        g = rng.standard_normal(((hi - lo) * n, d))
+        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        scale = rng.random((hi - lo, n)) ** (1.0 / d) * (radii[lo:hi, None] * (1.0 - 1e-9))
+        g *= scale.reshape(-1, 1)
+        balls = g.reshape(hi - lo, n, d)
+        balls += Z[lo:hi, None, :]
+        bad = h.predict_many(g).reshape(hi - lo, n) != labels[lo:hi, None]
+        if bad.any():
+            i = lo + int(np.argmax(bad)) // n
+            raise LabelConstancyError(
+                f"certified ball of radius {radii[i]} around {Z[i]} contains both labels"
+            )
 
 
 def certify_many(
@@ -127,12 +136,13 @@ def certify_many(
 
     Returns the labels (int8: +1, -1, or 0 for an abstention) and the radii
     (-1 on abstentions, +inf on the rest for CA and TL).  The stability
-    ball check draws once per call, from `seed`, over every certified row.
+    ball check draws from one generator per call, derived from `seed`,
+    over every certified row.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.ndim != 2:
         raise ValueError(f"points must form an (n, d) array, got shape {Z.shape}")
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise ValueError("point coordinates must be finite")
     labels = vs.membership_many(Z)
     if kind is not LossKind.ST:
@@ -140,30 +150,20 @@ def certify_many(
     # stability: radius = distance to the disagreement region, 0 on disputed rows
     radii = vs.dis_distance_many(Z, labels)
     check = radii > 0.0
+    if check.all():  # no row to drop: the usual one-row call skips the indexing
+        _assert_balls_label_constancy(vs, Z, radii, labels, seed)
+        return labels, radii
     radii[labels == 0] = -1.0
-    if np.any(check):
+    if check.any():
         _assert_balls_label_constancy(vs, Z[check], radii[check], labels[check], seed)
     return labels, radii
 
 
 def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> ReliabilityCertificate:
-    """Prediction plus reliability radius at z for the given loss.
-
-    The one-row form of `certify_many`, with the same ball check and draw.
-    It stays scalar because `verify_contract` calls it once per trial,
-    where the batch's per-call array steps are pure overhead."""
-    z = _as_point(z)
-    Z = z[None, :]
-    codes = vs.membership_many(Z)
-    label = int(codes[0])
-    if label == 0:
-        return ReliabilityCertificate(None, -1.0, kind, "analytic")
-    if kind is not LossKind.ST:
-        return ReliabilityCertificate(label, math.inf, kind, "analytic")
-    radii = vs.dis_distance_many(Z, codes)
-    if radii[0] > 0.0:
-        _assert_balls_label_constancy(vs, Z, radii, codes, seed)
-    return ReliabilityCertificate(label, float(radii[0]), kind, "analytic")
+    """Prediction plus reliability radius at z for the given loss: the
+    one-row call of `certify_many`."""
+    labels, radii = certify_many(vs, _as_point(z)[None, :], kind, seed=seed)
+    return ReliabilityCertificate(int(labels[0]) or None, float(radii[0]), kind, "analytic")
 
 
 def certify_general_finite(vs: VersionSpace, z, u_inverse) -> ReliabilityCertificate:

@@ -293,15 +293,13 @@ def _caps_stay_unanimous(
 class _Bank:
     """Unit generators W of a closed cone {w : A w >= 0}: its extreme rays,
     then +-l for each vector l of an orthonormal basis of its lineality
-    space; the first `pointed` rows are the extreme rays.  `plus_above[j]`
-    is the value of <W_j, z> above which W_j labels z +1 (see `ConeVS`), and
-    `cuts` indexes rows of A that describe the same cone: the rows the build
-    cut with."""
+    space.  `plus_above[j]` is the value of <W_j, z> above which W_j labels
+    z +1 (see `ConeVS`), and `cuts` indexes rows of A that describe the same
+    cone: the rows the build cut with."""
 
     W: np.ndarray
     plus_above: np.ndarray
     cuts: np.ndarray
-    pointed: int
     exhaustive = True  # every generator is present; read by perfbench's layer tracer
 
 
@@ -424,18 +422,16 @@ def _build_cone_bank(A: np.ndarray, strict: np.ndarray, interior: np.ndarray | N
     first = _independent_rows(A)
     if len(first) == A.shape[1]:
         W, cuts = _double_description(A, first, weight)
-        pointed = W.shape[0]
     else:
         _, _, Vt = np.linalg.svd(A[first])
         B, L = Vt[: len(first)], Vt[len(first) :]
         rays, cuts = _double_description(A @ B.T, first, weight)
-        pointed = rays.shape[0]
         W = np.vstack([rays @ B, L, -L])
     W = np.ascontiguousarray(W)
     on_strict = np.any(A[strict[order]] @ W.T <= 1e-10, axis=0)
     # V > plus_above is V > tol on strict facets and V >= -tol elsewhere
     plus_above = np.where(on_strict, STRICT_LP_TOL, np.nextafter(-STRICT_LP_TOL, -np.inf))
-    return _Bank(W=W, plus_above=plus_above, cuts=order[cuts], pointed=pointed)
+    return _Bank(W=W, plus_above=plus_above, cuts=order[cuts])
 
 
 def _independent_rows(A: np.ndarray) -> list[int]:
@@ -587,10 +583,11 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
     consistent iff every negative-label (strict) row has a generator w with
     <w, A_i> > STRICT_LP_TOL: each such row then has a consistent normal
     strictly inside it, and their sum serves every row at once.  The
-    interior is the normalised sum of the pointed generators (the extreme
-    rays): it is strictly positive on every row that some consistent normal
-    is strictly positive on.  When that sum is about 0 the cone is a linear
-    subspace, and any generator will do.
+    interior is the normalised sum of the generators, where the +-l of the
+    lineality basis cancel, leaving the extreme rays: it is strictly
+    positive on every row that some consistent normal is strictly positive
+    on.  When that sum is about 0 the cone is a linear subspace, and any
+    generator will do.
     """
     d = S.dimension
     raw = S.y[:, None] * S.X
@@ -618,7 +615,7 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
             f"no strictly consistent linear separator: no consistent normal is "
             f"strictly negative on {int(missed.sum())} negative sample(s)"
         )
-    w = W[: bank.pointed].sum(axis=0)
+    w = W.sum(axis=0)
     norm = float(np.linalg.norm(w))
     interior = w / norm if norm > 1e-12 else W[0]
     vs = ConeVS(A=A, strict=strict, interior=interior, dim=d)

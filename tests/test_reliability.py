@@ -22,7 +22,9 @@ from relicert.core import (
 from relicert.distributions import IsotropicGaussian, UniformCube
 from relicert.estimators import sample_size_for_epsilon
 from relicert.losses import LossKind
+from relicert import reliability
 from relicert.reliability import (
+    BALL_CONSTANCY_SAMPLES,
     LabelConstancyError,
     ReliabilityCertificate,
     certify,
@@ -223,6 +225,12 @@ def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
     assert str(err.value) == f"certified ball of {named}"
     with pytest.raises(LabelConstancyError, match=re.escape(str(Z[2]))):
         certify(vs, Z[2], LossKind.ST)
+    # in blocks of two rows, behind five good balls, the second point is still named
+    monkeypatch.setattr(reliability, "SR_CHUNK_ELEMS", 2 * BALL_CONSTANCY_SAMPLES * 2)
+    good = np.array([[4.0, 3.0], [3.0, 4.0], [5.0, 3.0], [3.0, 5.0]])
+    with pytest.raises(LabelConstancyError) as err:
+        certify_many(vs, np.vstack([Z[:1], good, Z[1:]]), LossKind.ST)
+    assert str(err.value) == f"certified ball of {named}"
 
 
 # ---------------------------------------------------------------------------
