@@ -220,7 +220,10 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
         r = spec.sigma * x / (1.0 - x)
         return g * r[:, None]
     if isinstance(spec, MeanShift):
-        return _draw(spec.base, rng, n) + spec.mu[None, :]
+        X = _draw(spec.base, rng, n)  # a fresh array: shift it in place
+        for j, m in enumerate(spec.mu):
+            X[:, j] += m
+        return X
     raise ValueError(f"unknown distribution spec {type(spec).__name__}")
 
 

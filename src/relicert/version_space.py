@@ -38,10 +38,13 @@ method (Motzkin et al. 1953; Fukuda & Prodon 1996): its extreme rays, plus
 contains a line (fewer independent samples than dimensions, antipodal
 samples, or none).  On such a cone a point with a component in null(A) is
 disputed and an agreed point has distance 0.  Queries are laid out
-ray-major: one product R @ X.T of shape (rays, points), reduced over its
-short leading axis.  A cone whose ray build holds more than RAY_CAP rays at
-any step is not represented: the build raises DegenerateVersionSpaceError,
-at the fit, or at the first query when the fit had an interior hint.
+ray-major: products R @ X.T of shape (rays, points), reduced over their
+short leading axis.  Every such pass (membership, distance, the cap test)
+runs over row blocks of X with at most SR_CHUNK_ELEMS entries each, and
+assembles codes and distances by arithmetic, not by selects.  A cone
+whose ray build holds more than RAY_CAP rays at any step is not
+represented: the build raises DegenerateVersionSpaceError, at the fit, or
+at the first query when the fit had an interior hint.
 
 A linear fit without an interior hint solves no LP.  Its generators decide
 realizability: the sample is strictly consistent iff every negative-label
@@ -240,10 +243,30 @@ class IntervalVS:
 
 
 # ---------------------------------------------------------------------------
-# the constrained-adversary cap test for linear version spaces
+# (rays, points) passes in row blocks, and the constrained-adversary cap
+# test for linear version spaces
 # ---------------------------------------------------------------------------
 
-SR_CHUNK_ELEMS = 1 << 18  # entries per block of the cap test and the ray build's pair tests
+# Entries per block of every (rays, points) pass of the cone's queries and
+# cap test, and of the ray build's pair tests: blocks stay cache-sized.
+SR_CHUNK_ELEMS = 1 << 18
+
+
+def _per_point_blocks(rays: np.ndarray, X: np.ndarray, reduce, dtype, *cols) -> np.ndarray:
+    """reduce(rays @ X[rows].T, *(c[rows] for c in cols)) over row blocks
+    `rows` of X whose (rays, points) product has at most SR_CHUNK_ELEMS
+    entries.  `reduce` returns one value per point of its block, and the
+    blocks' values are concatenated.  X that fits in one block makes one
+    call with the arrays as given: no slicing, no output copy."""
+    n = X.shape[0]
+    size = max(1, SR_CHUNK_ELEMS // max(rays.shape[0], 1))
+    if n <= size:
+        return reduce(rays @ X.T, *cols)
+    out = np.empty(n, dtype=dtype)
+    for lo in range(0, n, size):
+        hi = lo + size
+        out[lo:hi] = reduce(rays @ X[lo:hi].T, *(c[lo:hi] for c in cols))
+    return out
 
 
 def _caps_stay_unanimous(
@@ -257,8 +280,8 @@ def _caps_stay_unanimous(
     {a.z >= 0} is <u, x> - eta*|u| when the free minimiser x - eta*u/|u|
     lies in the cut, and otherwise sits on the face a.z = 0.  Rays enter
     only through |w|, w.w* and |w - (w.w*) w*|; points only through x.w
-    and x.w*.  The arrays are (rays, points), built in blocks of at most
-    SR_CHUNK_ELEMS entries and reduced over the rays.
+    and x.w*.  The arrays are (rays, points), built in blocks (see
+    `_per_point_blocks`) and reduced over the rays.
     """
     if not isinstance(hstar, LinearHomogeneous):
         raise ValueError("target concept does not match the version space")
@@ -267,21 +290,20 @@ def _caps_stay_unanimous(
     ua = (rays @ wstar)[:, None]  # u.a for either label
     ut = np.linalg.norm(rays - ua * wstar[None, :], axis=1)[:, None]
     step = eta / nu
-    ok = np.ones(X.shape[0], dtype=bool)
-    size = max(1, SR_CHUNK_ELEMS // max(rays.shape[0], 1))
-    for lo in range(0, X.shape[0], size):
-        Xc = X[lo : lo + size]
-        s = hstar.margins(Xc)
+
+    def unanimous(V: np.ndarray, Xb: np.ndarray) -> np.ndarray:
+        s = hstar.margins(Xb)
         y = np.where(s >= 0.0, 1.0, -1.0)
         ax = y * s  # a.x >= 0: the cap is never empty
-        ux = y * (rays @ Xc.T)
+        ux = y * V
         free = ax - step * ua >= 0.0
         beta = np.maximum(-ax, -eta)  # move this far along a to reach a.z = 0
         rad = np.sqrt(np.maximum(eta * eta - beta * beta, 0.0))
         face = ux + beta * ua - rad * ut
         low = np.where(free, ux - eta * nu, face)
-        ok[lo : lo + size] = ~np.any(low < 0.0, axis=0)
-    return ok
+        return ~(low < 0.0).any(axis=0)
+
+    return _per_point_blocks(rays, X, unanimous, bool, X)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +324,27 @@ class _Bank:
     cuts: np.ndarray
     exhaustive = True  # every generator is present; read by perfbench's layer tracer
 
+    def codes(self, V: np.ndarray) -> np.ndarray:
+        """Membership codes from the values V = W @ Z.T, as the int8
+        [plus >= minus] - [minus]: +1 without a -1 witness, 0 with
+        witnesses of both signs, -1 with only -1 witnesses."""
+        plus = (V > self.plus_above[:, None]).any(axis=0)
+        minus = (V < -STRICT_LP_TOL).any(axis=0)
+        return (plus >= minus).view(np.int8) - minus.view(np.int8)
+
+    def distances(self, V: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+        """max(min V, 0) [code > 0] + max(-max V, 0) [code < 0] per point,
+        without a select.  The first indicator is implied: a point with
+        code <= 0 has a -1 witness, so min V < 0 and max(min V, 0) = +0.
+        The second term is finite wherever its indicator is 0 (such a point
+        has a value >= -STRICT_LP_TOL), so no inf * 0 arises, and no
+        distance is -0.0."""
+        if codes is None:
+            codes = self.codes(V)
+        dist = np.maximum(V.min(axis=0), 0.0)
+        dist += np.maximum(-V.max(axis=0), 0.0) * (codes < 0)
+        return dist
+
 
 @dataclass(frozen=True, eq=False)
 class ConeVS:
@@ -309,12 +352,13 @@ class ConeVS:
     rows from negative labels are `strict` (<w, A_i> > 0).
 
     Every query reads the cone's unit generators (`rays`), built once per
-    fitted cone.  A generator w is a -1 witness at z when <w, z> <
-    -STRICT_LP_TOL.  It is a +1 witness when <w, z> > STRICT_LP_TOL, and
-    also when |<w, z>| <= STRICT_LP_TOL if w lies on no strict facet: such
-    a w is itself a consistent normal, and sign(0) = +1.  A point with
-    witnesses of both signs is disputed; it reads -1 when it has only -1
-    witnesses, and +1 otherwise.
+    fitted cone, in blocks of at most SR_CHUNK_ELEMS (rays, points)
+    entries (`_per_point_blocks`).  A generator w is a -1 witness at z
+    when <w, z> < -STRICT_LP_TOL.  It is a +1 witness when <w, z> >
+    STRICT_LP_TOL, and also when |<w, z>| <= STRICT_LP_TOL if w lies on no
+    strict facet: such a w is itself a consistent normal, and sign(0) = +1.
+    A point with witnesses of both signs is disputed; it reads -1 when it
+    has only -1 witnesses, and +1 otherwise.
 
     A generator on a strict facet is a limit of consistent normals, not one
     itself, so a 0 there is no witness: for a negative sample x_n,
@@ -345,29 +389,20 @@ class ConeVS:
         """The unit generators (see `_Bank`), one per row."""
         return self._bank().W
 
-    def _values(self, X) -> np.ndarray:
-        """<w, z> for every generator w and row z of X: (rays, points)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.rays() @ X.T
-
-    def _codes(self, V: np.ndarray) -> np.ndarray:
-        plus = np.any(V > self._bank().plus_above[:, None], axis=0)
-        minus = np.any(V < -STRICT_LP_TOL, axis=0)
-        return np.where(minus, np.where(plus, 0, -1), 1).astype(np.int8)
-
     def membership_many(self, X: np.ndarray) -> np.ndarray:
-        return self._codes(self._values(X))
+        bank = self._bank()
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _per_point_blocks(bank.W, X, bank.codes, np.int8)
 
     def dis_distance_many(self, X: np.ndarray, codes=None) -> np.ndarray:
         """min |<w, z>| over unit normals w in the cone, 0 on disputed rows:
         the least <w, z> over the generators on +1 rows, and the least
-        -<w, z> on -1 rows.  `codes` are the rows' membership codes when
-        the caller has them; otherwise they come from the same product."""
-        V = self._values(X)
-        if codes is None:
-            codes = self._codes(V)
-        dist = np.where(codes > 0, V.min(axis=0), -V.max(axis=0))
-        return np.where(codes != 0, np.maximum(dist, 0.0), 0.0)
+        -<w, z> on -1 rows.  `codes`, when the caller has them, must be
+        `membership_many(X)`; otherwise they come from the same product."""
+        bank = self._bank()
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        cols = () if codes is None else (codes,)
+        return _per_point_blocks(bank.W, X, bank.distances, float, *cols)
 
     def canonical_member(self) -> LinearHomogeneous:
         """The interior normal, built on the first call."""

@@ -238,6 +238,22 @@ def cone_membership_pointwise(vs, z, tol=1e-9):
     return 0 if plus and minus else (-1 if minus else 1)
 
 
+def cone_codes_where(V, plus_above, tol=1e-9):
+    """Membership codes from a cone's (rays, points) values V, by the
+    nested selects that the library's int8 arithmetic replaced."""
+    plus = np.any(V > plus_above[:, None], axis=0)
+    minus = np.any(V < -tol, axis=0)
+    return np.where(minus, np.where(plus, 0, -1), 1).astype(np.int8)
+
+
+def cone_distances_where(V, codes):
+    """Disagreement distances from V and the codes, by the selects that the
+    library's arithmetic replaced: the least value on +1 rows, the least
+    negated value on -1 rows, clipped at 0, and 0 on disputed rows."""
+    dist = np.where(codes > 0, V.min(axis=0), -V.max(axis=0))
+    return np.where(codes != 0, np.maximum(dist, 0.0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # safely-reliable membership, one point at a time: the scalar cap minimum
 # and ray loop that the batched mask replaces, kept as its reference

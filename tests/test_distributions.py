@@ -73,6 +73,26 @@ def test_mean_shift_moves_mean_keeps_covariance():
     assert np.array_equal(X1, X0 + mu)
 
 
+MEAN_SHIFT_BASES = [
+    IsotropicGaussian(3),
+    UniformBall(3),
+    UniformCube(3, -1.0, 2.0),
+    NearlyUniform(3, 0.5, 1.5),
+    RadialHeavyTail(3, -0.1),
+    MeanShift(IsotropicGaussian(3), np.array([-2.0, 0.125, 1e-3])),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2_000])
+@pytest.mark.parametrize("base", MEAN_SHIFT_BASES, ids=lambda s: type(s).__name__)
+def test_mean_shift_adds_mu_to_the_base_draw_bitwise(base, n):
+    mu = np.array([0.5, -0.25, 3.0])
+    X0 = sample(base, seed=9, n=n)
+    X1 = sample(MeanShift(base, mu), seed=9, n=n)
+    assert X1.shape == (n, 3) and X1.dtype == np.float64
+    assert np.array_equal(X1.view(np.int64), (X0 + mu).view(np.int64))
+
+
 def test_cube_bounds_and_density():
     X = sample(UniformCube(2, -1.0, 1.0), seed=5, n=5000)
     assert X.min() >= -1.0 and X.max() <= 1.0

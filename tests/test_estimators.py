@@ -141,10 +141,10 @@ def test_dis_ball_rotinv_against_bruteforce():
     phis = np.linspace(-math.pi, math.pi, 10_000, endpoint=False)
     W = np.column_stack([np.cos(phis), np.sin(phis)])
     ref_signs = ref @ hstar.w >= 0
-    emp_dis = np.empty(W.shape[0])  # empirical disagreement, chunked
-    for lo in range(0, W.shape[0], 512):
-        chunk = W[lo : lo + 512] @ ref.T
-        emp_dis[lo : lo + 512] = np.mean((chunk >= 0) != ref_signs[None, :], axis=1)
+    emp_dis = np.empty(W.shape[0])  # empirical disagreement, 16 rotations at a time
+    for lo in range(0, W.shape[0], 16):
+        chunk = W[lo : lo + 16] @ ref.T
+        emp_dis[lo : lo + 16] = np.mean((chunk >= 0) != ref_signs[None, :], axis=1)
     mism = 0
     for _ in range(300):
         r = float(rng.uniform(0.02, 0.45))

@@ -6,6 +6,8 @@ import pytest
 from oracles import (
     boundary_margin,
     cap_stays_unanimous,
+    cone_codes_where,
+    cone_distances_where,
     cone_membership_lp,
     cone_margins_lp,
     cone_membership_pointwise,
@@ -443,9 +445,11 @@ def test_cone_tie_rule_on_positive_sample_facets():
 
 
 @pytest.mark.parametrize("d, m, seed, n, rays", [(2, 100, 3, 10_000, 2), (5, 20, 24, 5, 30)])
-def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays):
-    # the queries reduce one (rays, points) product over its leading axis;
+def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypatch):
+    # the queries reduce (rays, points) products over their leading axis;
     # the oracles walk the generators one point at a time
+    import relicert.version_space as version_space
+
     rng = np.random.default_rng(seed)
     hstar = LinearHomogeneous(rng.standard_normal(d))
     X = rng.standard_normal((m, d))
@@ -463,16 +467,50 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays):
             for c, z in zip(codes, Z)]
     assert np.max(np.abs(dist - want)) <= 1e-12
     assert np.array_equal(vs.dis_distance_many(Z, codes), dist)
+    caps = {}
     for eta in (0.05, 0.3):
-        cap = vs.ca_cap_mask(hstar, Z, eta)
+        caps[eta] = vs.ca_cap_mask(hstar, Z, eta)
         y = hstar.predict_many(Z)
-        assert cap.tolist() == [cap_stays_unanimous(R, hstar.w, z, yz, eta) for z, yz in zip(Z, y)]
+        assert caps[eta].tolist() == [cap_stays_unanimous(R, hstar.w, z, yz, eta)
+                                      for z, yz in zip(Z, y)]
     # and the meaning of the codes, away from ties
     off = np.abs(R @ Z[:n].T).min(axis=0) > 1e-3
     if d == 2:
         assert np.array_equal(codes[:n][off], geometry_2d_many(S.X, S.y, Z[:n][off])[0])
     else:
         assert codes[:n][off].tolist() == [cone_membership_lp(vs.A, z) for z in Z[:n][off]]
+
+    # extreme rows: products that overflow to +-inf, signed zeros and subnormals
+    big = 1.7e308 * np.vstack([np.ones(d), np.sign(R), -np.sign(R)])
+    E = np.vstack([big, -big, np.zeros((1, d)), np.full((1, d), -0.0),
+                   5e-324 * np.sign(U[:3]), -5e-324 * np.sign(U[:3]),
+                   1e-310 * rng.standard_normal((3, d))])
+    ZE = np.vstack([Z, E])
+    with np.errstate(over="ignore"):
+        V = R @ ZE.T
+        assert np.isinf(V).any() and not np.isnan(V).any()
+        one = (vs.membership_many(ZE), vs.dis_distance_many(ZE))
+        assert one[0].tolist() == [cone_membership_pointwise(vs, z) for z in ZE]
+        # the select formulas that the arithmetic replaced, on the same product
+        assert np.array_equal(one[0], cone_codes_where(V, vs._bank().plus_above))
+        assert np.array_equal(one[1].view(np.int64),
+                              cone_distances_where(V, one[0]).view(np.int64))
+        assert not np.signbit(one[1]).any()
+        assert np.isinf(one[1]).any()
+        assert np.array_equal(vs.dis_distance_many(ZE, one[0]).view(np.int64),
+                              one[1].view(np.int64))
+
+        # the same queries in at least three blocks, the last one ragged
+        size = ZE.shape[0] // 3 - 1
+        assert ZE.shape[0] % size and ZE.shape[0] // size >= 3
+        assert ZE.shape[0] * rays <= version_space.SR_CHUNK_ELEMS  # one block above
+        monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", rays * size)
+        assert np.array_equal(vs.membership_many(ZE), one[0])
+        assert np.array_equal(vs.dis_distance_many(ZE).view(np.int64), one[1].view(np.int64))
+        assert np.array_equal(vs.dis_distance_many(ZE, one[0]).view(np.int64),
+                              one[1].view(np.int64))
+    for eta, cap in caps.items():
+        assert np.array_equal(vs.ca_cap_mask(hstar, Z, eta), cap)
 
 
 @pytest.mark.parametrize("d, m", [(2, 100), (3, 60), (4, 40)])
