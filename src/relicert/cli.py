@@ -12,14 +12,13 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import (
     Dataset,
     DatasetFormatError,
     hypothesis_from_dict,
     read_dataset_csv,
+    read_points_csv,
     write_dataset_csv,
 )
 from .distributions import dimension, sample, spec_from_dict
@@ -52,20 +51,26 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_json_arg(text: str, what: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON for {what}: {exc}") from exc
-
-
+# JSON-valued options: a flag gives JSON text, a config file may give the object
 _JSON_VALUED = ("concept", "hstar", "dist", "p", "q")
 
 
-def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge the config file (if any) with command-line flags; flags win."""
+def _json_option(value, key: str) -> dict:
+    if isinstance(value, dict):
+        return value
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed JSON for --{key}: {exc}") from exc
+
+
+def _effective(args: argparse.Namespace, **defaults) -> dict:
+    """The command's options: each flag given, else the config file's entry
+    (flags win), else `defaults`.  The defaults are applied here, not by
+    argparse, so that a config entry overrides them.  JSON-valued options
+    come back parsed."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 cfg = json.load(f)
@@ -74,22 +79,25 @@ def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed config JSON: {exc}") from exc
     out = {}
-    for key in keys:
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key, flag in vars(args).items():
+        if key in ("command", "config"):
+            continue
         if flag is not None:
             out[key] = flag
         elif key in cfg:
             out[key] = cfg[key]
+    for key, value in defaults.items():
+        out.setdefault(key, value)
     for key in _JSON_VALUED:
         if key in out:
-            out[key] = _maybe_dict(out[key], f"--{key}")
+            out[key] = _json_option(out[key], key)
     return out
 
 
 def _echo_config(cfg: dict) -> dict:
     """The configuration embedded in artifacts: everything that determines
     the result (not the artifact's own path)."""
-    return {k: v for k, v in cfg.items() if k not in ("out", "config")}
+    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -103,12 +111,6 @@ def _loss(cfg: dict) -> LossKind:
         return LossKind(cfg["loss"])
     except ValueError as exc:
         raise UsageError(f"loss must be one of ca, tl, st (got {cfg['loss']!r})") from exc
-
-
-def _maybe_dict(value, what: str) -> dict:
-    if isinstance(value, dict):
-        return value
-    return _parse_json_arg(value, what)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -125,31 +127,16 @@ def _csv_config_lines(cfg: dict) -> list[str]:
     return [f"# {FINGERPRINT}", f"# config {blob}"]
 
 
-def read_points_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or not lines[0].strip():
-        raise DatasetFormatError(f"{path}: missing header")
-    header = [c.strip() for c in lines[0].split(",")]
-    d = len(header)
-    if header != [f"x{i + 1}" for i in range(d)]:
-        raise DatasetFormatError(f"{path}: point files use the header x1,...,xd")
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != d:
-            raise DatasetFormatError(f"{path}:{lineno}: expected {d} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: malformed value ({exc})") from exc
-    return np.asarray(rows, dtype=float).reshape(-1, d)
-
-
-def load_dataset(path: str) -> Dataset:
-    return read_dataset_csv(path)
+def _write_estimate(cfg: dict, quantity: str, concept, kind: LossKind | None, d: int, est) -> int:
+    """The estimate CSV of `sr-mass` and `shift`: config lines, header, one row."""
+    row = estimate_csv_row(
+        quantity, concept, kind, float(cfg["eta1"]), float(cfg["eta2"]),
+        int(cfg["m"]), d, int(cfg["trials"]), int(cfg["n"]), est,
+    )
+    lines = _csv_config_lines(_echo_config(cfg)) + [ESTIMATE_CSV_HEADER, row]
+    _write_text(cfg["out"], "\n".join(lines) + "\n")
+    print(row)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +145,10 @@ def load_dataset(path: str) -> Dataset:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _effective(args, ["dist", "concept", "hstar", "m", "seed", "out"])
+    cfg = _effective(args)
     _require(cfg, "dist", "hstar", "m", "seed", "out")
-    spec = spec_from_dict(_maybe_dict(cfg["dist"], "--dist"))
-    hstar = hypothesis_from_dict(_maybe_dict(cfg["hstar"], "--hstar"))
+    spec = spec_from_dict(cfg["dist"])
+    hstar = hypothesis_from_dict(cfg["hstar"])
     X = sample(spec, int(cfg["seed"]), int(cfg["m"]))
     S = Dataset(X, hstar.predict_many(X))
     write_dataset_csv(cfg["out"], S)
@@ -170,14 +157,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    keys = ["data", "points", "loss", "concept", "out", "seed", "method", "eps", "c1"]
-    cfg = _effective(args, keys)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("method", "exact")
+    cfg = _effective(args, seed=0, method="exact")
     _require(cfg, "data", "points", "loss", "concept", "out")
     kind = _loss(cfg)
-    concept = concept_from_dict(_maybe_dict(cfg["concept"], "--concept"))
-    S = load_dataset(cfg["data"])
+    concept = concept_from_dict(cfg["concept"])
+    S = read_dataset_csv(cfg["data"])
     pts = read_points_csv(cfg["points"])
     seed = int(cfg["seed"])
     certs = []
@@ -204,42 +188,27 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sr_mass(args) -> int:
-    keys = ["concept", "hstar", "dist", "m", "eta1", "eta2", "loss",
-            "trials", "n", "seed", "out", "jobs"]
-    cfg = _effective(args, keys)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("jobs", 1)
+    cfg = _effective(args, seed=0, jobs=1)
     _require(cfg, "concept", "hstar", "dist", "m", "eta1", "eta2", "loss", "trials", "n", "out")
-    concept = concept_from_dict(_maybe_dict(cfg["concept"], "--concept"))
-    hstar = hypothesis_from_dict(_maybe_dict(cfg["hstar"], "--hstar"))
-    spec = spec_from_dict(_maybe_dict(cfg["dist"], "--dist"))
+    concept = concept_from_dict(cfg["concept"])
+    hstar = hypothesis_from_dict(cfg["hstar"])
+    spec = spec_from_dict(cfg["dist"])
+    kind = _loss(cfg)
     est = sr_mass(
         concept, hstar, spec, int(cfg["m"]), float(cfg["eta1"]), float(cfg["eta2"]),
-        _loss(cfg), int(cfg["trials"]), int(cfg["n"]), int(cfg["seed"]),
-        jobs=int(cfg["jobs"]),
+        kind, int(cfg["trials"]), int(cfg["n"]), int(cfg["seed"]), jobs=int(cfg["jobs"]),
     )
-    row = estimate_csv_row(
-        "sr-mass", concept, _loss(cfg), float(cfg["eta1"]), float(cfg["eta2"]),
-        int(cfg["m"]), dimension(spec), int(cfg["trials"]), int(cfg["n"]), est,
-    )
-    lines = _csv_config_lines(_echo_config(cfg)) + [ESTIMATE_CSV_HEADER, row]
-    _write_text(cfg["out"], "\n".join(lines) + "\n")
-    print(row)
-    return 0
+    return _write_estimate(cfg, "sr-mass", concept, kind, dimension(spec), est)
 
 
 def _cmd_theta(args) -> int:
-    keys = ["concept", "hstar", "p", "q", "epsilon", "n", "seed", "out"]
-    cfg = _effective(args, keys)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("n", 100000)
+    cfg = _effective(args, seed=0, n=100000)
     _require(cfg, "concept", "hstar", "p", "q", "epsilon", "out")
-    concept = concept_from_dict(_maybe_dict(cfg["concept"], "--concept"))
-    hstar = hypothesis_from_dict(_maybe_dict(cfg["hstar"], "--hstar"))
-    P = spec_from_dict(_maybe_dict(cfg["p"], "--p"))
-    Q = spec_from_dict(_maybe_dict(cfg["q"], "--q"))
-    est = theta_pq(concept, hstar, P, Q, float(cfg["epsilon"]), n=int(cfg["n"]),
-                   seed=int(cfg["seed"]))
+    est = theta_pq(
+        concept_from_dict(cfg["concept"]), hypothesis_from_dict(cfg["hstar"]),
+        spec_from_dict(cfg["p"]), spec_from_dict(cfg["q"]), float(cfg["epsilon"]),
+        n=int(cfg["n"]), seed=int(cfg["seed"]),
+    )
     lines = _csv_config_lines(_echo_config(cfg))
     lines.append(f"# method {est.method} grid_size {est.grid_resolution}")
     lines.append("r,mass,ratio")
@@ -252,48 +221,27 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    keys = ["concept", "hstar", "p", "q", "m", "trials", "n", "eta1", "eta2",
-            "loss", "seed", "out", "jobs"]
-    cfg = _effective(args, keys)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("eta1", 0.0)
-    cfg.setdefault("eta2", 0.0)
-    cfg.setdefault("jobs", 1)
+    cfg = _effective(args, seed=0, eta1=0.0, eta2=0.0, jobs=1)
     _require(cfg, "concept", "hstar", "p", "q", "m", "trials", "n", "out")
-    concept = concept_from_dict(_maybe_dict(cfg["concept"], "--concept"))
-    hstar = hypothesis_from_dict(_maybe_dict(cfg["hstar"], "--hstar"))
-    P = spec_from_dict(_maybe_dict(cfg["p"], "--p"))
-    Q = spec_from_dict(_maybe_dict(cfg["q"], "--q"))
-    kind = _loss(cfg) if "loss" in cfg and cfg["loss"] != "none" else None
+    concept = concept_from_dict(cfg["concept"])
+    hstar = hypothesis_from_dict(cfg["hstar"])
+    P, Q = spec_from_dict(cfg["p"]), spec_from_dict(cfg["q"])
+    kind = _loss(cfg) if cfg.get("loss", "none") != "none" else None
     est = reliable_correctness(
         concept, hstar, P, Q, int(cfg["m"]), int(cfg["trials"]), int(cfg["n"]),
         eta1=float(cfg["eta1"]), eta2=float(cfg["eta2"]), kind=kind,
         seed=int(cfg["seed"]), jobs=int(cfg["jobs"]),
     )
     quantity = "pq-safely-reliable" if kind is not None else "pq-reliable-correctness"
-    row = estimate_csv_row(
-        quantity, concept, kind, float(cfg["eta1"]), float(cfg["eta2"]),
-        int(cfg["m"]), dimension(Q), int(cfg["trials"]), int(cfg["n"]), est,
-    )
-    lines = _csv_config_lines(_echo_config(cfg)) + [ESTIMATE_CSV_HEADER, row]
-    _write_text(cfg["out"], "\n".join(lines) + "\n")
-    print(row)
-    return 0
+    return _write_estimate(cfg, quantity, concept, kind, dimension(Q), est)
 
 
 def _cmd_attack_verify(args) -> int:
-    keys = ["concept", "hstar", "dist", "m", "trials", "budget", "loss",
-            "strategy", "seed", "out", "jobs"]
-    cfg = _effective(args, keys)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("strategy", "boundary-directed")
-    cfg.setdefault("jobs", 1)
+    cfg = _effective(args, seed=0, strategy="boundary-directed", jobs=1)
     _require(cfg, "concept", "hstar", "dist", "m", "trials", "budget", "loss")
-    concept = concept_from_dict(_maybe_dict(cfg["concept"], "--concept"))
-    hstar = hypothesis_from_dict(_maybe_dict(cfg["hstar"], "--hstar"))
-    spec = spec_from_dict(_maybe_dict(cfg["dist"], "--dist"))
     report = verify_contract(
-        concept, hstar, spec, int(cfg["m"]), int(cfg["trials"]), float(cfg["budget"]),
+        concept_from_dict(cfg["concept"]), hypothesis_from_dict(cfg["hstar"]),
+        spec_from_dict(cfg["dist"]), int(cfg["m"]), int(cfg["trials"]), float(cfg["budget"]),
         _loss(cfg), cfg["strategy"], seed=int(cfg["seed"]), jobs=int(cfg["jobs"]),
     )
     payload = {"version": FINGERPRINT, "config": _echo_config(cfg), "report": report.to_json_dict()}
@@ -306,16 +254,58 @@ def _cmd_attack_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the parser: every option declared once, then each subcommand's names
+# ---------------------------------------------------------------------------
 
+_LOSSES = ["ca", "tl", "st"]
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument(
-        "--seed",
-        type=int,
-        help="master seed (sub-seeds are derived; certify's ball check draws once per call)",
-    )
-    p.add_argument("--out", help="output artifact path")
+# option name -> add_argument keywords.  No option has an argparse default:
+# a default would override the config file (see `_effective`).
+_OPTIONS = {
+    "config": {"help": "JSON config file; flags override its entries"},
+    "seed": {
+        "type": int,
+        "help": "master seed (sub-seeds are derived; certify's ball check draws once per call)",
+    },
+    "out": {"help": "output artifact path"},
+    "concept": {"help": "concept class JSON"},
+    "hstar": {"help": "target hypothesis JSON"},
+    "dist": {"help": "distribution spec JSON"},
+    "p": {"help": "source distribution JSON"},
+    "q": {"help": "target distribution JSON"},
+    "data": {"help": "training dataset CSV"},
+    "points": {"help": "CSV of points to certify (header x1,...,xd)"},
+    "loss": {"choices": _LOSSES},
+    "method": {"choices": ["exact", "margin"]},
+    "eps": {"type": float, "help": "scale for the margin certifier"},
+    "c1": {"type": float, "help": "margin certifier constant"},
+    "m": {"type": int, "help": "number of training samples"},
+    "n": {"type": int, "help": "number of test points drawn"},
+    "trials": {"type": int},
+    "eta1": {"type": float},
+    "eta2": {"type": float},
+    "epsilon": {"type": float},
+    "budget": {"type": float},
+    "strategy": {"choices": ["boundary-directed", "random-ball", "grid"]},
+    "jobs": {"type": int},
+}
+
+# subcommand -> (handler, help, its options after config/seed/out, keyword
+# overrides for this subcommand)
+_COMMANDS = {
+    "gen": (_cmd_gen, "emit a synthetic labeled dataset CSV", "dist hstar concept m", {}),
+    "certify": (_cmd_certify, "certificates for a file of test points",
+                "data points loss concept method eps c1", {}),
+    "sr-mass": (_cmd_sr_mass, "safely-reliable mass estimate",
+                "concept hstar dist m eta1 eta2 loss trials n jobs", {}),
+    "theta": (_cmd_theta, "source-to-target disagreement coefficient",
+              "concept hstar p q epsilon n", {}),
+    "shift": (_cmd_shift, "reliable correctness under distribution shift",
+              "concept hstar p q m trials n eta1 eta2 loss jobs",
+              {"loss": {"choices": [*_LOSSES, "none"]}}),
+    "attack-verify": (_cmd_attack_verify, "adversarial contract verification",
+                      "concept hstar dist m trials budget loss strategy jobs", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,78 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=FINGERPRINT)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a synthetic labeled dataset CSV")
-    _add_common(p)
-    p.add_argument("--dist", help="distribution spec JSON")
-    p.add_argument("--hstar", help="target hypothesis JSON")
-    p.add_argument("--concept", help="concept class JSON (informational)")
-    p.add_argument("--m", type=int, help="number of samples")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("certify", help="certificates for a file of test points")
-    _add_common(p)
-    p.add_argument("--data", help="training dataset CSV")
-    p.add_argument("--points", help="CSV of points to certify (header x1,...,xd)")
-    p.add_argument("--loss", choices=["ca", "tl", "st"])
-    p.add_argument("--concept", help="concept class JSON")
-    p.add_argument("--method", choices=["exact", "margin"])
-    p.add_argument("--eps", type=float, help="scale for the margin certifier")
-    p.add_argument("--c1", type=float, help="margin certifier constant")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("sr-mass", help="safely-reliable mass estimate")
-    _add_common(p)
-    p.add_argument("--concept", help="concept class JSON")
-    p.add_argument("--hstar", help="target hypothesis JSON")
-    p.add_argument("--dist", help="distribution spec JSON")
-    p.add_argument("--m", type=int)
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--eta2", type=float)
-    p.add_argument("--loss", choices=["ca", "tl", "st"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_sr_mass)
-
-    p = sub.add_parser("theta", help="source-to-target disagreement coefficient")
-    _add_common(p)
-    p.add_argument("--concept", help="concept class JSON")
-    p.add_argument("--hstar", help="target hypothesis JSON")
-    p.add_argument("--p", help="source distribution JSON")
-    p.add_argument("--q", help="target distribution JSON")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n", type=int)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("shift", help="reliable correctness under distribution shift")
-    _add_common(p)
-    p.add_argument("--concept", help="concept class JSON")
-    p.add_argument("--hstar", help="target hypothesis JSON")
-    p.add_argument("--p", help="source distribution JSON")
-    p.add_argument("--q", help="target distribution JSON")
-    p.add_argument("--m", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--eta2", type=float)
-    p.add_argument("--loss", choices=["ca", "tl", "st", "none"])
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_shift)
-
-    p = sub.add_parser("attack-verify", help="adversarial contract verification")
-    _add_common(p)
-    p.add_argument("--concept", help="concept class JSON")
-    p.add_argument("--hstar", help="target hypothesis JSON")
-    p.add_argument("--dist", help="natural data distribution JSON")
-    p.add_argument("--m", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--budget", type=float)
-    p.add_argument("--loss", choices=["ca", "tl", "st"])
-    p.add_argument("--strategy", choices=["boundary-directed", "random-ball", "grid"])
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_attack_verify)
-
+    for command, (_, help_text, names, overrides) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in ("config", "seed", "out", *names.split()):
+            p.add_argument(f"--{name}", **{**_OPTIONS[name], **overrides.get(name, {})})
     return ap
 
 
@@ -414,7 +336,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (UsageError, DatasetFormatError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

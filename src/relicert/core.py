@@ -335,40 +335,53 @@ PerturbationModel = MetricBall | FiniteMap
 
 
 # ---------------------------------------------------------------------------
-# dataset CSV I/O:  header x1,...,xd,label ; labels in {0,1}
+# CSV I/O:  header x1,...,xd[,label] ; labels in {0,1}
 # ---------------------------------------------------------------------------
 
 
-def read_dataset_csv(path) -> Dataset:
+def _read_csv(path, labeled: bool) -> tuple[np.ndarray, list[int]]:
+    """The coordinates (n, d) of a CSV with header x1,...,xd, and with
+    `labeled` its last column `label`, read as internal labels."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or not lines[0].strip():
         raise DatasetFormatError(f"{path}: missing header")
     header = [c.strip() for c in lines[0].split(",")]
-    if header[-1] != "label" or len(header) < 2:
-        raise DatasetFormatError(f"{path}: header must be x1,...,xd,label")
-    d = len(header) - 1
-    if header[:-1] != [f"x{i + 1}" for i in range(d)]:
+    if labeled:
+        if header[-1] != "label" or len(header) < 2:
+            raise DatasetFormatError(f"{path}: header must be x1,...,xd,label")
+        header.pop()
+    d = len(header)
+    if header != [f"x{i + 1}" for i in range(d)]:
         raise DatasetFormatError(f"{path}: coordinate columns must be x1..x{d}")
+    width = d + labeled
     rows, labels = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         parts = ln.split(",")
-        if len(parts) != d + 1:
-            raise DatasetFormatError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+        if len(parts) != width:
+            raise DatasetFormatError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
         try:
-            coords = [float(p) for p in parts[:-1]]
-            raw = int(parts[-1])
+            rows.append([float(p) for p in parts[:d]])
+            raw = int(parts[d]) if labeled else 0
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{lineno}: malformed value ({exc})") from exc
         if raw not in (0, 1):
             raise DatasetFormatError(f"{path}:{lineno}: label must be 0 or 1, got {raw}")
-        rows.append(coords)
-        labels.append(label_from_external(raw))
-    if not rows:
-        return Dataset.empty(d)
-    return Dataset(np.asarray(rows, dtype=float), np.asarray(labels, dtype=np.int64))
+        if labeled:
+            labels.append(label_from_external(raw))
+    return np.asarray(rows, dtype=float).reshape(-1, d), labels
+
+
+def read_dataset_csv(path) -> Dataset:
+    X, labels = _read_csv(path, labeled=True)
+    return Dataset(X, np.asarray(labels, dtype=np.int64))
+
+
+def read_points_csv(path) -> np.ndarray:
+    """The points of a CSV with header x1,...,xd, one per row."""
+    return _read_csv(path, labeled=False)[0]
 
 
 def write_dataset_csv(path, S: Dataset) -> None:

@@ -188,6 +188,17 @@ def is_rotation_invariant(spec: DistributionSpec) -> bool:
     return isinstance(spec, (IsotropicGaussian, UniformBall, RadialHeavyTail))
 
 
+def uniform_ball(rng: np.random.Generator, n, d: int, radius=1.0) -> np.ndarray:
+    """Points uniform in the d-ball of `radius` around 0, n of them, or an
+    array of shape (*n, d) when n is a shape; `radius` broadcasts against
+    that shape.  The normals are drawn first, then the radius fractions."""
+    shape = n if isinstance(n, tuple) else (n,)
+    g = rng.standard_normal((*shape, d))
+    g /= np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-300)
+    g *= (radius * rng.random(shape) ** (1.0 / d))[..., None]
+    return g
+
+
 def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     d = dimension(spec)
     if n == 0:
@@ -195,10 +206,7 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
     if isinstance(spec, IsotropicGaussian):
         return rng.standard_normal((n, d))
     if isinstance(spec, UniformBall):
-        g = rng.standard_normal((n, d))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        r = spec.radius * rng.random(n) ** (1.0 / d)
-        return g * r[:, None]
+        return uniform_ball(rng, n, d, spec.radius)
     if isinstance(spec, UniformCube):
         return spec.lo + (spec.hi - spec.lo) * rng.random((n, d))
     if isinstance(spec, NearlyUniform):

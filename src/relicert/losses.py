@@ -34,6 +34,7 @@ from .core import (
     _as_point,
     predict,
 )
+from .distributions import uniform_ball
 
 log = logging.getLogger(__name__)
 
@@ -184,14 +185,6 @@ def _exact_ball_sup(kind: LossKind, h, hstar, x: np.ndarray, eta: float) -> int:
     return int(_ball_meets_region(x, eta, H, S))
 
 
-def _sample_ball(rng: np.random.Generator, x: np.ndarray, eta: float, n: int) -> np.ndarray:
-    d = x.shape[0]
-    g = rng.standard_normal((n, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = eta * rng.random(n) ** (1.0 / d)
-    return x[None, :] + g * radii[:, None]
-
-
 def robust_loss_sup(
     kind: LossKind,
     h: Hypothesis,
@@ -222,7 +215,7 @@ def robust_loss_sup(
         if not isinstance(h, OffsetBoundary):
             raise ValueError(f"unsupported hypothesis type {type(h).__name__}")
         rng = np.random.Generator(np.random.Philox(key=seed))
-        zs = _sample_ball(rng, x, model.radius, n_samples)
+        zs = x + uniform_ball(rng, n_samples, x.shape[0], model.radius)
         zs = np.vstack([x[None, :], zs])  # the identity perturbation always counts
         val = int(fixed_loss_many(kind, h, hstar, x, zs).max())
         log.debug("sampled robust loss: kind=%s n=%d value=%d", kind.value, n_samples, val)

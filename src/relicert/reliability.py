@@ -40,12 +40,13 @@ from .core import (
     label_to_external,
     predict,
 )
-from .distributions import DistributionSpec, _draw, derive_rng, map_trial_chunks
+from .distributions import DistributionSpec, _draw, derive_rng, map_trial_chunks, uniform_ball
 from .losses import LossKind, fixed_loss
 from .version_space import (
     SR_CHUNK_ELEMS,
     ConceptClass,
     VersionSpace,
+    _random_unit,
     fit_version_space,
     interior_hint,
 )
@@ -115,13 +116,9 @@ def _assert_balls_label_constancy(
     step = max(1, SR_CHUNK_ELEMS // (n * d))
     for lo in range(0, k, step):
         hi = min(lo + step, k)
-        g = rng.standard_normal(((hi - lo) * n, d))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        scale = rng.random((hi - lo, n)) ** (1.0 / d) * (radii[lo:hi, None] * (1.0 - 1e-9))
-        g *= scale.reshape(-1, 1)
-        balls = g.reshape(hi - lo, n, d)
+        balls = uniform_ball(rng, (hi - lo, n), d, radii[lo:hi, None] * (1.0 - 1e-9))
         balls += Z[lo:hi, None, :]
-        bad = h.predict_many(g).reshape(hi - lo, n) != labels[lo:hi, None]
+        bad = h.predict_many(balls.reshape(-1, d)).reshape(hi - lo, n) != labels[lo:hi, None]
         if bad.any():
             i = lo + int(np.argmax(bad)) // n
             raise LabelConstancyError(
@@ -344,10 +341,8 @@ def _craft_attack(
 ) -> np.ndarray:
     d = x.shape[0]
     if strategy == "random-ball":
-        g = rng.standard_normal(d)
-        g /= max(float(np.linalg.norm(g)), 1e-300)
-        step = budget * rng.random() ** (1.0 / d)
-        return x + step * g
+        direction = _random_unit(rng, d)
+        return x + budget * rng.random() ** (1.0 / d) * direction
     if strategy == "boundary-directed":
         direction = vs.attack_direction(x, rng)
         step = budget * rng.random()

@@ -43,8 +43,7 @@ short leading axis.  Every such pass (membership, distance, the cap test)
 runs over row blocks of X with at most SR_CHUNK_ELEMS entries each, and
 assembles codes and distances by arithmetic, not by selects.  A cone
 whose ray build holds more than RAY_CAP rays at any step is not
-represented: the build raises DegenerateVersionSpaceError, at the fit, or
-at the first query when the fit had an interior hint.
+represented: the fit raises DegenerateVersionSpaceError.
 
 A linear fit without an interior hint solves no LP.  Its generators decide
 realizability: the sample is strictly consistent iff every negative-label
@@ -83,7 +82,7 @@ class RealizabilityError(ValueError):
 
 class DegenerateVersionSpaceError(ValueError):
     """The consistent set is not representable: a cone whose ray build
-    exceeds RAY_CAP."""
+    exceeds RAY_CAP.  Raised by the fit, never by a query."""
 
 
 class Membership(enum.Enum):
@@ -153,8 +152,6 @@ class IntervalVS:
 
     lo: float
     hi: float
-    lo_open: bool = True
-    hi_open: bool = False
     base: BaseBoundary | None = None  # set for the offset class
 
     @property
@@ -174,7 +171,7 @@ class IntervalVS:
     def membership_many(self, X: np.ndarray) -> np.ndarray:
         u = self.coords(X)
         out = np.zeros(u.shape[0], dtype=np.int8)
-        minus = (u < self.lo) | ((u == self.lo) & self.lo_open)
+        minus = u <= self.lo
         plus = u >= self.hi
         out[minus] = -1
         out[plus] = 1
@@ -351,9 +348,9 @@ class ConeVS:
     """Feasible normals {w : A w >= 0}, rows A = normalized signed samples;
     rows from negative labels are `strict` (<w, A_i> > 0).
 
-    Every query reads the cone's unit generators (`rays`), built once per
-    fitted cone, in blocks of at most SR_CHUNK_ELEMS (rays, points)
-    entries (`_per_point_blocks`).  A generator w is a -1 witness at z
+    Every query reads the cone's unit generators (`rays`), built by the
+    fit and held in `bank`, in blocks of at most SR_CHUNK_ELEMS (rays,
+    points) entries (`_per_point_blocks`).  A generator w is a -1 witness at z
     when <w, z> < -STRICT_LP_TOL.  It is a +1 witness when <w, z> >
     STRICT_LP_TOL, and also when |<w, z>| <= STRICT_LP_TOL if w lies on no
     strict facet: such a w is itself a consistent normal, and sign(0) = +1.
@@ -370,27 +367,22 @@ class ConeVS:
     the hint.  A fit without one takes the normalised sum of the extreme
     rays, or a generator of a cone that is a linear subspace; the same
     generators decided that the sample is realizable (see `_fit_cone`).
+    `member` is the interior normal as a hypothesis.
     """
 
     A: np.ndarray  # (m, d), unit rows
     strict: np.ndarray  # (m,) bool
     interior: np.ndarray  # (d,) feasible unit normal, strictly so if the cone has interior
     dim: int
-
-    def _bank(self) -> _Bank:
-        """The generators, built on the first call."""
-        bank = self.__dict__.get("_cached_bank")
-        if bank is None:
-            bank = _build_cone_bank(self.A, self.strict, self.interior)
-            object.__setattr__(self, "_cached_bank", bank)
-        return bank
+    bank: _Bank
+    member: LinearHomogeneous
 
     def rays(self) -> np.ndarray:
         """The unit generators (see `_Bank`), one per row."""
-        return self._bank().W
+        return self.bank.W
 
     def membership_many(self, X: np.ndarray) -> np.ndarray:
-        bank = self._bank()
+        bank = self.bank
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return _per_point_blocks(bank.W, X, bank.codes, np.int8)
 
@@ -399,18 +391,14 @@ class ConeVS:
         the least <w, z> over the generators on +1 rows, and the least
         -<w, z> on -1 rows.  `codes`, when the caller has them, must be
         `membership_many(X)`; otherwise they come from the same product."""
-        bank = self._bank()
+        bank = self.bank
         X = np.atleast_2d(np.asarray(X, dtype=float))
         cols = () if codes is None else (codes,)
         return _per_point_blocks(bank.W, X, bank.distances, float, *cols)
 
     def canonical_member(self) -> LinearHomogeneous:
-        """The interior normal, built on the first call."""
-        h = self.__dict__.get("_cached_member")
-        if h is None:
-            h = LinearHomogeneous(self.interior)
-            object.__setattr__(self, "_cached_member", h)
-        return h
+        """The interior normal."""
+        return self.member
 
     def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
         """A random step from the interior normal, within 45% of its slack."""
@@ -441,12 +429,12 @@ def _build_cone_bank(A: np.ndarray, strict: np.ndarray, interior: np.ndarray | N
     """The generators of {w : A w >= 0}.
 
     Rows are taken in ascending slack on a reference normal, the feasible
-    `interior` when there is one and the rows' mean otherwise, so the first
-    independent rows are tight near it.  Those rows span the row space
-    of A; its complement null(A) is the lineality space, and the pointed
-    rest of the cone lies in the row space, where `_double_description`
-    finds its extreme rays.  When those rows span R^d there is nothing to
-    rotate.  The cuts are weighted by the inverse slack on `interior`, or
+    `interior` when there is one and the mean of A's rows otherwise (A
+    must then have rows), so the first independent rows are tight near it.
+    Those rows span the row space of A; its complement null(A) is the
+    lineality space, and the pointed rest of the cone lies in the row
+    space, where `_double_description` finds its extreme rays.  When those
+    rows span R^d there is nothing to rotate.  The cuts are weighted by the inverse slack on `interior`, or
     all alike without one (see `_double_description`).
     """
     ref = A.mean(axis=0) if interior is None else interior
@@ -611,18 +599,19 @@ def _fit_interval(values: np.ndarray, labels: np.ndarray, base=None) -> Interval
 
 
 def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
-    """The cone of S's consistent normals, with an interior normal: the
-    hint when it is strictly feasible, else the one its generators give.
+    """The cone of S's consistent normals, its generators from one
+    `_build_cone_bank` call, and an interior normal: the hint when it is
+    strictly feasible, e1 for the empty sample, else the one the generators
+    give.  The hint or e1 is also the build's reference normal.
 
-    Without a hint the generators are built first.  S is strictly
-    consistent iff every negative-label (strict) row has a generator w with
-    <w, A_i> > STRICT_LP_TOL: each such row then has a consistent normal
-    strictly inside it, and their sum serves every row at once.  The
-    interior is the normalised sum of the generators, where the +-l of the
-    lineality basis cancel, leaving the extreme rays: it is strictly
-    positive on every row that some consistent normal is strictly positive
-    on.  When that sum is about 0 the cone is a linear subspace, and any
-    generator will do.
+    Without either, S is strictly consistent iff every negative-label
+    (strict) row has a generator w with <w, A_i> > STRICT_LP_TOL: each such
+    row then has a consistent normal strictly inside it, and their sum
+    serves every row at once.  The interior is the normalised sum of the
+    generators, where the +-l of the lineality basis cancel, leaving the
+    extreme rays: it is strictly positive on every row that some consistent
+    normal is strictly positive on.  When that sum is about 0 the cone is a
+    linear subspace, and any generator will do.
     """
     d = S.dimension
     raw = S.y[:, None] * S.X
@@ -632,30 +621,31 @@ def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
     keep = norms > 0.0
     A = raw[keep] / norms[keep, None]
     strict = S.y[keep] < 0
+    interior = None
     if A.shape[0] == 0:  # every normal is consistent
-        return ConeVS(A=A, strict=strict, interior=np.eye(d)[0], dim=d)
-    if interior_hint is not None:
+        interior = np.eye(d)[0]
+    elif interior_hint is not None:
         w = np.asarray(interior_hint, dtype=float).reshape(-1)
         if w.shape[0] == d and np.linalg.norm(w) > 1e-12:
             w = w / np.linalg.norm(w)
             if float(np.min(A @ w)) > STRICT_LP_TOL:
-                return ConeVS(A=A, strict=strict, interior=w, dim=d)
-    bank = _build_cone_bank(A, strict, None)
-    W = bank.W
-    if W.shape[0] == 0:
-        raise RealizabilityError("feasible normals reduce to the zero vector")
-    missed = ~np.any(A[strict] @ W.T > STRICT_LP_TOL, axis=1)
-    if np.any(missed):
-        raise RealizabilityError(
-            f"no strictly consistent linear separator: no consistent normal is "
-            f"strictly negative on {int(missed.sum())} negative sample(s)"
-        )
-    w = W.sum(axis=0)
-    norm = float(np.linalg.norm(w))
-    interior = w / norm if norm > 1e-12 else W[0]
-    vs = ConeVS(A=A, strict=strict, interior=interior, dim=d)
-    object.__setattr__(vs, "_cached_bank", bank)
-    return vs
+                interior = w
+    bank = _build_cone_bank(A, strict, interior)
+    if interior is None:
+        W = bank.W
+        if W.shape[0] == 0:
+            raise RealizabilityError("feasible normals reduce to the zero vector")
+        missed = ~np.any(A[strict] @ W.T > STRICT_LP_TOL, axis=1)
+        if np.any(missed):
+            raise RealizabilityError(
+                f"no strictly consistent linear separator: no consistent normal is "
+                f"strictly negative on {int(missed.sum())} negative sample(s)"
+            )
+        w = W.sum(axis=0)
+        norm = float(np.linalg.norm(w))
+        interior = w / norm if norm > 1e-12 else W[0]
+    return ConeVS(A=A, strict=strict, interior=interior, dim=d, bank=bank,
+                  member=LinearHomogeneous(interior))
 
 
 def fit_version_space(
@@ -664,9 +654,10 @@ def fit_version_space(
     """Exact representation of the hypotheses consistent with S.
 
     `interior_hint` optionally supplies a known strictly-consistent normal
-    for a linear concept; the fit then keeps it as the interior and leaves
-    the ray build to the first query.  A hint that is not strictly feasible
-    is ignored.
+    for a linear concept; the fit then keeps it as the interior and orders
+    the ray build's rows by their slack on it.  A hint that is not strictly
+    feasible is ignored.  A linear fit raises DegenerateVersionSpaceError
+    when its ray build exceeds RAY_CAP.
     """
     if isinstance(concept, OffsetClass):
         if len(S) == 0:
@@ -689,13 +680,6 @@ def interior_hint(hstar: Hypothesis) -> np.ndarray | None:
     return hstar.w if isinstance(hstar, LinearHomogeneous) else None
 
 
-def canonical_member(vs: VersionSpace) -> Hypothesis:
-    """The canonical consistent hypothesis: the interval midpoint (one unit
-    inside a half-infinite interval, 0 for the whole line), or the cone's
-    interior normal."""
-    return vs.canonical_member()
-
-
 def erm(S: Dataset, concept: ConceptClass) -> Hypothesis:
     """A canonical zero-error hypothesis: the interval midpoint, or for
     linear separators the max-margin LP direction, max s with <A_i, w> >= s
@@ -711,7 +695,7 @@ def erm(S: Dataset, concept: ConceptClass) -> Hypothesis:
     vs = fit_version_space(S, concept)
     if not isinstance(vs, ConeVS) or vs.A.shape[0] == 0:
         return vs.canonical_member()
-    w, s = max_margin_direction(vs.A[vs._bank().cuts])
+    w, s = max_margin_direction(vs.A[vs.bank.cuts])
     if s <= STRICT_LP_TOL:
         return vs.canonical_member()
     return LinearHomogeneous(w / np.linalg.norm(w))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,3 +279,61 @@ def test_antipodal_training_data_exits_0(tmp_path):
     certs = json.loads(out.read_text())["certificates"]
     assert [c["prediction"] for c in certs] == [1, "abstain"]
     assert certs[0]["radius"] == 0.0
+
+
+# every subcommand's options, as the parser declared them before its option
+# table existed
+HELP_OPTIONS = {
+    "gen": "concept config dist hstar m out seed",
+    "certify": "c1 concept config data eps loss method out points seed",
+    "sr-mass": "concept config dist eta1 eta2 hstar jobs loss m n out seed trials",
+    "theta": "concept config epsilon hstar n out p q seed",
+    "shift": "concept config eta1 eta2 hstar jobs loss m n out p q seed trials",
+    "attack-verify": "budget concept config dist hstar jobs loss m out seed strategy trials",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_the_same_options(command, capsys):
+    assert run(command, "--help") == 0
+    listed = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+    assert listed == set(HELP_OPTIONS[command].split()) | {"help"}
+
+
+def config_cases(train_csv, pts):
+    gauss2 = {"kind": "gaussian", "d": 2}
+    thresh, hstar = json.loads(THRESH), json.loads(HSTAR)
+    p = {"kind": "uniform_cube", "d": 1, "lo": -0.5, "hi": 0.5}
+    q = {"kind": "uniform_cube", "d": 1, "lo": -1, "hi": 1}
+    return {
+        "gen": {"dist": gauss2, "hstar": {"kind": "linear", "w": [0.6, 0.8]}, "m": 30,
+                "seed": 4},
+        "certify": {"data": str(train_csv), "points": str(pts), "loss": "st",
+                    "concept": thresh, "seed": 3},
+        "sr-mass": {"concept": thresh, "hstar": hstar, "dist": json.loads(GAUSS1), "m": 60,
+                    "eta1": 0.05, "eta2": 0.02, "loss": "ca", "trials": 2, "n": 300,
+                    "seed": 2},
+        "theta": {"concept": thresh, "hstar": hstar, "p": p, "q": q, "epsilon": 0.05,
+                  "n": 2000, "seed": 1},
+        "shift": {"concept": thresh, "hstar": hstar, "p": p, "q": q, "m": 60, "trials": 2,
+                  "n": 300, "loss": "st", "eta1": 0.05, "eta2": 0.02, "seed": 5},
+        "attack-verify": {"concept": thresh, "hstar": hstar, "dist": json.loads(GAUSS1),
+                          "m": 40, "trials": 20, "budget": 0.05, "loss": "st",
+                          "strategy": "random-ball", "seed": 6},
+    }
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_config_file_and_flags_write_the_same_artifact(command, tmp_path, train_csv):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1\n-1.5\n0.4\n")
+    values = config_cases(train_csv, pts)[command]
+    flags = []
+    for key, value in values.items():
+        flags += [f"--{key}", json.dumps(value) if isinstance(value, dict) else str(value)]
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    assert run(command, *flags, "--out", str(by_flags)) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**values, "out": str(by_config)}))
+    assert run(command, "--config", str(cfg)) == 0
+    assert by_flags.read_bytes() == by_config.read_bytes()

@@ -18,7 +18,10 @@ from relicert.distributions import (
     sample,
     spec_from_dict,
     spec_to_dict,
+    uniform_ball,
 )
+from relicert.distributions import _draw
+from relicert.reliability import _craft_attack
 
 ISOTROPIC_SPECS = [
     IsotropicGaussian(2),
@@ -197,3 +200,65 @@ def test_zero_draws():
     assert sample(IsotropicGaussian(3), seed=0, n=0).shape == (0, 3)
     with pytest.raises(ValueError):
         sample(IsotropicGaussian(3), seed=0, n=-1)
+
+
+# The uniform-ball formulas that `uniform_ball` replaced, kept as written:
+# the spec sampler, the sampled ball-sup loss and the certified-ball check.
+
+
+def _old_draw(rng, n, d, radius):
+    g = rng.standard_normal((n, d))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    r = radius * rng.random(n) ** (1.0 / d)
+    return g * r[:, None]
+
+
+def _old_sample_ball(rng, x, eta, n):
+    d = x.shape[0]
+    g = rng.standard_normal((n, d))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    radii = eta * rng.random(n) ** (1.0 / d)
+    return x[None, :] + g * radii[:, None]
+
+
+def _old_ball_check(rng, Z, radii, n):
+    k, d = Z.shape
+    g = rng.standard_normal((k * n, d))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    scale = rng.random((k, n)) ** (1.0 / d) * (radii[:, None] * (1.0 - 1e-9))
+    g *= scale.reshape(-1, 1)
+    balls = g.reshape(k, n, d)
+    balls += Z[:, None, :]
+    return g
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_uniform_ball_matches_the_formulas_it_replaced(d, n):
+    def rng():
+        return np.random.Generator(np.random.Philox(key=100 * d + n))
+
+    spec = UniformBall(d)
+    assert _draw(spec, rng(), n).tobytes() == _old_draw(rng(), n, d, spec.radius).tobytes()
+    x = np.linspace(-1.0, 1.0, d)
+    new = x + uniform_ball(rng(), n, d, 0.3)
+    assert new.tobytes() == _old_sample_ball(rng(), x, 0.3, n).tobytes()
+    Z = rng().standard_normal((n, d))
+    radii = np.linspace(0.1, 2.0, n)
+    balls = uniform_ball(rng(), (n, 64), d, radii[:, None] * (1.0 - 1e-9))
+    balls += Z[:, None, :]
+    assert balls.reshape(-1, d).tobytes() == _old_ball_check(rng(), Z, radii, 64).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_random_ball_attack_keeps_its_draws(d):
+    def rng():
+        return np.random.Generator(np.random.Philox(key=d))
+
+    x = np.linspace(-1.0, 1.0, d)
+    old = rng()
+    g = old.standard_normal(d)
+    g /= max(float(np.linalg.norm(g)), 1e-300)
+    want = x + 0.2 * old.random() ** (1.0 / d) * g
+    got = _craft_attack(None, x, 0.2, "random-ball", rng(), 0)
+    assert got.tobytes() == want.tobytes()

@@ -25,12 +25,12 @@ from relicert.losses import LossKind
 from relicert.reliability import certify
 from relicert.version_space import (
     ConeVS,
+    DegenerateVersionSpaceError,
     IntervalVS,
     Membership,
     OffsetClass,
     RealizabilityError,
     agree_membership,
-    canonical_member,
     dis_distance,
     erm,
     fit_version_space,
@@ -60,7 +60,21 @@ def test_fit_threshold_interval():
     vs = two_point_interval()
     assert isinstance(vs, IntervalVS)
     assert (vs.lo, vs.hi) == (0.2, 0.8)
-    assert vs.lo_open and not vs.hi_open
+    # (lo, hi]: the negative sample's cut reads -1, the positive one's +1
+    assert vs.membership_many(np.array([[0.2], [0.8]])).tolist() == [-1, 1]
+
+
+def test_hinted_fit_raises_the_ray_cap_at_the_fit(monkeypatch):
+    rng = np.random.default_rng(5)
+    w = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    X = rng.standard_normal((40, 5))
+    S = Dataset(X, np.where(X @ w >= 0.0, 1, -1))
+    monkeypatch.setattr("relicert.version_space.RAY_CAP", 8)
+    with pytest.raises(DegenerateVersionSpaceError, match="above the cap of 8"):
+        fit_version_space(S, "linear", interior_hint=w)
+    monkeypatch.undo()
+    vs = fit_version_space(S, "linear", interior_hint=w)
+    assert vs.rays().shape[0] > 8 and np.array_equal(vs.interior, w)
 
 
 def test_fit_arc_matches_angle_grid():
@@ -170,7 +184,7 @@ def test_cone_fit_without_interior(d):
     X[0, 1], X[1, 1], X[2, 0] = 1.0, -1.0, 1.0
     S = Dataset.from_points(X, [1, 1, 1])
     vs = fit_version_space(S, "linear")
-    assert np.array_equal(canonical_member(vs).predict_many(X), S.y)
+    assert np.array_equal(vs.canonical_member().predict_many(X), S.y)
     assert np.array_equal(erm(S, "linear").predict_many(X), S.y)  # margin 0: the ray interior
     if d == 2:
         # e1 is the only consistent normal: every point is agreed, sign(z1)
@@ -185,7 +199,7 @@ def test_negative_sample_on_a_cone_without_interior_is_realizable():
     S = Dataset.from_points([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1, 1, -1])
     vs = fit_version_space(S, "linear")
     assert np.allclose(vs.interior, [-1.0, 0.0], atol=1e-12)
-    assert np.array_equal(canonical_member(vs).predict_many(S.X), S.y)
+    assert np.array_equal(vs.canonical_member().predict_many(S.X), S.y)
 
 
 def test_membership_interval_examples():
@@ -409,7 +423,7 @@ def test_antipodal_samples_give_a_line_of_normals():
     # the arc of normal angles was two isolated points
     S = Dataset.from_points([[0.0, 1.0], [0.0, -1.0]], [1, 1])
     vs = fit_version_space(S, "linear")
-    assert np.array_equal(canonical_member(vs).predict_many(S.X), S.y)
+    assert np.array_equal(vs.canonical_member().predict_many(S.X), S.y)
     assert sorted(map(tuple, np.round(vs.rays(), 12))) == [(-1.0, 0.0), (1.0, 0.0)]
     Z = np.array([[0.0, 2.0], [0.0, -3.0], [0.0, 0.0], [1.0, 0.5], [-1.0, 0.0]])
     # e1 and -e1 label only the second axis alike (sign(0) = +1)
@@ -492,7 +506,7 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
         one = (vs.membership_many(ZE), vs.dis_distance_many(ZE))
         assert one[0].tolist() == [cone_membership_pointwise(vs, z) for z in ZE]
         # the select formulas that the arithmetic replaced, on the same product
-        assert np.array_equal(one[0], cone_codes_where(V, vs._bank().plus_above))
+        assert np.array_equal(one[0], cone_codes_where(V, vs.bank.plus_above))
         assert np.array_equal(one[1].view(np.int64),
                               cone_distances_where(V, one[0]).view(np.int64))
         assert not np.signbit(one[1]).any()
@@ -525,7 +539,7 @@ def test_hinted_ray_build_cuts_only_facets(d, m):
         vs = fit_version_space(Dataset(X, hstar.predict_many(X)), "linear",
                                interior_hint=hstar.w)
         W = vs.rays()
-        for i in vs._bank().cuts[d:]:
+        for i in vs.bank.cuts[d:]:
             tight = W[np.abs(W @ vs.A[i]) <= 1e-9]
             assert np.linalg.matrix_rank(tight) == d - 1
             extra += 1
