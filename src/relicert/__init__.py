@@ -65,6 +65,7 @@ from .version_space import (
     dis_distance,
     erm,
     fit_version_space,
+    fit_version_spaces,
     margin_exclusion_delta,
     margin_exclusion_delta1_bound,
 )

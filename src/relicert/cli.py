@@ -59,16 +59,44 @@ def _json_option(value, key: str) -> dict:
     if isinstance(value, dict):
         return value
     try:
-        return json.loads(value)
+        value = json.loads(value)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON for --{key}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise UsageError(f"--{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _config_entry(key: str, value, option: dict):
+    """A config-file entry as its flag would give it.  A JSON-valued option
+    takes an object or JSON text.  Any other option takes a string, or a
+    number where it has a `type`, which converts the entry as it converts
+    the flag's text; the result must be one of its `choices`."""
+    if key in _JSON_VALUED:
+        if isinstance(value, (dict, str)):
+            return value
+        raise UsageError(f"config entry {key!r} must be a JSON object or text, got {value!r}")
+    typ = option.get("type", str)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if not (isinstance(value, str) or (number and typ is not str)):
+            raise ValueError
+        value = typ(str(value))
+    except ValueError:
+        raise UsageError(f"config entry {key!r} must be {typ.__name__}, got {value!r}") from None
+    if value not in option.get("choices", (value,)):
+        raise UsageError(
+            f"config entry {key!r} must be one of {', '.join(option['choices'])}, got {value!r}"
+        )
+    return value
 
 
 def _effective(args: argparse.Namespace, **defaults) -> dict:
     """The command's options: each flag given, else the config file's entry
-    (flags win), else `defaults`.  The defaults are applied here, not by
-    argparse, so that a config entry overrides them.  JSON-valued options
-    come back parsed."""
+    (flags win, and entries are checked as flags are: `_config_entry`),
+    else `defaults`.  The defaults are applied here, not by argparse, so
+    that a config entry overrides them.  JSON-valued options come back
+    parsed."""
     cfg = {}
     if args.config:
         try:
@@ -78,6 +106,9 @@ def _effective(args: argparse.Namespace, **defaults) -> dict:
             raise UsageError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed config JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError("a config file must hold a JSON object")
+    overrides = _COMMANDS[args.command][3]
     out = {}
     for key, flag in vars(args).items():
         if key in ("command", "config"):
@@ -85,7 +116,7 @@ def _effective(args: argparse.Namespace, **defaults) -> dict:
         if flag is not None:
             out[key] = flag
         elif key in cfg:
-            out[key] = cfg[key]
+            out[key] = _config_entry(key, cfg[key], {**_OPTIONS[key], **overrides.get(key, {})})
     for key, value in defaults.items():
         out.setdefault(key, value)
     for key in _JSON_VALUED:

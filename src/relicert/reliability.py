@@ -40,20 +40,29 @@ from .core import (
     label_to_external,
     predict,
 )
-from .distributions import DistributionSpec, _draw, derive_rng, map_trial_chunks, uniform_ball
+from .distributions import (
+    DistributionSpec,
+    _draw,
+    derive_rng,
+    dimension,
+    map_trial_chunks,
+    uniform_ball,
+)
 from .losses import LossKind, fixed_loss
 from .version_space import (
     SR_CHUNK_ELEMS,
     ConceptClass,
     VersionSpace,
     _random_unit,
-    fit_version_space,
+    fit_batch,
+    fit_version_spaces,
     interior_hint,
 )
-# not called here: perfbench's layer tracer wraps this name, so that a cone's
-# one-point distance (called only inside version_space, past the wrapper)
-# reports 0 calls, where a missing name would report its metrics as absent
-from .version_space import cone_dis_distance_info  # noqa: F401
+# not called here: perfbench's layer tracer wraps these names, so that a
+# cone's one-point distance (called only inside version_space, past the
+# wrapper) and the one-sample fit (the trials fit in batches) report 0
+# calls, where a missing name would report their metrics as absent
+from .version_space import cone_dis_distance_info, fit_version_space  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -356,22 +365,28 @@ def _craft_attack(
     raise ValueError(f"unknown attack strategy {strategy!r}")
 
 
-def _run_trial(
-    trial: int,
-    concept: ConceptClass,
-    hstar: Hypothesis,
-    sampler: DistributionSpec,
-    m: int,
-    budget: float,
-    kind: LossKind,
-    strategy: str,
-    seed: int,
-) -> tuple[bool, dict | None]:
+def _draw_sample(trial: int, hstar: Hypothesis, sampler: DistributionSpec, m: int, seed: int):
+    """A trial's seed, its generator and its training sample, the first
+    thing the trial draws."""
     trial_seed = (seed ^ trial) & 0xFFFFFFFFFFFFFFFF
     rng = np.random.Generator(np.random.Philox(key=trial_seed))
     X = _draw(sampler, rng, m)
-    S = Dataset(X, hstar.predict_many(X))
-    vs = fit_version_space(S, concept, interior_hint=interior_hint(hstar))
+    return trial_seed, rng, Dataset(X, hstar.predict_many(X))
+
+
+def _run_trial(
+    trial: int,
+    trial_seed: int,
+    rng: np.random.Generator,
+    vs: VersionSpace,
+    hstar: Hypothesis,
+    sampler: DistributionSpec,
+    budget: float,
+    kind: LossKind,
+    strategy: str,
+) -> tuple[bool, dict | None]:
+    """The rest of a trial, on its fitted version space, with the generator
+    that drew its sample."""
     h_learn = vs.random_member(rng)
     x = _draw(sampler, rng, 1)[0]
     z = _craft_attack(vs, x, budget, strategy, rng, trial)
@@ -403,14 +418,24 @@ def _run_trial(
 
 
 def _run_trial_range(args) -> tuple[int, list[dict]]:
+    """Trials lo..hi-1, split at the fit: in sub-batches of `fit_batch`
+    trials, draw every sample, fit them in one `fit_version_spaces` call,
+    then finish each trial with the generator that drew its sample, so
+    every random stream is the one a trial-by-trial loop would draw."""
     concept, hstar, sampler, m, budget, kind, strategy, seed, lo, hi = args
     certified = 0
     witnesses: list[dict] = []
-    for t in range(lo, hi):
-        binding, bad = _run_trial(t, concept, hstar, sampler, m, budget, kind, strategy, seed)
-        certified += int(binding)
-        if bad is not None:
-            witnesses.append(bad)
+    step = fit_batch(m, dimension(sampler))
+    for start in range(lo, hi, step):
+        trials = range(start, min(start + step, hi))
+        drawn = [_draw_sample(t, hstar, sampler, m, seed) for t in trials]
+        fitted = fit_version_spaces([S for _, _, S in drawn], concept, interior_hint(hstar))
+        for t, (trial_seed, rng, _), vs in zip(trials, drawn, fitted):
+            binding, bad = _run_trial(t, trial_seed, rng, vs, hstar, sampler, budget, kind,
+                                      strategy)
+            certified += int(binding)
+            if bad is not None:
+                witnesses.append(bad)
     return certified, witnesses
 
 

@@ -32,8 +32,8 @@ when it has one, where no point is disputed but a stability ball still may
 not cross the decision boundary.  That minimum sits on an extreme ray of
 the cone (the ratio of a nonnegative linear functional to the norm is
 quasiconcave along segments), so every cone query reads one matrix R of
-unit generators, built once per fitted cone by the double-description
-method (Motzkin et al. 1953; Fukuda & Prodon 1996): its extreme rays, plus
+unit generators, built by the fit with the double-description method
+(Motzkin et al. 1953; Fukuda & Prodon 1996): its extreme rays, plus
 +-l for an orthonormal basis l of the lineality space null(A) when the cone
 contains a line (fewer independent samples than dimensions, antipodal
 samples, or none).  On such a cone a point with a component in null(A) is
@@ -44,6 +44,14 @@ runs over row blocks of X with at most SR_CHUNK_ELEMS entries each, and
 assembles codes and distances by arithmetic, not by selects.  A cone
 whose ray build holds more than RAY_CAP rays at any step is not
 represented: the fit raises DegenerateVersionSpaceError.
+
+`fit_version_spaces` fits a list of samples: their cones share one ray
+build, whose every step is one set of array operations over the stack of
+cones still cutting, in sub-batches of `fit_batch` samples.  No cone's
+arithmetic depends on the stack around it (fixed-order sums over the
+coordinates; BLAS only on one-shape blocks or on 0/1 counts, which are
+exact), so each cone is the same bits as its one-sample fit,
+`fit_version_space`.
 
 A linear fit without an interior hint solves no LP.  Its generators decide
 realizability: the sample is strictly consistent iff every negative-label
@@ -425,136 +433,319 @@ class ConeVS:
         return _caps_stay_unanimous(self.rays(), hstar, X, eta)
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j x[..., j] * y[..., j], added in the order j = 0, 1, ...  Each
+    value depends on its own operands only, never on the stack around them:
+    a BLAS product over a padded block may round differently."""
+    p = x * y
+    out = p[..., 0] + p[..., 1] if p.shape[-1] > 1 else p[..., 0].copy()
+    for j in range(2, p.shape[-1]):
+        out += p[..., j]
+    return out
+
+
 def _build_cone_bank(A: np.ndarray, strict: np.ndarray, interior: np.ndarray | None) -> _Bank:
-    """The generators of {w : A w >= 0}.
+    """The generators of one cone {w : A w >= 0}: the one-cone call of
+    `_build_cone_banks`."""
+    hint = np.full((1, A.shape[1]), np.nan) if interior is None else interior[None]
+    return _build_cone_banks(A[None], strict[None], hint)[0]
 
-    Rows are taken in ascending slack on a reference normal, the feasible
-    `interior` when there is one and the mean of A's rows otherwise (A
-    must then have rows), so the first independent rows are tight near it.
-    Those rows span the row space of A; its complement null(A) is the
-    lineality space, and the pointed rest of the cone lies in the row
-    space, where `_double_description` finds its extreme rays.  When those
-    rows span R^d there is nothing to rotate.  The cuts are weighted by the inverse slack on `interior`, or
-    all alike without one (see `_double_description`).
+
+def _build_cone_banks(A: np.ndarray, strict: np.ndarray, interior: np.ndarray) -> list[_Bank]:
+    """The generators of the cones {w : A[c] w >= 0} of a stack A (K, m, d)
+    of unit rows, in which zero rows stand for no row (they pad a cone with
+    fewer rows); `strict` (K, m) marks the rows of negative samples, and
+    interior[c] is a feasible unit normal of cone c, or NaN.  `cuts` index
+    the rows of A[c].
+
+    Each cone's rows are taken in ascending slack on a reference normal, so
+    the first independent rows are tight near it.  The reference is the
+    cone's interior when there is one.  Otherwise it is the sum of the
+    cone's rows (it must then have rows), after up to two perceptron steps
+    that add the rows it violates: a guess at an interior point, which
+    spares the build most cuts by rows that are no facets.  The first rows
+    span the row space of A[c]; its complement null(A[c]) is the lineality
+    space, and the pointed rest of the cone lies in the row space, where
+    `_double_description` finds its extreme rays.  When those rows span
+    R^d there is nothing to rotate.  The cuts are weighted by the inverse
+    slack on the reference.  Cones of one rank share one double
+    description.  Every step is batch-invariant, so a cone's bank is the
+    same bits in any stack, alone included.
     """
-    ref = A.mean(axis=0) if interior is None else interior
-    slack = A @ ref
-    order = np.argsort(slack, kind="stable")
-    A = A[order]
-    weight = np.ones(A.shape[0]) if interior is None else 1.0 / slack[order]
-    first = _independent_rows(A)
-    if len(first) == A.shape[1]:
-        W, cuts = _double_description(A, first, weight)
-    else:
-        _, _, Vt = np.linalg.svd(A[first])
-        B, L = Vt[: len(first)], Vt[len(first) :]
-        rays, cuts = _double_description(A @ B.T, first, weight)
-        W = np.vstack([rays @ B, L, -L])
-    W = np.ascontiguousarray(W)
-    on_strict = np.any(A[strict[order]] @ W.T <= 1e-10, axis=0)
-    # V > plus_above is V > tol on strict facets and V >= -tol elsewhere
-    plus_above = np.where(on_strict, STRICT_LP_TOL, np.nextafter(-STRICT_LP_TOL, -np.inf))
-    return _Bank(W=W, plus_above=plus_above, cuts=order[cuts])
+    K, m, d = A.shape
+    real = A.any(axis=2)
+    ref = np.where(np.isnan(interior[:, :1]), A.sum(axis=1), interior)
+    slack = _rowdot(A, ref[:, None, :])
+    for _ in range(2):  # perceptron steps (an interior never violates a row)
+        wrong = (slack <= 0.0) & real
+        if not wrong.any():
+            break
+        ref = ref + (A * wrong[..., None]).sum(axis=1)
+        slack = _rowdot(A, ref[:, None, :])
+    slack[~real] = np.inf  # padding sorts last
+    order = np.argsort(slack, axis=1, kind="stable")
+    cone = np.arange(K)[:, None]
+    A, slack = A[cone, order], slack[cone, order]
+    weight = 1.0 / np.maximum(slack, 1e-300)
+    strict = strict[cone, order]
+    first, rank, inverse = _independent_rows(A)
+    banks: list = [None] * K
+    for k in sorted(set(rank.tolist())):
+        group = np.flatnonzero(rank == k)
+        if k == d:
+            bases = [None] * group.size
+            rows = A[group]
+        else:  # rotate into the row space; null(A) is the lineality space
+            bases = [np.linalg.svd(A[c, first[c, :k]])[2] for c in group]
+            rows = np.zeros((group.size, m, k))
+            for i, c in enumerate(group):
+                n = int(np.isfinite(slack[c]).sum())
+                rows[i, :n] = A[c, :n] @ bases[i][:k].T
+        if k == 0:  # no rows: the cone is all of R^d
+            built = [(np.zeros((0, 0)), np.zeros(0, dtype=np.intp))] * group.size
+        else:
+            built = _double_description(rows, first[group, :k], weight[group], inverse)
+        for c, Vt, (rays, cuts) in zip(group, bases, built):
+            if k:  # one cone's own array: any deterministic norm keeps it batch-invariant
+                rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+            W = rays if Vt is None else np.vstack([rays @ Vt[:k], Vt[k:], -Vt[k:]])
+            on_strict = np.any(A[c][strict[c]] @ W.T <= 1e-10, axis=0)
+            # V > plus_above is V > tol on strict facets and V >= -tol elsewhere
+            plus_above = np.where(on_strict, STRICT_LP_TOL, np.nextafter(-STRICT_LP_TOL, -np.inf))
+            banks[c] = _Bank(W=W, plus_above=plus_above, cuts=order[c, cuts])
+    return banks
 
 
-def _independent_rows(A: np.ndarray) -> list[int]:
-    """Indices of the rows of A independent of the rows before them, taken
-    greedily in order: the residual after two Gram-Schmidt passes against
-    the rows already taken must exceed 1e-10."""
-    d = A.shape[1]
-    Q = np.zeros((0, d))
-    picks: list[int] = []
-    for i, a in enumerate(A):
-        r = a - Q.T @ (Q @ a)
-        r -= Q.T @ (Q @ r)
-        norm = float(np.linalg.norm(r))
-        if norm > 1e-10:
-            Q = np.vstack([Q, r / norm])
-            picks.append(i)
-            if len(picks) == d:
+def _independent_rows(A: np.ndarray) -> tuple:
+    """Per cone of the stack A (K, m, d), the rows independent of the rows
+    before them, taken greedily in order: the residual after two
+    Gram-Schmidt passes against the rows already taken must exceed 1e-10.
+    Cone c takes rank[c] rows, first[c, :rank[c]].  Also the inverses of
+    the cones' first d rows when those are every cone's answer, else None.
+
+    Where a cone's first d rows have an inverse whose largest entry is
+    below 1e9 / d, each of their residuals exceeds 1e-9 (the least singular
+    value bounds them from below), so those rows are the answer, with no
+    scan.  Other cones scan their rows, each keeping the rows taken so far
+    in a (d, d) block, zero past them, so its products have one shape in
+    any stack."""
+    K, m, d = A.shape
+    first = np.zeros((K, d), dtype=np.intp)
+    rank = np.zeros(K, dtype=np.intp)
+    inverse = None
+    if m >= d:
+        try:
+            inverse = np.linalg.inv(A[:, :d])
+            done = np.abs(inverse).max(axis=(1, 2)) < 1e9 / d
+        except np.linalg.LinAlgError:  # some cone's first rows are singular
+            done = np.zeros(K, dtype=bool)
+        first[done] = np.arange(d)
+        rank[done] = d
+    live = np.flatnonzero(rank < d)
+    if live.size:
+        inverse = None
+    Q = np.zeros((K, d, d)) if live.size else None
+    for i in range(m if live.size else 0):
+        q = Q[live]
+        qt = q.transpose(0, 2, 1)
+        r = A[live, i, :, None]
+        r = r - qt @ (q @ r)
+        r = (r - qt @ (q @ r))[..., 0]
+        norm = np.sqrt(_rowdot(r, r))
+        took = norm > 1e-10
+        if took.any():
+            c = live[took]
+            Q[c, rank[c]] = r[took] / norm[took, None]
+            first[c, rank[c]] = i
+            rank[c] += 1
+            live = live[rank[live] < d]
+            if not live.size:
                 break
-    return picks
+    return first, rank, inverse
 
 
 def _double_description(
-    A: np.ndarray, first: list[int], weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit extreme rays of the pointed cone {u : A u >= 0}, A (m, k) of
-    rank k, by double description, and the indices of the rows it cut with.
+    A: np.ndarray, first: np.ndarray, weight: np.ndarray, inverse: np.ndarray | None = None
+) -> list:
+    """Extreme rays of the pointed cones {u : A[c] u >= 0}, for a stack A
+    (K, m, k) of rank-k row sets (zero rows pad the shorter ones), by
+    double description, and the indices of the rows each cut with: a list
+    of (rays, cuts), one per cone.  Rays are scaled to a largest |entry| of
+    1, a scale whose computation rounds nothing.  `inverse`, when given,
+    holds the inverses of the cones' first rows.
 
-    Start from the simplicial cone of the k independent rows `first`, then
-    cut it by the other rows, each time by the violated row i with the least
-    weight[i] * <r, A_i> over the current rays r.  With weight[i] = 1 / <c,
-    A_i> for an interior point c, that row is the first hyperplane crossed
-    by a segment from c to a violated ray, a facet of the cone, so no cut is
-    spent on a redundant row; with unit weights it is the most violated
-    row.  A cut keeps the rays it does not violate and adds, for every
-    adjacent pair of a kept ray p and a violated ray n, the combination of
-    the two on the cut's hyperplane.  Adjacency is combinatorial (see
-    `_adjacent_pairs`) and reads which cut rows are tight at each ray,
-    within 1e-10.  A row the current cone already satisfies is dropped,
+    Cone c starts from the simplicial cone of its k independent rows
+    first[c], then is cut by its other rows, one violated row at a time:
+    the one with the least weight[c, i] * <r, A_i> over the current rays r.
+    With weight[c, i] = 1 / <x, A_i> for a point x inside the cone, that
+    row is the first hyperplane crossed by a segment from x to a violated
+    ray, a facet of the cone, so no cut is spent on a redundant row.  Any
+    positive weights give the same cone; rows with huge weights (x on their
+    wrong side) go first.  A cut keeps the rays it does not violate and
+    adds, for every adjacent pair of a kept ray p and a violated ray n, the
+    combination of the two on the cut's hyperplane.
+    Adjacency is combinatorial and reads which cut rows are tight at each
+    ray, within 1e-10: p and n share at least k - 2 tight cuts (test 1),
+    and no third ray is tight on all of those (test 2, `_held_by_two`).
+    Test 2 cannot fail where they share exactly k - 2 and one of them is
+    tight on exactly k - 1, the least any ray is tight on: those k - 2 rows
+    are then independent and span a 2-dimensional face, whose only extreme
+    rays are p and n; a step runs it only when some pair or ray is past
+    those counts.  A row the current cone already satisfies is dropped,
     since later cuts only shrink the cone; the rows cut with therefore
-    describe the same cone as A.  More than RAY_CAP rays after any cut
+    describe the same cone as A[c].
+
+    Every cone still cutting takes its step with the others, in array
+    operations over the stack.  A ray is one row [u | 1 | tight flag per cut
+    | values <u, A_i> per row].  A cone's rows past its rays, and the rows
+    of the rays a cut removed, are zero until they are half of the stack,
+    and a value is read only while its row is pending, so none of them is
+    ever violated, positive or tight.  A new ray's values are the
+    combination of its parents' values that makes the ray, so no step forms
+    a product with A.  Values and combinations are elementwise or summed
+    over k in a fixed order (`_rowdot`), comparisons and extrema are exact,
+    and the pair tests count 0/1 flags, which is exact in any order, so a
+    cone's rays are the same bits in any stack.  A cone without a violated
+    row leaves the stack.  More than RAY_CAP rays in a cone after any cut
     raise DegenerateVersionSpaceError.
     """
-    m, k = A.shape
+    K, m, k = A.shape
     tol = 1e-10
-    R = np.linalg.inv(A[first]).T  # row j is tight on every first row but j
-    R /= np.linalg.norm(R, axis=1, keepdims=True)
-    T = 1.0 - np.eye(k, dtype=np.float32)  # T[r, j] = 1: cut j is tight at ray r
-    pending = np.ones(m, dtype=bool)
-    pending[first] = False
-    rest = np.flatnonzero(pending)
-    cuts = list(first)
-    while rest.size:
-        V = R @ A[rest].T  # (rays, rows)
-        low = V.min(axis=0, initial=np.inf)
-        violated = low < -tol
-        rest, V, low = rest[violated], V[:, violated], low[violated]
-        if not rest.size:
-            break
-        j = int(np.argmin(low * weight[rest]))
-        vals = V[:, j]
-        cuts.append(int(rest[j]))
-        rest[j] = rest[0]
-        rest = rest[1:]
+    ar = np.arange(K)
+    if inverse is None:  # of the first rows
+        inverse = np.linalg.inv(A[ar[:, None], first])
+    R = inverse.transpose(0, 2, 1)  # ray j tight on all first rows but j
+    R = R / np.abs(R).max(axis=2, keepdims=True)
+    cap = min(m, 2 * k + 8)  # flag columns, grown when full
+    X = np.zeros((K, k, k + 1 + cap + m))
+    X[:, :, :k] = R
+    X[:, :, k] = 1.0
+    X[:, :, k + 1 : 2 * k + 1] = 1.0 - np.eye(k)
+    values = X[:, :, k + 1 + cap :]  # >= -tol on the first rows
+    for j in range(k):  # _rowdot's order, without the (rays, rows, k) product
+        values += R[:, :, j, None] * A[:, None, :, j]
+    rows = np.arange(m)  # the row of each value column
+    pending = np.ones((K, m), dtype=bool)
+    cuts = np.empty((K, m), dtype=np.intp)
+    cuts[:, :k] = first
+    n_cut = k
+    least = max(k - 1, 1)  # shared flags of an adjacent pair: 1, and k - 2 cuts
+    width = k  # rows of X after the last compaction
+    cone = ar  # each stack row's cone in the input
+    out: list = [None] * K
+    while True:
+        V = X[:, :, k + 1 + cap :]
+        low = V.min(axis=1, initial=np.inf)
+        violated = (low < -tol) & pending
+        live = violated.any(axis=1)
+        if not live.all():
+            for i in np.flatnonzero(~live):
+                out[cone[i]] = (X[i, X[i, :, k] > 0.0, :k], cuts[i, :n_cut])
+            if not live.any():
+                return out
+            X, V, low, violated = X[live], V[live], low[live], violated[live]
+            weight, cuts, cone = weight[live], cuts[live], cone[live]
+            ar = np.arange(cone.size)
+        j = np.where(violated, low * weight, np.inf).argmin(axis=1)
+        vals = V[ar, :, j]
         neg = vals < -tol
-        T = np.hstack([T, (np.abs(vals) <= tol).astype(np.float32)[:, None]])
-        p, n = _adjacent_pairs(T, np.flatnonzero(vals > tol), np.flatnonzero(neg), k)
-        new = vals[p, None] * R[n] - vals[n, None] * R[p]
-        new /= np.linalg.norm(new, axis=1, keepdims=True)
-        new_T = T[p] * T[n]
-        new_T[:, -1] = 1.0
-        R = np.vstack([R[~neg], new])
-        T = np.vstack([T[~neg], new_T])
-        if R.shape[0] > RAY_CAP:
-            raise DegenerateVersionSpaceError(
-                f"the cone's ray build reached {R.shape[0]} rays, above the cap of {RAY_CAP}"
-            )
-    return R, np.array(cuts, dtype=np.intp)
+        pos = vals > tol
+        cuts[:, n_cut] = rows[j]
+        # the rows still violated, but the one cut now, stay pending
+        pending = violated
+        pending[ar, j] = False
+        if n_cut == cap:
+            grow = min(cap, m - cap)
+            X = np.concatenate([X[:, :, : k + 1 + cap], np.zeros(X.shape[:2] + (grow,)),
+                                X[:, :, k + 1 + cap :]], axis=2)
+            cap += grow
+        X[:, :, k + 1 + n_cut] = ~(neg | pos)
+        n_cut += 1
+        F = X[:, :, k : k + 1 + n_cut]
+        c, p, n = _pair_candidates(F, pos, neg, least)
+        Fp, Fn = F[c, p], F[c, n]
+        common = Fp * Fn
+        shared = common.sum(axis=1)
+        keep = shared >= least
+        if shared.max(initial=0.0) > least or F.sum(axis=2).max() > k:
+            doubt = keep & (shared + np.minimum(Fp.sum(axis=1), Fn.sum(axis=1)) > 2 * k - 1)
+            if doubt.any():
+                keep[doubt] = _held_by_two(F, c[doubt], common[doubt])
+        keep = np.flatnonzero(keep)
+        c, p, n, common = c[keep], p[keep], n[keep], common[keep]
+        new = vals[c, p, None] * X[c, n] - vals[c, n, None] * X[c, p]
+        new /= np.abs(new[:, :k]).max(axis=1, keepdims=True)
+        new[:, k : k + 1 + n_cut] = common
+        new[:, k + n_cut] = 1.0  # tight on the cut that made it
+        # the new rays go below the old rows; the rows of removed rays are zero
+        X[neg] = 0.0
+        added = np.bincount(c, minlength=cone.size)
+        if added.min() == added.max():  # no cone's new rows need padding
+            grown = new.reshape(cone.size, -1, X.shape[2])
+        else:
+            grown = np.zeros((cone.size, added.max(), X.shape[2]))
+            grown[np.arange(grown.shape[1]) < added[:, None]] = new
+        X = np.concatenate([X, grown], axis=1)
+        compact = X.shape[1] > 2 * width or n_cut == k + 1  # the first cut drops most rows
+        if compact or X.shape[1] > RAY_CAP:
+            count = (X[:, :, k] > 0.0).sum(axis=1)
+            if count.max() > RAY_CAP:
+                raise DegenerateVersionSpaceError(
+                    f"the cone's ray build reached {count[count > RAY_CAP][0]} rays, "
+                    f"above the cap of {RAY_CAP}"
+                )
+        if compact:  # drop the zero rows, and the values of rows no cone has pending
+            slots = np.argsort(X[:, :, k] == 0.0, axis=1, kind="stable")[:, : count.max(), None]
+            rest = np.flatnonzero(pending.any(axis=0))
+            X = X[ar[:, None, None], slots, np.r_[: k + 1 + cap, k + 1 + cap + rest]]
+            pending, rows, weight = pending[:, rest], rows[rest], weight[:, rest]
+            width = X.shape[1]
 
 
-def _adjacent_pairs(T: np.ndarray, P: np.ndarray, N: np.ndarray, k: int):
-    """The adjacent pairs (p, n), p in P and n in N, of the rays whose tight
-    cuts are the rows of T, in a pointed cone of dimension k: p and n share
-    at least k - 2 tight cuts, and no third ray is tight on all of those.
-    Both tests are matrix products over blocks of at most SR_CHUNK_ELEMS
+def _pair_candidates(F: np.ndarray, pos: np.ndarray, neg: np.ndarray, least: int) -> tuple:
+    """The pairs (c, p, n) of a positive ray p and a negative ray n of cone
+    c, sorted, from the 0/1 flags F (K, rays, f) of every ray.  When the
+    stack's (rays, rays, flags) grid has at most SR_CHUNK_ELEMS / 4 entries
+    these are all such pairs, read off that grid; otherwise only those
+    sharing at least `least` flags, counted over each cone's positive rays
+    times its negative ones in blocks of SR_CHUNK_ELEMS entries, which
+    costs more calls but no work on the whole grid.  Pairs sharing fewer
+    flags are no adjacent pairs, so both give the adjacent pairs the same
+    tests, in the same order."""
+    K, r, f = F.shape
+    if K * r * r * f <= SR_CHUNK_ELEMS // 4:
+        return np.nonzero(pos[:, :, None] & neg[:, None, :])
+    cone = np.arange(K)[:, None]
+    P = np.argsort(~pos, axis=1, kind="stable")[:, : pos.sum(axis=1).max()]
+    N = np.argsort(~neg, axis=1, kind="stable")[:, : neg.sum(axis=1).max()]
+    FP = F[cone, P] * pos[cone, P][..., None]  # zero past the positive rays
+    FN = (F[cone, N] * neg[cone, N][..., None]).transpose(0, 2, 1)
+    step = max(1, SR_CHUNK_ELEMS // max(K * N.shape[1], 1))
+    found = [(lo, *np.nonzero(FP[:, lo : lo + step] @ FN >= least))
+             for lo in range(0, P.shape[1], step)]
+    c = np.concatenate([b for _, b, _, _ in found])
+    order = np.argsort(c, kind="stable")
+    p = np.concatenate([P[b, lo + i] for lo, b, i, _ in found])
+    n = np.concatenate([N[b, j] for _, b, _, j in found])
+    return c[order], p[order], n[order]
+
+
+def _held_by_two(F: np.ndarray, c: np.ndarray, common: np.ndarray) -> np.ndarray:
+    """Per pair i of rays of cone c[i] (sorted) sharing the 0/1 flags
+    common[i]: whether exactly two rows of F[c[i]], the flags of the cone's
+    rays, hold every shared flag.  The pairs are padded per cone, and the
+    (pairs, rays) counts are formed in blocks of at most SR_CHUNK_ELEMS
     entries."""
-    rays, cols = T.shape
-    TN = T[N].T
-    ps, ns = [P[:0]], [N[:0]]
-    step = max(1, SR_CHUNK_ELEMS // max(N.size, cols))
-    sub = max(1, SR_CHUNK_ELEMS // max(rays, cols))
-    for lo in range(0, P.size, step):
-        a, b = np.nonzero(T[P[lo : lo + step]] @ TN >= k - 2)
-        for c in range(0, a.size, sub):
-            p, n = P[lo + a[c : c + sub]], N[b[c : c + sub]]
-            common = T[p] * T[n]
-            holders = common @ T.T == common.sum(axis=1, keepdims=True)
-            keep = holders.sum(axis=1) == 2
-            ps.append(p[keep])
-            ns.append(n[keep])
-    return np.concatenate(ps), np.concatenate(ns)
+    slot = np.arange(c.size) - np.searchsorted(c, c)
+    P = np.zeros((F.shape[0], slot.max() + 1, F.shape[2]))
+    P[c, slot] = common
+    Ft = F.transpose(0, 2, 1)
+    holders = np.empty(P.shape[:2])
+    step = max(1, SR_CHUNK_ELEMS // max(F.shape[0] * F.shape[1], 1))
+    for lo in range(0, P.shape[1], step):
+        block = P[:, lo : lo + step]
+        holders[:, lo : lo + step] = (block @ Ft == block.sum(axis=2, keepdims=True)).sum(axis=2)
+    return holders[c, slot] == 2
 
 
 @dataclass(frozen=True)
@@ -598,67 +789,84 @@ def _fit_interval(values: np.ndarray, labels: np.ndarray, base=None) -> Interval
     return IntervalVS(lo=lo, hi=hi, base=base)
 
 
-def _fit_cone(S: Dataset, interior_hint: np.ndarray | None = None) -> ConeVS:
-    """The cone of S's consistent normals, its generators from one
-    `_build_cone_bank` call, and an interior normal: the hint when it is
-    strictly feasible, e1 for the empty sample, else the one the generators
-    give.  The hint or e1 is also the build's reference normal.
+def _fit_cones(samples: list, interior_hint: np.ndarray | None) -> list[ConeVS]:
+    """The cones of the samples' consistent normals, their generators from
+    one `_build_cone_banks` call over the stacked samples, and an interior
+    normal each: the hint when it is strictly feasible, e1 for an empty
+    sample, else the one the generators give.  The hint or e1 is also the
+    build's reference normal.  Every cone the hint serves shares one member.
 
-    Without either, S is strictly consistent iff every negative-label
+    Without either, a sample is strictly consistent iff every negative-label
     (strict) row has a generator w with <w, A_i> > STRICT_LP_TOL: each such
     row then has a consistent normal strictly inside it, and their sum
     serves every row at once.  The interior is the normalised sum of the
     generators, where the +-l of the lineality basis cancel, leaving the
     extreme rays: it is strictly positive on every row that some consistent
     normal is strictly positive on.  When that sum is about 0 the cone is a
-    linear subspace, and any generator will do.
+    linear subspace, and any generator will do.  The first sample that
+    fails raises.
     """
-    d = S.dimension
-    raw = S.y[:, None] * S.X
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any((norms == 0.0) & (S.y < 0)):
+    d = samples[0].dimension
+    if any(S.dimension != d for S in samples):
+        raise ValueError("a batch of linear fits needs samples of one dimension")
+    sizes = [len(S) for S in samples]
+    m = max(sizes)
+    if len(samples) == 1:
+        X, y = samples[0].X[None], samples[0].y[None]
+    elif min(sizes) == m:
+        X = np.stack([S.X for S in samples])
+        y = np.stack([S.y for S in samples])
+    else:  # zero rows with label +1 pad the shorter samples: they are no row
+        X = np.zeros((len(samples), m, d))
+        y = np.ones((len(samples), m), dtype=np.int64)
+        for c, S in enumerate(samples):
+            X[c, : len(S)] = S.X
+            y[c, : len(S)] = S.y
+    A = y[..., None] * X
+    norms = np.sqrt(_rowdot(A, A))
+    real = norms > 0.0
+    strict = y < 0
+    if np.any(~real & strict):
         raise RealizabilityError("the origin always receives label +1")
-    keep = norms > 0.0
-    A = raw[keep] / norms[keep, None]
-    strict = S.y[keep] < 0
-    interior = None
-    if A.shape[0] == 0:  # every normal is consistent
-        interior = np.eye(d)[0]
-    elif interior_hint is not None:
+    A /= np.where(real, norms, 1.0)[..., None]
+    del X, y
+    empty = ~real.any(axis=1)  # every normal is consistent: e1 is the interior
+    served = np.zeros(len(samples), dtype=bool)  # the hint is the interior
+    interior = np.where(empty[:, None], np.eye(d)[0], np.nan)
+    if interior_hint is not None:
         w = np.asarray(interior_hint, dtype=float).reshape(-1)
         if w.shape[0] == d and np.linalg.norm(w) > 1e-12:
             w = w / np.linalg.norm(w)
-            if float(np.min(A @ w)) > STRICT_LP_TOL:
-                interior = w
-    bank = _build_cone_bank(A, strict, interior)
-    if interior is None:
-        W = bank.W
-        if W.shape[0] == 0:
-            raise RealizabilityError("feasible normals reduce to the zero vector")
-        missed = ~np.any(A[strict] @ W.T > STRICT_LP_TOL, axis=1)
-        if np.any(missed):
-            raise RealizabilityError(
-                f"no strictly consistent linear separator: no consistent normal is "
-                f"strictly negative on {int(missed.sum())} negative sample(s)"
-            )
-        w = W.sum(axis=0)
-        norm = float(np.linalg.norm(w))
-        interior = w / norm if norm > 1e-12 else W[0]
-    return ConeVS(A=A, strict=strict, interior=interior, dim=d, bank=bank,
-                  member=LinearHomogeneous(interior))
+            served = ~empty & (np.where(real, _rowdot(A, w), np.inf).min(axis=1) > STRICT_LP_TOL)
+            interior[served] = w
+    banks = _build_cone_banks(A, strict, interior)
+    shared = LinearHomogeneous(w) if served.any() else None
+    out = []
+    for c, bank in enumerate(banks):
+        A_c, strict_c, w = A[c], strict[c], interior[c]
+        if not real[c].all():  # keep the sample's nonzero rows, and index the cuts into them
+            A_c, strict_c = A_c[real[c]], strict_c[real[c]]
+            bank = _Bank(W=bank.W, plus_above=bank.plus_above,
+                         cuts=np.cumsum(real[c])[bank.cuts] - 1)
+        if np.isnan(w[0]):
+            W = bank.W
+            if W.shape[0] == 0:
+                raise RealizabilityError("feasible normals reduce to the zero vector")
+            missed = ~np.any(A_c[strict_c] @ W.T > STRICT_LP_TOL, axis=1)
+            if np.any(missed):
+                raise RealizabilityError(
+                    f"no strictly consistent linear separator: no consistent normal is "
+                    f"strictly negative on {int(missed.sum())} negative sample(s)"
+                )
+            w = W.sum(axis=0)
+            norm = float(np.linalg.norm(w))
+            w = w / norm if norm > 1e-12 else W[0]
+        out.append(ConeVS(A=A_c, strict=strict_c, interior=w, dim=d, bank=bank,
+                          member=shared if served[c] else LinearHomogeneous(w)))
+    return out
 
 
-def fit_version_space(
-    S: Dataset, concept: ConceptClass, interior_hint: np.ndarray | None = None
-) -> VersionSpace:
-    """Exact representation of the hypotheses consistent with S.
-
-    `interior_hint` optionally supplies a known strictly-consistent normal
-    for a linear concept; the fit then keeps it as the interior and orders
-    the ray build's rows by their slack on it.  A hint that is not strictly
-    feasible is ignored.  A linear fit raises DegenerateVersionSpaceError
-    when its ray build exceeds RAY_CAP.
-    """
+def _fit_one(S: Dataset, concept: ConceptClass) -> IntervalVS:
     if isinstance(concept, OffsetClass):
         if len(S) == 0:
             return IntervalVS(lo=-math.inf, hi=math.inf, base=concept.base)
@@ -669,9 +877,46 @@ def fit_version_space(
         if len(S) == 0:
             return IntervalVS(lo=-math.inf, hi=math.inf)
         return _fit_interval(S.X[:, 0], S.y)
-    if concept == "linear":
-        return _fit_cone(S, interior_hint=interior_hint)
     raise ValueError(f"unknown concept class {concept!r}")
+
+
+def fit_batch(m: int, d: int) -> int:
+    """How many samples of m points in R^d one `fit_version_spaces` call
+    builds at once: the batch keeps m * 2^(d + 3) per sample, which bounds
+    the numbers its ray build holds (rays with their zero rows, times flags
+    and values), near SR_CHUNK_ELEMS in all."""
+    return max(1, SR_CHUNK_ELEMS // (max(m, 1) << min(d + 3, 20)))
+
+
+def fit_version_spaces(
+    samples: list, concept: ConceptClass, interior_hint: np.ndarray | None = None
+) -> list[VersionSpace]:
+    """`fit_version_space` of each sample, in order.  Linear samples (of one
+    dimension) are fitted together, in sub-batches of `fit_batch` samples:
+    each sub-batch makes one batched ray build, and each cone is the same
+    bits as its one-sample fit."""
+    if concept != "linear":
+        return [_fit_one(S, concept) for S in samples]
+    if not samples:
+        return []
+    step = fit_batch(max(len(S) for S in samples), samples[0].dimension)
+    return [vs for lo in range(0, len(samples), step)
+            for vs in _fit_cones(samples[lo : lo + step], interior_hint)]
+
+
+def fit_version_space(
+    S: Dataset, concept: ConceptClass, interior_hint: np.ndarray | None = None
+) -> VersionSpace:
+    """Exact representation of the hypotheses consistent with S: the
+    one-sample call of `fit_version_spaces`.
+
+    `interior_hint` optionally supplies a known strictly-consistent normal
+    for a linear concept; the fit then keeps it as the interior and orders
+    the ray build's rows by their slack on it.  A hint that is not strictly
+    feasible is ignored.  A linear fit raises DegenerateVersionSpaceError
+    when its ray build exceeds RAY_CAP.
+    """
+    return fit_version_spaces([S], concept, interior_hint)[0]
 
 
 def interior_hint(hstar: Hypothesis) -> np.ndarray | None:

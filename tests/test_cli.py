@@ -337,3 +337,69 @@ def test_config_file_and_flags_write_the_same_artifact(command, tmp_path, train_
     cfg.write_text(json.dumps({**values, "out": str(by_config)}))
     assert run(command, "--config", str(cfg)) == 0
     assert by_flags.read_bytes() == by_config.read_bytes()
+
+
+ATTACK_CONFIG = {
+    "concept": {"kind": "threshold"}, "hstar": {"kind": "threshold", "t": 0.0},
+    "dist": {"kind": "gaussian", "d": 1}, "m": 40, "trials": 5, "budget": 0.05,
+    "loss": "st", "seed": 3,
+}
+
+
+@pytest.mark.parametrize("entry", [
+    {"m": None},
+    {"m": 2.5},
+    {"m": [40]},
+    {"seed": True},
+    {"budget": "far"},
+    {"concept": [1]},
+    {"hstar": 5},
+    {"loss": "xx"},
+    {"strategy": 3},
+])
+def test_config_entry_of_the_wrong_type_exits_2(entry, tmp_path, capsys):
+    # every entry is checked as its flag would be, and a bad one is a usage
+    # error, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**ATTACK_CONFIG, **entry}))
+    assert run("attack-verify", "--config", str(cfg)) == 2
+    key = next(iter(entry))
+    assert f"config entry {key!r}" in capsys.readouterr().err
+
+
+def test_config_numbers_as_text_convert_as_flags_do(tmp_path):
+    by_config, by_text = tmp_path / "a.json", tmp_path / "b.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**ATTACK_CONFIG, "out": str(by_config)}))
+    assert run("attack-verify", "--config", str(cfg)) == 0
+    text = {k: str(v) if k in ("m", "trials", "budget", "seed") else v
+            for k, v in ATTACK_CONFIG.items()}
+    cfg.write_text(json.dumps({**text, "out": str(by_text)}))
+    assert run("attack-verify", "--config", str(cfg)) == 0
+    assert by_config.read_bytes() == by_text.read_bytes()
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    assert run("attack-verify", "--config", str(cfg)) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_json_flag_must_be_an_object(capsys):
+    argv = ["attack-verify", "--concept", "[1]", "--hstar", HSTAR, "--dist", GAUSS1,
+            "--m", "5", "--trials", "2", "--budget", "0.1", "--loss", "st"]
+    assert run(*argv) == 2
+    assert "--concept must be a JSON object" in capsys.readouterr().err
+
+
+def test_shift_config_accepts_its_own_loss_choice(tmp_path):
+    # the per-command choices apply to config entries: shift alone takes "none"
+    q = {"kind": "uniform_cube", "d": 1, "lo": -1, "hi": 1}
+    cfg = tmp_path / "cfg.json"
+    base = {"concept": json.loads(THRESH), "hstar": json.loads(HSTAR), "p": q, "q": q,
+            "m": 40, "trials": 2, "n": 100, "loss": "none", "out": str(tmp_path / "s.csv")}
+    cfg.write_text(json.dumps(base))
+    assert run("shift", "--config", str(cfg)) == 0
+    cfg.write_text(json.dumps({**ATTACK_CONFIG, "loss": "none"}))
+    assert run("attack-verify", "--config", str(cfg)) == 2

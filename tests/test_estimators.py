@@ -118,6 +118,25 @@ def test_sr_mass_jobs_invariance():
     assert a.mass == b.mass
 
 
+def test_sr_mass_ca_jobs_invariance_linear():
+    hstar = LinearHomogeneous(np.array([0.3, -0.95]))
+    kw = dict(m=100, eta1=0.1, eta2=0.05, kind=LossKind.CA, trials=7, n_test=400, seed=12)
+    a = sr_mass("linear", hstar, IsotropicGaussian(2), jobs=1, **kw)
+    b = sr_mass("linear", hstar, IsotropicGaussian(2), jobs=3, **kw)
+    assert (a.mass, a.ci_low, a.ci_high) == (b.mass, b.ci_low, b.ci_high)
+    assert 0.0 < a.mass < 1.0
+
+
+def test_shift_st_jobs_invariance_linear():
+    hstar = LinearHomogeneous(np.array([0.48, 0.6, -0.64]))
+    Q = MeanShift(IsotropicGaussian(3), 0.5 * hstar.w)
+    kw = dict(m=80, trials=7, n_test=500, eta1=0.1, eta2=0.05, kind=LossKind.ST, seed=13)
+    a = reliable_correctness("linear", hstar, IsotropicGaussian(3), Q, jobs=1, **kw)
+    b = reliable_correctness("linear", hstar, IsotropicGaussian(3), Q, jobs=3, **kw)
+    assert (a.mass, a.ci_low, a.ci_high) == (b.mass, b.ci_low, b.ci_high)
+    assert 0.0 < a.mass < 1.0
+
+
 # ---------------------------------------------------------------------------
 # rotation-invariant hypothesis-ball membership
 # ---------------------------------------------------------------------------

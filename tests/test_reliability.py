@@ -530,6 +530,18 @@ def test_contract_worker_count_invariance():
     assert r1.violations == r2.violations == 0
 
 
+def test_contract_worker_count_invariance_linear():
+    # each worker fits its chunk of cones in one batch: the report, every
+    # witness included, does not depend on the chunks
+    hstar = LinearHomogeneous(np.array([0.6, -0.48, 0.64]))
+    kwargs = dict(m=60, trials=90, budget=0.2, kind=LossKind.ST,
+                  strategy="boundary-directed", seed=31)
+    r1 = verify_contract("linear", hstar, IsotropicGaussian(3), **kwargs, jobs=1)
+    r3 = verify_contract("linear", hstar, IsotropicGaussian(3), **kwargs, jobs=3)
+    assert r1.to_json_dict() == r3.to_json_dict()
+    assert 0 < r1.certified < r1.trials
+
+
 def test_contract_binding_uses_open_ball():
     # an attack exactly at the issued radius is outside the guarantee
     vs = fit_version_space(Dataset.from_points([[0.2], [0.8]], [-1, 1]), "threshold")

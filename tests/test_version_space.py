@@ -32,8 +32,11 @@ from relicert.version_space import (
     RealizabilityError,
     agree_membership,
     dis_distance,
+    _build_cone_bank,
+    _build_cone_banks,
     erm,
     fit_version_space,
+    fit_version_spaces,
     margin_exclusion_delta,
     margin_exclusion_delta1_bound,
 )
@@ -530,20 +533,199 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
 @pytest.mark.parametrize("d, m", [(2, 100), (3, 60), (4, 40)])
 def test_hinted_ray_build_cuts_only_facets(d, m):
     # past the first d rows, every row the build cuts with carries d - 1
-    # independent tight rays: a facet, never a redundant row
-    extra = 0
+    # independent tight rays: a facet, never a redundant row.  The eight
+    # samples share one target, and one batched fit.
+    hstar = LinearHomogeneous(np.random.default_rng([70, d]).standard_normal(d))
+    samples = []
     for seed in range(8):
-        rng = np.random.default_rng([70, d, seed])
-        hstar = LinearHomogeneous(rng.standard_normal(d))
-        X = rng.standard_normal((m, d))
-        vs = fit_version_space(Dataset(X, hstar.predict_many(X)), "linear",
-                               interior_hint=hstar.w)
+        X = np.random.default_rng([70, d, seed]).standard_normal((m, d))
+        samples.append(Dataset(X, hstar.predict_many(X)))
+    extra = 0
+    for vs in fit_version_spaces(samples, "linear", interior_hint=hstar.w):
         W = vs.rays()
         for i in vs.bank.cuts[d:]:
             tight = W[np.abs(W @ vs.A[i]) <= 1e-9]
             assert np.linalg.matrix_rank(tight) == d - 1
             extra += 1
     assert extra > 0
+
+
+def _unit_rows(X, y):
+    """The fit's cone rows y x / |x| and their strict flags."""
+    raw = y[:, None] * X
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True), y < 0
+
+
+def _polygon_cone(n, rng):
+    """Rows of a d = 3 cone whose cross-section is an n-gon: n facets and n
+    rays around e3, each row on its own facet."""
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    X = np.column_stack([np.cos(t), np.sin(t), np.full(n, 0.3)])
+    return X, np.ones(n, dtype=np.int64)
+
+
+def _mixed_stack(d, rng):
+    """A stack of cones in R^d with ragged row counts (zero rows pad them),
+    hinted and unhinted, one with a zero row among its rows and one whose
+    lowest-slack rows are a duplicated sample (dependent first rows)."""
+    cones = []
+    for i, m in enumerate([d + 1, 12, 40, 25, 7, 40]):
+        w = rng.standard_normal(d)
+        w /= np.linalg.norm(w)
+        X = rng.standard_normal((m, d))
+        y = np.where(X @ w >= 0.0, 1, -1)
+        if i == 3:  # the row closest to the target's boundary, twice: the two
+            # lowest-slack rows on the hint, so the first rows are dependent
+            j = int(np.argmin(np.abs(X @ w) / np.linalg.norm(X, axis=1)))
+            X, y = np.vstack([X, X[j]]), np.append(y, y[j])
+        A, strict = _unit_rows(X, y)
+        hinted = i in (0, 2, 3, 4) and np.min(A @ w) > 1e-9
+        cones.append((A, strict, w if hinted else None))
+    A, strict, _ = cones[2]  # a zero row among its rows: no row
+    cones[2] = (np.insert(A, 5, 0.0, axis=0), np.insert(strict, 5, False), cones[2][2])
+    m = max(A.shape[0] for A, _, _ in cones)
+    stack = np.zeros((len(cones), m, d))
+    strict = np.zeros((len(cones), m), dtype=bool)
+    interior = np.full((len(cones), d), np.nan)
+    for c, (A_c, s_c, w) in enumerate(cones):
+        stack[c, : A_c.shape[0]] = A_c
+        strict[c, : A_c.shape[0]] = s_c
+        if w is not None:
+            interior[c] = w
+    return cones, stack, strict, interior
+
+
+def _same_bank(a, b):
+    assert a.W.shape == b.W.shape
+    assert np.array_equal(a.W.view(np.int64), b.W.view(np.int64))
+    assert np.array_equal(a.plus_above.view(np.int64), b.plus_above.view(np.int64))
+    assert np.array_equal(a.cuts, b.cuts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batched_ray_build_is_batch_invariant(d, monkeypatch):
+    # every cone of a mixed stack gets its one-cone bank, bit for bit, and so
+    # does every cone of any sub-stack in another order, and of the stack
+    # with SR_CHUNK_ELEMS so small that the pairs come from counts of shared
+    # flags in one-row blocks, not from the (rays, rays) grid
+    import relicert.version_space as version_space
+
+    rng = np.random.default_rng(90 + d)
+    cones, stack, strict, interior = _mixed_stack(d, rng)
+    alone = []
+    for A_c, s_c, w in cones:
+        bank = _build_cone_bank(A_c, s_c, w)
+        assert np.allclose(np.linalg.norm(bank.W, axis=1), 1.0)
+        alone.append(bank)
+    rays = [bank.W.shape[0] for bank in alone]
+    cuts = [bank.cuts.size for bank in alone]
+    assert len(set(cuts)) > 1 and (d == 2 or len(set(rays)) > 1)  # ragged; 2-d cones have 2 rays
+    for c, bank in enumerate(_build_cone_banks(stack, strict, interior)):
+        _same_bank(bank, alone[c])
+    order = rng.permutation(len(cones))[:4]
+    for c, bank in zip(order, _build_cone_banks(stack[order], strict[order], interior[order])):
+        _same_bank(bank, alone[c])
+    monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", 4)
+    for c, bank in enumerate(_build_cone_banks(stack, strict, interior)):
+        _same_bank(bank, alone[c])
+
+
+def test_batched_fit_is_batch_invariant():
+    # fits of ragged samples, one with a zero-norm point and one with a
+    # duplicated point, match their one-sample fits bit for bit; the
+    # samples the hint serves share one member
+    rng = np.random.default_rng(97)
+    w = rng.standard_normal(3)
+    samples = []
+    for m in (60, 33, 60, 8, 3):
+        X = rng.standard_normal((m, 3))
+        samples.append(Dataset(X, np.where(X @ w >= 0.0, 1, -1)))
+    X = np.vstack([samples[1].X[:10], np.zeros((1, 3)), samples[1].X[10:]])
+    samples[1] = Dataset(X, np.where(X @ w >= 0.0, 1, -1))  # the origin, label +1
+    X = np.vstack([samples[2].X, samples[2].X[:1]])
+    samples[2] = Dataset(X, np.where(X @ w >= 0.0, 1, -1))
+    X = rng.standard_normal((20, 3))  # another target's sample: the hint does not serve it
+    samples.append(Dataset(X, np.where(X @ rng.standard_normal(3) >= 0.0, 1, -1)))
+    for hint in (w, None):
+        batch = fit_version_spaces(samples, "linear", interior_hint=hint)
+        for S, vs in zip(samples, batch):
+            one = fit_version_space(S, "linear", interior_hint=hint)
+            _same_bank(vs.bank, one.bank)
+            assert np.array_equal(vs.A, one.A) and np.array_equal(vs.strict, one.strict)
+            assert np.array_equal(vs.interior.view(np.int64), one.interior.view(np.int64))
+        assert vs.A.shape[0] == len(S)
+        assert batch[1].A.shape[0] == len(samples[1]) - 1  # the zero row is no row
+    served = [vs.member for vs in fit_version_spaces(samples[:5], "linear", interior_hint=w)]
+    assert all(mem is served[0] for mem in served)
+
+
+def test_degenerate_cones_keep_only_extreme_rays(monkeypatch):
+    # integer-grid samples give rays on more than d - 1 cut rows and pairs
+    # sharing more than d - 2, where adjacency needs its second test (no
+    # third ray on the shared cuts); a pair it wrongly admits would add a
+    # generator that is no extreme ray.  The generators must be qhull's
+    # extreme rays, one each, and the second test must have rejected pairs.
+    import relicert.version_space as version_space
+
+    rejected = []
+
+    def held_by_two(F, c, common):
+        out = held(F, c, common)
+        rejected.append(int((~out).sum()))
+        return out
+
+    held = version_space._held_by_two
+    monkeypatch.setattr(version_space, "_held_by_two", held_by_two)
+    rng = np.random.default_rng(71)
+    cases = 0
+    while cases < 80:
+        d, m = int(rng.integers(3, 6)), int(rng.integers(6, 30))
+        X = rng.integers(-2, 3, (m, d)).astype(float)
+        w = rng.integers(-2, 3, d).astype(float)
+        S = Dataset(X, np.where(X @ w >= 0.0, 1, -1))
+        A = _unit_rows(*[a[np.any(X != 0.0, axis=1)] for a in (S.X, S.y)])[0]
+        if not w.any() or np.linalg.matrix_rank(A) < d:
+            continue
+        try:
+            w0 = fit_version_space(S, "linear").interior
+        except RealizabilityError:
+            continue
+        if np.min(A @ w0) <= 1e-9:  # no interior
+            continue
+        R = cone_rays_qhull(A, w0)
+        want = R[np.unique(np.round(R, 8), axis=0, return_index=True)[1]]  # qhull repeats rays
+        for hint in (w, None):
+            W = fit_version_space(S, "linear", interior_hint=hint).rays()
+            assert W.shape[0] == want.shape[0]
+            assert (W @ want.T).max(axis=1).min() > 1.0 - 1e-9
+        cases += 1
+    assert sum(rejected) > 0
+
+
+def test_batched_ray_cap_names_the_member(monkeypatch):
+    # a member past the cap raises from the batch what it raises alone
+    import relicert.version_space as version_space
+
+    rng = np.random.default_rng(98)
+    cones = [_unit_rows(*_polygon_cone(10, rng))]
+    for _ in range(3):
+        w = rng.standard_normal(3)
+        X = rng.standard_normal((10, 3))
+        cones.append(_unit_rows(X, np.where(X @ w >= 0.0, 1, -1)))
+    cones = [cones[1], cones[0], cones[2], cones[3]]
+    monkeypatch.setattr(version_space, "RAY_CAP", 8)
+    for c in (0, 2, 3):
+        assert _build_cone_bank(*cones[c], None).W.shape[0] <= 8
+    with pytest.raises(DegenerateVersionSpaceError) as alone:
+        _build_cone_bank(*cones[1], np.array([0.0, 0.0, 1.0]))
+    stack = np.stack([A for A, _ in cones])
+    strict = np.stack([s for _, s in cones])
+    interior = np.full((4, 3), np.nan)
+    interior[1] = [0.0, 0.0, 1.0]
+    with pytest.raises(DegenerateVersionSpaceError) as batched:
+        _build_cone_banks(stack, strict, interior)
+    assert "above the cap of 8" in str(alone.value)
+    assert str(batched.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("d", [2, 3])
