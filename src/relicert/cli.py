@@ -71,13 +71,16 @@ def _config_entry(key: str, value, option: dict):
     """A config-file entry as its flag would give it.  A JSON-valued option
     takes an object or JSON text.  Any other option takes a string, or a
     number where it has a `type`, which converts the entry as it converts
-    the flag's text; the result must be one of its `choices`."""
+    the flag's text (an integral float such as 40.0 or 1e3 counts as an
+    int); the result must be one of its `choices`."""
     if key in _JSON_VALUED:
         if isinstance(value, (dict, str)):
             return value
         raise UsageError(f"config entry {key!r} must be a JSON object or text, got {value!r}")
     typ = option.get("type", str)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
     try:
         if not (isinstance(value, str) or (number and typ is not str)):
             raise ValueError

@@ -585,29 +585,32 @@ def _double_description(
     adds, for every adjacent pair of a kept ray p and a violated ray n, the
     combination of the two on the cut's hyperplane.
     Adjacency is combinatorial and reads which cut rows are tight at each
-    ray, within 1e-10: p and n share at least k - 2 tight cuts (test 1),
-    and no third ray is tight on all of those (test 2, `_held_by_two`).
-    Test 2 cannot fail where they share exactly k - 2 and one of them is
-    tight on exactly k - 1, the least any ray is tight on: those k - 2 rows
-    are then independent and span a 2-dimensional face, whose only extreme
-    rays are p and n; a step runs it only when some pair or ray is past
+    ray, within 1e-10: p and n share at least k - 2 tight cuts (test 1,
+    `_pair_candidates`), and no third ray is tight on all of those (test 2,
+    `_held_by_two`).  Test 2 cannot fail where they share exactly k - 2 and
+    one of them is tight on exactly k - 1, the least any ray is tight on:
+    those k - 2 rows are then independent and span a 2-dimensional face,
+    whose only extreme rays are p and n; it runs only on the pairs past
     those counts.  A row the current cone already satisfies is dropped,
     since later cuts only shrink the cone; the rows cut with therefore
     describe the same cone as A[c].
 
     Every cone still cutting takes its step with the others, in array
-    operations over the stack.  A ray is one row [u | 1 | tight flag per cut
-    | values <u, A_i> per row].  A cone's rows past its rays, and the rows
-    of the rays a cut removed, are zero until they are half of the stack,
-    and a value is read only while its row is pending, so none of them is
-    ever violated, positive or tight.  A new ray's values are the
-    combination of its parents' values that makes the ray, so no step forms
-    a product with A.  Values and combinations are elementwise or summed
-    over k in a fixed order (`_rowdot`), comparisons and extrema are exact,
-    and the pair tests count 0/1 flags, which is exact in any order, so a
-    cone's rays are the same bits in any stack.  A cone without a violated
-    row leaves the stack.  More than RAY_CAP rays in a cone after any cut
-    raise DegenerateVersionSpaceError.
+    operations over the stack.  A ray is one row of X, [u | values <u, A_i>
+    per row], and one row of F, [1 | tight flag per cut], in float32, whose
+    0/1 counts are exact.  Both are buffers with spare rows: new rays go
+    below the rows in use, and the rows of rays a cut removed are zeroed, so
+    a cut copies neither.  When a cut finds no room, the stack is compacted
+    into buffers of twice the rows it needs, without the zero rows and the
+    value columns of rows no cone has pending.  A value is read only while
+    its row is pending, so no zero row is ever violated, positive or tight.
+    A new ray's values are the combination of its parents' values that makes
+    the ray, so no step forms a product with A.  Values and combinations are
+    elementwise or summed over k in a fixed order (`_rowdot`), comparisons
+    and extrema are exact, and the pair tests count 0/1 flags, which is
+    exact in any order, so a cone's rays are the same bits in any stack.  A
+    cone without a violated row leaves the stack.  More than RAY_CAP rays in
+    a cone after any cut raise DegenerateVersionSpaceError.
     """
     K, m, k = A.shape
     tol = 1e-10
@@ -616,36 +619,38 @@ def _double_description(
         inverse = np.linalg.inv(A[ar[:, None], first])
     R = inverse.transpose(0, 2, 1)  # ray j tight on all first rows but j
     R = R / np.abs(R).max(axis=2, keepdims=True)
-    cap = min(m, 2 * k + 8)  # flag columns, grown when full
-    X = np.zeros((K, k, k + 1 + cap + m))
-    X[:, :, :k] = R
-    X[:, :, k] = 1.0
-    X[:, :, k + 1 : 2 * k + 1] = 1.0 - np.eye(k)
-    values = X[:, :, k + 1 + cap :]  # >= -tol on the first rows
+    X = np.zeros((K, 4 * k, k + m))  # 3k spare rows
+    X[:, :k, :k] = R
+    values = X[:, :k, k:]  # >= -tol on the first rows
     for j in range(k):  # _rowdot's order, without the (rays, rows, k) product
         values += R[:, :, j, None] * A[:, None, :, j]
+    cap = min(m, 2 * k + 8)  # flag columns, grown when full
+    F = np.zeros((K, 4 * k, 1 + cap), dtype=np.float32)
+    F[:, :k, 0] = 1.0
+    F[:, :k, 1 : k + 1] = 1.0 - np.eye(k, dtype=np.float32)
+    used = k  # rows of X and F in use
     rows = np.arange(m)  # the row of each value column
     pending = np.ones((K, m), dtype=bool)
     cuts = np.empty((K, m), dtype=np.intp)
     cuts[:, :k] = first
     n_cut = k
     least = max(k - 1, 1)  # shared flags of an adjacent pair: 1, and k - 2 cuts
-    width = k  # rows of X after the last compaction
     cone = ar  # each stack row's cone in the input
     out: list = [None] * K
     while True:
-        V = X[:, :, k + 1 + cap :]
+        V = X[:, :used, k:]
         low = V.min(axis=1, initial=np.inf)
         violated = (low < -tol) & pending
         live = violated.any(axis=1)
         if not live.all():
             for i in np.flatnonzero(~live):
-                out[cone[i]] = (X[i, X[i, :, k] > 0.0, :k], cuts[i, :n_cut])
+                out[cone[i]] = (X[i, :used][F[i, :used, 0] > 0.0, :k], cuts[i, :n_cut])
             if not live.any():
                 return out
-            X, V, low, violated = X[live], V[live], low[live], violated[live]
+            X, F, low, violated = X[live], F[live], low[live], violated[live]
             weight, cuts, cone = weight[live], cuts[live], cone[live]
             ar = np.arange(cone.size)
+            V = X[:, :used, k:]
         j = np.where(violated, low * weight, np.inf).argmin(axis=1)
         vals = V[ar, :, j]
         neg = vals < -tol
@@ -656,76 +661,77 @@ def _double_description(
         pending[ar, j] = False
         if n_cut == cap:
             grow = min(cap, m - cap)
-            X = np.concatenate([X[:, :, : k + 1 + cap], np.zeros(X.shape[:2] + (grow,)),
-                                X[:, :, k + 1 + cap :]], axis=2)
+            F = np.concatenate([F, np.zeros(F.shape[:2] + (grow,), dtype=F.dtype)], axis=2)
             cap += grow
-        X[:, :, k + 1 + n_cut] = ~(neg | pos)
+        F[:, :used, 1 + n_cut] = ~(neg | pos)
         n_cut += 1
-        F = X[:, :, k : k + 1 + n_cut]
-        c, p, n = _pair_candidates(F, pos, neg, least)
-        Fp, Fn = F[c, p], F[c, n]
+        Fu = F[:, :used, : 1 + n_cut]
+        c, p, n = _pair_candidates(Fu, pos, neg, least)
+        Fp, Fn = Fu[c, p], Fu[c, n]
         common = Fp * Fn
-        shared = common.sum(axis=1)
-        keep = shared >= least
-        if shared.max(initial=0.0) > least or F.sum(axis=2).max() > k:
-            doubt = keep & (shared + np.minimum(Fp.sum(axis=1), Fn.sum(axis=1)) > 2 * k - 1)
-            if doubt.any():
-                keep[doubt] = _held_by_two(F, c[doubt], common[doubt])
-        keep = np.flatnonzero(keep)
-        c, p, n, common = c[keep], p[keep], n[keep], common[keep]
+        doubt = common.sum(axis=1) + np.minimum(Fp.sum(axis=1), Fn.sum(axis=1)) > 2 * k - 1
+        if doubt.any():
+            keep = ~doubt
+            keep[doubt] = _held_by_two(Fu, c[doubt], common[doubt])
+            c, p, n, common = c[keep], p[keep], n[keep], common[keep]
         new = vals[c, p, None] * X[c, n] - vals[c, n, None] * X[c, p]
         new /= np.abs(new[:, :k]).max(axis=1, keepdims=True)
-        new[:, k : k + 1 + n_cut] = common
-        new[:, k + n_cut] = 1.0  # tight on the cut that made it
-        # the new rays go below the old rows; the rows of removed rays are zero
-        X[neg] = 0.0
-        added = np.bincount(c, minlength=cone.size)
-        if added.min() == added.max():  # no cone's new rows need padding
-            grown = new.reshape(cone.size, -1, X.shape[2])
-        else:
-            grown = np.zeros((cone.size, added.max(), X.shape[2]))
-            grown[np.arange(grown.shape[1]) < added[:, None]] = new
-        X = np.concatenate([X, grown], axis=1)
-        compact = X.shape[1] > 2 * width or n_cut == k + 1  # the first cut drops most rows
-        if compact or X.shape[1] > RAY_CAP:
-            count = (X[:, :, k] > 0.0).sum(axis=1)
-            if count.max() > RAY_CAP:
-                raise DegenerateVersionSpaceError(
-                    f"the cone's ray build reached {count[count > RAY_CAP][0]} rays, "
-                    f"above the cap of {RAY_CAP}"
-                )
-        if compact:  # drop the zero rows, and the values of rows no cone has pending
-            slots = np.argsort(X[:, :, k] == 0.0, axis=1, kind="stable")[:, : count.max(), None]
+        common[:, n_cut] = 1.0  # tight on the cut that made it
+        gone = np.nonzero(neg)
+        X[gone] = 0.0
+        F[gone] = 0.0
+        slot = np.arange(c.size) - np.searchsorted(c, c)  # c is sorted
+        added = int(slot.max()) + 1 if c.size else 0
+        if used + added > min(X.shape[1], RAY_CAP):
+            alive = F[:, :used, 0] > 0.0
+            kept = alive.sum(axis=1)
+            if kept.max() + added > RAY_CAP:
+                count = kept + np.bincount(c, minlength=cone.size)
+                if count.max() > RAY_CAP:
+                    raise DegenerateVersionSpaceError(
+                        f"the cone's ray build reached {count[count > RAY_CAP][0]} rays, "
+                        f"above the cap of {RAY_CAP}"
+                    )
+        if used + added > X.shape[1]:  # no room: drop the zero rows, and the values no cone reads
+            used = int(kept.max())
+            slots = np.argsort(~alive, axis=1, kind="stable")[:, :used]
             rest = np.flatnonzero(pending.any(axis=0))
-            X = X[ar[:, None, None], slots, np.r_[: k + 1 + cap, k + 1 + cap + rest]]
+            cols = np.concatenate([np.arange(k), k + rest])
+            size = 2 * (used + added)
+            Xc = np.zeros((cone.size, size, cols.size))
+            Xc[:, :used] = X[ar[:, None], slots][..., cols]
+            Fc = np.zeros((cone.size, size, F.shape[2]), dtype=F.dtype)
+            Fc[:, :used] = F[ar[:, None], slots]
+            X, F = Xc, Fc
             pending, rows, weight = pending[:, rest], rows[rest], weight[:, rest]
-            width = X.shape[1]
+            new = new[:, cols]
+        slot += used
+        X[c, slot] = new
+        F[c, slot, : 1 + n_cut] = common
+        used += added
 
 
 def _pair_candidates(F: np.ndarray, pos: np.ndarray, neg: np.ndarray, least: int) -> tuple:
     """The pairs (c, p, n) of a positive ray p and a negative ray n of cone
-    c, sorted, from the 0/1 flags F (K, rays, f) of every ray.  When the
-    stack's (rays, rays, flags) grid has at most SR_CHUNK_ELEMS / 4 entries
-    these are all such pairs, read off that grid; otherwise only those
-    sharing at least `least` flags, counted over each cone's positive rays
-    times its negative ones in blocks of SR_CHUNK_ELEMS entries, which
-    costs more calls but no work on the whole grid.  Pairs sharing fewer
-    flags are no adjacent pairs, so both give the adjacent pairs the same
-    tests, in the same order."""
-    K, r, f = F.shape
-    if K * r * r * f <= SR_CHUNK_ELEMS // 4:
-        return np.nonzero(pos[:, :, None] & neg[:, None, :])
+    c that share at least `least` of the 0/1 flags F (K, rays, f), sorted.
+    The shared counts are products of every ray's flags, zero unless the
+    ray is positive, with those of each cone's negative rays (the fewer, as
+    a cut removes few rays), in blocks of at most SR_CHUNK_ELEMS entries.
+    Pairs sharing fewer flags are no adjacent pairs."""
+    K, r, _ = F.shape
     cone = np.arange(K)[:, None]
-    P = np.argsort(~pos, axis=1, kind="stable")[:, : pos.sum(axis=1).max()]
     N = np.argsort(~neg, axis=1, kind="stable")[:, : neg.sum(axis=1).max()]
-    FP = F[cone, P] * pos[cone, P][..., None]  # zero past the positive rays
-    FN = (F[cone, N] * neg[cone, N][..., None]).transpose(0, 2, 1)
+    FN = (F[cone, N] * neg[cone, N][..., None]).transpose(0, 2, 1)  # zero past the negative rays
+    FP = F * pos[..., None]
     step = max(1, SR_CHUNK_ELEMS // max(K * N.shape[1], 1))
     found = [(lo, *np.nonzero(FP[:, lo : lo + step] @ FN >= least))
-             for lo in range(0, P.shape[1], step)]
+             for lo in range(0, max(r, 1), step)]
+    if len(found) == 1:  # sorted already
+        _, c, p, j = found[0]
+        return c, p, N[c, j]
     c = np.concatenate([b for _, b, _, _ in found])
     order = np.argsort(c, kind="stable")
-    p = np.concatenate([P[b, lo + i] for lo, b, i, _ in found])
+    p = np.concatenate([lo + i for lo, _, i, _ in found])
     n = np.concatenate([N[b, j] for _, b, _, j in found])
     return c[order], p[order], n[order]
 
@@ -737,7 +743,7 @@ def _held_by_two(F: np.ndarray, c: np.ndarray, common: np.ndarray) -> np.ndarray
     (pairs, rays) counts are formed in blocks of at most SR_CHUNK_ELEMS
     entries."""
     slot = np.arange(c.size) - np.searchsorted(c, c)
-    P = np.zeros((F.shape[0], slot.max() + 1, F.shape[2]))
+    P = np.zeros((F.shape[0], slot.max() + 1, F.shape[2]), dtype=F.dtype)
     P[c, slot] = common
     Ft = F.transpose(0, 2, 1)
     holders = np.empty(P.shape[:2])
@@ -882,9 +888,15 @@ def _fit_one(S: Dataset, concept: ConceptClass) -> IntervalVS:
 
 def fit_batch(m: int, d: int) -> int:
     """How many samples of m points in R^d one `fit_version_spaces` call
-    builds at once: the batch keeps m * 2^(d + 3) per sample, which bounds
-    the numbers its ray build holds (rays with their zero rows, times flags
-    and values), near SR_CHUNK_ELEMS in all."""
+    builds at once: SR_CHUNK_ELEMS entries of the ray build's buffers (X
+    and F of `_double_description`, spare rows included) in all, at
+    m * 2^(d + 3) per sample.  A stack pads each cone to its largest, so
+    the share must cover a sample's worst case, not its median.  Measured
+    peaks per cone on Gaussian samples, hinted and unhinted, at most: 940
+    for d = 3, m = 60 (share 3 840); 4 400 for d = 5, m = 60 (15 360);
+    26 000 for d = 6, m = 100 (51 200); for d = 8, m = 200 about 10^5,
+    and 590 000 for a cone of 3 000 rays (409 600), so such samples are
+    built one at a time."""
     return max(1, SR_CHUNK_ELEMS // (max(m, 1) << min(d + 3, 20)))
 
 

@@ -377,6 +377,13 @@ def test_config_numbers_as_text_convert_as_flags_do(tmp_path):
     cfg.write_text(json.dumps({**text, "out": str(by_text)}))
     assert run("attack-verify", "--config", str(cfg)) == 0
     assert by_config.read_bytes() == by_text.read_bytes()
+    by_float = tmp_path / "c.json"  # integral floats convert as the ints they equal
+    floats = {k: float(v) if k in ("m", "trials", "seed") else v for k, v in ATTACK_CONFIG.items()}
+    text = json.dumps({**floats, "out": str(by_float)})
+    cfg.write_text(text.replace('"m": 40.0', '"m": 4e1'))
+    assert '"m": 4e1' in cfg.read_text() and '"trials": 5.0' in cfg.read_text()
+    assert run("attack-verify", "--config", str(cfg)) == 0
+    assert by_config.read_bytes() == by_float.read_bytes()
 
 
 def test_config_file_must_hold_an_object(tmp_path, capsys):

@@ -533,20 +533,22 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
 @pytest.mark.parametrize("d, m", [(2, 100), (3, 60), (4, 40)])
 def test_hinted_ray_build_cuts_only_facets(d, m):
     # past the first d rows, every row the build cuts with carries d - 1
-    # independent tight rays: a facet, never a redundant row.  The eight
-    # samples share one target, and one batched fit.
-    hstar = LinearHomogeneous(np.random.default_rng([70, d]).standard_normal(d))
-    samples = []
-    for seed in range(8):
-        X = np.random.default_rng([70, d, seed]).standard_normal((m, d))
-        samples.append(Dataset(X, hstar.predict_many(X)))
+    # independent tight rays: a facet, never a redundant row.  Each of the
+    # eight targets labels four samples, fitted in one batch.
     extra = 0
-    for vs in fit_version_spaces(samples, "linear", interior_hint=hstar.w):
-        W = vs.rays()
-        for i in vs.bank.cuts[d:]:
-            tight = W[np.abs(W @ vs.A[i]) <= 1e-9]
-            assert np.linalg.matrix_rank(tight) == d - 1
-            extra += 1
+    for seed in range(8):
+        rng = np.random.default_rng([70, d, seed])
+        hstar = LinearHomogeneous(rng.standard_normal(d))
+        samples = []
+        for _ in range(4):
+            X = rng.standard_normal((m, d))
+            samples.append(Dataset(X, hstar.predict_many(X)))
+        for vs in fit_version_spaces(samples, "linear", interior_hint=hstar.w):
+            W = vs.rays()
+            for i in vs.bank.cuts[d:]:
+                tight = W[np.abs(W @ vs.A[i]) <= 1e-9]
+                assert np.linalg.matrix_rank(tight) == d - 1
+                extra += 1
     assert extra > 0
 
 
@@ -606,8 +608,8 @@ def _same_bank(a, b):
 def test_batched_ray_build_is_batch_invariant(d, monkeypatch):
     # every cone of a mixed stack gets its one-cone bank, bit for bit, and so
     # does every cone of any sub-stack in another order, and of the stack
-    # with SR_CHUNK_ELEMS so small that the pairs come from counts of shared
-    # flags in one-row blocks, not from the (rays, rays) grid
+    # with SR_CHUNK_ELEMS so small that the shared flags of the candidate
+    # pairs are counted in one-row blocks
     import relicert.version_space as version_space
 
     rng = np.random.default_rng(90 + d)
