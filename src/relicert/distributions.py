@@ -42,6 +42,8 @@ def map_trial_chunks(fn, args_base: tuple, trials: int, jobs: int) -> list:
     chunk per worker process (in this process when jobs <= 1 or one chunk
     covers every trial); the results in chunk order.  Each trial seeds its
     own generator from (seed, trial), so the results do not depend on jobs."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if jobs <= 1:
         chunks = [args_base + (0, trials)]
     else:

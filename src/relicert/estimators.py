@@ -20,7 +20,6 @@ from .distributions import (
     _draw,
     cdf_1d,
     derive_rng,
-    dimension,
     is_rotation_invariant,
     map_trial_chunks,
     quantile_1d,
@@ -29,14 +28,8 @@ from .distributions import (
 from .losses import LossKind
 # the one-point form stays importable here: perfbench's layer tracer wraps
 # it, and a missing name would report its metrics as absent instead of 0
-from .reliability import safely_reliable_membership, sr_membership_mask  # noqa: F401
-from .version_space import (
-    ConceptClass,
-    OffsetClass,
-    fit_batch,
-    fit_version_spaces,
-    interior_hint,
-)
+from .reliability import fitted_trials, safely_reliable_membership, sr_membership_mask  # noqa: F401
+from .version_space import ConceptClass, OffsetClass
 # the one-sample fit stays importable here: perfbench's layer tracer wraps it
 # (the trials fit in batches, so it reports 0 calls instead of absent metrics)
 from .version_space import fit_version_space  # noqa: F401
@@ -260,6 +253,8 @@ def theta_pq(
 ) -> ThetaEstimate:
     """Supremum over the radius grid of (target mass of the disputed region
     of the source disagreement ball) / radius."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     grid = default_r_grid(epsilon) if r_grid is None else np.asarray(r_grid, dtype=float)
     if grid.min() < epsilon - 1e-12:
         raise ValueError("grid radii must be at least epsilon")
@@ -302,27 +297,19 @@ def sample_size_for_epsilon(eps: float, vc_dim: int, delta: float = 0.05, c: flo
 
 
 def _shift_trial_mean(args) -> list[float]:
-    """Per trial lo..hi-1, the mean of the (safely-)reliable mask over fresh
-    target draws.  In sub-batches of `fit_batch` trials, every training
-    sample is drawn, all are fitted in one `fit_version_spaces` call, and
-    each trial's target points follow; each draw has its own generator, so
-    the order changes no stream."""
+    """Per trial lo..hi-1 of `reliable_correctness`, the share of n_test
+    fresh target draws in the (safely-)reliable region of the trial's fit.
+    Trial t draws its training sample from derive_rng(seed, t, 0)
+    (`fitted_trials`) and its target points from derive_rng(seed, t, 1)."""
     concept, hstar, P, Q, m, eta1, eta2, kind, n_test, seed, lo, hi = args
     out = []
-    step = fit_batch(m, dimension(P))
-    for start in range(lo, hi, step):
-        trials = range(start, min(start + step, hi))
-        samples = []
-        for t in trials:
-            X = _draw(P, derive_rng(seed, t, 0), m)
-            samples.append(Dataset(X, hstar.predict_many(X)))
-        for t, vs in zip(trials, fit_version_spaces(samples, concept, interior_hint(hstar))):
-            T = _draw(Q, derive_rng(seed, t, 1), n_test)
-            if kind is None:
-                out.append(float(np.mean(vs.membership_many(T) != 0)))
-            else:
-                mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind)
-                out.append(float(np.mean(mask)))
+    for t, _, vs in fitted_trials(concept, hstar, P, m, range(lo, hi),
+                                  lambda t: derive_rng(seed, t, 0)):
+        T = _draw(Q, derive_rng(seed, t, 1), n_test)
+        if kind is None:
+            out.append(float(np.mean(vs.membership_many(T) != 0)))
+        else:
+            out.append(float(np.mean(sr_membership_mask(vs, hstar, T, eta1, eta2, kind))))
     return out
 
 
@@ -348,8 +335,8 @@ def reliable_correctness(
     correctness: the fraction of target draws in the agreement region.
     Passing a labeled target sample enforces the realizability premise.
     """
-    if trials < 1 or n_test < 1:
-        raise ValueError("trials and n_test must be positive")
+    if n_test < 1:
+        raise ValueError("n_test must be positive")
     if kind is None and (eta1 != 0.0 or eta2 != 0.0):
         raise ValueError("plain reliable correctness is defined at zero attack strength")
     if labeled_test is not None and len(labeled_test):

@@ -214,7 +214,7 @@ def sr_membership_mask(
     agreement when that is 0).  The constrained-adversary region is the
     agreed points that pass the version space's `ca_cap_mask`.
     """
-    if eta1 < 0.0 or eta2 < 0.0:
+    if not (eta1 >= 0.0 and eta2 >= 0.0):
         raise ValueError("attack strengths must be nonnegative")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
@@ -279,7 +279,7 @@ def margin_certify(
     in closed form; -1 when no eta >= 0 qualifies."""
     if not isinstance(h_erm, LinearHomogeneous):
         raise ValueError("the margin certifier needs a linear hypothesis")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     z = _as_point(z, dim=h_erm.dimension)
     if d is None:
@@ -365,13 +365,23 @@ def _craft_attack(
     raise ValueError(f"unknown attack strategy {strategy!r}")
 
 
-def _draw_sample(trial: int, hstar: Hypothesis, sampler: DistributionSpec, m: int, seed: int):
-    """A trial's seed, its generator and its training sample, the first
-    thing the trial draws."""
-    trial_seed = (seed ^ trial) & 0xFFFFFFFFFFFFFFFF
-    rng = np.random.Generator(np.random.Philox(key=trial_seed))
-    X = _draw(sampler, rng, m)
-    return trial_seed, rng, Dataset(X, hstar.predict_many(X))
+def fitted_trials(
+    concept: ConceptClass, hstar: Hypothesis, spec: DistributionSpec, m: int, trials: range, rng_of
+):
+    """(t, rng, vs) for each trial t: rng = rng_of(t), after it drew the
+    trial's m training points from spec (labelled by hstar), and vs the
+    version space fitted to them.  Each sub-batch of `fit_batch(m, d)`
+    trials is fitted in one `fit_version_spaces` call, hinted by
+    `interior_hint(hstar)`.  Each trial draws only from its own generator
+    and a batched fit is the same bits as a one-sample fit, so the results
+    are those of a loop that fits one trial at a time."""
+    step = fit_batch(m, dimension(spec))
+    for i in range(0, len(trials), step):
+        batch = trials[i : i + step]
+        rngs = [rng_of(t) for t in batch]
+        Xs = [_draw(spec, rng, m) for rng in rngs]
+        samples = [Dataset(X, hstar.predict_many(X)) for X in Xs]
+        yield from zip(batch, rngs, fit_version_spaces(samples, concept, interior_hint(hstar)))
 
 
 def _run_trial(
@@ -418,24 +428,19 @@ def _run_trial(
 
 
 def _run_trial_range(args) -> tuple[int, list[dict]]:
-    """Trials lo..hi-1, split at the fit: in sub-batches of `fit_batch`
-    trials, draw every sample, fit them in one `fit_version_spaces` call,
-    then finish each trial with the generator that drew its sample, so
-    every random stream is the one a trial-by-trial loop would draw."""
+    """Trials lo..hi-1 of `verify_contract`: the certified count and the
+    witnesses.  Trial t draws its sample, and then the rest of the trial,
+    from derive_rng(seed ^ t) (`fitted_trials`)."""
     concept, hstar, sampler, m, budget, kind, strategy, seed, lo, hi = args
     certified = 0
     witnesses: list[dict] = []
-    step = fit_batch(m, dimension(sampler))
-    for start in range(lo, hi, step):
-        trials = range(start, min(start + step, hi))
-        drawn = [_draw_sample(t, hstar, sampler, m, seed) for t in trials]
-        fitted = fit_version_spaces([S for _, _, S in drawn], concept, interior_hint(hstar))
-        for t, (trial_seed, rng, _), vs in zip(trials, drawn, fitted):
-            binding, bad = _run_trial(t, trial_seed, rng, vs, hstar, sampler, budget, kind,
-                                      strategy)
-            certified += int(binding)
-            if bad is not None:
-                witnesses.append(bad)
+    for t, rng, vs in fitted_trials(concept, hstar, sampler, m, range(lo, hi),
+                                    lambda t: derive_rng(seed ^ t)):
+        binding, bad = _run_trial(t, (seed ^ t) & 0xFFFFFFFFFFFFFFFF, rng, vs, hstar, sampler,
+                                  budget, kind, strategy)
+        certified += int(binding)
+        if bad is not None:
+            witnesses.append(bad)
     return certified, witnesses
 
 
@@ -461,7 +466,7 @@ def verify_contract(
     target concept.  Any nonzero loss inside a certified radius is recorded
     as a violation with full reproduction data.
     """
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise ValueError("attack budget must be nonnegative")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown attack strategy {strategy!r}")

@@ -16,6 +16,8 @@ from relicert.version_space import fit_version_space
 GAUSS1 = '{"kind":"gaussian","d":1}'
 THRESH = '{"kind":"threshold"}'
 HSTAR = '{"kind":"threshold","t":0.0}'
+GAUSS2 = '{"kind":"gaussian","d":2}'
+LINEAR2 = ["--concept", '{"kind":"linear"}', "--hstar", '{"kind":"linear","w":[0.6,0.8]}']
 
 
 def run(*argv):
@@ -115,17 +117,20 @@ def test_attack_verify_exit_codes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["report"]["violations"] == 0
     assert payload["report"]["certified"] > 0
+    for trials in ("0", "-5"):
+        assert run("attack-verify", "--concept", THRESH, "--hstar", HSTAR, "--dist", GAUSS1,
+                   "--m", "120", "--trials", trials, "--budget", "0.05", "--loss", "st") == 2
 
 
 def test_sr_mass_csv_schema(tmp_path):
     out = tmp_path / "sr.csv"
-    code = run(
+    argv = [
         "sr-mass", "--concept", THRESH, "--hstar", HSTAR,
         "--dist", '{"kind":"uniform_cube","d":1,"lo":-1,"hi":1}',
         "--m", "150", "--eta1", "0.05", "--eta2", "0.05", "--loss", "st",
-        "--trials", "3", "--n", "1000", "--seed", "2", "--out", str(out),
-    )
-    assert code == 0
+        "--n", "1000", "--seed", "2", "--out", str(out),
+    ]
+    assert run(*argv, "--trials", "3") == 0
     lines = out.read_text().splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
     data = [ln for ln in lines if not ln.startswith("#")]
@@ -135,6 +140,9 @@ def test_sr_mass_csv_schema(tmp_path):
     assert parts[0] == "sr-mass" and parts[2] == "st"
     mass = float(parts[9])
     assert 0.7 <= mass <= 1.0
+    out.unlink()
+    assert run(*argv, "--trials", "0") == 2
+    assert not out.exists()
 
 
 def test_theta_cli(tmp_path):
@@ -149,6 +157,31 @@ def test_theta_cli(tmp_path):
     text = out.read_text()
     final = [ln for ln in text.splitlines() if ln.startswith("# theta ")][0]
     assert float(final.split()[-1]) == pytest.approx(1.0, abs=0.1)
+
+
+def test_theta_cli_rejects_empty_sample(tmp_path):
+    out = tmp_path / "theta.csv"
+    code = run(
+        "theta", *LINEAR2, "--p", GAUSS2, "--q", GAUSS2,
+        "--epsilon", "0.01", "--n", "0", "--out", str(out),
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sr-mass", *LINEAR2, "--dist", GAUSS2, "--m", "100", "--eta1", "nan", "--eta2", "0.05",
+     "--loss", "ca", "--trials", "2", "--n", "200"],
+    ["sr-mass", *LINEAR2, "--dist", GAUSS2, "--m", "100", "--eta1", "nan", "--eta2", "0.05",
+     "--loss", "st", "--trials", "2", "--n", "200"],
+    ["attack-verify", *LINEAR2, "--dist", GAUSS2, "--m", "60", "--trials", "5",
+     "--budget", "nan", "--loss", "st"],
+], ids=["sr-mass-ca", "sr-mass-st", "attack-verify"])
+def test_nan_attack_strength_exits_2(tmp_path, argv):
+    # argparse's float accepts nan, so each sign check must reject it
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_shift_cli(tmp_path):
@@ -189,6 +222,12 @@ def test_margin_method_cli(tmp_path, train_csv):
     assert code == 0
     rec = json.loads(out.read_text())["certificates"][0]
     assert rec["method"] == "margin"
+    out.unlink()
+    code = run("certify", "--data", str(train_csv), "--points", str(pts),
+               "--loss", "st", "--concept", '{"kind":"linear"}', "--method", "margin",
+               "--eps", "nan", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
 
 
 def test_parser_is_reused_across_calls(tmp_path, train_csv, capsys):

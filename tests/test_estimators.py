@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from relicert import estimators, reliability
 from relicert.core import Dataset, LinearHomogeneous, Threshold
 from relicert.distributions import (
     IsotropicGaussian,
     MeanShift,
     UniformBall,
     UniformCube,
+    _draw,
+    derive_rng,
     sample,
 )
 from relicert.losses import LossKind
+from relicert.reliability import sr_membership_mask
+from relicert.version_space import fit_batch, fit_version_space
 from relicert.estimators import (
     RegionEstimate,
     ThetaEstimate,
@@ -135,6 +140,52 @@ def test_shift_st_jobs_invariance_linear():
     b = reliable_correctness("linear", hstar, IsotropicGaussian(3), Q, jobs=3, **kw)
     assert (a.mass, a.ci_low, a.ci_high) == (b.mass, b.ci_low, b.ci_high)
     assert 0.0 < a.mass < 1.0
+
+
+def test_trial_loops_match_one_fit_per_trial_across_sub_batches(monkeypatch):
+    # both trial workers fit in sub-batches of fit_batch(m, d) trials: 51 + 9
+    # for the shift trials below, 68 + 68 + 14 for the attack trials; each
+    # trial must come out bit for bit as a loop fitting one trial at a time
+    assert (fit_batch(80, 3), fit_batch(60, 3)) == (51, 68)
+    hstar = LinearHomogeneous(np.array([0.48, 0.6, -0.64]))
+    P = IsotropicGaussian(3)
+    Q = MeanShift(P, 0.5 * hstar.w)
+
+    def one_fit(rng, m):
+        X = _draw(P, rng, m)
+        return fit_version_space(Dataset(X, hstar.predict_many(X)), "linear", hstar.w)
+
+    strengths = (0.1, 0.05, LossKind.ST)
+    got = estimators._shift_trial_mean(("linear", hstar, P, Q, 80, *strengths, 300, 14, 0, 60))
+    want = []
+    for t in range(60):
+        vs = one_fit(derive_rng(14, t, 0), 80)
+        T = _draw(Q, derive_rng(14, t, 1), 300)
+        want.append(float(np.mean(sr_membership_mask(vs, hstar, T, *strengths))))
+    assert got == want
+
+    run_trial = reliability._run_trial
+    got = []
+
+    def recorded(t, trial_seed, rng, vs, *rest):
+        out = run_trial(t, trial_seed, rng, vs, *rest)
+        got.append((t, trial_seed, vs.rays().tobytes(), out))
+        return out
+
+    monkeypatch.setattr(reliability, "_run_trial", recorded)
+    attack = (0.2, LossKind.ST, "boundary-directed")
+    certified, witnesses = reliability._run_trial_range(
+        ("linear", hstar, P, 60, *attack, 32, 0, 150)
+    )
+    want = []
+    for t in range(150):
+        rng = np.random.Generator(np.random.Philox(key=32 ^ t))
+        vs = one_fit(rng, 60)
+        out = run_trial(t, 32 ^ t, rng, vs, hstar, P, *attack)
+        want.append((t, 32 ^ t, vs.rays().tobytes(), out))
+    assert got == want
+    assert certified == sum(binding for *_, (binding, _) in want)
+    assert witnesses == [bad for *_, (_, bad) in want if bad is not None]
 
 
 # ---------------------------------------------------------------------------
