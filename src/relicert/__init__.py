@@ -47,8 +47,8 @@ from .reliability import (
     ViolationReport,
     certify,
     certify_general_finite,
-    margin_certificate,
     margin_certify,
+    margin_certify_many,
     safely_reliable_membership,
     verify_contract,
 )

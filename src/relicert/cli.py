@@ -35,7 +35,7 @@ from .reliability import (
     LabelConstancyError,
     ReliabilityCertificate,
     certify_many,
-    margin_certificate,
+    margin_certify_many,
     verify_contract,
 )
 from .version_space import concept_from_dict, erm, fit_version_space
@@ -153,12 +153,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _json_artifact(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Strict JSON: a non-finite value raises ValueError (exit 2) before any
+    file is written, where NaN or Infinity would not parse as JSON."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _csv_config_lines(cfg: dict) -> list[str]:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return [f"# {FINGERPRINT}", f"# config {blob}"]
+    return [f"# {FINGERPRINT}", f"# config {_json_artifact(cfg).rstrip()}"]
 
 
 def _write_estimate(cfg: dict, quantity: str, concept, kind: LossKind | None, d: int, est) -> int:
@@ -198,23 +199,20 @@ def _cmd_certify(args) -> int:
     S = read_dataset_csv(cfg["data"])
     pts = read_points_csv(cfg["points"])
     seed = int(cfg["seed"])
-    certs = []
-    if cfg["method"] == "exact":
-        vs = fit_version_space(S, concept)
-        labels, radii = certify_many(vs, pts, kind, seed=seed)
-        for z, label, radius in zip(pts, labels.tolist(), radii.tolist()):
-            cert = ReliabilityCertificate(label or None, radius, kind, "analytic")
-            certs.append(cert.to_json_dict(z, seed=seed))
-    elif cfg["method"] == "margin":
+    method = "margin" if cfg["method"] == "margin" else "analytic"  # --method is exact or margin
+    if method == "margin":
         if kind is not LossKind.ST:
             raise UsageError("the margin certifier issues stability-loss certificates")
         _require(cfg, "eps")
-        h = erm(S, concept)
-        for z in pts:
-            cert = margin_certificate(h, z, float(cfg["eps"]), c1=float(cfg.get("c1", 1.0)))
-            certs.append(cert.to_json_dict(z, seed=seed))
+        labels, radii = margin_certify_many(
+            erm(S, concept), pts, float(cfg["eps"]), c1=float(cfg.get("c1", 1.0))
+        )
     else:
-        raise UsageError(f"unknown certify method {cfg['method']!r}")
+        labels, radii = certify_many(fit_version_space(S, concept), pts, kind, seed=seed)
+    certs = [
+        ReliabilityCertificate(label or None, radius, kind, method).to_json_dict(z, seed=seed)
+        for z, label, radius in zip(pts, labels.tolist(), radii.tolist())
+    ]
     payload = {"version": FINGERPRINT, "config": _echo_config(cfg), "certificates": certs}
     _write_text(cfg["out"], _json_artifact(payload))
     print(f"wrote {len(certs)} certificates to {cfg['out']}")

@@ -34,7 +34,7 @@ from .core import (
     _as_point,
     predict,
 )
-from .distributions import uniform_ball
+from .distributions import derive_rng, uniform_ball
 
 log = logging.getLogger(__name__)
 
@@ -214,7 +214,7 @@ def robust_loss_sup(
             return RobustLossResult(value=val, method="exact")
         if not isinstance(h, OffsetBoundary):
             raise ValueError(f"unsupported hypothesis type {type(h).__name__}")
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = derive_rng(seed)
         zs = x + uniform_ball(rng, n_samples, x.shape[0], model.radius)
         zs = np.vstack([x[None, :], zs])  # the identity perturbation always counts
         val = int(fixed_loss_many(kind, h, hstar, x, zs).max())

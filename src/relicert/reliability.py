@@ -135,6 +135,16 @@ def _assert_balls_label_constancy(
             )
 
 
+def _as_rows(Z) -> np.ndarray:
+    """Z as a finite (n, d) float array."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if Z.ndim != 2:
+        raise ValueError(f"points must form an (n, d) array, got shape {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise ValueError("point coordinates must be finite")
+    return Z
+
+
 def certify_many(
     vs: VersionSpace, Z, kind: LossKind, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,11 +155,7 @@ def certify_many(
     ball check draws from one generator per call, derived from `seed`,
     over every certified row.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.ndim != 2:
-        raise ValueError(f"points must form an (n, d) array, got shape {Z.shape}")
-    if not np.isfinite(Z).all():
-        raise ValueError("point coordinates must be finite")
+    Z = _as_rows(Z)
     labels = vs.membership_many(Z)
     if kind is not LossKind.ST:
         return labels, np.where(labels != 0, math.inf, -1.0)
@@ -214,11 +220,9 @@ def sr_membership_mask(
     agreement when that is 0).  The constrained-adversary region is the
     agreed points that pass the version space's `ca_cap_mask`.
     """
-    if not (eta1 >= 0.0 and eta2 >= 0.0):
-        raise ValueError("attack strengths must be nonnegative")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("point coordinates must be finite")
+    if not (0.0 <= eta1 < math.inf and 0.0 <= eta2 < math.inf):
+        raise ValueError("attack strengths must be nonnegative and finite")
+    X = _as_rows(X)
     if kind is LossKind.CA:
         if hstar is None:
             raise ValueError("the constrained-adversary region needs the target concept")
@@ -261,55 +265,37 @@ def safely_reliable_membership(
 def margin_alpha(eps: float, d: int) -> float:
     """Norm-scale parameter: log(1 / (sqrt(d) * eps))."""
     val = math.log(1.0 / (math.sqrt(d) * eps))
-    if val <= 0.0:
+    if not val > 0.0:
         raise ValueError("eps too large for the margin certifier at this dimension")
     return val
 
 
-def margin_certify(
-    h_erm: LinearHomogeneous,
-    z,
-    eps: float,
-    d: int | None = None,
-    alpha: float | None = None,
-    c1: float = 1.0,
-) -> float:
-    """Largest eta for which z sits in the margin-certified set
-    {norm < alpha*sqrt(d) - eta} n {|margin| >= c1*alpha*eps*sqrt(d) + eta},
-    in closed form; -1 when no eta >= 0 qualifies."""
+def margin_certify_many(
+    h_erm: LinearHomogeneous, Z, eps: float, c1: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and radii of every row of Z, as `certify_many` returns them:
+    the radius is the largest eta >= 0 with the row in {norm < alpha*sqrt(d)
+    - eta} n {|margin| >= c1*alpha*eps*sqrt(d) + eta}, in closed form."""
     if not isinstance(h_erm, LinearHomogeneous):
         raise ValueError("the margin certifier needs a linear hypothesis")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    z = _as_point(z, dim=h_erm.dimension)
-    if d is None:
-        d = z.shape[0]
-    elif d != z.shape[0]:
-        raise ValueError("declared dimension does not match the point")
-    if alpha is None:
-        alpha = margin_alpha(eps, d)
-    root_d = math.sqrt(d)
-    norm_z = float(np.linalg.norm(z))
-    if norm_z >= alpha * root_d:
-        return -1.0
-    margin = float(abs(h_erm.margins(z[None, :])[0]))
-    eta = min(margin - c1 * alpha * eps * root_d, alpha * root_d - norm_z)
-    return eta if eta >= 0.0 else -1.0
+    if not 0.0 < c1 < math.inf:
+        raise ValueError("c1 must be a positive finite number")
+    Z = _as_rows(Z)
+    alpha, root_d = margin_alpha(eps, Z.shape[1]), math.sqrt(Z.shape[1])
+    margins = h_erm.margins(Z)
+    norms = np.linalg.norm(Z, axis=1)
+    eta = np.minimum(np.abs(margins) - c1 * alpha * eps * root_d, alpha * root_d - norms)
+    certified = (norms < alpha * root_d) & (eta >= 0.0)
+    # a certified margin is nonzero, so its sign is the prediction
+    labels = np.where(certified, np.sign(margins), 0.0).astype(np.int8)
+    return labels, np.where(certified, eta, -1.0)
 
 
-def margin_certificate(
-    h_erm: LinearHomogeneous,
-    z,
-    eps: float,
-    d: int | None = None,
-    alpha: float | None = None,
-    c1: float = 1.0,
-) -> ReliabilityCertificate:
-    """Wrap the margin certifier into a stability-loss certificate."""
-    eta = margin_certify(h_erm, z, eps, d=d, alpha=alpha, c1=c1)
-    if eta < 0.0:
-        return ReliabilityCertificate(None, -1.0, LossKind.ST, "margin")
-    return ReliabilityCertificate(predict(h_erm, z), eta, LossKind.ST, "margin")
+def margin_certify(h_erm: LinearHomogeneous, z, eps: float, c1: float = 1.0) -> float:
+    """The margin radius at z (-1 on an abstention): `margin_certify_many`'s one-row call."""
+    return float(margin_certify_many(h_erm, _as_point(z)[None, :], eps, c1=c1)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +452,8 @@ def verify_contract(
     target concept.  Any nonzero loss inside a certified radius is recorded
     as a violation with full reproduction data.
     """
-    if not budget >= 0.0:
-        raise ValueError("attack budget must be nonnegative")
+    if not 0.0 <= budget < math.inf:
+        raise ValueError("attack budget must be nonnegative and finite")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown attack strategy {strategy!r}")
     base = (concept, hstar, sampler, m, budget, kind, strategy, seed)

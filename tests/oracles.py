@@ -289,7 +289,7 @@ def _margin_feasible(norm_z: float, margin: float, alpha: float, c1: float,
     return norm_z < alpha * root_d - eta and margin >= c1 * alpha * eps * root_d + eta
 
 
-def margin_certify_halving(h_erm, z, eps, d=None, alpha=None, c1=1.0, tol=1e-12):
+def margin_certify_halving(h_erm, z, eps, c1=1.0, tol=1e-12):
     """The margin certifier's radius located by halving search on its
     feasibility predicate (parity check for the closed form)."""
     from relicert.core import LinearHomogeneous, _as_point
@@ -298,10 +298,8 @@ def margin_certify_halving(h_erm, z, eps, d=None, alpha=None, c1=1.0, tol=1e-12)
     if not isinstance(h_erm, LinearHomogeneous):
         raise ValueError("the margin certifier needs a linear hypothesis")
     z = _as_point(z, dim=h_erm.dimension)
-    if d is None:
-        d = z.shape[0]
-    if alpha is None:
-        alpha = margin_alpha(eps, d)
+    d = z.shape[0]
+    alpha = margin_alpha(eps, d)
     norm_z = float(np.linalg.norm(z))
     margin = float(abs(h_erm.margins(z[None, :])[0]))
 

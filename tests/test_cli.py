@@ -10,8 +10,8 @@ from relicert.core import read_dataset_csv
 from relicert.estimators import ESTIMATE_CSV_HEADER
 from relicert.losses import LossKind
 from relicert.lp import LPError
-from relicert.reliability import LabelConstancyError, certify
-from relicert.version_space import fit_version_space
+from relicert.reliability import LabelConstancyError, certify, margin_certify_many
+from relicert.version_space import erm, fit_version_space
 
 GAUSS1 = '{"kind":"gaussian","d":1}'
 THRESH = '{"kind":"threshold"}'
@@ -176,9 +176,16 @@ def test_theta_cli_rejects_empty_sample(tmp_path):
      "--loss", "st", "--trials", "2", "--n", "200"],
     ["attack-verify", *LINEAR2, "--dist", GAUSS2, "--m", "60", "--trials", "5",
      "--budget", "nan", "--loss", "st"],
-], ids=["sr-mass-ca", "sr-mass-st", "attack-verify"])
+    *(["sr-mass", *LINEAR2, "--dist", GAUSS2, "--m", "100", "--eta1", "inf", "--eta2", "0.05",
+       "--loss", loss, "--trials", "2", "--n", "200"] for loss in ("ca", "st", "tl")),
+    ["shift", *LINEAR2, "--p", GAUSS2, "--q", GAUSS2, "--m", "100", "--eta2", "inf",
+     "--loss", "st", "--trials", "2", "--n", "200"],
+    ["attack-verify", *LINEAR2, "--dist", GAUSS2, "--m", "60", "--trials", "5",
+     "--budget", "inf", "--loss", "st"],
+], ids=["sr-mass-ca", "sr-mass-st", "attack-verify", "sr-mass-ca-inf", "sr-mass-st-inf",
+        "sr-mass-tl-inf", "shift-inf", "attack-verify-inf"])
 def test_nan_attack_strength_exits_2(tmp_path, argv):
-    # argparse's float accepts nan, so each sign check must reject it
+    # argparse's float accepts nan and inf, so each range check must reject them
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
     assert not out.exists()
@@ -213,21 +220,39 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_margin_method_cli(tmp_path, train_csv):
+    # d = 1, eps = 0.05: alpha = 3, so a point certifies when 0.15 <= |z| < 3
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1\n0.9\n-2.0\n0.1\n5.0\n")
+    out = tmp_path / "m.json"
+    argv = ["certify", "--data", str(train_csv), "--points", str(pts), "--loss", "st",
+            "--concept", '{"kind":"linear"}', "--method", "margin", "--out", str(out)]
+    assert run(*argv, "--eps", "0.05") == 0
+    recs = json.loads(out.read_text())["certificates"]
+    assert all(rec["method"] == "margin" for rec in recs)
+    h = erm(read_dataset_csv(train_csv), "linear")
+    labels, radii = margin_certify_many(h, [rec["point"] for rec in recs], 0.05)
+    assert [rec["prediction"] for rec in recs] == [
+        "abstain" if y == 0 else int(y > 0) for y in labels.tolist()
+    ]
+    assert [rec["radius"] for rec in recs] == radii.tolist()
+    assert labels.tolist() == [1, -1, 0, 0]
+    for bad in (["--eps", "nan"], ["--eps", "0.05", "--c1=-5"], ["--eps", "0.05", "--c1", "0"],
+                ["--eps", "0.05", "--c1", "nan"], ["--eps", "0.05", "--c1", "inf"]):
+        out.unlink(missing_ok=True)
+        assert run(*argv, *bad) == 2
+        assert not out.exists()
+
+
+def test_non_finite_config_exits_2(tmp_path, train_csv):
+    # the exact method reads no eps, but the artifact echoes it: a non-finite
+    # value must not reach the JSON as NaN or Infinity
     pts = tmp_path / "pts.csv"
     pts.write_text("x1\n0.9\n")
-    out = tmp_path / "m.json"
-    code = run("certify", "--data", str(train_csv), "--points", str(pts),
-               "--loss", "st", "--concept", '{"kind":"linear"}', "--method", "margin",
-               "--eps", "0.05", "--out", str(out))
-    assert code == 0
-    rec = json.loads(out.read_text())["certificates"][0]
-    assert rec["method"] == "margin"
-    out.unlink()
-    code = run("certify", "--data", str(train_csv), "--points", str(pts),
-               "--loss", "st", "--concept", '{"kind":"linear"}', "--method", "margin",
-               "--eps", "nan", "--out", str(out))
-    assert code == 2
-    assert not out.exists()
+    out = tmp_path / "c.json"
+    for eps in ("nan", "inf"):
+        assert run("certify", "--data", str(train_csv), "--points", str(pts), "--loss", "st",
+                   "--concept", THRESH, "--eps", eps, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 def test_parser_is_reused_across_calls(tmp_path, train_csv, capsys):

@@ -209,6 +209,24 @@ def test_sampled_lower_bound_never_exceeds_exact():
         assert res.value <= exact
 
 
+def test_sampled_lower_bound_seeds_through_derive_rng():
+    # a ball that pokes a thin cap across the boundary: whether 16 draws hit
+    # it depends on the stream, so the values pin it for each seed
+    base = BaseBoundary("constant", (0.0,))
+    h = hstar = OffsetBoundary(base, 0.0)
+
+    def value(seed):
+        res = robust_loss_sup(
+            LossKind.ST, h, hstar, [0.2, 0.45], MetricBall(0.5), n_samples=16, seed=seed
+        )
+        assert res.method == "sampled-lower-bound"
+        return res.value
+
+    assert [value(s) for s in range(16)] == [1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    # a negative seed is reduced mod 2**64, as everywhere else
+    assert value(-1) == value(2**64 - 1)
+
+
 def test_mixed_classes_rejected():
     with pytest.raises(ValueError):
         fixed_loss(LossKind.TL, Threshold(0.0), _lin(1.0, 0.0), [0.0], [0.0])

@@ -30,8 +30,9 @@ from relicert.reliability import (
     certify,
     certify_many,
     certify_general_finite,
-    margin_certificate,
+    margin_alpha,
     margin_certify,
+    margin_certify_many,
     safely_reliable_membership,
     sr_membership_mask,
     verify_contract,
@@ -408,7 +409,7 @@ def test_sr_rejects_negative_strengths():
 def test_margin_certify_worked_example():
     h = LinearHomogeneous(np.array([1.0, 0.0]))
     z = np.array([0.5, math.sqrt(0.75)])  # norm 1, margin 0.5
-    eta = margin_certify(h, z, eps=0.01, d=2, c1=1.0)
+    eta = margin_certify(h, z, eps=0.01, c1=1.0)
     assert eta == pytest.approx(0.43977435, abs=1e-6)
 
 
@@ -436,12 +437,42 @@ def test_margin_halving_parity():
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_margin_certify_many_matches_halving_oracle():
+    # one batched call over the points of test_margin_halving_parity and the
+    # two edges of test_margin_certify_norm_and_margin_edges, rebuilt for h
+    rng = np.random.default_rng(2)
+    h = LinearHomogeneous(np.array([0.6, -0.8]))
+    eps = 0.03
+    alpha = margin_alpha(eps, 2)
+    band = 1.0 * alpha * eps * math.sqrt(2)
+    points = [rng.standard_normal(2) * rng.uniform(0.2, 4.0) for _ in range(60)]
+    on_norm_edge = np.array([alpha * math.sqrt(2), 0.0])  # |z| = alpha*sqrt(d): abstains
+    on_band = band * h.w  # margin exactly at the exclusion level: radius 0
+    assert np.linalg.norm(on_norm_edge) == alpha * math.sqrt(2)
+    assert h.margins(on_band[None, :])[0] == band
+    Z = np.array(points + [on_norm_edge, on_band])
+    labels, radii = margin_certify_many(h, Z, eps)
+    assert labels.dtype == np.int8
+    for z, label, radius in zip(Z, labels, radii):
+        want = margin_certify_halving(h, z, eps=eps)
+        assert radius == pytest.approx(want, abs=1e-9)
+        assert label == (predict(h, z) if want >= 0.0 else 0)
+        assert (radius == -1.0) == (label == 0)
+    assert labels[-2] == 0 and radii[-2] == -1.0
+    assert labels[-1] == 1 and radii[-1] == 0.0
+    assert 0 < np.count_nonzero(labels) < len(Z)
+
+
 def test_margin_certificate_wrapping():
     h = LinearHomogeneous(np.array([1.0, 0.0]))
-    cert = margin_certificate(h, [0.5, 0.5], eps=0.01)
-    assert cert.method == "margin" and cert.prediction == 1
-    far = margin_certificate(h, [100.0, 0.0], eps=0.01)
-    assert far.abstained
+    labels, radii = margin_certify_many(h, [[0.5, 0.5], [-0.5, 0.5], [100.0, 0.0]], eps=0.01)
+    assert labels.tolist() == [1, -1, 0]
+    assert radii[0] > 0.0 and radii[1] > 0.0 and radii[2] == -1.0
+
+
+def test_margin_alpha_rejects_nan():
+    with pytest.raises(ValueError):
+        margin_alpha(math.nan, 2)
 
 
 def test_margin_certifier_never_beats_exact_path():
