@@ -194,12 +194,15 @@ def _cmd_gen(args) -> int:
 def _cmd_certify(args) -> int:
     cfg = _effective(args, seed=0, method="exact")
     _require(cfg, "data", "points", "loss", "concept", "out")
+    method = "margin" if cfg["method"] == "margin" else "analytic"  # --method is exact or margin
+    unread = [f"--{key}" for key in ("eps", "c1") if key in cfg]
+    if method != "margin" and unread:
+        raise UsageError(f"--method exact does not take {' or '.join(unread)}")
     kind = _loss(cfg)
     concept = concept_from_dict(cfg["concept"])
     S = read_dataset_csv(cfg["data"])
     pts = read_points_csv(cfg["points"])
     seed = int(cfg["seed"])
-    method = "margin" if cfg["method"] == "margin" else "analytic"  # --method is exact or margin
     if method == "margin":
         if kind is not LossKind.ST:
             raise UsageError("the margin certifier issues stability-loss certificates")

@@ -196,8 +196,26 @@ def uniform_ball(rng: np.random.Generator, n, d: int, radius=1.0) -> np.ndarray:
     that shape.  The normals are drawn first, then the radius fractions."""
     shape = n if isinstance(n, tuple) else (n,)
     g = rng.standard_normal((*shape, d))
+    return _scale_into_ball(g, rng.random(shape), d, radius)
+
+
+def uniform_balls(rngs: list, n: int, d: int, radius) -> np.ndarray:
+    """uniform_ball(rngs[i], n, d, radius[i]) for every generator, stacked
+    (len(rngs), n, d): each generator draws its own normals and then its
+    own radius fractions, and the arithmetic runs once over the stack."""
+    g = np.empty((len(rngs), n, d))
+    u = np.empty((len(rngs), n))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=g[i])
+        rng.random(out=u[i])
+    return _scale_into_ball(g, u, d, np.asarray(radius)[:, None])
+
+
+def _scale_into_ball(g: np.ndarray, u: np.ndarray, d: int, radius) -> np.ndarray:
+    """The normals g, in place, as points of the ball of `radius`: each
+    normalised, then scaled by radius * u ** (1/d)."""
     g /= np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-300)
-    g *= (radius * rng.random(shape) ** (1.0 / d))[..., None]
+    g *= (radius * u ** (1.0 / d))[..., None]
     return g
 
 

@@ -69,12 +69,19 @@ def fixed_loss_many(kind: LossKind, h: Hypothesis, hstar: Hypothesis, x, Z) -> n
     if not np.all(np.isfinite(Z)):
         raise ValueError("point coordinates must be finite")
     hz = h.predict_many(Z)
+    sz = None if kind is LossKind.ST else hstar.predict_many(Z)
+    return losses_from_labels(kind, hz, sz, predict(hstar, x))
+
+
+def losses_from_labels(kind: LossKind, hz, sz, sx) -> np.ndarray:
+    """The indicator losses of `fixed_loss_many` from labels: hz the
+    learner's at each perturbation, sz the target's there (not read for
+    ST), and sx the target's at the natural point (one, or one per row)."""
     if kind is LossKind.ST:
-        return (hz != predict(hstar, x)).astype(np.int64)
-    sz = hstar.predict_many(Z)
+        return (hz != sx).astype(np.int64)
     if kind is LossKind.TL:
         return (hz != sz).astype(np.int64)
-    return ((hz != sz) & (sz == predict(hstar, x))).astype(np.int64)
+    return ((hz != sz) & (sz == sx)).astype(np.int64)
 
 
 def fixed_loss(kind: LossKind, h: Hypothesis, hstar: Hypothesis, x, z) -> int:

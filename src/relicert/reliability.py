@@ -19,6 +19,14 @@ points with one membership and one distance call, and its ball check draws
 from one generator per call, derived from the seed, for every certified
 ball; `certify` is its one-row call.
 
+`verify_contract` fits its trials in sub-batches (`fitted_batches`) and
+finishes each sub-batch in array passes (`_finish_trials`): per-trial draws
+from each trial's own generator, one `paired_geometry` pass over the natural
+points for the attack directions and one over the attacked points for the
+certificates, and losses and witnesses as arrays.  The ball check of a
+certified trial draws from that trial's own stream, derive_rng(trial seed,
+101): the points a one-row `certify` of the trial checks.
+
 All geometry goes through the version-space methods listed in
 `version_space`; nothing here depends on the representation.
 """
@@ -38,7 +46,6 @@ from .core import (
     LinearHomogeneous,
     _as_point,
     label_to_external,
-    predict,
 )
 from .distributions import (
     DistributionSpec,
@@ -47,21 +54,26 @@ from .distributions import (
     dimension,
     map_trial_chunks,
     uniform_ball,
+    uniform_balls,
 )
-from .losses import LossKind, fixed_loss
+from .losses import LossKind, _check_pair, losses_from_labels
 from .version_space import (
     SR_CHUNK_ELEMS,
     ConceptClass,
     VersionSpace,
     _random_unit,
+    attack_directions,
+    check_width,
     fit_batch,
     fit_version_spaces,
     interior_hint,
+    paired_geometry,
 )
 # not called here: perfbench's layer tracer wraps these names, so that a
-# cone's one-point distance (called only inside version_space, past the
-# wrapper) and the one-sample fit (the trials fit in batches) report 0
+# cone's one-point distance, the one-sample fit (the trials fit in batches)
+# and the one-point loss (the trials compute losses from labels) report 0
 # calls, where a missing name would report their metrics as absent
+from .losses import fixed_loss  # noqa: F401
 from .version_space import cone_dis_distance_info, fit_version_space  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -121,18 +133,29 @@ def _assert_balls_label_constancy(
     rng = derive_rng(seed, 101)
     k, d = Z.shape
     n = BALL_CONSTANCY_SAMPLES
-    h = vs.canonical_member()
+    member = [(vs.canonical_member(), slice(None))]
     step = max(1, SR_CHUNK_ELEMS // (n * d))
     for lo in range(0, k, step):
         hi = min(lo + step, k)
         balls = uniform_ball(rng, (hi - lo, n), d, radii[lo:hi, None] * (1.0 - 1e-9))
         balls += Z[lo:hi, None, :]
-        bad = h.predict_many(balls.reshape(-1, d)).reshape(hi - lo, n) != labels[lo:hi, None]
-        if bad.any():
-            i = lo + int(np.argmax(bad)) // n
-            raise LabelConstancyError(
-                f"certified ball of radius {radii[i]} around {Z[i]} contains both labels"
-            )
+        _assert_balls_unanimous(member, balls, Z[lo:hi], radii[lo:hi], labels[lo:hi])
+
+
+def _assert_balls_unanimous(members, balls: np.ndarray, Z: np.ndarray, radii: np.ndarray,
+                            labels: np.ndarray) -> None:
+    """Every point balls[i, j] of the ball B(Z[i], radii[i]) must get
+    labels[i] from its canonical member.  `members` pairs each member with
+    the rows it labels (an index list or a slice), predicted in one call."""
+    n, d = balls.shape[1:]
+    bad = np.empty(balls.shape[:2], dtype=bool)
+    for h, rows in members:
+        bad[rows] = h.predict_many(balls[rows].reshape(-1, d)).reshape(-1, n) != labels[rows, None]
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        raise LabelConstancyError(
+            f"certified ball of radius {radii[i]} around {Z[i]} contains both labels"
+        )
 
 
 def _as_rows(Z) -> np.ndarray:
@@ -156,6 +179,7 @@ def certify_many(
     over every certified row.
     """
     Z = _as_rows(Z)
+    check_width(vs, Z)
     labels = vs.membership_many(Z)
     if kind is not LossKind.ST:
         return labels, np.where(labels != 0, math.inf, -1.0)
@@ -326,38 +350,37 @@ class ViolationReport:
 _GRID_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def _craft_attack(
-    vs: VersionSpace,
-    x: np.ndarray,
-    budget: float,
-    strategy: str,
-    rng: np.random.Generator,
-    trial: int,
-) -> np.ndarray:
-    d = x.shape[0]
+def _craft_attacks(vss: list, X: np.ndarray, budget: float, strategy: str, rngs: list,
+                   trials) -> np.ndarray:
+    """The attacked point of each row X[i] within `budget`: a direction, then
+    a step length, drawn from the row's own generator rngs[i].  Random-ball
+    draws a random unit and a radius fraction, boundary-directed steps along
+    `attack_directions` by a random fraction of the budget, and grid takes
+    the direction and fraction that trials[i] indexes."""
+    d = X.shape[1]
     if strategy == "random-ball":
-        direction = _random_unit(rng, d)
-        return x + budget * rng.random() ** (1.0 / d) * direction
-    if strategy == "boundary-directed":
-        direction = vs.attack_direction(x, rng)
-        step = budget * rng.random()
-        return x + step * direction
-    if strategy == "grid":
+        D = np.array([_random_unit(rng, d) for rng in rngs])
+        step = [budget * rng.random() ** (1.0 / d) for rng in rngs]
+    elif strategy == "boundary-directed":
+        D = attack_directions(vss, X, rngs)
+        step = [budget * rng.random() for rng in rngs]
+    elif strategy == "grid":
         dirs = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d)) / math.sqrt(d),
                           -np.ones((1, d)) / math.sqrt(d)])
-        direction = dirs[trial % dirs.shape[0]]
-        frac = _GRID_FRACTIONS[trial % len(_GRID_FRACTIONS)]
-        return x + budget * frac * direction
-    raise ValueError(f"unknown attack strategy {strategy!r}")
+        D = dirs[np.asarray(trials) % dirs.shape[0]]
+        step = [budget * _GRID_FRACTIONS[t % len(_GRID_FRACTIONS)] for t in trials]
+    else:
+        raise ValueError(f"unknown attack strategy {strategy!r}")
+    return X + np.asarray(step)[:, None] * D
 
 
-def fitted_trials(
+def fitted_batches(
     concept: ConceptClass, hstar: Hypothesis, spec: DistributionSpec, m: int, trials: range, rng_of
 ):
-    """(t, rng, vs) for each trial t: rng = rng_of(t), after it drew the
-    trial's m training points from spec (labelled by hstar), and vs the
-    version space fitted to them.  Each sub-batch of `fit_batch(m, d)`
-    trials is fitted in one `fit_version_spaces` call, hinted by
+    """(batch, rngs, vss) for each sub-batch of `fit_batch(m, d)` trials:
+    rngs[i] = rng_of(batch[i]), after it drew the trial's m training points
+    from spec (labelled by hstar), and vss[i] the version space fitted to
+    them, all in one `fit_version_spaces` call hinted by
     `interior_hint(hstar)`.  Each trial draws only from its own generator
     and a batched fit is the same bits as a one-sample fit, so the results
     are those of a loop that fits one trial at a time."""
@@ -367,66 +390,118 @@ def fitted_trials(
         rngs = [rng_of(t) for t in batch]
         Xs = [_draw(spec, rng, m) for rng in rngs]
         samples = [Dataset(X, hstar.predict_many(X)) for X in Xs]
-        yield from zip(batch, rngs, fit_version_spaces(samples, concept, interior_hint(hstar)))
+        yield batch, rngs, fit_version_spaces(samples, concept, interior_hint(hstar))
 
 
-def _run_trial(
-    trial: int,
-    trial_seed: int,
-    rng: np.random.Generator,
-    vs: VersionSpace,
-    hstar: Hypothesis,
-    sampler: DistributionSpec,
-    budget: float,
-    kind: LossKind,
-    strategy: str,
-) -> tuple[bool, dict | None]:
-    """The rest of a trial, on its fitted version space, with the generator
-    that drew its sample."""
-    h_learn = vs.random_member(rng)
-    x = _draw(sampler, rng, 1)[0]
-    z = _craft_attack(vs, x, budget, strategy, rng, trial)
-    cert = certify(vs, z, kind, seed=trial_seed)
-    dist = float(np.linalg.norm(z - x))
+def fitted_trials(
+    concept: ConceptClass, hstar: Hypothesis, spec: DistributionSpec, m: int, trials: range, rng_of
+):
+    """(t, rng, vs) for each trial t of `fitted_batches`, one at a time."""
+    for batch, rngs, vss in fitted_batches(concept, hstar, spec, m, trials, rng_of):
+        yield from zip(batch, rngs, vss)
 
-    def witness(reason: str) -> dict:
-        return {
-            "trial": trial,
-            "trial_seed": trial_seed,
-            "reason": reason,
-            "x": x.tolist(),
-            "z": z.tolist(),
-            "distance": dist,
-            "radius": cert.radius if not math.isinf(cert.radius) else "inf",
-            "prediction": None if cert.prediction is None else label_to_external(cert.prediction),
+
+def _certify_trials(vss: list, Z: np.ndarray, kind: LossKind, seeds: list):
+    """`certify(vss[i], Z[i], kind, seed=seeds[i])` of every row, as the
+    (labels, radii) arrays of `certify_many`: one `paired_geometry` call,
+    and the stability ball check of each certified row draws the points
+    its one-row call would, from derive_rng(seeds[i], 101).  The balls of
+    rows that share a canonical member (every hinted cone of a batch) are
+    predicted in one call."""
+    labels, radii, _ = paired_geometry(vss, Z)
+    if kind is not LossKind.ST:
+        return labels, np.where(labels != 0, math.inf, -1.0)
+    rows = np.flatnonzero(radii > 0.0)
+    if rows.size:
+        balls = uniform_balls([derive_rng(seeds[i], 101) for i in rows], BALL_CONSTANCY_SAMPLES,
+                              Z.shape[1], radii[rows] * (1.0 - 1e-9))
+        balls += Z[rows, None, :]
+        members: dict = {}
+        for j, i in enumerate(rows):
+            h = vss[i].canonical_member()
+            members.setdefault(id(h), (h, []))[1].append(j)
+        _assert_balls_unanimous(members.values(), balls, Z[rows], radii[rows], labels[rows])
+    radii[labels == 0] = -1.0
+    return labels, radii
+
+
+def _row_labels(hs: list, P: np.ndarray) -> np.ndarray:
+    """Row i of P labelled by hs[i] through its own one-row product: the
+    label `predict(hs[i], P[i])` gives, bit for bit."""
+    return np.array([h.predict_many(P[i : i + 1])[0] for i, h in enumerate(hs)])
+
+
+# witness reasons, by the code `_finish_trials` gives each trial (0: none)
+_REASONS = (
+    None,
+    "loss violated inside certified radius",
+    "issued prediction wrong at certified point",
+    "issued prediction wrong at radius-zero point",
+)
+
+
+def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypothesis,
+                   sampler: DistributionSpec, budget: float, kind: LossKind,
+                   strategy: str) -> tuple[int, list[dict]]:
+    """The rest of the fitted trials `batch` of `verify_contract`, each
+    drawing from the generator that drew its sample: the certified count
+    and the witnesses, in trial order.
+
+    Every trial draws its learner (`random_member`), then its natural point
+    x, then its attack (`_craft_attacks`).  The attacked points z are
+    certified together (`_certify_trials`).  A trial is certified when its
+    radius exceeds |z - x| (open balls); then the learner's loss at z and
+    the issued prediction are checked against the target.  A trial whose
+    radius is 0 must still predict the target's label at z."""
+    learners = [vs.random_member(rng) for vs, rng in zip(vss, rngs)]
+    X = np.concatenate([_draw(sampler, rng, 1) for rng in rngs])
+    Z = _craft_attacks(vss, X, budget, strategy, rngs, batch)
+    labels, radii = _certify_trials(vss, Z, kind, seeds)
+    dist = np.array([math.sqrt(v @ v) for v in Z - X])  # each |z - x| as np.linalg.norm makes it
+    binding = radii > dist
+    hz = _row_labels([hstar] * len(vss), Z)
+    wrong = labels != hz
+    loss = np.zeros(len(vss), dtype=bool)
+    rows = np.flatnonzero(binding)
+    if rows.size:
+        _check_pair(learners[0], hstar)
+        learned = _row_labels([learners[i] for i in rows], Z[rows])
+        hx = _row_labels([hstar] * rows.size, X[rows])
+        loss[rows] = losses_from_labels(kind, learned, hz[rows], hx) != 0
+    reason = np.select(
+        [binding & loss, binding & wrong, ~binding & (radii >= 0.0) & wrong], [1, 2, 3], 0
+    )
+    witnesses = [
+        {
+            "trial": batch[i],
+            "trial_seed": seeds[i],
+            "reason": _REASONS[reason[i]],
+            "x": X[i].tolist(),
+            "z": Z[i].tolist(),
+            "distance": float(dist[i]),
+            "radius": float(radii[i]) if not math.isinf(radii[i]) else "inf",
+            "prediction": label_to_external(int(labels[i])),
         }
-
-    binding = cert.radius > dist
-    if binding:
-        if fixed_loss(kind, h_learn, hstar, x, z):
-            return True, witness("loss violated inside certified radius")
-        if cert.prediction != predict(hstar, z):
-            return True, witness("issued prediction wrong at certified point")
-        return True, None
-    if cert.radius >= 0.0 and cert.prediction != predict(hstar, z):
-        return False, witness("issued prediction wrong at radius-zero point")
-    return False, None
+        for i in np.flatnonzero(reason)
+    ]
+    return int(binding.sum()), witnesses
 
 
 def _run_trial_range(args) -> tuple[int, list[dict]]:
     """Trials lo..hi-1 of `verify_contract`: the certified count and the
     witnesses.  Trial t draws its sample, and then the rest of the trial,
-    from derive_rng(seed ^ t) (`fitted_trials`)."""
+    from derive_rng(seed ^ t) (`fitted_batches`), and each sub-batch of
+    fitted trials is finished together (`_finish_trials`)."""
     concept, hstar, sampler, m, budget, kind, strategy, seed, lo, hi = args
     certified = 0
     witnesses: list[dict] = []
-    for t, rng, vs in fitted_trials(concept, hstar, sampler, m, range(lo, hi),
-                                    lambda t: derive_rng(seed ^ t)):
-        binding, bad = _run_trial(t, (seed ^ t) & 0xFFFFFFFFFFFFFFFF, rng, vs, hstar, sampler,
-                                  budget, kind, strategy)
-        certified += int(binding)
-        if bad is not None:
-            witnesses.append(bad)
+    for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(lo, hi),
+                                           lambda t: derive_rng(seed ^ t)):
+        seeds = [(seed ^ t) & 0xFFFFFFFFFFFFFFFF for t in batch]
+        count, bad = _finish_trials(batch, seeds, rngs, vss, hstar, sampler, budget, kind,
+                                    strategy)
+        certified += count
+        witnesses += bad
     return certified, witnesses
 
 

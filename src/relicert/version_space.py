@@ -17,10 +17,14 @@ inside a representation:
   canonical_member()         the interval midpoint, the cone's interior
                              normal;
   random_member(rng)         a consistent hypothesis away from the boundary;
-  attack_direction(x, rng)   a unit step from x toward the nearest disputed
-                             point (random where x is disputed);
   ca_cap_mask(hstar, X, eta) whether the part of B(x, eta) with the target
-                             label of x stays unanimous, per row.
+                             label of x stays unanimous, per row;
+  dim                        the points' width, where the class fixes it.
+
+`paired_geometry(vss, Z)` asks the same questions of a list of fitted
+version spaces of one class, row i of Z against space i, and
+`attack_directions(vss, X, rngs)` steps each row toward its space's
+disputed points.
 
 Membership in the agreement region is exact for every class.  The distance
 of an agreed point z is the Euclidean distance to the disagreement region
@@ -72,6 +76,7 @@ import numpy as np
 from .core import (
     BaseBoundary,
     Dataset,
+    DimensionMismatchError,
     Hypothesis,
     LinearHomogeneous,
     OffsetBoundary,
@@ -168,11 +173,15 @@ class IntervalVS:
             return 1.0
         return 1.0 / math.sqrt(1.0 + self.base.lipschitz**2)
 
+    @property
+    def dim(self) -> int | None:
+        """1 for thresholds; None for offsets, whose base checks the width."""
+        return 1 if self.base is None else None
+
     def coords(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.base is None:
-            if X.shape[1] != 1:
-                raise ValueError("threshold version spaces act on 1-d points")
+            check_width(self, X)
             return X[:, 0]
         return _residuals(self.base, X)
 
@@ -220,18 +229,6 @@ class IntervalVS:
         else:
             t = self.lo + u * (self.hi - self.lo)
         return self._member(t)
-
-    def attack_direction(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Along the last axis toward the disputed cuts; a coin flip inside."""
-        u_x = float(self.coords(x[None, :])[0])
-        direction = np.zeros(x.shape[0])
-        if u_x >= self.hi:
-            direction[-1] = -1.0
-        elif u_x <= self.lo:
-            direction[-1] = 1.0
-        else:
-            direction[-1] = 1.0 if rng.random() < 0.5 else -1.0
-        return direction
 
     def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
         """Closed form: the cut values the same-label part of each eta-ball
@@ -416,17 +413,6 @@ class ConeVS:
         slack = float(np.min(self.A @ self.interior))
         g = _random_unit(rng, self.dim)
         return LinearHomogeneous(self.interior + 0.45 * slack * rng.random() * g)
-
-    def attack_direction(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Against the generator with the smallest agreed margin at x."""
-        code = int(self.membership_many(x[None, :])[0])
-        if code == 0:
-            return _random_unit(rng, x.shape[0])
-        w = cone_dis_distance_info(self, x, code).best_w
-        margin = float(w @ x)
-        if abs(margin) < 1e-15:
-            return w.copy()
-        return -math.copysign(1.0, margin) * w
 
     def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
         """The cap test on the generators, which span the cone."""
@@ -767,7 +753,8 @@ class ConeDistanceInfo:
 
 def cone_dis_distance_info(vs: ConeVS, z, agreed_sign: int) -> ConeDistanceInfo:
     """The one-point form of `ConeVS.dis_distance_many` for z in the
-    agreement region, with the minimising generator."""
+    agreement region, with the minimising generator.  No query calls it:
+    `paired_geometry` finds that generator for every row at once."""
     z = _as_point(z, dim=vs.dim)
     W = vs.rays()
     vals = W @ (float(agreed_sign) * z)
@@ -977,6 +964,76 @@ def dis_distance(vs: VersionSpace, z) -> float:
     in the module docstring."""
     z = _as_point(z)
     return float(vs.dis_distance_many(z[None, :])[0])
+
+
+def check_width(vs: VersionSpace, X: np.ndarray) -> None:
+    """Raise DimensionMismatchError unless the rows of X have the width the
+    version space fixes (any width for offsets: their base checks it)."""
+    if vs.dim is not None and X.shape[1] != vs.dim:
+        raise DimensionMismatchError(
+            f"version space dimension {vs.dim} != point dimension {X.shape[1]}"
+        )
+
+
+def paired_geometry(vss: list, Z: np.ndarray) -> tuple:
+    """Row i of Z against the fitted version space vss[i], for a list of one
+    class: the membership codes (int8), the distances of
+    `dis_distance_many` (0 on disputed rows) and, for cones, the generator w
+    of vss[i] with the least signed value code * <w, z> on each row (the
+    first such; the first generator on a disputed row); None for intervals.
+
+    Each value is the one-row query's: a cone row makes its own product
+    W_i @ z_i, the product `membership_many` makes for one row, and the
+    reductions over each row's segment of the concatenated values are exact.
+    An interval row compares its one-row coordinate with the stacked cuts.
+    """
+    check_width(vss[0], Z)
+    if isinstance(vss[0], IntervalVS):
+        u = Z[:, 0] if vss[0].base is None else np.concatenate(
+            [vs.coords(Z[i : i + 1]) for i, vs in enumerate(vss)])
+        lo = np.array([vs.lo for vs in vss])
+        hi = np.array([vs.hi for vs in vss])
+        codes = (u >= hi).view(np.int8) - (u <= lo).view(np.int8)
+        dist = np.maximum(np.maximum(lo - u, 0.0), np.maximum(u - hi, 0.0))
+        return codes, dist * np.array([vs._scale for vs in vss]), None
+    # a fitted cone holds at least one generator, so no segment is empty
+    banks = [vs.bank for vs in vss]
+    sizes = np.array([bank.W.shape[0] for bank in banks])
+    starts = np.cumsum(sizes) - sizes
+    V = np.concatenate([bank.W @ z for bank, z in zip(banks, Z)])
+    plus = np.logical_or.reduceat(V > np.concatenate([b.plus_above for b in banks]), starts)
+    minus = np.logical_or.reduceat(V < -STRICT_LP_TOL, starts)
+    codes = (plus >= minus).view(np.int8) - minus.view(np.int8)
+    dist = np.maximum(np.minimum.reduceat(V, starts), 0.0)
+    dist += np.maximum(-np.maximum.reduceat(V, starts), 0.0) * (codes < 0)
+    signed = V * np.repeat(codes, sizes)
+    least = np.flatnonzero(signed == np.repeat(np.minimum.reduceat(signed, starts), sizes))
+    nearest = np.concatenate([bank.W for bank in banks])[least[np.searchsorted(least, starts)]]
+    return codes, dist, nearest
+
+
+def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:
+    """Per row i, a unit step from X[i] toward the points vss[i] disputes.
+
+    A cone row steps against its `paired_geometry` generator w: along -w
+    where <w, x> >= 1e-15, else along w.  An interval row steps along the
+    last axis toward the disputed cuts.  A disputed row draws from its own
+    generator rngs[i], in row order: a random unit for a cone, a coin flip
+    for an interval.
+    """
+    codes, _, nearest = paired_geometry(vss, X)
+    disputed = np.flatnonzero(codes == 0)
+    if nearest is None:
+        D = np.zeros(X.shape)
+        D[:, -1] = -codes
+        for i in disputed:
+            D[i, -1] = 1.0 if rngs[i].random() < 0.5 else -1.0
+        return D
+    margins = np.array([w @ x for w, x in zip(nearest, X)])  # each the one-point dot, as before
+    D = np.where(margins >= 1e-15, -1.0, 1.0)[:, None] * nearest
+    for i in disputed:
+        D[i] = _random_unit(rngs[i], X.shape[1])
+    return D
 
 
 # ---------------------------------------------------------------------------

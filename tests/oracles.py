@@ -2,7 +2,10 @@
 
 Everything here recomputes quantities from first principles (dense angle
 grids, exhaustive SVD-based ray enumeration, interval scans) without using
-the library's closed forms, so disagreements point at real bugs.
+the library's closed forms, so disagreements point at real bugs.  The
+exception is the attack-verify trial at the end: it runs one trial at a
+time through the library's one-point calls, the reference that the batched
+finish of `verify_contract` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +14,12 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+from relicert.core import label_to_external, predict
+from relicert.distributions import _draw, derive_rng
+from relicert.losses import fixed_loss
+from relicert.reliability import certify, fitted_trials
+from relicert.version_space import ConeVS, _random_unit, cone_dis_distance_info
 
 TWO_PI = 2.0 * math.pi
 
@@ -362,3 +371,108 @@ def boundary_margin(vs, z):
         u = float(vs.coords(z[None, :])[0])
         return min(abs(u - vs.lo), abs(u - vs.hi))
     return float(np.min(np.abs(vs.rays() @ z)))
+
+
+# ---------------------------------------------------------------------------
+# one attack-verify trial at a time
+# ---------------------------------------------------------------------------
+
+
+def attack_direction(vs, x, rng):
+    """A unit step from x toward the disputed points, one point at a time:
+    a cone steps against the generator with the least agreed margin at x,
+    an interval along the last axis toward the disputed cuts; a disputed x
+    draws a random unit (cone) or a coin flip (interval)."""
+    if isinstance(vs, ConeVS):
+        code = int(vs.membership_many(x[None, :])[0])
+        if code == 0:
+            return _random_unit(rng, x.shape[0])
+        w = cone_dis_distance_info(vs, x, code).best_w
+        margin = float(w @ x)
+        if abs(margin) < 1e-15:
+            return w.copy()
+        return -math.copysign(1.0, margin) * w
+    u_x = float(vs.coords(x[None, :])[0])
+    direction = np.zeros(x.shape[0])
+    if u_x >= vs.hi:
+        direction[-1] = -1.0
+    elif u_x <= vs.lo:
+        direction[-1] = 1.0
+    else:
+        direction[-1] = 1.0 if rng.random() < 0.5 else -1.0
+    return direction
+
+
+def craft_attack(vs, x, budget, strategy, rng, trial):
+    """The attacked point of one trial (see `attack_direction`)."""
+    d = x.shape[0]
+    if strategy == "random-ball":
+        direction = _random_unit(rng, d)
+        return x + budget * rng.random() ** (1.0 / d) * direction
+    if strategy == "boundary-directed":
+        direction = attack_direction(vs, x, rng)
+        step = budget * rng.random()
+        return x + step * direction
+    if strategy == "grid":
+        dirs = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d)) / math.sqrt(d),
+                          -np.ones((1, d)) / math.sqrt(d)])
+        direction = dirs[trial % dirs.shape[0]]
+        fractions = (0.2, 0.4, 0.6, 0.8, 1.0)
+        return x + budget * fractions[trial % len(fractions)] * direction
+    raise ValueError(f"unknown attack strategy {strategy!r}")
+
+
+def run_trial(trial, trial_seed, rng, vs, hstar, sampler, budget, kind, strategy):
+    """The rest of one attack-verify trial on its fitted version space, with
+    the generator that drew its sample, one point at a time through
+    `certify` and `fixed_loss`: (certified, witness or None)."""
+    h_learn = vs.random_member(rng)
+    x = _draw(sampler, rng, 1)[0]
+    z = craft_attack(vs, x, budget, strategy, rng, trial)
+    cert = certify(vs, z, kind, seed=trial_seed)
+    dist = float(np.linalg.norm(z - x))
+
+    def witness(reason):
+        return {
+            "trial": trial,
+            "trial_seed": trial_seed,
+            "reason": reason,
+            "x": x.tolist(),
+            "z": z.tolist(),
+            "distance": dist,
+            "radius": cert.radius if not math.isinf(cert.radius) else "inf",
+            "prediction": None if cert.prediction is None else label_to_external(cert.prediction),
+        }
+
+    binding = cert.radius > dist
+    if binding:
+        if fixed_loss(kind, h_learn, hstar, x, z):
+            return True, witness("loss violated inside certified radius")
+        if cert.prediction != predict(hstar, z):
+            return True, witness("issued prediction wrong at certified point")
+        return True, None
+    if cert.radius >= 0.0 and cert.prediction != predict(hstar, z):
+        return False, witness("issued prediction wrong at radius-zero point")
+    return False, None
+
+
+def contract_report(concept, hstar, sampler, m, trials, budget, kind, strategy, seed=0,
+                    max_witnesses=100):
+    """`verify_contract(...).to_json_dict()` from a `run_trial` loop over
+    `fitted_trials`."""
+    certified, witnesses = 0, []
+    for t, rng, vs in fitted_trials(concept, hstar, sampler, m, range(trials),
+                                    lambda t: derive_rng(seed ^ t)):
+        binding, bad = run_trial(t, (seed ^ t) & 0xFFFFFFFFFFFFFFFF, rng, vs, hstar, sampler,
+                                 budget, kind, strategy)
+        certified += int(binding)
+        if bad is not None:
+            witnesses.append(bad)
+    return {
+        "trials": trials,
+        "certified": certified,
+        "violations": len(witnesses),
+        "witnesses": witnesses[:max_witnesses],
+        "config": {"m": m, "budget": budget, "loss": kind.value, "strategy": strategy,
+                   "seed": seed},
+    }

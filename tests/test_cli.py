@@ -244,8 +244,8 @@ def test_margin_method_cli(tmp_path, train_csv):
 
 
 def test_non_finite_config_exits_2(tmp_path, train_csv):
-    # the exact method reads no eps, but the artifact echoes it: a non-finite
-    # value must not reach the JSON as NaN or Infinity
+    # the exact method reads no eps: a value, non-finite ones included, is a
+    # usage error, and no NaN or Infinity reaches an artifact
     pts = tmp_path / "pts.csv"
     pts.write_text("x1\n0.9\n")
     out = tmp_path / "c.json"
@@ -253,6 +253,49 @@ def test_non_finite_config_exits_2(tmp_path, train_csv):
         assert run("certify", "--data", str(train_csv), "--points", str(pts), "--loss", "st",
                    "--concept", THRESH, "--eps", eps, "--out", str(out)) == 2
         assert not out.exists()
+
+
+def test_exact_method_rejects_margin_options(tmp_path, train_csv, capsys):
+    # --eps and --c1 set only the margin certifier; with the exact method
+    # they would be echoed into the artifact as settings that had no effect
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1\n0.9\n")
+    out = tmp_path / "c.json"
+    argv = ["certify", "--data", str(train_csv), "--points", str(pts), "--loss", "ca",
+            "--concept", THRESH, "--out", str(out)]
+    for bad in (["--c1=-5"], ["--method", "exact", "--eps", "0.05"],
+                ["--eps", "0.05", "--c1", "2"]):
+        capsys.readouterr()
+        assert run(*argv, *bad) == 2
+        assert "error: --method exact does not take --" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c1": -5}))
+    assert run(*argv, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == "error: --method exact does not take --c1\n"
+    assert not out.exists()
+    assert run(*argv) == 0
+
+
+@pytest.mark.parametrize("concept,train_dim,point_dim", [("linear", 2, 3), ("threshold", 1, 2)])
+def test_certify_point_dimension_mismatch_exits_2(concept, train_dim, point_dim, tmp_path,
+                                                  capsys):
+    train = tmp_path / "train.csv"
+    w = [1.0] + [0.0] * (train_dim - 1)
+    hstar = {"kind": "linear", "w": w} if concept == "linear" else json.loads(HSTAR)
+    assert run("gen", "--dist", json.dumps({"kind": "gaussian", "d": train_dim}),
+               "--hstar", json.dumps(hstar), "--m", "30", "--seed", "2",
+               "--out", str(train)) == 0
+    pts = tmp_path / "pts.csv"
+    pts.write_text(",".join(f"x{i + 1}" for i in range(point_dim)) + "\n"
+                   + ",".join(["0.5"] * point_dim) + "\n")
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run("certify", "--data", str(train), "--points", str(pts), "--loss", "st",
+               "--concept", json.dumps({"kind": concept}), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: version space dimension {train_dim} != point dimension {point_dim}\n"
+    assert not out.exists()
 
 
 def test_parser_is_reused_across_calls(tmp_path, train_csv, capsys):

@@ -19,9 +19,10 @@ from relicert.distributions import (
     spec_from_dict,
     spec_to_dict,
     uniform_ball,
+    uniform_balls,
 )
-from relicert.distributions import _draw
-from relicert.reliability import _craft_attack
+from relicert.distributions import _draw, derive_rng
+from relicert.reliability import _craft_attacks
 
 ISOTROPIC_SPECS = [
     IsotropicGaussian(2),
@@ -250,6 +251,17 @@ def test_uniform_ball_matches_the_formulas_it_replaced(d, n):
     assert balls.reshape(-1, d).tobytes() == _old_ball_check(rng(), Z, radii, 64).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_uniform_balls_draws_each_generators_own_ball(d):
+    # the attack trials' ball check: each certified trial's 64 points are the
+    # ones a one-row certify of that trial draws from its own stream
+    radii = np.linspace(0.1, 2.0, 9) * (1.0 - 1e-9)
+    got = uniform_balls([derive_rng(s, 101) for s in range(9)], 64, d, radii)
+    want = [uniform_ball(derive_rng(s, 101), (1, 64), d, radii[s : s + 1, None])[0]
+            for s in range(9)]
+    assert got.tobytes() == np.stack(want).tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 def test_random_ball_attack_keeps_its_draws(d):
     def rng():
@@ -260,5 +272,5 @@ def test_random_ball_attack_keeps_its_draws(d):
     g = old.standard_normal(d)
     g /= max(float(np.linalg.norm(g)), 1e-300)
     want = x + 0.2 * old.random() ** (1.0 / d) * g
-    got = _craft_attack(None, x, 0.2, "random-ball", rng(), 0)
+    got = _craft_attacks(None, x[None, :], 0.2, "random-ball", [rng()], range(1))
     assert got.tobytes() == want.tobytes()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import run_trial
+
 from relicert import estimators, reliability
 from relicert.core import Dataset, LinearHomogeneous, Threshold
 from relicert.distributions import (
@@ -142,10 +144,11 @@ def test_shift_st_jobs_invariance_linear():
     assert 0.0 < a.mass < 1.0
 
 
-def test_trial_loops_match_one_fit_per_trial_across_sub_batches(monkeypatch):
+def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
     # both trial workers fit in sub-batches of fit_batch(m, d) trials: 51 + 9
     # for the shift trials below, 68 + 68 + 14 for the attack trials; each
-    # trial must come out bit for bit as a loop fitting one trial at a time
+    # trial must come out bit for bit as a loop fitting one trial at a time,
+    # and the attack trials' batched finish as the one-trial oracle
     assert (fit_batch(80, 3), fit_batch(60, 3)) == (51, 68)
     hstar = LinearHomogeneous(np.array([0.48, 0.6, -0.64]))
     P = IsotropicGaussian(3)
@@ -164,16 +167,13 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches(monkeypatch):
         want.append(float(np.mean(sr_membership_mask(vs, hstar, T, *strengths))))
     assert got == want
 
-    run_trial = reliability._run_trial
-    got = []
-
-    def recorded(t, trial_seed, rng, vs, *rest):
-        out = run_trial(t, trial_seed, rng, vs, *rest)
-        got.append((t, trial_seed, vs.rays().tobytes(), out))
-        return out
-
-    monkeypatch.setattr(reliability, "_run_trial", recorded)
     attack = (0.2, LossKind.ST, "boundary-directed")
+    fits = reliability.fitted_trials("linear", hstar, P, 60, range(150),
+                                     lambda t: derive_rng(32 ^ t))
+    assert [(t, vs.rays().tobytes()) for t, _, vs in fits] == [
+        (t, one_fit(np.random.Generator(np.random.Philox(key=32 ^ t)), 60).rays().tobytes())
+        for t in range(150)
+    ]
     certified, witnesses = reliability._run_trial_range(
         ("linear", hstar, P, 60, *attack, 32, 0, 150)
     )
@@ -181,11 +181,9 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches(monkeypatch):
     for t in range(150):
         rng = np.random.Generator(np.random.Philox(key=32 ^ t))
         vs = one_fit(rng, 60)
-        out = run_trial(t, 32 ^ t, rng, vs, hstar, P, *attack)
-        want.append((t, 32 ^ t, vs.rays().tobytes(), out))
-    assert got == want
-    assert certified == sum(binding for *_, (binding, _) in want)
-    assert witnesses == [bad for *_, (_, bad) in want if bad is not None]
+        want.append(run_trial(t, 32 ^ t, rng, vs, hstar, P, *attack))
+    assert certified == sum(binding for binding, _ in want)
+    assert witnesses == [bad for _, bad in want if bad is not None]
 
 
 # ---------------------------------------------------------------------------

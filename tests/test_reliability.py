@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from oracles import (
     cap_stays_unanimous,
     cone_min_abs_inner_svd,
+    contract_report,
     margin_certify_halving,
     safely_reliable_pointwise,
 )
@@ -39,10 +41,12 @@ from relicert.reliability import (
 )
 from relicert.version_space import (
     ConeVS,
+    IntervalVS,
     Membership,
     OffsetClass,
     agree_membership,
     dis_distance,
+    fit_batch,
     fit_version_space,
 )
 
@@ -571,6 +575,56 @@ def test_contract_worker_count_invariance_linear():
     r3 = verify_contract("linear", hstar, IsotropicGaussian(3), **kwargs, jobs=3)
     assert r1.to_json_dict() == r3.to_json_dict()
     assert 0 < r1.certified < r1.trials
+
+
+_SINE = BaseBoundary("sine", (0.5, 0.1, 1.0))
+
+# (concept, target, distribution, m, trials): every case runs at least three
+# fit sub-batches of fit_batch(m, d) trials, the last one ragged
+_FINISH_CASES = {
+    "linear2": ("linear", LinearHomogeneous(np.array([0.8, -0.6])), IsotropicGaussian(2), 200, 100),
+    "linear3": ("linear", LinearHomogeneous(np.array([0.6, -0.48, 0.64])), IsotropicGaussian(3),
+                60, 150),
+    "linear5": ("linear", LinearHomogeneous(np.array([0.5, -0.5, 0.5, 0.3, -0.4])),
+                IsotropicGaussian(5), 30, 80),
+    "threshold": ("threshold", Threshold(0.2), IsotropicGaussian(1), 400, 100),
+    "offset": (OffsetClass(_SINE), OffsetBoundary(_SINE, 0.05), UniformCube(2), 300, 100),
+}
+
+
+def _finish_parity(case, strategy, kind, jobs, seed):
+    concept, hstar, dist, m, trials = _FINISH_CASES[case]
+    step = fit_batch(m, dist.d)
+    assert trials > 2 * step and trials % step
+    args = (concept, hstar, dist, m, trials, 0.2, kind, strategy)
+    got = verify_contract(*args, seed=seed, jobs=jobs).to_json_dict()
+    want = contract_report(*args, seed=seed)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    return got
+
+
+@pytest.mark.parametrize("strategy", ["boundary-directed", "random-ball", "grid"])
+@pytest.mark.parametrize("case", list(_FINISH_CASES))
+def test_batched_finish_matches_per_trial_oracle(case, strategy):
+    # each sub-batch's finish (array passes, one product per trial) must give
+    # the report of the one-trial-at-a-time oracle, bit for bit
+    for kind in LossKind:
+        got = _finish_parity(case, strategy, kind, 3 if kind is LossKind.CA else 1, seed=40)
+        assert got["violations"] == 0 and got["certified"] > 0
+
+
+@pytest.mark.parametrize("case", ["linear3", "threshold"])
+def test_batched_finish_matches_per_trial_oracle_on_witnesses(case, monkeypatch):
+    # a learner on the wrong side of the target: fixed_loss fires inside
+    # certified radii, and the witnesses must match the oracle's
+    cone_member, interval_member = ConeVS.random_member, IntervalVS.random_member
+    monkeypatch.setattr(ConeVS, "random_member",
+                        lambda vs, rng: LinearHomogeneous(-cone_member(vs, rng).w))
+    monkeypatch.setattr(IntervalVS, "random_member",
+                        lambda vs, rng: Threshold(interval_member(vs, rng).t + 1.0))
+    for kind in LossKind:
+        got = _finish_parity(case, "boundary-directed", kind, 1, seed=41)
+        assert got["violations"] > 0
 
 
 def test_contract_binding_uses_open_ball():
