@@ -328,7 +328,7 @@ _OPTIONS = {
 # subcommand -> (handler, help, its options after config/seed/out, keyword
 # overrides for this subcommand)
 _COMMANDS = {
-    "gen": (_cmd_gen, "emit a synthetic labeled dataset CSV", "dist hstar concept m", {}),
+    "gen": (_cmd_gen, "emit a synthetic labeled dataset CSV", "dist hstar m", {}),
     "certify": (_cmd_certify, "certificates for a file of test points",
                 "data points loss concept method eps c1", {}),
     "sr-mass": (_cmd_sr_mass, "safely-reliable mass estimate",

@@ -1,4 +1,4 @@
-"""Core data model: points, labels, datasets, concept classes, perturbations.
+"""Core data model: points, labels, datasets and concept classes.
 
 Labels live internally in {+1, -1}; on disk (CSV, JSON) they are {0, 1}
 with 0 <-> -1.  Every prediction rule is a sign of a real-valued margin,
@@ -8,8 +8,7 @@ with the convention sign(0) = +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +91,6 @@ class Dataset:
         if X.size == 0:
             raise ValueError("use Dataset.empty for empty datasets")
         return Dataset(X, np.asarray(labels, dtype=np.int64))
-
-    def relabeled_by(self, h: "Hypothesis") -> "Dataset":
-        return Dataset(self.X, h.predict_many(self.X))
 
 
 # ---------------------------------------------------------------------------
@@ -278,60 +274,6 @@ def predict(h: Hypothesis, x) -> int:
     """Deterministic label of a single point; zero margin maps to +1."""
     p = _as_point(x)
     return int(h.predict_many(p[None, :])[0])
-
-
-def empirical_error(h: Hypothesis, S: Dataset) -> float:
-    if len(S) == 0:
-        raise ValueError("empirical error is undefined on an empty dataset")
-    return float(np.mean(h.predict_many(S.X) != S.y))
-
-
-def empirical_disagreement(h1: Hypothesis, h2: Hypothesis, S: Dataset) -> float:
-    if len(S) == 0:
-        raise ValueError("empirical disagreement is undefined on an empty dataset")
-    return float(np.mean(h1.predict_many(S.X) != h2.predict_many(S.X)))
-
-
-# ---------------------------------------------------------------------------
-# perturbation models
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MetricBall:
-    """Closed L2 ball attack of radius eta around the natural point."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError("ball radius must be a finite nonnegative real")
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteMap:
-    """Explicit finite perturbation sets; every point must contain itself."""
-
-    mapping: Mapping[tuple[float, ...], tuple[tuple[float, ...], ...]]
-
-    def __post_init__(self):
-        frozen = {}
-        for key, vals in self.mapping.items():
-            k = tuple(float(v) for v in key)
-            vs = tuple(tuple(float(c) for c in p) for p in vals)
-            if k not in vs:
-                raise ValueError(f"perturbation set of {k} must contain the point itself")
-            frozen[k] = vs
-        object.__setattr__(self, "mapping", frozen)
-
-    def perturbations(self, x) -> np.ndarray:
-        k = tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
-        if k not in self.mapping:
-            raise KeyError(f"point {k} not in the perturbation map's domain")
-        return np.asarray(self.mapping[k], dtype=float)
-
-
-PerturbationModel = MetricBall | FiniteMap
 
 
 # ---------------------------------------------------------------------------

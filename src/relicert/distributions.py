@@ -262,18 +262,6 @@ def sample(spec: DistributionSpec, seed: int, n: int) -> np.ndarray:
     return _draw(spec, derive_rng(seed), n)
 
 
-def density_bounds(spec: DistributionSpec):
-    """Exact (a, b) envelope for bounded-support specs, None otherwise."""
-    if isinstance(spec, NearlyUniform):
-        return (spec.a, spec.b)
-    if isinstance(spec, UniformCube):
-        h = 1.0 / (spec.hi - spec.lo) ** spec.d
-        return (h, h)
-    if isinstance(spec, MeanShift):
-        return density_bounds(spec.base)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # 1-d distribution functions (threshold-class computations)
 # ---------------------------------------------------------------------------
@@ -347,22 +335,6 @@ def quantile_1d(spec: DistributionSpec, p: float) -> float:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-
-def spec_to_dict(spec: DistributionSpec) -> dict:
-    if isinstance(spec, IsotropicGaussian):
-        return {"kind": "gaussian", "d": spec.d}
-    if isinstance(spec, UniformBall):
-        return {"kind": "uniform_ball", "d": spec.d}
-    if isinstance(spec, UniformCube):
-        return {"kind": "uniform_cube", "d": spec.d, "lo": spec.lo, "hi": spec.hi}
-    if isinstance(spec, NearlyUniform):
-        return {"kind": "nearly_uniform", "d": spec.d, "a": spec.a, "b": spec.b, "tilt": spec.tilt}
-    if isinstance(spec, RadialHeavyTail):
-        return {"kind": "radial_heavy_tail", "d": spec.d, "s": spec.s}
-    if isinstance(spec, MeanShift):
-        return {"kind": "mean_shift", "mu": spec.mu.tolist(), "base": spec_to_dict(spec.base)}
-    raise ValueError(f"unknown distribution spec {type(spec).__name__}")
 
 
 def spec_from_dict(d: dict) -> DistributionSpec:

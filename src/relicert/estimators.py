@@ -2,19 +2,18 @@
 coefficient, and reliable correctness under distribution shift.
 
 Confidence intervals are two-sided 95% Hoeffding bounds over the
-independent units actually averaged (sample points for plain masses,
-training-sample draws for quantities averaged over refits).
+independent units actually averaged: the training-sample draws of a
+quantity averaged over refits.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Hypothesis, LinearHomogeneous, Threshold, _as_point
+from .core import Dataset, Hypothesis, LinearHomogeneous, Threshold
 from .distributions import (
     DistributionSpec,
     _draw,
@@ -33,8 +32,6 @@ from .version_space import ConceptClass, OffsetClass
 # the one-sample fit stays importable here: perfbench's layer tracer wraps it
 # (the trials fit in batches, so it reports 0 calls instead of absent metrics)
 from .version_space import fit_version_space  # noqa: F401
-
-log = logging.getLogger(__name__)
 
 CONFIDENCE = 0.95
 ESTIMATE_CSV_HEADER = "quantity,class,loss,eta1,eta2,m,d,trials,n,mass,ci_low,ci_high,seed"
@@ -58,9 +55,6 @@ class RegionEstimate:
         if self.ci_high - self.ci_low > 2.0 * hoeffding_halfwidth(self.n) + 1e-12:
             raise ValueError("interval wider than the Hoeffding bound allows")
 
-    def overlaps(self, other: "RegionEstimate") -> bool:
-        return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
-
 
 def _estimate(mass: float, n: int, seed: int) -> RegionEstimate:
     hw = hoeffding_halfwidth(n)
@@ -71,17 +65,6 @@ def _estimate(mass: float, n: int, seed: int) -> RegionEstimate:
         n=n,
         seed=seed,
     )
-
-
-def mc_mass(predicate, spec: DistributionSpec, n: int, seed: int) -> RegionEstimate:
-    """Empirical frequency of a vectorized point predicate under spec."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    X = sample(spec, seed, n)
-    vals = np.asarray(predicate(X), dtype=bool)
-    if vals.shape != (n,):
-        raise ValueError("predicate must map (n, d) points to n booleans")
-    return _estimate(float(np.mean(vals)), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +99,6 @@ def sr_mass(
 # ---------------------------------------------------------------------------
 # disagreement coefficient from source to target
 # ---------------------------------------------------------------------------
-
-
-def dis_ball_membership_rotinv(hstar: LinearHomogeneous, r: float, x) -> bool:
-    """Is x flipped by some separator within source-disagreement r of the
-    target, for rotationally invariant source distributions?
-
-    There the disagreement mass of two homogeneous separators is their
-    normal angle over pi, so the test reduces to whether the minimal
-    rotation flipping x (|pi/2 - angle(w*, x)|) is at most pi * r.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    x = _as_point(x, dim=hstar.dimension)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise ValueError("the zero vector is never flipped")
-    c = float(hstar.w @ x) / nx
-    theta = math.acos(min(max(c, -1.0), 1.0))
-    return abs(math.pi / 2.0 - theta) <= math.pi * r
 
 
 def default_r_grid(epsilon: float, size: int = 16) -> np.ndarray:

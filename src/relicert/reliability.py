@@ -202,27 +202,6 @@ def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> Reliabilit
     return ReliabilityCertificate(int(labels[0]) or None, float(radii[0]), kind, "analytic")
 
 
-def certify_general_finite(vs: VersionSpace, z, u_inverse) -> ReliabilityCertificate:
-    """Accept/abstain certificate for a finite preimage of possible sources.
-
-    Accepts (radius +inf as an accept marker) iff every point that could
-    have been perturbed to z is in the agreement region and all of them
-    carry one common agreed label.
-    """
-    z = _as_point(z)
-    U = np.atleast_2d(np.asarray(u_inverse, dtype=float))
-    if U.shape[0] == 0:
-        raise ValueError("the preimage set must not be empty")
-    if U.shape[1] != z.shape[0]:
-        raise ValueError("preimage dimension mismatch")
-    if not np.any(np.all(np.abs(U - z[None, :]) <= 1e-12, axis=1)):
-        raise ValueError("the preimage of z must contain z itself")
-    codes = vs.membership_many(U)
-    if np.any(codes == 0) or np.unique(codes).size != 1:
-        return ReliabilityCertificate(None, -1.0, LossKind.ST, "analytic")
-    return ReliabilityCertificate(int(codes[0]), math.inf, LossKind.ST, "analytic")
-
-
 # ---------------------------------------------------------------------------
 # safely-reliable membership
 # ---------------------------------------------------------------------------
@@ -317,16 +296,12 @@ def margin_certify_many(
     return labels, np.where(certified, eta, -1.0)
 
 
-def margin_certify(h_erm: LinearHomogeneous, z, eps: float, c1: float = 1.0) -> float:
-    """The margin radius at z (-1 on an abstention): `margin_certify_many`'s one-row call."""
-    return float(margin_certify_many(h_erm, _as_point(z)[None, :], eps, c1=c1)[1][0])
-
-
 # ---------------------------------------------------------------------------
 # adversarial contract verification
 # ---------------------------------------------------------------------------
 
 STRATEGIES = ("boundary-directed", "random-ball", "grid")
+MAX_WITNESSES = 100  # most witnesses a report lists; `violations` counts them all
 
 
 @dataclass(frozen=True)
@@ -517,7 +492,6 @@ def verify_contract(
     *,
     seed: int = 0,
     jobs: int = 1,
-    max_witnesses: int = 100,
 ) -> ViolationReport:
     """Empirical check of the reliability contract.
 
@@ -540,7 +514,7 @@ def verify_contract(
         trials=trials,
         certified=certified,
         violations=len(witnesses),
-        witnesses=witnesses[:max_witnesses],
+        witnesses=witnesses[:MAX_WITNESSES],
         config={
             "m": m,
             "budget": budget,

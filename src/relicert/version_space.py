@@ -28,26 +28,28 @@ disputed points.
 
 Membership in the agreement region is exact for every class.  The distance
 of an agreed point z is the Euclidean distance to the disagreement region
-for intervals (a lower bound for offset classes with a non-constant
-boundary).  For linear classes it is the minimum of |<w, z>| over
-consistent unit normals w: the distance to the disagreement region when the
-version space has more than one normal, and the single normal's |margin|
-when it has one, where no point is disputed but a stability ball still may
-not cross the decision boundary.  That minimum sits on an extreme ray of
-the cone (the ratio of a nonnegative linear functional to the norm is
-quasiconcave along segments), so every cone query reads one matrix R of
-unit generators, built by the fit with the double-description method
-(Motzkin et al. 1953; Fukuda & Prodon 1996): its extreme rays, plus
-+-l for an orthonormal basis l of the lineality space null(A) when the cone
-contains a line (fewer independent samples than dimensions, antipodal
-samples, or none).  On such a cone a point with a component in null(A) is
-disputed and an agreed point has distance 0.  Queries are laid out
-ray-major: products R @ X.T of shape (rays, points), reduced over their
-short leading axis.  Every such pass (membership, distance, the cap test)
-runs over row blocks of X with at most SR_CHUNK_ELEMS entries each, and
-assembles codes and distances by arithmetic, not by selects.  A cone
-whose ray build holds more than RAY_CAP rays at any step is not
-represented: the fit raises DegenerateVersionSpaceError.
+for thresholds and for offsets of a `constant` or `affine` boundary, and a
+certified lower bound on it for a `sine` boundary; for a `quadratic`
+boundary it is not a bound (see `IntervalVS`).  For linear classes it is
+the minimum of |<w, z>| over consistent unit normals w: the distance to the
+disagreement region when the version space has more than one normal, and
+the single normal's |margin| when it has one, where no point is disputed
+but a stability ball still may not cross the decision boundary.  That
+minimum sits on an extreme ray of the cone (the ratio of a nonnegative
+linear functional to the norm is quasiconcave along segments), so every
+cone query reads one matrix R of unit generators, built by the fit with the
+double-description method (Motzkin et al. 1953; Fukuda & Prodon 1996): its
+extreme rays, plus +-l for an orthonormal basis l of the lineality space
+null(A) when the cone contains a line (fewer independent samples than
+dimensions, antipodal samples, or none).  On such a cone a point with a
+component in null(A) is disputed and an agreed point has distance 0.
+Queries are laid out ray-major: products R @ X.T of shape (rays, points),
+reduced over their short leading axis.  Every such pass (membership,
+distance, the cap test) runs over row blocks of X with at most
+SR_CHUNK_ELEMS entries each, and assembles codes and distances by
+arithmetic, not by selects.  A cone whose ray build holds more than RAY_CAP
+rays at any step is not represented: the fit raises
+DegenerateVersionSpaceError.
 
 `fit_version_spaces` fits a list of samples: their cones share one ray
 build, whose every step is one set of array operations over the stack of
@@ -67,7 +69,6 @@ direction.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -98,12 +99,6 @@ class DegenerateVersionSpaceError(ValueError):
     exceeds RAY_CAP.  Raised by the fit, never by a query."""
 
 
-class Membership(enum.Enum):
-    AGREE_PLUS = 1
-    AGREE_MINUS = -1
-    DISAGREE = 0
-
-
 @dataclass(frozen=True, eq=False)
 class OffsetClass:
     """Concept class of all offsets of one registered boundary function."""
@@ -112,14 +107,6 @@ class OffsetClass:
 
 
 ConceptClass = str | OffsetClass
-
-
-def concept_to_dict(concept: ConceptClass) -> dict:
-    if isinstance(concept, OffsetClass):
-        return {"kind": "offset", "base": concept.base.to_dict()}
-    if concept in ("threshold", "linear"):
-        return {"kind": concept}
-    raise ValueError(f"unknown concept class {concept!r}")
 
 
 def concept_from_dict(d: dict) -> ConceptClass:
@@ -159,8 +146,12 @@ class IntervalVS:
 
     For the offset class, cuts act on the residual x_{d+1} - f(x_1..d);
     Euclidean distances to DIS are the residual distances divided by
-    sqrt(1 + C^2) for Lipschitz constant C (exact when C = 0, otherwise a
-    certified lower bound).
+    sqrt(1 + C^2), with C the base's `lipschitz` constant.  That is exact
+    for the `constant` and `affine` bases and a certified lower bound for
+    `sine`.  For `quadratic` it is no bound: C = |amp| bounds the slope only
+    on x_1 in [0, 1], and where the nearest band point lies outside that
+    range (for some points inside the cube too) the quotient can exceed the
+    true distance.
     """
 
     lo: float
@@ -949,23 +940,6 @@ def erm(S: Dataset, concept: ConceptClass) -> Hypothesis:
 # queries
 # ---------------------------------------------------------------------------
 
-_CODE_TO_MEMBERSHIP = {1: Membership.AGREE_PLUS, -1: Membership.AGREE_MINUS, 0: Membership.DISAGREE}
-
-
-def agree_membership(vs: VersionSpace, z) -> Membership:
-    """Unanimity of the consistent hypotheses at z."""
-    z = _as_point(z)
-    code = int(vs.membership_many(z[None, :])[0])
-    return _CODE_TO_MEMBERSHIP[code]
-
-
-def dis_distance(vs: VersionSpace, z) -> float:
-    """Distance from z to the disagreement region (0 inside it), as defined
-    in the module docstring."""
-    z = _as_point(z)
-    return float(vs.dis_distance_many(z[None, :])[0])
-
-
 def check_width(vs: VersionSpace, X: np.ndarray) -> None:
     """Raise DimensionMismatchError unless the rows of X have the width the
     version space fixes (any width for offsets: their base checks it)."""
@@ -1034,34 +1008,3 @@ def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:
     for i in disputed:
         D[i] = _random_unit(rngs[i], X.shape[1])
     return D
-
-
-# ---------------------------------------------------------------------------
-# margin-exclusion bound for linear separators
-# ---------------------------------------------------------------------------
-
-
-def margin_exclusion_delta(delta1: float, c: float, dnorm: float) -> float:
-    """Margin below which points with norms in [c, dnorm] must be disputed.
-
-    delta1 is an admissible rotation angle (see margin_exclusion_delta1_bound);
-    any admissible rotation of the target normal stays consistent with the
-    sample, and within this margin some such rotation flips the point.
-    """
-    if not 0.0 < delta1 < math.pi / 2.0:
-        raise ValueError("delta1 must lie in (0, pi/2)")
-    if not 0.0 < c < dnorm:
-        raise ValueError("need 0 < c < dnorm")
-    t = math.tan(delta1)
-    return c * c * t / math.sqrt((dnorm + t * t) ** 2 + c * c * t * t)
-
-
-def margin_exclusion_delta1_bound(S: Dataset, hstar: LinearHomogeneous) -> float:
-    """Largest admissible rotation angle: min_i |<w*, x_i>| / ||x_i||."""
-    if len(S) == 0:
-        raise ValueError("the admissibility bound needs a nonempty sample")
-    margins = np.abs(hstar.margins(S.X))
-    norms = np.linalg.norm(S.X, axis=1)
-    if np.any(norms == 0.0) or np.any(margins == 0.0):
-        raise ValueError("sample points must be off the target decision boundary")
-    return float(np.min(margins / norms))

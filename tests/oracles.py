@@ -2,24 +2,47 @@
 
 Everything here recomputes quantities from first principles (dense angle
 grids, exhaustive SVD-based ray enumeration, interval scans) without using
-the library's closed forms, so disagreements point at real bugs.  The
-exception is the attack-verify trial at the end: it runs one trial at a
-time through the library's one-point calls, the reference that the batched
-finish of `verify_contract` must match bit for bit.
+the library's closed forms, so disagreements point at real bugs.
+
+The robust losses as suprema over a perturbation set are references kept
+here, not in the library, which evaluates losses only at fixed
+perturbations.  For threshold and homogeneous linear rules under a closed
+L2 ball (`MetricBall`) the supremum is exact: the ball is decided in exact
+rational arithmetic on the coefficients, with sign(0) = +1, so a rule's
+positive side is closed and its negative side open.  A ball that only
+touches a disagreement region on an open face (where both rules predict +1)
+scores 0, and with radius 0 every loss equals the pointwise loss.  A finite
+map (`FiniteMap`) is enumerated, and an offset rule gets a sampled lower
+bound.
+
+The attack-verify trial at the end runs one trial at a time through the
+library's one-point calls, the reference that the batched finish of
+`verify_contract` must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 
-from relicert.core import label_to_external, predict
-from relicert.distributions import _draw, derive_rng
-from relicert.losses import fixed_loss
-from relicert.reliability import certify, fitted_trials
-from relicert.version_space import ConeVS, _random_unit, cone_dis_distance_info
+from relicert.core import (
+    Hypothesis,
+    LinearHomogeneous,
+    OffsetBoundary,
+    Threshold,
+    _as_point,
+    label_to_external,
+    predict,
+)
+from relicert.distributions import _draw, derive_rng, uniform_ball
+from relicert.losses import LossKind, _check_pair, fixed_loss, fixed_loss_many
+from relicert.reliability import MAX_WITNESSES, certify, fitted_trials, margin_alpha
+from relicert.version_space import ConeVS, IntervalVS, _random_unit, cone_dis_distance_info
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,9 +324,6 @@ def _margin_feasible(norm_z: float, margin: float, alpha: float, c1: float,
 def margin_certify_halving(h_erm, z, eps, c1=1.0, tol=1e-12):
     """The margin certifier's radius located by halving search on its
     feasibility predicate (parity check for the closed form)."""
-    from relicert.core import LinearHomogeneous, _as_point
-    from relicert.reliability import margin_alpha
-
     if not isinstance(h_erm, LinearHomogeneous):
         raise ValueError("the margin certifier needs a linear hypothesis")
     z = _as_point(z, dim=h_erm.dimension)
@@ -333,10 +353,6 @@ def margin_certify_halving(h_erm, z, eps, c1=1.0, tol=1e-12):
 
 def safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind):
     """Safely-reliable membership of one point, decided ray by ray."""
-    from relicert.core import Threshold, predict
-    from relicert.losses import LossKind
-    from relicert.version_space import IntervalVS
-
     x = np.asarray(x, dtype=float).reshape(-1)
     code = int(vs.membership_many(x[None, :])[0])
     if code == 0:
@@ -364,13 +380,200 @@ def boundary_margin(vs, z):
     """How far z is from a tie of the version space's membership test: the
     cut-value gap to lo and hi for intervals, and the least |<w, z>| over a
     cone's generators."""
-    from relicert.version_space import IntervalVS
-
     z = np.asarray(z, dtype=float).reshape(-1)
     if isinstance(vs, IntervalVS):
         u = float(vs.coords(z[None, :])[0])
         return min(abs(u - vs.lo), abs(u - vs.hi))
     return float(np.min(np.abs(vs.rays() @ z)))
+
+
+# ---------------------------------------------------------------------------
+# robust losses as suprema over a perturbation set: exact rational ball
+# geometry for affine-margin rules (threshold, homogeneous linear),
+# enumeration for finite maps, and sampling for offsets
+# ---------------------------------------------------------------------------
+
+DEFAULT_BALL_SAMPLES = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class MetricBall:
+    """Closed L2 ball attack of radius eta around the natural point."""
+
+    radius: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise ValueError("ball radius must be a finite nonnegative real")
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteMap:
+    """Explicit finite perturbation sets; every point must contain itself."""
+
+    mapping: Mapping[tuple[float, ...], tuple[tuple[float, ...], ...]]
+
+    def __post_init__(self):
+        frozen = {}
+        for key, vals in self.mapping.items():
+            k = tuple(float(v) for v in key)
+            vs = tuple(tuple(float(c) for c in p) for p in vals)
+            if k not in vs:
+                raise ValueError(f"perturbation set of {k} must contain the point itself")
+            frozen[k] = vs
+        object.__setattr__(self, "mapping", frozen)
+
+    def perturbations(self, x) -> np.ndarray:
+        k = tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
+        if k not in self.mapping:
+            raise KeyError(f"point {k} not in the perturbation map's domain")
+        return np.asarray(self.mapping[k], dtype=float)
+
+
+PerturbationModel = MetricBall | FiniteMap
+
+
+@dataclass(frozen=True)
+class RobustLossResult:
+    value: int
+    method: str  # exact | enumerated | sampled-lower-bound
+    samples: int | None = None
+
+
+def _affine_form(h: Hypothesis) -> tuple[np.ndarray, float] | None:
+    """Unit normal a and offset b with margin(x) = a.x + b, |margin| = boundary distance."""
+    if isinstance(h, Threshold):
+        return np.array([1.0]), -h.t
+    if isinstance(h, LinearHomogeneous):
+        return h.w, 0.0
+    return None
+
+
+def _rational(a) -> list[Fraction]:
+    return [Fraction(t) for t in a]
+
+
+def _dot(a, b) -> Fraction:
+    return sum(s * t for s, t in zip(a, b))
+
+
+def _ball_meets_side(x: np.ndarray, eta: float, rule, positive: bool) -> bool:
+    """Whether the closed ball B(x, eta) meets {f >= 0} (positive) or {f < 0}.
+
+    `rule` is a triple (a, b, m) with f(z) = a.z + b and m the margin at x
+    exactly as `predict` computes it.  x itself is classified with that
+    margin; the rest of the ball is decided in exact rational arithmetic on
+    the coefficients, so the open side {f < 0} must come strictly inside it.
+    """
+    a, b, m = rule
+    if (m >= 0.0) == positive:
+        return True
+    if eta == 0.0:
+        return False
+    A = _rational(a)
+    f = _dot(A, _rational(x)) + Fraction(b)
+    if (f >= 0) == positive:
+        return True
+    excess = f * f - Fraction(eta) ** 2 * _dot(A, A)  # sign of dist^2 - eta^2
+    return excess <= 0 if positive else excess < 0
+
+
+def _ball_meets_region(x: np.ndarray, eta: float, closed, open_) -> bool:
+    """Whether the closed ball B(x, eta) meets {z : f(z) >= 0, g(z) < 0}.
+
+    `closed` and `open_` are triples (a, b, m) with f(z) = a.z + b (resp. g)
+    and m the margin at x exactly as `predict` computes it.  The positive side
+    of each rule is closed and the negative side open (sign(0) = +1), so the
+    region keeps its open face: a ball that only touches {g = 0} misses it.
+    x itself is classified with `predict`'s margins; the rest of the ball is
+    decided in exact rational arithmetic on the hypotheses' coefficients.
+    """
+    u, p, fx = closed
+    v, q, gx = open_
+    if fx >= 0.0 and gx < 0.0:
+        return True
+    if eta == 0.0:
+        return False
+    X, U, V = _rational(x), _rational(u), _rational(v)
+    P, Q = Fraction(p), Fraction(q)
+    f, g = _dot(U, X) + P, _dot(V, X) + Q
+    if f >= 0 and g < 0:
+        return True
+    uu, vv, uv = _dot(U, U), _dot(V, V), _dot(U, V)
+    det = uu * vv - uv * uv  # Gram determinant: zero iff u and v are parallel
+    if det == 0 and uv > 0 and Q * uu >= P * uv:
+        return False  # v = lam*u, lam > 0: {-p <= u.z < -q/lam} is empty
+    eta2 = Fraction(eta) ** 2
+    # Nearest point of the closure {f >= 0, g <= 0}, by its active constraints.
+    if f < 0:
+        g_proj = g - f * uv / uu  # g at the projection of x onto {f = 0}
+        if g_proj < 0:
+            return f * f / uu <= eta2  # that projection lies in the region
+        if g_proj == 0:
+            return f * f / uu < eta2
+    if g >= 0 and f - g * uv / vv >= 0:
+        return g * g / vv < eta2
+    # both faces active: the nearest point is on {f = 0, g = 0}
+    return (vv * f * f - 2 * uv * f * g + uu * g * g) / det < eta2
+
+
+def _exact_ball_sup(kind: LossKind, h, hstar, x: np.ndarray, eta: float) -> int:
+    ah, bh = _affine_form(h)
+    astar, bstar = _affine_form(hstar)
+    if x.shape[0] != ah.shape[0] or x.shape[0] != astar.shape[0]:
+        raise ValueError("dimension mismatch between point and hypotheses")
+    gstar = float(hstar.margins(x)[0])
+    H = (ah, bh, float(h.margins(x)[0]))
+    S = (astar, bstar, gstar)
+    hstar_positive = gstar >= 0.0
+
+    if kind is LossKind.ST:
+        # the ball must reach the side of h opposite to hstar's label at x
+        return int(_ball_meets_side(x, eta, H, positive=not hstar_positive))
+    if kind is LossKind.TL:
+        return int(_ball_meets_region(x, eta, H, S) or _ball_meets_region(x, eta, S, H))
+    # CA: perturbation must keep hstar's label at x while h gets it wrong
+    if hstar_positive:
+        return int(_ball_meets_region(x, eta, S, H))
+    return int(_ball_meets_region(x, eta, H, S))
+
+
+def robust_loss_sup(
+    kind: LossKind,
+    h: Hypothesis,
+    hstar: Hypothesis,
+    x,
+    model: PerturbationModel,
+    *,
+    n_samples: int = DEFAULT_BALL_SAMPLES,
+    seed: int = 0,
+) -> RobustLossResult:
+    """Supremum of the loss over the perturbation set of x.
+
+    Exact for threshold / homogeneous linear hypotheses under a metric ball,
+    exact enumeration for finite perturbation maps, and otherwise a sampled
+    lower bound over `n_samples` uniform ball draws (count reported).
+    """
+    _check_pair(h, hstar)
+    x = _as_point(x)
+
+    if isinstance(model, FiniteMap):
+        val = int(fixed_loss_many(kind, h, hstar, x, model.perturbations(x)).max())
+        return RobustLossResult(value=val, method="enumerated")
+
+    if isinstance(model, MetricBall):
+        if _affine_form(h) is not None:
+            val = _exact_ball_sup(kind, h, hstar, x, model.radius)
+            return RobustLossResult(value=val, method="exact")
+        if not isinstance(h, OffsetBoundary):
+            raise ValueError(f"unsupported hypothesis type {type(h).__name__}")
+        rng = derive_rng(seed)
+        zs = x + uniform_ball(rng, n_samples, x.shape[0], model.radius)
+        zs = np.vstack([x[None, :], zs])  # the identity perturbation always counts
+        val = int(fixed_loss_many(kind, h, hstar, x, zs).max())
+        return RobustLossResult(value=val, method="sampled-lower-bound", samples=n_samples)
+
+    raise ValueError(f"unsupported perturbation model {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +659,7 @@ def run_trial(trial, trial_seed, rng, vs, hstar, sampler, budget, kind, strategy
     return False, None
 
 
-def contract_report(concept, hstar, sampler, m, trials, budget, kind, strategy, seed=0,
-                    max_witnesses=100):
+def contract_report(concept, hstar, sampler, m, trials, budget, kind, strategy, seed=0):
     """`verify_contract(...).to_json_dict()` from a `run_trial` loop over
     `fitted_trials`."""
     certified, witnesses = 0, []
@@ -472,7 +674,7 @@ def contract_report(concept, hstar, sampler, m, trials, budget, kind, strategy, 
         "trials": trials,
         "certified": certified,
         "violations": len(witnesses),
-        "witnesses": witnesses[:max_witnesses],
+        "witnesses": witnesses[:MAX_WITNESSES],
         "config": {"m": m, "budget": budget, "loss": kind.value, "strategy": strategy,
                    "seed": seed},
     }

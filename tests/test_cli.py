@@ -389,9 +389,9 @@ def test_antipodal_training_data_exits_0(tmp_path):
 
 
 # every subcommand's options, as the parser declared them before its option
-# table existed
+# table existed, less gen's --concept, which gen never read
 HELP_OPTIONS = {
-    "gen": "concept config dist hstar m out seed",
+    "gen": "config dist hstar m out seed",
     "certify": "c1 concept config data eps loss method out points seed",
     "sr-mass": "concept config dist eta1 eta2 hstar jobs loss m n out seed trials",
     "theta": "concept config epsilon hstar n out p q seed",

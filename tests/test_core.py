@@ -6,23 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import FiniteMap, MetricBall
 from relicert.core import (
     BaseBoundary,
     Dataset,
     DatasetFormatError,
     DimensionMismatchError,
-    FiniteMap,
     LinearHomogeneous,
-    MetricBall,
     OffsetBoundary,
     Threshold,
-    empirical_disagreement,
-    empirical_error,
     hypothesis_from_dict,
     predict,
     read_dataset_csv,
     write_dataset_csv,
 )
+
+
+def empirical_error(h, S: Dataset) -> float:
+    if len(S) == 0:
+        raise ValueError("empirical error is undefined on an empty dataset")
+    return float(np.mean(h.predict_many(S.X) != S.y))
+
+
+def empirical_disagreement(h1, h2, S: Dataset) -> float:
+    if len(S) == 0:
+        raise ValueError("empirical disagreement is undefined on an empty dataset")
+    return float(np.mean(h1.predict_many(S.X) != h2.predict_many(S.X)))
+
+
+def relabeled_by(S: Dataset, h) -> Dataset:
+    return Dataset(S.X, h.predict_many(S.X))
 
 
 def test_predict_linear_positive_inner_product():
@@ -99,7 +112,7 @@ def test_disagreement_is_error_after_relabeling(t1, t2, pts):
     S = Dataset.from_points([[p] for p in pts], [1] * len(pts))
     h1, h2 = Threshold(t1), Threshold(t2)
     assert empirical_disagreement(h1, h2, S) == pytest.approx(
-        empirical_error(h1, S.relabeled_by(h2))
+        empirical_error(h1, relabeled_by(S, h2))
     )
     assert empirical_disagreement(h1, h2, S) == pytest.approx(
         empirical_disagreement(h2, h1, S)
@@ -184,3 +197,26 @@ def test_predict_total_and_deterministic(t, x):
     h = Threshold(t)
     assert predict(h, [x]) == predict(h, [x])
     assert predict(h, [x]) in (-1, 1)
+
+
+def test_public_surface():
+    # the package exports what the CLI and its callers use; reference code
+    # that only tests need lives in tests/ and must not reappear here
+    import relicert
+
+    assert sorted(relicert.__all__) == sorted([
+        "BaseBoundary", "ConeVS", "Dataset", "DatasetFormatError",
+        "DegenerateVersionSpaceError", "DimensionMismatchError", "IntervalVS",
+        "IsotropicGaussian", "LabelConstancyError", "LinearHomogeneous", "LossKind",
+        "MeanShift", "NearlyUniform", "OffsetBoundary", "OffsetClass", "RadialHeavyTail",
+        "RealizabilityError", "RegionEstimate", "ReliabilityCertificate", "ThetaEstimate",
+        "Threshold", "UniformBall", "UniformCube", "ViolationReport", "certify",
+        "concept_from_dict", "epsilon_for_sample_size", "erm", "fit_version_space",
+        "fit_version_spaces", "fixed_loss", "hypothesis_from_dict", "margin_certify_many",
+        "predict", "read_dataset_csv", "reliable_correctness", "safely_reliable_membership",
+        "sample", "spec_from_dict", "sr_mass", "theta_pq", "verify_contract",
+        "write_dataset_csv",
+        # the submodules, which `__all__` lists because it is built from dir()
+        "core", "distributions", "estimators", "losses", "lp", "reliability",
+        "version_space",
+    ])

@@ -13,16 +13,44 @@ from relicert.distributions import (
     UniformBall,
     UniformCube,
     cdf_1d,
-    density_bounds,
     quantile_1d,
     sample,
     spec_from_dict,
-    spec_to_dict,
     uniform_ball,
     uniform_balls,
 )
 from relicert.distributions import _draw, derive_rng
 from relicert.reliability import _craft_attacks
+
+
+def density_bounds(spec):
+    """Exact (a, b) envelope for bounded-support specs, None otherwise."""
+    if isinstance(spec, NearlyUniform):
+        return (spec.a, spec.b)
+    if isinstance(spec, UniformCube):
+        h = 1.0 / (spec.hi - spec.lo) ** spec.d
+        return (h, h)
+    if isinstance(spec, MeanShift):
+        return density_bounds(spec.base)
+    return None
+
+
+def spec_to_dict(spec) -> dict:
+    """The JSON object `spec_from_dict` reads back into spec."""
+    if isinstance(spec, IsotropicGaussian):
+        return {"kind": "gaussian", "d": spec.d}
+    if isinstance(spec, UniformBall):
+        return {"kind": "uniform_ball", "d": spec.d}
+    if isinstance(spec, UniformCube):
+        return {"kind": "uniform_cube", "d": spec.d, "lo": spec.lo, "hi": spec.hi}
+    if isinstance(spec, NearlyUniform):
+        return {"kind": "nearly_uniform", "d": spec.d, "a": spec.a, "b": spec.b, "tilt": spec.tilt}
+    if isinstance(spec, RadialHeavyTail):
+        return {"kind": "radial_heavy_tail", "d": spec.d, "s": spec.s}
+    if isinstance(spec, MeanShift):
+        return {"kind": "mean_shift", "mu": spec.mu.tolist(), "base": spec_to_dict(spec.base)}
+    raise ValueError(f"unknown distribution spec {type(spec).__name__}")
+
 
 ISOTROPIC_SPECS = [
     IsotropicGaussian(2),

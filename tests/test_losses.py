@@ -5,16 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relicert.core import (
-    BaseBoundary,
-    FiniteMap,
-    LinearHomogeneous,
-    MetricBall,
-    OffsetBoundary,
-    Threshold,
-    predict,
-)
-from relicert.losses import LossKind, fixed_loss, fixed_loss_many, robust_loss_sup
+from oracles import FiniteMap, MetricBall, robust_loss_sup
+from relicert.core import BaseBoundary, LinearHomogeneous, OffsetBoundary, Threshold, predict
+from relicert.losses import LossKind, fixed_loss, fixed_loss_many
 
 
 def _lin(a, b):

@@ -19,6 +19,7 @@ from relicert.core import (
     LinearHomogeneous,
     OffsetBoundary,
     Threshold,
+    _as_point,
     predict,
 )
 from relicert.distributions import IsotropicGaussian, UniformCube
@@ -31,9 +32,7 @@ from relicert.reliability import (
     ReliabilityCertificate,
     certify,
     certify_many,
-    certify_general_finite,
     margin_alpha,
-    margin_certify,
     margin_certify_many,
     safely_reliable_membership,
     sr_membership_mask,
@@ -42,10 +41,7 @@ from relicert.reliability import (
 from relicert.version_space import (
     ConeVS,
     IntervalVS,
-    Membership,
     OffsetClass,
-    agree_membership,
-    dis_distance,
     fit_batch,
     fit_version_space,
 )
@@ -54,6 +50,27 @@ from relicert.version_space import (
 def interval_vs():
     S = Dataset.from_points([[0.2], [0.8]], [-1, 1])
     return fit_version_space(S, "threshold")
+
+
+def certify_general_finite(vs, z, u_inverse) -> ReliabilityCertificate:
+    """Accept/abstain certificate for a finite preimage of possible sources.
+
+    Accepts (radius +inf as an accept marker) iff every point that could
+    have been perturbed to z is in the agreement region and all of them
+    carry one common agreed label.
+    """
+    z = _as_point(z)
+    U = np.atleast_2d(np.asarray(u_inverse, dtype=float))
+    if U.shape[0] == 0:
+        raise ValueError("the preimage set must not be empty")
+    if U.shape[1] != z.shape[0]:
+        raise ValueError("preimage dimension mismatch")
+    if not np.any(np.all(np.abs(U - z[None, :]) <= 1e-12, axis=1)):
+        raise ValueError("the preimage of z must contain z itself")
+    codes = vs.membership_many(U)
+    if np.any(codes == 0) or np.unique(codes).size != 1:
+        return ReliabilityCertificate(None, -1.0, LossKind.ST, "analytic")
+    return ReliabilityCertificate(int(codes[0]), math.inf, LossKind.ST, "analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +117,11 @@ def test_certificate_json_shape():
 
 def test_accepts_iff_agreement_exhaustive_sweep():
     vs = interval_vs()
-    for z in np.linspace(-0.5, 1.5, 401):
-        member = agree_membership(vs, [z])
+    zs = np.linspace(-0.5, 1.5, 401)
+    for z, code in zip(zs, vs.membership_many(zs[:, None])):
         for kind in (LossKind.CA, LossKind.TL):
             cert = certify(vs, [z], kind)
-            assert cert.abstained == (member is Membership.DISAGREE)
+            assert cert.abstained == (code == 0)
             if not cert.abstained:
                 assert math.isinf(cert.radius)
 
@@ -273,10 +290,7 @@ def test_sr_triangle_identity_on_grid():
             (not certify(vs, [e], LossKind.ST).abstained)
             and certify(vs, [e], LossKind.ST).radius >= eta2
             for e in edges
-        ) and all(
-            agree_membership(vs, [p]) is not Membership.DISAGREE
-            for p in np.linspace(x - eta1, x + eta1, 9)
-        )
+        ) and bool(np.all(vs.membership_many(np.linspace(x - eta1, x + eta1, 9)[:, None])))
         assert direct == nested
 
 
@@ -413,7 +427,7 @@ def test_sr_rejects_negative_strengths():
 def test_margin_certify_worked_example():
     h = LinearHomogeneous(np.array([1.0, 0.0]))
     z = np.array([0.5, math.sqrt(0.75)])  # norm 1, margin 0.5
-    eta = margin_certify(h, z, eps=0.01, c1=1.0)
+    eta = margin_certify_many(h, [z], eps=0.01, c1=1.0)[1][0]
     assert eta == pytest.approx(0.43977435, abs=1e-6)
 
 
@@ -421,13 +435,13 @@ def test_margin_certify_norm_and_margin_edges():
     h = LinearHomogeneous(np.array([1.0, 0.0]))
     alpha = math.log(1.0 / (math.sqrt(2) * 0.01))
     big = np.array([alpha * math.sqrt(2) + 0.1, 0.0])
-    assert margin_certify(h, big, eps=0.01) == -1.0
+    assert margin_certify_many(h, [big], eps=0.01)[1][0] == -1.0
     exact = np.array([alpha * math.sqrt(2), 0.0])
-    assert margin_certify(h, exact, eps=0.01) == -1.0
+    assert margin_certify_many(h, [exact], eps=0.01)[1][0] == -1.0
     # margin exactly at the exclusion level: certified at radius zero
     margin = 1.0 * alpha * 0.01 * math.sqrt(2)
     z = np.array([margin, 1.0])
-    got = margin_certify(h, z, eps=0.01)
+    got = margin_certify_many(h, [z], eps=0.01)[1][0]
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -436,7 +450,7 @@ def test_margin_halving_parity():
     h = LinearHomogeneous(np.array([0.6, -0.8]))
     for _ in range(60):
         z = rng.standard_normal(2) * rng.uniform(0.2, 4.0)
-        a = margin_certify(h, z, eps=0.03)
+        a = margin_certify_many(h, [z], eps=0.03)[1][0]
         b = margin_certify_halving(h, z, eps=0.03)
         assert a == pytest.approx(b, abs=1e-9)
 
@@ -496,7 +510,7 @@ def test_margin_certifier_never_beats_exact_path():
         h = erm(S, "linear")
         for _ in range(5):
             z = rng.standard_normal(d)
-            if margin_certify(h, z, eps=eps) > 0:
+            if margin_certify_many(h, [z], eps=eps)[1][0] > 0:
                 cert = certify(vs, z, LossKind.ST)
                 if cert.abstained or cert.radius <= 0:
                     failures += 1

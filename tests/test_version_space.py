@@ -27,21 +27,14 @@ from relicert.version_space import (
     ConeVS,
     DegenerateVersionSpaceError,
     IntervalVS,
-    Membership,
     OffsetClass,
     RealizabilityError,
-    agree_membership,
-    dis_distance,
     _build_cone_bank,
     _build_cone_banks,
     erm,
     fit_version_space,
     fit_version_spaces,
-    margin_exclusion_delta,
-    margin_exclusion_delta1_bound,
 )
-
-M = Membership
 
 
 def two_point_interval():
@@ -207,20 +200,15 @@ def test_negative_sample_on_a_cone_without_interior_is_realizable():
 
 def test_membership_interval_examples():
     vs = two_point_interval()
-    assert agree_membership(vs, [0.1]) is M.AGREE_MINUS
-    assert agree_membership(vs, [0.5]) is M.DISAGREE
-    assert agree_membership(vs, [0.9]) is M.AGREE_PLUS
+    assert vs.membership_many(np.array([[0.1], [0.5], [0.9]])).tolist() == [-1, 0, 1]
     # half-open boundary behavior
-    assert agree_membership(vs, [0.2]) is M.AGREE_MINUS
-    assert agree_membership(vs, [0.8]) is M.AGREE_PLUS
+    assert vs.membership_many(np.array([[0.2], [0.8]])).tolist() == [-1, 1]
 
 
 def test_membership_arc_example():
     _, vs = spec_arc()
-    assert agree_membership(vs, [0.0, 1.0]) is M.AGREE_PLUS
-    assert agree_membership(vs, [1.0, 0.0]) is M.DISAGREE
-    assert agree_membership(vs, [0.5, -2.0]) is M.AGREE_MINUS
-    assert agree_membership(vs, [0.0, 0.0]) is M.AGREE_PLUS
+    Z = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -2.0], [0.0, 0.0]])
+    assert vs.membership_many(Z).tolist() == [1, 0, -1, 1]
 
 
 def test_membership_matches_angle_grid_oracle():
@@ -290,14 +278,16 @@ def test_cone_membership_matches_interval_on_lifted_thresholds():
 
 def test_dis_distance_interval_example():
     vs = two_point_interval()
-    assert dis_distance(vs, [1.0]) == pytest.approx(0.2)
-    assert dis_distance(vs, [0.5]) == 0.0
-    assert dis_distance(vs, [0.0]) == pytest.approx(0.2)
+    dist = vs.dis_distance_many(np.array([[1.0], [0.5], [0.0]]))
+    assert dist[0] == pytest.approx(0.2)
+    assert dist[1] == 0.0
+    assert dist[2] == pytest.approx(0.2)
 
 
 def test_dis_distance_arc_example():
     _, vs = spec_arc()
-    assert dis_distance(vs, [0.0, 1.0]) == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-9)
+    dist = vs.dis_distance_many(np.array([[0.0, 1.0]]))[0]
+    assert dist == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-9)
 
 
 def test_dis_distance_arc_matches_bruteforce():
@@ -310,10 +300,10 @@ def test_dis_distance_arc_matches_bruteforce():
         S = Dataset(X, h.predict_many(X))
         vs = fit_version_space(S, "linear")
         z = rng.standard_normal(2) * 1.5
-        if agree_membership(vs, z) is M.DISAGREE:
+        if vs.membership_many(z[None, :])[0] == 0:
             continue
         brute = radius_2d_bruteforce(S.X, S.y, z)
-        assert dis_distance(vs, z) == pytest.approx(brute, abs=2e-3)
+        assert vs.dis_distance_many(z[None, :])[0] == pytest.approx(brute, abs=2e-3)
         checked += 1
     assert checked >= 5
 
@@ -824,10 +814,10 @@ def test_ray_interior_and_realizability_match_lp(grid, monkeypatch):
 def test_dis_distance_zero_iff_disputed_or_boundary():
     vs = two_point_interval()
     rng = np.random.default_rng(8)
-    for _ in range(200):
-        z = rng.uniform(-1, 2)
-        dist = dis_distance(vs, [z])
-        if agree_membership(vs, [z]) is M.DISAGREE:
+    zs = np.array([rng.uniform(-1, 2) for _ in range(200)])
+    codes = vs.membership_many(zs[:, None])
+    for z, code, dist in zip(zs, codes, vs.dis_distance_many(zs[:, None])):
+        if code == 0:
             assert dist == 0.0
         elif dist == 0.0:
             assert min(abs(z - vs.lo), abs(z - vs.hi)) < 1e-12
@@ -843,11 +833,9 @@ def test_monotonicity_under_nesting():
         S_big = Dataset(X, h.predict_many(X))
         v_small = fit_version_space(S_small, "linear")
         v_big = fit_version_space(S_big, "linear")
-        for _ in range(10):
-            z = rng.standard_normal(2)
-            m_small = agree_membership(v_small, z)
-            if m_small is not M.DISAGREE:
-                assert agree_membership(v_big, z) is m_small
+        Z = np.array([rng.standard_normal(2) for _ in range(10)])
+        m_small, m_big = v_small.membership_many(Z), v_big.membership_many(Z)
+        assert np.all((m_small == 0) | (m_big == m_small))
 
 
 def test_target_always_in_version_space():
@@ -871,6 +859,32 @@ def test_target_always_in_version_space():
 # ---------------------------------------------------------------------------
 # margin exclusion
 # ---------------------------------------------------------------------------
+
+
+def margin_exclusion_delta(delta1: float, c: float, dnorm: float) -> float:
+    """Margin below which points with norms in [c, dnorm] must be disputed.
+
+    delta1 is an admissible rotation angle (see margin_exclusion_delta1_bound);
+    any admissible rotation of the target normal stays consistent with the
+    sample, and within this margin some such rotation flips the point.
+    """
+    if not 0.0 < delta1 < math.pi / 2.0:
+        raise ValueError("delta1 must lie in (0, pi/2)")
+    if not 0.0 < c < dnorm:
+        raise ValueError("need 0 < c < dnorm")
+    t = math.tan(delta1)
+    return c * c * t / math.sqrt((dnorm + t * t) ** 2 + c * c * t * t)
+
+
+def margin_exclusion_delta1_bound(S: Dataset, hstar: LinearHomogeneous) -> float:
+    """Largest admissible rotation angle: min_i |<w*, x_i>| / ||x_i||."""
+    if len(S) == 0:
+        raise ValueError("the admissibility bound needs a nonempty sample")
+    margins = np.abs(hstar.margins(S.X))
+    norms = np.linalg.norm(S.X, axis=1)
+    if np.any(norms == 0.0) or np.any(margins == 0.0):
+        raise ValueError("sample points must be off the target decision boundary")
+    return float(np.min(margins / norms))
 
 
 def test_margin_exclusion_closed_form_values():
@@ -950,7 +964,7 @@ def test_margin_exclusion_property_small():
     for _ in range(150):
         hstar, S, delta1, x, _ = _exclusion_instance(rng)
         vs = fit_version_space(S, "linear")
-        assert agree_membership(vs, x) is M.DISAGREE
+        assert vs.membership_many(x[None, :])[0] == 0
 
 
 def test_margin_exclusion_statement_denominator_also_holds():
@@ -980,4 +994,4 @@ def test_translation_exclusion_for_offsets():
         z = rng.random(2)
         resid = float(hstar.margins(z[None, :])[0])
         if abs(resid) < gap:
-            assert agree_membership(vs, z) is M.DISAGREE
+            assert vs.membership_many(z[None, :])[0] == 0
