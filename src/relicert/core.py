@@ -49,6 +49,21 @@ def label_from_external(v: int) -> int:
     raise ValueError(f"external label must be 0 or 1, got {v!r}")
 
 
+def check_labelled(X: np.ndarray, y: np.ndarray) -> None:
+    """The checks of a labelled sample X (n, d), or of a stack X (K, n, d)
+    of samples of one size: y holds one label per point (shape
+    X.shape[:-1]), every coordinate is finite, every label is +1 or -1, and
+    the points have a positive dimension."""
+    if y.shape != X.shape[:-1]:
+        raise ValueError("labels must align with points")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("all coordinates must be finite")
+    if y.size and not np.all(np.abs(y) == 1):
+        raise ValueError("labels must be +1 or -1")
+    if X.shape[-1] < 1:
+        raise ValueError("dimension must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled sample: points stacked row-wise, labels in {+1, -1}."""
@@ -61,14 +76,7 @@ class Dataset:
         y = np.asarray(self.y, dtype=np.int64)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array (n_samples, dimension)")
-        if y.shape != (X.shape[0],):
-            raise ValueError("labels must align with points")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("all coordinates must be finite")
-        if X.shape[0] and not np.all(np.abs(y) == 1):
-            raise ValueError("labels must be +1 or -1")
-        if X.shape[1] < 1:
-            raise ValueError("dimension must be positive")
+        check_labelled(X, y)
         X.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", X)

@@ -32,9 +32,29 @@ def _mix64(*words: int) -> int:
     return h
 
 
+def _stream_key(seed: int, *stream: int) -> int:
+    """The 64-bit Philox key of derive_rng(seed, *stream)."""
+    return seed & _M64 if not stream else _mix64(seed, *stream)
+
+
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
-    key = seed & _M64 if not stream else _mix64(seed, *stream)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, *stream)))
+
+
+def derived_rngs(seeds, *stream: int):
+    """derive_rng(seed, *stream) for each seed in turn, as one Philox
+    generator re-keyed before each yield: key [_stream_key(seed, *stream),
+    0], counter 0 and an empty buffer, the state a fresh Philox(key=) has,
+    so the draws are the same bits.  A yielded generator is valid only
+    until the next one is taken."""
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    for seed in seeds:
+        key[0] = _stream_key(seed, *stream)
+        bitgen.state = state
+        yield rng
 
 
 def map_trial_chunks(fn, args_base: tuple, trials: int, jobs: int) -> list:
@@ -199,16 +219,19 @@ def uniform_ball(rng: np.random.Generator, n, d: int, radius=1.0) -> np.ndarray:
     return _scale_into_ball(g, rng.random(shape), d, radius)
 
 
-def uniform_balls(rngs: list, n: int, d: int, radius) -> np.ndarray:
-    """uniform_ball(rngs[i], n, d, radius[i]) for every generator, stacked
-    (len(rngs), n, d): each generator draws its own normals and then its
-    own radius fractions, and the arithmetic runs once over the stack."""
-    g = np.empty((len(rngs), n, d))
-    u = np.empty((len(rngs), n))
+def uniform_balls(rngs, n: int, d: int, radius) -> np.ndarray:
+    """uniform_ball(rng_i, n, d, radius[i]) for the i-th generator of the
+    iterable `rngs` (a list, or `derived_rngs`), one per radius, stacked
+    (len(radius), n, d): each generator draws its own normals and then its
+    own radius fractions before the next is taken, and the arithmetic runs
+    once over the stack."""
+    radius = np.asarray(radius)
+    g = np.empty((radius.shape[0], n, d))
+    u = np.empty((radius.shape[0], n))
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=g[i])
         rng.random(out=u[i])
-    return _scale_into_ball(g, u, d, np.asarray(radius)[:, None])
+    return _scale_into_ball(g, u, d, radius[:, None])
 
 
 def _scale_into_ball(g: np.ndarray, u: np.ndarray, d: int, radius) -> np.ndarray:

@@ -299,6 +299,8 @@ def reliable_correctness(
     correctness: the fraction of target draws in the agreement region.
     Passing a labeled target sample enforces the realizability premise.
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     if n_test < 1:
         raise ValueError("n_test must be positive")
     if kind is None and (eta1 != 0.0 or eta2 != 0.0):

@@ -19,13 +19,20 @@ points with one membership and one distance call, and its ball check draws
 from one generator per call, derived from the seed, for every certified
 ball; `certify` is its one-row call.
 
-`verify_contract` fits its trials in sub-batches (`fitted_batches`) and
-finishes each sub-batch in array passes (`_finish_trials`): per-trial draws
-from each trial's own generator, one `paired_geometry` pass over the natural
-points for the attack directions and one over the attacked points for the
-certificates, and losses and witnesses as arrays.  The ball check of a
-certified trial draws from that trial's own stream, derive_rng(trial seed,
-101): the points a one-row `certify` of the trial checks.
+`verify_contract` runs its trials in sub-batches of `fit_batch` trials, and
+a sub-batch is a stack of arrays from the draws to the report, with no
+per-trial dataset or hypothesis object.  `fitted_batches` puts the trials'
+samples, each drawn from the trial's own generator, in one (K, m, d) stack,
+labels it with one call of the target and fits it in one pass
+(`fit_stack`).  `_finish_trials` draws the learners as one array
+(`random_members`), the natural points and attacks per trial, makes one
+`paired_geometry` pass over the natural points for the attack directions and
+one over the attacked points for the certificates, labels the points with
+one call of the target and one row-wise pass for the learners
+(`member_labels`), and forms losses and witnesses as arrays.  The ball
+check of a certified trial draws from that trial's own stream,
+derive_rng(trial seed, 101), re-keyed into one Philox per sub-batch
+(`derived_rngs`): the points a one-row `certify` of the trial checks.
 
 All geometry goes through the version-space methods listed in
 `version_space`; nothing here depends on the representation.
@@ -41,16 +48,17 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    Dataset,
     Hypothesis,
     LinearHomogeneous,
     _as_point,
+    check_labelled,
     label_to_external,
 )
 from .distributions import (
     DistributionSpec,
     _draw,
     derive_rng,
+    derived_rngs,
     dimension,
     map_trial_chunks,
     uniform_ball,
@@ -65,9 +73,11 @@ from .version_space import (
     attack_directions,
     check_width,
     fit_batch,
-    fit_version_spaces,
+    fit_stack,
     interior_hint,
+    member_labels,
     paired_geometry,
+    random_members,
 )
 # not called here: perfbench's layer tracer wraps these names, so that a
 # cone's one-point distance, the one-sample fit (the trials fit in batches)
@@ -133,24 +143,21 @@ def _assert_balls_label_constancy(
     rng = derive_rng(seed, 101)
     k, d = Z.shape
     n = BALL_CONSTANCY_SAMPLES
-    member = [(vs.canonical_member(), slice(None))]
+    member = vs.canonical_member()
     step = max(1, SR_CHUNK_ELEMS // (n * d))
     for lo in range(0, k, step):
         hi = min(lo + step, k)
         balls = uniform_ball(rng, (hi - lo, n), d, radii[lo:hi, None] * (1.0 - 1e-9))
         balls += Z[lo:hi, None, :]
-        _assert_balls_unanimous(member, balls, Z[lo:hi], radii[lo:hi], labels[lo:hi])
+        got = member.predict_many(balls.reshape(-1, d)).reshape(-1, n)
+        _assert_balls_unanimous(got, Z[lo:hi], radii[lo:hi], labels[lo:hi])
 
 
-def _assert_balls_unanimous(members, balls: np.ndarray, Z: np.ndarray, radii: np.ndarray,
+def _assert_balls_unanimous(got: np.ndarray, Z: np.ndarray, radii: np.ndarray,
                             labels: np.ndarray) -> None:
-    """Every point balls[i, j] of the ball B(Z[i], radii[i]) must get
-    labels[i] from its canonical member.  `members` pairs each member with
-    the rows it labels (an index list or a slice), predicted in one call."""
-    n, d = balls.shape[1:]
-    bad = np.empty(balls.shape[:2], dtype=bool)
-    for h, rows in members:
-        bad[rows] = h.predict_many(balls[rows].reshape(-1, d)).reshape(-1, n) != labels[rows, None]
+    """Every point j of the ball B(Z[i], radii[i]) must get labels[i] from
+    its canonical member: got[i, j] is the label it got."""
+    bad = got != labels[:, None]
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         raise LabelConstancyError(
@@ -354,18 +361,22 @@ def fitted_batches(
 ):
     """(batch, rngs, vss) for each sub-batch of `fit_batch(m, d)` trials:
     rngs[i] = rng_of(batch[i]), after it drew the trial's m training points
-    from spec (labelled by hstar), and vss[i] the version space fitted to
-    them, all in one `fit_version_spaces` call hinted by
-    `interior_hint(hstar)`.  Each trial draws only from its own generator
-    and a batched fit is the same bits as a one-sample fit, so the results
-    are those of a loop that fits one trial at a time."""
-    step = fit_batch(m, dimension(spec))
+    from spec, and vss[i] the version space fitted to them.  The draws,
+    each through `_draw` from the trial's own generator, fill one (K, m, d)
+    stack, which hstar labels in one call and `fit_stack` fits in one pass,
+    hinted by `interior_hint(hstar)`.  Each trial draws only from its own
+    generator and a stacked fit is the same bits as a one-sample fit, so
+    the results are those of a loop that fits one trial at a time."""
+    d = dimension(spec)
+    step = fit_batch(m, d)
+    hint = interior_hint(hstar)
     for i in range(0, len(trials), step):
         batch = trials[i : i + step]
         rngs = [rng_of(t) for t in batch]
-        Xs = [_draw(spec, rng, m) for rng in rngs]
-        samples = [Dataset(X, hstar.predict_many(X)) for X in Xs]
-        yield batch, rngs, fit_version_spaces(samples, concept, interior_hint(hstar))
+        X = np.stack([_draw(spec, rng, m) for rng in rngs])
+        y = hstar.predict_many(X.reshape(-1, d)).reshape(X.shape[:2])
+        check_labelled(X, y)
+        yield batch, rngs, fit_stack(X, y, concept, hint)
 
 
 def fitted_trials(
@@ -380,30 +391,21 @@ def _certify_trials(vss: list, Z: np.ndarray, kind: LossKind, seeds: list):
     """`certify(vss[i], Z[i], kind, seed=seeds[i])` of every row, as the
     (labels, radii) arrays of `certify_many`: one `paired_geometry` call,
     and the stability ball check of each certified row draws the points
-    its one-row call would, from derive_rng(seeds[i], 101).  The balls of
-    rows that share a canonical member (every hinted cone of a batch) are
-    predicted in one call."""
+    its one-row call would, from derive_rng(seeds[i], 101), here one Philox
+    re-keyed per row (`derived_rngs`).  Each ball is labelled by its row's
+    canonical member in one row-wise pass (`member_labels`)."""
     labels, radii, _ = paired_geometry(vss, Z)
     if kind is not LossKind.ST:
         return labels, np.where(labels != 0, math.inf, -1.0)
     rows = np.flatnonzero(radii > 0.0)
     if rows.size:
-        balls = uniform_balls([derive_rng(seeds[i], 101) for i in rows], BALL_CONSTANCY_SAMPLES,
+        balls = uniform_balls(derived_rngs([seeds[i] for i in rows], 101), BALL_CONSTANCY_SAMPLES,
                               Z.shape[1], radii[rows] * (1.0 - 1e-9))
         balls += Z[rows, None, :]
-        members: dict = {}
-        for j, i in enumerate(rows):
-            h = vss[i].canonical_member()
-            members.setdefault(id(h), (h, []))[1].append(j)
-        _assert_balls_unanimous(members.values(), balls, Z[rows], radii[rows], labels[rows])
+        got = member_labels(vss[0], np.array([vss[i].canonical for i in rows]), balls)
+        _assert_balls_unanimous(got, Z[rows], radii[rows], labels[rows])
     radii[labels == 0] = -1.0
     return labels, radii
-
-
-def _row_labels(hs: list, P: np.ndarray) -> np.ndarray:
-    """Row i of P labelled by hs[i] through its own one-row product: the
-    label `predict(hs[i], P[i])` gives, bit for bit."""
-    return np.array([h.predict_many(P[i : i + 1])[0] for i, h in enumerate(hs)])
 
 
 # witness reasons, by the code `_finish_trials` gives each trial (0: none)
@@ -422,27 +424,30 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
     drawing from the generator that drew its sample: the certified count
     and the witnesses, in trial order.
 
-    Every trial draws its learner (`random_member`), then its natural point
-    x, then its attack (`_craft_attacks`).  The attacked points z are
-    certified together (`_certify_trials`).  A trial is certified when its
-    radius exceeds |z - x| (open balls); then the learner's loss at z and
-    the issued prediction are checked against the target.  A trial whose
-    radius is 0 must still predict the target's label at z."""
-    learners = [vs.random_member(rng) for vs, rng in zip(vss, rngs)]
+    Every trial draws its learner (`random_members`, one array for the
+    sub-batch), then its natural point x, then its attack
+    (`_craft_attacks`).  The attacked points z are certified together
+    (`_certify_trials`).  A trial is certified when its radius exceeds
+    |z - x| (open balls); then the learner's loss at z and the issued
+    prediction are checked against the target.  A trial whose radius is 0
+    must still predict the target's label at z.  The target labels every
+    z, and the natural points of the certified trials, in one call each,
+    and the learners label their z in one row-wise pass (`member_labels`):
+    no hypothesis is built per trial."""
+    learners = random_members(vss, rngs)
     X = np.concatenate([_draw(sampler, rng, 1) for rng in rngs])
     Z = _craft_attacks(vss, X, budget, strategy, rngs, batch)
     labels, radii = _certify_trials(vss, Z, kind, seeds)
     dist = np.array([math.sqrt(v @ v) for v in Z - X])  # each |z - x| as np.linalg.norm makes it
     binding = radii > dist
-    hz = _row_labels([hstar] * len(vss), Z)
+    hz = hstar.predict_many(Z)
     wrong = labels != hz
     loss = np.zeros(len(vss), dtype=bool)
     rows = np.flatnonzero(binding)
     if rows.size:
-        _check_pair(learners[0], hstar)
-        learned = _row_labels([learners[i] for i in rows], Z[rows])
-        hx = _row_labels([hstar] * rows.size, X[rows])
-        loss[rows] = losses_from_labels(kind, learned, hz[rows], hx) != 0
+        _check_pair(vss[0].canonical_member(), hstar)
+        learned = member_labels(vss[0], learners[rows], Z[rows, None])[:, 0]
+        loss[rows] = losses_from_labels(kind, learned, hz[rows], hstar.predict_many(X[rows])) != 0
     reason = np.select(
         [binding & loss, binding & wrong, ~binding & (radii >= 0.0) & wrong], [1, 2, 3], 0
     )
@@ -501,6 +506,8 @@ def verify_contract(
     target concept.  Any nonzero loss inside a certified radius is recorded
     as a violation with full reproduction data.
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     if not 0.0 <= budget < math.inf:
         raise ValueError("attack budget must be nonnegative and finite")
     if strategy not in STRATEGIES:

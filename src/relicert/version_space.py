@@ -15,7 +15,7 @@ inside a representation:
   dis_distance_many(X, codes)
                              the distance below, 0 on disputed rows;
   canonical_member()         the interval midpoint, the cone's interior
-                             normal;
+                             normal (`canonical`: its cut, or unit normal);
   random_member(rng)         a consistent hypothesis away from the boundary;
   ca_cap_mask(hstar, X, eta) whether the part of B(x, eta) with the target
                              label of x stays unanimous, per row;
@@ -24,7 +24,9 @@ inside a representation:
 `paired_geometry(vss, Z)` asks the same questions of a list of fitted
 version spaces of one class, row i of Z against space i, and
 `attack_directions(vss, X, rngs)` steps each row toward its space's
-disputed points.
+disputed points.  `random_members(vss, rngs)` draws one member per space as
+an array (cuts, or unit normals), of which `random_member` is the one-row
+call, and `member_labels` labels points by such members in one pass.
 
 Membership in the agreement region is exact for every class.  The distance
 of an agreed point z is the Euclidean distance to the disagreement region
@@ -51,13 +53,17 @@ arithmetic, not by selects.  A cone whose ray build holds more than RAY_CAP
 rays at any step is not represented: the fit raises
 DegenerateVersionSpaceError.
 
-`fit_version_spaces` fits a list of samples: their cones share one ray
-build, whose every step is one set of array operations over the stack of
-cones still cutting, in sub-batches of `fit_batch` samples.  No cone's
-arithmetic depends on the stack around it (fixed-order sums over the
-coordinates; BLAS only on one-shape blocks or on 0/1 counts, which are
-exact), so each cone is the same bits as its one-sample fit,
-`fit_version_space`.
+`fit_stack` fits a stack of samples, X (K, m, d) and y (K, m), and
+`fit_version_spaces` a list of them, stacked in sub-stacks of `fit_batch`
+samples.  The stack's cones share one ray build, whose every step is one
+set of array operations over the stack of cones still cutting, and whose
+generators are normalised and tested against the strict facets per rank
+group.  No cone's arithmetic depends on the stack around it (fixed-order
+sums over the coordinates; BLAS only on one-shape blocks, on 0/1 counts,
+which are exact, and in the strict-facet test, whose 1e-10 tolerance is
+far above any rounding of a tight generator's values), so each cone is the
+same bits as its one-sample fit, `fit_version_space`.  Intervals take their
+cuts from array reductions.
 
 A linear fit without an interior hint solves no LP.  Its generators decide
 realizability: the sample is strictly consistent iff every negative-label
@@ -125,8 +131,9 @@ def _residuals(base: BaseBoundary, X: np.ndarray) -> np.ndarray:
 
 def _interior_fraction(rng: np.random.Generator) -> float:
     """A fraction in [0.02, 0.98] that places a random member away from the
-    version-space boundary.  Every `random_member` draws it first, so the
-    random stream is consumed in the same order for every class."""
+    version-space boundary.  Every member draw (`random_members`) takes it
+    first, so the random stream is consumed in the same order for every
+    class."""
     return 0.02 + 0.96 * rng.random()
 
 
@@ -178,48 +185,46 @@ class IntervalVS:
 
     def membership_many(self, X: np.ndarray) -> np.ndarray:
         u = self.coords(X)
-        out = np.zeros(u.shape[0], dtype=np.int8)
-        minus = u <= self.lo
-        plus = u >= self.hi
-        out[minus] = -1
-        out[plus] = 1
-        return out
+        return (u >= self.hi).view(np.int8) - (u <= self.lo).view(np.int8)
 
     def dis_distance_many(self, X: np.ndarray, codes=None) -> np.ndarray:
         """Distance to the open interval (lo, hi) of disputed cuts; `codes`
         are not needed here."""
         u = self.coords(X)
-        below = np.maximum(self.lo - u, 0.0)
-        above = np.maximum(u - self.hi, 0.0)
-        return np.maximum(below, above) * self._scale
+        return np.maximum(np.maximum(self.lo - u, 0.0), np.maximum(u - self.hi, 0.0)) * self._scale
 
     def _member(self, t: float) -> Hypothesis:
         return OffsetBoundary(self.base, t) if self.base is not None else Threshold(t)
 
-    def canonical_member(self) -> Hypothesis:
-        """The midpoint cut; one unit inside a half-infinite interval, 0 for
-        the whole line."""
+    @property
+    def canonical(self) -> float:
+        """The canonical cut: the midpoint; one unit inside a half-infinite
+        interval, 0 for the whole line."""
         if math.isinf(self.lo) and math.isinf(self.hi):
-            t = 0.0
-        elif math.isinf(self.lo):
-            t = self.hi - 1.0
-        elif math.isinf(self.hi):
-            t = self.lo + 1.0
-        else:
-            t = 0.5 * (self.lo + self.hi)
-        return self._member(t)
+            return 0.0
+        if math.isinf(self.lo):
+            return self.hi - 1.0
+        if math.isinf(self.hi):
+            return self.lo + 1.0
+        return 0.5 * (self.lo + self.hi)
+
+    def canonical_member(self) -> Hypothesis:
+        """The hypothesis of the canonical cut."""
+        return self._member(self.canonical)
 
     def random_member(self, rng: np.random.Generator) -> Hypothesis:
+        """The one-row draw of `random_members`."""
+        return self._member(float(random_members([self], [rng])[0]))
+
+    def _random_cut(self, rng: np.random.Generator) -> float:
         u = _interior_fraction(rng)
         if math.isinf(self.lo) and math.isinf(self.hi):
-            t = rng.standard_normal()
-        elif math.isinf(self.lo):
-            t = self.hi - rng.random()
-        elif math.isinf(self.hi):
-            t = self.lo + rng.random()
-        else:
-            t = self.lo + u * (self.hi - self.lo)
-        return self._member(t)
+            return rng.standard_normal()
+        if math.isinf(self.lo):
+            return self.hi - rng.random()
+        if math.isinf(self.hi):
+            return self.lo + rng.random()
+        return self.lo + u * (self.hi - self.lo)
 
     def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
         """Closed form: the cut values the same-label part of each eta-ball
@@ -362,8 +367,10 @@ class ConeVS:
     when the cone has interior.  A fit with a strictly feasible hint keeps
     the hint.  A fit without one takes the normalised sum of the extreme
     rays, or a generator of a cone that is a linear subspace; the same
-    generators decided that the sample is realizable (see `_fit_cone`).
-    `member` is the interior normal as a hypothesis.
+    generators decided that the sample is realizable (see `_fit_cones`).
+    `member` is the interior normal as a hypothesis, and `slack` the least
+    <A_i, interior> over the rows (+inf without rows), which bounds the
+    random members' steps.
     """
 
     A: np.ndarray  # (m, d), unit rows
@@ -372,6 +379,7 @@ class ConeVS:
     dim: int
     bank: _Bank
     member: LinearHomogeneous
+    slack: float
 
     def rays(self) -> np.ndarray:
         """The unit generators (see `_Bank`), one per row."""
@@ -396,14 +404,14 @@ class ConeVS:
         """The interior normal."""
         return self.member
 
+    @property
+    def canonical(self) -> np.ndarray:
+        """The canonical member's unit normal."""
+        return self.member.w
+
     def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
-        """A random step from the interior normal, within 45% of its slack."""
-        _interior_fraction(rng)  # unused here; drawn to keep the stream order
-        if self.A.shape[0] == 0:
-            return LinearHomogeneous(rng.standard_normal(self.dim))
-        slack = float(np.min(self.A @ self.interior))
-        g = _random_unit(rng, self.dim)
-        return LinearHomogeneous(self.interior + 0.45 * slack * rng.random() * g)
+        """The one-row draw of `random_members`."""
+        return LinearHomogeneous(random_members([self], [rng])[0])
 
     def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
         """The cap test on the generators, which span the cone."""
@@ -470,26 +478,40 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, interior: np.ndarray) -
     for k in sorted(set(rank.tolist())):
         group = np.flatnonzero(rank == k)
         if k == d:
-            bases = [None] * group.size
-            rows = A[group]
+            built = _double_description(A[group], first[group], weight[group], inverse)
+            gens = [rays for rays, _ in built]
         else:  # rotate into the row space; null(A) is the lineality space
             bases = [np.linalg.svd(A[c, first[c, :k]])[2] for c in group]
             rows = np.zeros((group.size, m, k))
             for i, c in enumerate(group):
                 n = int(np.isfinite(slack[c]).sum())
                 rows[i, :n] = A[c, :n] @ bases[i][:k].T
-        if k == 0:  # no rows: the cone is all of R^d
-            built = [(np.zeros((0, 0)), np.zeros(0, dtype=np.intp))] * group.size
-        else:
-            built = _double_description(rows, first[group, :k], weight[group], inverse)
-        for c, Vt, (rays, cuts) in zip(group, bases, built):
-            if k:  # one cone's own array: any deterministic norm keeps it batch-invariant
-                rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-            W = rays if Vt is None else np.vstack([rays @ Vt[:k], Vt[k:], -Vt[k:]])
-            on_strict = np.any(A[c][strict[c]] @ W.T <= 1e-10, axis=0)
-            # V > plus_above is V > tol on strict facets and V >= -tol elsewhere
-            plus_above = np.where(on_strict, STRICT_LP_TOL, np.nextafter(-STRICT_LP_TOL, -np.inf))
-            banks[c] = _Bank(W=W, plus_above=plus_above, cuts=order[c, cuts])
+            if k == 0:  # no rows: the cone is all of R^d
+                built = [(np.zeros((0, 0)), np.zeros(0, dtype=np.intp))] * group.size
+            else:
+                built = _double_description(rows, first[group, :k], weight[group], inverse)
+            gens = [np.vstack([rays / np.linalg.norm(rays, axis=1, keepdims=True) @ Vt[:k],
+                               Vt[k:], -Vt[k:]]) for Vt, (rays, _) in zip(bases, built)]
+        # the group's generators, zero rows padding each cone to the largest
+        sizes = [len(g) for g in gens]
+        W = np.zeros((group.size, max(sizes), d))
+        for i, g in enumerate(gens):
+            W[i, : len(g)] = g
+        if k == d:  # a row's norm depends on that row only; a ray's is >= 1
+            W /= np.maximum(np.linalg.norm(W, axis=2, keepdims=True), 1e-300)
+        # a generator on a strict facet (<A_i, w> <= 1e-10 on a strict row)
+        # is a +1 witness only above STRICT_LP_TOL, any other above the
+        # float below -STRICT_LP_TOL.  The (rays, rows) values come in cone
+        # blocks of at most SR_CHUNK_ELEMS // 4 entries; in any block shape
+        # a tight generator's values are rounding errors, far below 1e-10
+        plus_above = np.full(W.shape[:2], np.nextafter(-STRICT_LP_TOL, -np.inf))
+        step = max(1, (SR_CHUNK_ELEMS >> 2) // max(W.shape[1] * m, 1))
+        for lo in range(0, group.size, step):
+            c = group[lo : lo + step]
+            on = (W[lo : lo + step] @ A[c].transpose(0, 2, 1) <= 1e-10) & strict[c, None]
+            plus_above[lo : lo + step][on.any(axis=2)] = STRICT_LP_TOL
+        for i, (c, n, (_, cuts)) in enumerate(zip(group.tolist(), sizes, built)):
+            banks[c] = _Bank(W=W[i, :n], plus_above=plus_above[i, :n], cuts=order[c, cuts])
     return banks
 
 
@@ -761,24 +783,13 @@ VersionSpace = IntervalVS | ConeVS
 # ---------------------------------------------------------------------------
 
 
-def _fit_interval(values: np.ndarray, labels: np.ndarray, base=None) -> IntervalVS:
-    neg = values[labels < 0]
-    pos = values[labels > 0]
-    lo = float(np.max(neg)) if neg.size else -math.inf
-    hi = float(np.min(pos)) if pos.size else math.inf
-    if not lo < hi:
-        raise RealizabilityError(
-            f"no consistent cut: largest negative {lo} >= smallest positive {hi}"
-        )
-    return IntervalVS(lo=lo, hi=hi, base=base)
-
-
-def _fit_cones(samples: list, interior_hint: np.ndarray | None) -> list[ConeVS]:
+def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -> list[ConeVS]:
     """The cones of the samples' consistent normals, their generators from
-    one `_build_cone_banks` call over the stacked samples, and an interior
-    normal each: the hint when it is strictly feasible, e1 for an empty
-    sample, else the one the generators give.  The hint or e1 is also the
-    build's reference normal.  Every cone the hint serves shares one member.
+    one `_build_cone_banks` call over the stack, and an interior normal
+    each: the hint when it is strictly feasible, e1 for an empty sample,
+    else the one the generators give.  The hint or e1 is also the build's
+    reference normal.  Every cone the hint serves shares one member, and
+    takes its slack from the feasibility test of the hint.
 
     Without either, a sample is strictly consistent iff every negative-label
     (strict) row has a generator w with <w, A_i> > STRICT_LP_TOL: each such
@@ -790,49 +801,36 @@ def _fit_cones(samples: list, interior_hint: np.ndarray | None) -> list[ConeVS]:
     linear subspace, and any generator will do.  The first sample that
     fails raises.
     """
-    d = samples[0].dimension
-    if any(S.dimension != d for S in samples):
-        raise ValueError("a batch of linear fits needs samples of one dimension")
-    sizes = [len(S) for S in samples]
-    m = max(sizes)
-    if len(samples) == 1:
-        X, y = samples[0].X[None], samples[0].y[None]
-    elif min(sizes) == m:
-        X = np.stack([S.X for S in samples])
-        y = np.stack([S.y for S in samples])
-    else:  # zero rows with label +1 pad the shorter samples: they are no row
-        X = np.zeros((len(samples), m, d))
-        y = np.ones((len(samples), m), dtype=np.int64)
-        for c, S in enumerate(samples):
-            X[c, : len(S)] = S.X
-            y[c, : len(S)] = S.y
+    K, m, d = X.shape
     A = y[..., None] * X
     norms = np.sqrt(_rowdot(A, A))
-    real = norms > 0.0
+    real = norms > 0.0  # zero points, and padding, are no row
     strict = y < 0
     if np.any(~real & strict):
         raise RealizabilityError("the origin always receives label +1")
     A /= np.where(real, norms, 1.0)[..., None]
-    del X, y
     empty = ~real.any(axis=1)  # every normal is consistent: e1 is the interior
-    served = np.zeros(len(samples), dtype=bool)  # the hint is the interior
+    served = np.zeros(K, dtype=bool)  # the hint is the interior
     interior = np.where(empty[:, None], np.eye(d)[0], np.nan)
+    slack = np.full(K, math.inf)
     if interior_hint is not None:
         w = np.asarray(interior_hint, dtype=float).reshape(-1)
         if w.shape[0] == d and np.linalg.norm(w) > 1e-12:
             w = w / np.linalg.norm(w)
-            served = ~empty & (np.where(real, _rowdot(A, w), np.inf).min(axis=1) > STRICT_LP_TOL)
+            slack = np.where(real, _rowdot(A, w), math.inf).min(axis=1, initial=math.inf)
+            served = ~empty & (slack > STRICT_LP_TOL)
             interior[served] = w
     banks = _build_cone_banks(A, strict, interior)
     shared = LinearHomogeneous(w) if served.any() else None
     out = []
-    for c, bank in enumerate(banks):
+    for c, (bank, whole, fitted, gap) in enumerate(
+            zip(banks, real.all(axis=1).tolist(), (served | empty).tolist(), slack.tolist())):
         A_c, strict_c, w = A[c], strict[c], interior[c]
-        if not real[c].all():  # keep the sample's nonzero rows, and index the cuts into them
+        if not whole:  # keep the sample's nonzero rows, and index the cuts into them
             A_c, strict_c = A_c[real[c]], strict_c[real[c]]
             bank = _Bank(W=bank.W, plus_above=bank.plus_above,
                          cuts=np.cumsum(real[c])[bank.cuts] - 1)
-        if np.isnan(w[0]):
+        if not fitted:
             W = bank.W
             if W.shape[0] == 0:
                 raise RealizabilityError("feasible normals reduce to the zero vector")
@@ -845,28 +843,15 @@ def _fit_cones(samples: list, interior_hint: np.ndarray | None) -> list[ConeVS]:
             w = W.sum(axis=0)
             norm = float(np.linalg.norm(w))
             w = w / norm if norm > 1e-12 else W[0]
-        out.append(ConeVS(A=A_c, strict=strict_c, interior=w, dim=d, bank=bank,
+            gap = float(np.min(A_c @ w))
+        out.append(ConeVS(A=A_c, strict=strict_c, interior=w, dim=d, bank=bank, slack=gap,
                           member=shared if served[c] else LinearHomogeneous(w)))
     return out
 
 
-def _fit_one(S: Dataset, concept: ConceptClass) -> IntervalVS:
-    if isinstance(concept, OffsetClass):
-        if len(S) == 0:
-            return IntervalVS(lo=-math.inf, hi=math.inf, base=concept.base)
-        return _fit_interval(_residuals(concept.base, S.X), S.y, base=concept.base)
-    if concept == "threshold":
-        if S.dimension != 1:
-            raise ValueError("threshold concepts act on 1-d data")
-        if len(S) == 0:
-            return IntervalVS(lo=-math.inf, hi=math.inf)
-        return _fit_interval(S.X[:, 0], S.y)
-    raise ValueError(f"unknown concept class {concept!r}")
-
-
 def fit_batch(m: int, d: int) -> int:
-    """How many samples of m points in R^d one `fit_version_spaces` call
-    builds at once: SR_CHUNK_ELEMS entries of the ray build's buffers (X
+    """How many samples of m points in R^d one stack (`fit_stack`) holds:
+    SR_CHUNK_ELEMS entries of the ray build's buffers (X
     and F of `_double_description`, spare rows included) in all, at
     m * 2^(d + 3) per sample.  A stack pads each cone to its largest, so
     the share must cover a sample's worst case, not its median.  Measured
@@ -878,27 +863,60 @@ def fit_batch(m: int, d: int) -> int:
     return max(1, SR_CHUNK_ELEMS // (max(m, 1) << min(d + 3, 20)))
 
 
+def fit_stack(
+    X: np.ndarray, y: np.ndarray, concept: ConceptClass, interior_hint: np.ndarray | None = None
+) -> list[VersionSpace]:
+    """`fit_version_space` of each sample (X[c], y[c]) of a stack X (K, m,
+    d), y (K, m), in one pass; label 0 marks a padding row, which is no
+    point of its sample.  The stack is not checked here (`Dataset` and
+    `check_labelled` check samples).  Linear samples share one ray build,
+    so a stack holds at most `fit_batch(m, d)` of them, and each cone is
+    the same bits as its one-sample fit."""
+    if concept == "linear":
+        return _fit_cones(X, y, interior_hint)
+    # intervals: (lo, hi] is (largest negative, smallest positive] of the
+    # cut coordinates; the first sample without a consistent cut raises
+    vs = IntervalVS(-math.inf, math.inf, getattr(concept, "base", None))
+    if concept != "threshold" and vs.base is None:
+        raise ValueError(f"unknown concept class {concept!r}")
+    if concept == "threshold" and X.shape[2] != 1:
+        raise ValueError("threshold concepts act on 1-d data")
+    U = vs.coords(X.reshape(-1, X.shape[2])).reshape(y.shape) if y.size else y
+    lo = np.where(y < 0, U, -math.inf).max(axis=1, initial=-math.inf).tolist()
+    hi = np.where(y > 0, U, math.inf).min(axis=1, initial=math.inf).tolist()
+    for a, b in zip(lo, hi):
+        if not a < b:
+            raise RealizabilityError(
+                f"no consistent cut: largest negative {a} >= smallest positive {b}"
+            )
+    return [IntervalVS(a, b, vs.base) for a, b in zip(lo, hi)]
+
+
 def fit_version_spaces(
     samples: list, concept: ConceptClass, interior_hint: np.ndarray | None = None
 ) -> list[VersionSpace]:
-    """`fit_version_space` of each sample, in order.  Linear samples (of one
-    dimension) are fitted together, in sub-batches of `fit_batch` samples:
-    each sub-batch makes one batched ray build, and each cone is the same
-    bits as its one-sample fit."""
-    if concept != "linear":
-        return [_fit_one(S, concept) for S in samples]
+    """`fit_version_space` of each sample, in order: the samples (of one
+    dimension) stacked, zero rows of label 0 padding the shorter ones, and
+    `fit_stack` of each sub-stack of `fit_batch` samples."""
     if not samples:
         return []
-    step = fit_batch(max(len(S) for S in samples), samples[0].dimension)
+    d = samples[0].dimension
+    if any(S.dimension != d for S in samples):
+        raise ValueError("a batch of fits needs samples of one dimension")
+    X = np.zeros((len(samples), max(len(S) for S in samples), d))
+    y = np.zeros(X.shape[:2], dtype=np.int64)
+    for c, S in enumerate(samples):
+        X[c, : len(S)], y[c, : len(S)] = S.X, S.y
+    step = fit_batch(X.shape[1], d)
     return [vs for lo in range(0, len(samples), step)
-            for vs in _fit_cones(samples[lo : lo + step], interior_hint)]
+            for vs in fit_stack(X[lo : lo + step], y[lo : lo + step], concept, interior_hint)]
 
 
 def fit_version_space(
     S: Dataset, concept: ConceptClass, interior_hint: np.ndarray | None = None
 ) -> VersionSpace:
     """Exact representation of the hypotheses consistent with S: the
-    one-sample call of `fit_version_spaces`.
+    one-sample call of `fit_stack`.
 
     `interior_hint` optionally supplies a known strictly-consistent normal
     for a linear concept; the fit then keeps it as the interior and orders
@@ -906,7 +924,7 @@ def fit_version_space(
     feasible is ignored.  A linear fit raises DegenerateVersionSpaceError
     when its ray build exceeds RAY_CAP.
     """
-    return fit_version_spaces([S], concept, interior_hint)[0]
+    return fit_stack(S.X[None], S.y[None], concept, interior_hint)[0]
 
 
 def interior_hint(hstar: Hypothesis) -> np.ndarray | None:
@@ -963,8 +981,7 @@ def paired_geometry(vss: list, Z: np.ndarray) -> tuple:
     """
     check_width(vss[0], Z)
     if isinstance(vss[0], IntervalVS):
-        u = Z[:, 0] if vss[0].base is None else np.concatenate(
-            [vs.coords(Z[i : i + 1]) for i, vs in enumerate(vss)])
+        u = vss[0].coords(Z)  # one base for the class: elementwise per row
         lo = np.array([vs.lo for vs in vss])
         hi = np.array([vs.hi for vs in vss])
         codes = (u >= hi).view(np.int8) - (u <= lo).view(np.int8)
@@ -1008,3 +1025,42 @@ def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:
     for i in disputed:
         D[i] = _random_unit(rngs[i], X.shape[1])
     return D
+
+
+def random_members(vss: list, rngs: list) -> np.ndarray:
+    """A random consistent member of each version space vss[i] (of one
+    class), away from its boundary, drawn from rngs[i]: (K, d) unit normals
+    for cones, (K,) cuts for intervals.  Each generator draws the interior
+    fraction first (`_interior_fraction`).  A cone with rows then draws a
+    unit vector g and a step fraction s, and its member is the interior
+    normal plus 0.45 * slack * s * g; a cone without rows draws a Gaussian
+    normal.  An interval's cut sits at that fraction of a bounded
+    interval, a uniform step inside a half-infinite one, or a Gaussian
+    draw on the whole line."""
+    if isinstance(vss[0], IntervalVS):
+        return np.array([vs._random_cut(rng) for vs, rng in zip(vss, rngs)])
+    V = np.empty((len(vss), vss[0].dim))
+    step = np.empty(len(vss))
+    for i, (vs, rng) in enumerate(zip(vss, rngs)):
+        _interior_fraction(rng)  # unused by cones; drawn to keep the stream order
+        rng.standard_normal(out=V[i])
+        step[i] = 0.45 * vs.slack * rng.random() if vs.A.shape[0] else math.inf
+    full = np.isfinite(step)  # a cone without rows keeps its Gaussian draw
+    g = V[full] / np.maximum(np.linalg.norm(V[full], axis=1), 1e-300)[:, None]
+    V[full] = np.array([vs.interior for vs in vss])[full] + step[full, None] * g
+    norms = np.linalg.norm(V, axis=1)
+    if not (np.all(np.isfinite(V)) and np.all(norms >= 1e-12)):
+        raise ValueError("weight vector must be finite and nonzero")
+    return V / norms[:, None]
+
+
+def member_labels(vs: VersionSpace, members: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The labels (+1 or -1, sign(0) = +1) of the points P[i] (n, d) by
+    members[i], members of the class of `vs` as `random_members` gives
+    them: a row-wise product with the unit normal for cones, the cut
+    coordinate minus the cut for intervals."""
+    if isinstance(vs, IntervalVS):
+        margins = vs.coords(P.reshape(-1, P.shape[2])).reshape(P.shape[:2]) - members[:, None]
+    else:
+        margins = _rowdot(P, members[:, None, :])
+    return np.where(margins >= 0.0, 1, -1)

@@ -191,6 +191,35 @@ def test_nan_attack_strength_exits_2(tmp_path, argv):
     assert not out.exists()
 
 
+_SIZED = {
+    "attack-verify": ["attack-verify", *LINEAR2, "--dist", GAUSS2, "--trials", "20",
+                      "--budget", "0.2", "--loss", "st"],
+    "sr-mass": ["sr-mass", *LINEAR2, "--dist", GAUSS2, "--eta1", "0.1", "--eta2", "0.05",
+                "--loss", "st", "--trials", "2", "--n", "50"],
+    "shift": ["shift", *LINEAR2, "--p", GAUSS2, "--q", GAUSS2, "--loss", "st",
+              "--eta1", "0.1", "--trials", "2", "--n", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIZED))
+def test_sample_size_exit_codes(command, tmp_path, capsys):
+    # an empty linear sample fits the whole class, which disputes every
+    # point but the origin, and the run reports; a negative m is a usage error
+    out = tmp_path / "out"
+    assert run(*_SIZED[command], "--m", "0", "--out", str(out)) == 0
+    if command == "attack-verify":
+        report = json.loads(out.read_text())["report"]
+        assert (report["trials"], report["certified"], report["violations"]) == (20, 0, 0)
+    else:
+        row = [ln for ln in out.read_text().splitlines() if ln[0].isalpha()][-1]
+        assert float(row.split(",")[9]) == 0.0
+    out.unlink()
+    capsys.readouterr()
+    assert run(*_SIZED[command], "--m", "-3", "--out", str(out)) == 2
+    assert "m must be nonnegative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shift_cli(tmp_path):
     out = tmp_path / "shift.csv"
     argv = [

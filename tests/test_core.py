@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from relicert.core import (
     LinearHomogeneous,
     OffsetBoundary,
     Threshold,
+    check_labelled,
     hypothesis_from_dict,
     predict,
     read_dataset_csv,
@@ -36,6 +38,24 @@ def empirical_disagreement(h1, h2, S: Dataset) -> float:
 
 def relabeled_by(S: Dataset, h) -> Dataset:
     return Dataset(S.X, h.predict_many(S.X))
+
+
+def test_check_labelled_checks_a_stack_as_dataset_checks_a_sample():
+    X = np.random.default_rng(0).standard_normal((4, 6, 3))
+    y = np.where(X[..., 0] >= 0.0, 1, -1)
+    check_labelled(X, y)
+    check_labelled(X[:, :0], y[:, :0])  # empty samples carry no label to check
+    bad_x = X.copy()
+    bad_x[3, 3, 1] = np.nan
+    bad_y = y.copy()
+    bad_y[3, 5] = 0
+    # each defect sits in the last sample, which Dataset rejects alike
+    for Xs, ys, message in [(bad_x, y, "finite"), (X, bad_y, "+1 or -1"),
+                            (X, y[:, :5], "align"), (X[..., :0], y, "dimension")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_labelled(Xs, ys)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(Xs[-1], ys[-1])
 
 
 def test_predict_linear_positive_inner_product():

@@ -19,7 +19,7 @@ from relicert.distributions import (
     uniform_ball,
     uniform_balls,
 )
-from relicert.distributions import _draw, derive_rng
+from relicert.distributions import _draw, derive_rng, derived_rngs
 from relicert.reliability import _craft_attacks
 
 
@@ -288,6 +288,27 @@ def test_uniform_balls_draws_each_generators_own_ball(d):
     want = [uniform_ball(derive_rng(s, 101), (1, 64), d, radii[s : s + 1, None])[0]
             for s in range(9)]
     assert got.tobytes() == np.stack(want).tobytes()
+    rekeyed = uniform_balls(derived_rngs(range(9), 101), 64, d, radii)
+    assert rekeyed.tobytes() == got.tobytes()
+
+
+_EDGE_SEEDS = [0, 2**63, 2**64 - 1, 7, -1, -(2**63), -12345, 7]
+
+
+def _stream_bits(rng):
+    # 64-bit doubles, then an odd count of 32-bit draws, which leaves half a
+    # word buffered: the next re-key must drop it
+    return (rng.standard_normal(5).tobytes() + rng.random(3).tobytes()
+            + rng.integers(0, 2**31, 3, dtype=np.int32).tobytes())
+
+
+@pytest.mark.parametrize("stream", [(101,), (), (3, 4)])
+def test_derived_rngs_rekey_to_the_derive_rng_streams(stream):
+    # one Philox re-keyed per seed draws the bits of a fresh derive_rng(seed,
+    # *stream): several rows in one call, keys at the 64-bit edges, negative
+    # seeds, and a seed repeated after others
+    got = [_stream_bits(rng) for rng in derived_rngs(_EDGE_SEEDS, *stream)]
+    assert got == [_stream_bits(derive_rng(seed, *stream)) for seed in _EDGE_SEEDS]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])

@@ -25,7 +25,7 @@ from relicert.core import (
 from relicert.distributions import IsotropicGaussian, UniformCube
 from relicert.estimators import sample_size_for_epsilon
 from relicert.losses import LossKind
-from relicert import reliability
+from relicert import reliability, version_space
 from relicert.reliability import (
     BALL_CONSTANCY_SAMPLES,
     LabelConstancyError,
@@ -40,7 +40,6 @@ from relicert.reliability import (
 )
 from relicert.version_space import (
     ConeVS,
-    IntervalVS,
     OffsetClass,
     fit_batch,
     fit_version_space,
@@ -253,6 +252,23 @@ def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
     with pytest.raises(LabelConstancyError) as err:
         certify_many(vs, np.vstack([Z[:1], good, Z[1:]]), LossKind.ST)
     assert str(err.value) == f"certified ball of {named}"
+
+
+def test_wrong_canonical_member_fails_the_batched_ball_check(monkeypatch):
+    # the attack trials' ball check labels each ball by its row's canonical
+    # member in one pass; each row certifies as its one-row certify does
+    S = Dataset.from_points([[1.0, 0.5], [1.0, -0.5]], [1, -1])
+    vs = fit_version_space(S, "linear")
+    Z = np.array([[3.0, 3.0], [-3.0, 3.0], [0.0, 3.0]])
+    labels, radii = reliability._certify_trials([vs] * 3, Z, LossKind.ST, [4, 5, 6])
+    for z, label, radius, seed in zip(Z, labels, radii, [4, 5, 6]):
+        cert = certify(vs, z, LossKind.ST, seed=seed)
+        assert (cert.prediction, cert.radius) == (label, radius)
+    monkeypatch.setattr(ConeVS, "canonical", property(lambda self: np.array([0.6, 0.8])))
+    with pytest.raises(LabelConstancyError) as err:
+        reliability._certify_trials([vs] * 3, Z, LossKind.ST, [4, 5, 6])
+    assert str(err.value) == (
+        f"certified ball of radius {radii[1]} around {Z[1]} contains both labels")
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +646,34 @@ def test_batched_finish_matches_per_trial_oracle(case, strategy):
 @pytest.mark.parametrize("case", ["linear3", "threshold"])
 def test_batched_finish_matches_per_trial_oracle_on_witnesses(case, monkeypatch):
     # a learner on the wrong side of the target: fixed_loss fires inside
-    # certified radii, and the witnesses must match the oracle's
-    cone_member, interval_member = ConeVS.random_member, IntervalVS.random_member
-    monkeypatch.setattr(ConeVS, "random_member",
-                        lambda vs, rng: LinearHomogeneous(-cone_member(vs, rng).w))
-    monkeypatch.setattr(IntervalVS, "random_member",
-                        lambda vs, rng: Threshold(interval_member(vs, rng).t + 1.0))
+    # certified radii, and the witnesses must match the oracle's.  The batched
+    # draw is patched where the finish calls it and where the one-row
+    # `random_member` of the oracle calls it, so both see the same learners
+    draw = version_space.random_members
+
+    def wrong_side(vss, rngs):
+        members = draw(vss, rngs)
+        return -members if isinstance(vss[0], ConeVS) else members + 1.0
+
+    monkeypatch.setattr(version_space, "random_members", wrong_side)
+    monkeypatch.setattr(reliability, "random_members", wrong_side)
     for kind in LossKind:
         got = _finish_parity(case, "boundary-directed", kind, 1, seed=41)
         assert got["violations"] > 0
+
+
+@pytest.mark.parametrize("case", ["linear3", "threshold"])
+def test_contract_on_empty_samples_matches_oracle(case):
+    # m = 0: every trial fits the whole class (the hinted cone keeps e1 and
+    # draws its learner as a Gaussian normal) and abstains
+    concept, hstar, dist, _, _ = _FINISH_CASES[case]
+    for kind in LossKind:
+        args = (concept, hstar, dist, 0, 30, 0.2, kind, "boundary-directed")
+        got = verify_contract(*args, seed=3).to_json_dict()
+        assert got == contract_report(*args, seed=3)
+        assert got["violations"] == 0
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        verify_contract(concept, hstar, dist, -1, 30, 0.2, LossKind.ST, seed=3)
 
 
 def test_contract_binding_uses_open_ball():

@@ -32,8 +32,10 @@ from relicert.version_space import (
     _build_cone_bank,
     _build_cone_banks,
     erm,
+    fit_stack,
     fit_version_space,
     fit_version_spaces,
+    random_members,
 )
 
 
@@ -100,6 +102,87 @@ def test_fit_empty_dataset_full_class():
     assert plane.membership_many(Z).tolist() == codes.tolist() == [1] + [0] * 50
     cone = fit_version_space(Dataset.empty(3), "linear")
     assert isinstance(cone, ConeVS) and cone.A.shape == (0, 3)
+
+
+def test_hinted_fit_of_an_empty_linear_sample():
+    # a hint serves no row of an empty sample: the cone keeps e1, as the
+    # unhinted fit does, alone or stacked with a sample the hint serves
+    w = np.array([0.6, 0.8, 0.0])
+    plain = fit_version_space(Dataset.empty(3), "linear")
+    hinted = fit_version_space(Dataset.empty(3), "linear", interior_hint=w)
+    X = np.random.default_rng(3).standard_normal((5, 3))
+    S = Dataset(X, LinearHomogeneous(w).predict_many(X))
+    stacked, served = fit_version_spaces([Dataset.empty(3), S], "linear", interior_hint=w)
+    for vs in (hinted, stacked):
+        assert vs.interior.tolist() == plain.interior.tolist() == [1.0, 0.0, 0.0]
+        assert vs.rays().tobytes() == plain.rays().tobytes()
+        assert vs.A.shape == (0, 3) and vs.slack == math.inf
+    assert served.member is not plain.member and 0.0 < served.slack < 1.0
+    assert served.slack == np.min(served.A @ served.interior)
+    # its member draw: the interior fraction, then a Gaussian normal
+    rng, ref = (np.random.Generator(np.random.Philox(key=9)) for _ in range(2))
+    ref.random()
+    g = ref.standard_normal(3)
+    assert np.allclose(hinted.random_member(rng).w, g / np.linalg.norm(g), rtol=0, atol=1e-15)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("concept", ["linear", "threshold"])
+def test_member_draws_are_rows_of_one_batched_draw(concept):
+    # random_member is the one-row call of random_members, and every draw
+    # takes the interior fraction, then (cones) the unit vector and the step
+    rng = np.random.default_rng(8)
+    d = 3 if concept == "linear" else 1
+    hstar = LinearHomogeneous(np.array([0.6, -0.48, 0.64])) if d == 3 else Threshold(0.1)
+    samples = []
+    for m in (0, 1, 2, 40, 40):
+        X = rng.standard_normal((m, d))
+        samples.append(Dataset(X, hstar.predict_many(X)))
+    vss = fit_version_spaces(samples, concept, getattr(hstar, "w", None))
+
+    def streams():
+        return [np.random.Generator(np.random.Philox(key=50 + i)) for i in range(len(vss))]
+
+    batch, rngs = random_members(vss, streams()), streams()
+    for i, (vs, rng) in enumerate(zip(vss, rngs)):
+        assert random_members([vs], [rng])[0].tobytes() == batch[i].tobytes()
+        one = vs.random_member(streams()[i])
+        assert np.allclose(one.w if d == 3 else one.t, batch[i], rtol=0, atol=1e-15)
+        ref = streams()[i]
+        u = 0.02 + 0.96 * ref.random()
+        if d == 1:
+            if math.isinf(vs.lo) and math.isinf(vs.hi):
+                want = ref.standard_normal()
+            elif math.isinf(vs.lo) or math.isinf(vs.hi):
+                want = vs.hi - ref.random() if math.isinf(vs.lo) else vs.lo + ref.random()
+            else:
+                want = vs.lo + u * (vs.hi - vs.lo)
+            assert batch[i] == want
+        else:
+            g = ref.standard_normal(3)
+            v = g
+            if vs.A.shape[0]:
+                v = vs.interior + 0.45 * vs.slack * ref.random() * (g / np.linalg.norm(g))
+                assert np.all(vs.A @ batch[i] >= 0.0)
+            assert np.allclose(batch[i], v / np.linalg.norm(v), rtol=0, atol=1e-15)
+        assert rng.random() == ref.random()  # both streams stand at the same draw
+
+
+def test_fit_stack_pads_with_label_0():
+    # a zero row of label 0 is no point: the padded stack fits the samples
+    rng = np.random.default_rng(4)
+    for concept, d in (("linear", 3), ("threshold", 1)):
+        X = rng.standard_normal((3, 30, d))
+        y = np.where(X[..., 0] >= 0.1, 1, -1)
+        y[1, 20:], X[1, 20:] = 0, 0.0
+        fits = fit_stack(X, y, concept)
+        for c, n in enumerate((30, 20, 30)):
+            one = fit_version_space(Dataset(X[c, :n], y[c, :n]), concept)
+            if concept == "linear":
+                assert fits[c].rays().tobytes() == one.rays().tobytes()
+                assert fits[c].A.tobytes() == one.A.tobytes()
+            else:
+                assert (fits[c].lo, fits[c].hi) == (one.lo, one.hi)
 
 
 def test_fit_rejects_nonrealizable():
