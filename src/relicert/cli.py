@@ -300,7 +300,7 @@ _OPTIONS = {
     "config": {"help": "JSON config file; flags override its entries"},
     "seed": {
         "type": int,
-        "help": "master seed (sub-seeds are derived; certify's ball check draws once per call)",
+        "help": "master seed (sub-seeds are derived; certify's ball check: one generator per call)",
     },
     "out": {"help": "output artifact path"},
     "concept": {"help": "concept class JSON"},

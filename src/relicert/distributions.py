@@ -210,25 +210,22 @@ def is_rotation_invariant(spec: DistributionSpec) -> bool:
     return isinstance(spec, (IsotropicGaussian, UniformBall, RadialHeavyTail))
 
 
-def uniform_ball(rng: np.random.Generator, n, d: int, radius=1.0) -> np.ndarray:
-    """Points uniform in the d-ball of `radius` around 0, n of them, or an
-    array of shape (*n, d) when n is a shape; `radius` broadcasts against
-    that shape.  The normals are drawn first, then the radius fractions."""
-    shape = n if isinstance(n, tuple) else (n,)
-    g = rng.standard_normal((*shape, d))
-    return _scale_into_ball(g, rng.random(shape), d, radius)
+def uniform_ball(rng: np.random.Generator, n: int, d: int, radius=1.0) -> np.ndarray:
+    """n points uniform in the d-ball of `radius` around 0.  The normals are
+    drawn first, then the radius fractions."""
+    return _scale_into_ball(rng.standard_normal((n, d)), rng.random(n), d, radius)
 
 
 def uniform_balls(rngs, n: int, d: int, radius) -> np.ndarray:
-    """uniform_ball(rng_i, n, d, radius[i]) for the i-th generator of the
-    iterable `rngs` (a list, or `derived_rngs`), one per radius, stacked
-    (len(radius), n, d): each generator draws its own normals and then its
-    own radius fractions before the next is taken, and the arithmetic runs
-    once over the stack."""
+    """uniform_ball(rng_i, n, d, radius[i]) for the i-th generator taken
+    from the iterable `rngs` (a list, `derived_rngs`, or one generator
+    repeated), stacked (len(radius), n, d): each generator draws its normals
+    and then its radius fractions before the next is taken, and exactly
+    len(radius) are taken.  The arithmetic runs once over the stack."""
     radius = np.asarray(radius)
     g = np.empty((radius.shape[0], n, d))
     u = np.empty((radius.shape[0], n))
-    for i, rng in enumerate(rngs):
+    for i, rng in zip(range(radius.shape[0]), rngs):
         rng.standard_normal(out=g[i])
         rng.random(out=u[i])
     return _scale_into_ball(g, u, d, radius[:, None])

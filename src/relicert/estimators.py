@@ -25,12 +25,11 @@ from .distributions import (
     sample,
 )
 from .losses import LossKind
-# the one-point form stays importable here: perfbench's layer tracer wraps
-# it, and a missing name would report its metrics as absent instead of 0
-from .reliability import fitted_trials, safely_reliable_membership, sr_membership_mask  # noqa: F401
+from .reliability import fitted_batches, sr_membership_mask
 from .version_space import ConceptClass, OffsetClass
-# the one-sample fit stays importable here: perfbench's layer tracer wraps it
-# (the trials fit in batches, so it reports 0 calls instead of absent metrics)
+# not called here: perfbench's layer tracer wraps the one-point form and the
+# one-sample fit, so they report 0 calls instead of absent metrics
+from .reliability import safely_reliable_membership  # noqa: F401
 from .version_space import fit_version_space  # noqa: F401
 
 CONFIDENCE = 0.95
@@ -264,16 +263,17 @@ def _shift_trial_mean(args) -> list[float]:
     """Per trial lo..hi-1 of `reliable_correctness`, the share of n_test
     fresh target draws in the (safely-)reliable region of the trial's fit.
     Trial t draws its training sample from derive_rng(seed, t, 0)
-    (`fitted_trials`) and its target points from derive_rng(seed, t, 1)."""
+    (`fitted_batches`) and its target points from derive_rng(seed, t, 1)."""
     concept, hstar, P, Q, m, eta1, eta2, kind, n_test, seed, lo, hi = args
     out = []
-    for t, _, vs in fitted_trials(concept, hstar, P, m, range(lo, hi),
-                                  lambda t: derive_rng(seed, t, 0)):
-        T = _draw(Q, derive_rng(seed, t, 1), n_test)
-        if kind is None:
-            out.append(float(np.mean(vs.membership_many(T) != 0)))
-        else:
-            out.append(float(np.mean(sr_membership_mask(vs, hstar, T, eta1, eta2, kind))))
+    for batch, _, vss in fitted_batches(concept, hstar, P, m, range(lo, hi),
+                                        lambda t: derive_rng(seed, t, 0)):
+        for t, vs in zip(batch, vss):
+            T = _draw(Q, derive_rng(seed, t, 1), n_test)
+            if kind is None:
+                out.append(float(np.mean(vs.membership_many(T) != 0)))
+            else:
+                out.append(float(np.mean(sr_membership_mask(vs, hstar, T, eta1, eta2, kind))))
     return out
 
 

@@ -14,10 +14,13 @@ region cannot straddle two labels unless it meets the disagreement region
 (margin-exclusion / translation arguments), so the stability radius equals
 the disagreement distance (`dis_distance_many` of the version space); a
 defensive runtime sample of the certified balls fails loudly if that
-structural fact is ever violated.  `certify_many` certifies a batch of
-points with one membership and one distance call, and its ball check draws
-from one generator per call, derived from the seed, for every certified
-ball; `certify` is its one-row call.
+structural fact is ever violated.  Both certificate paths end in one
+finish, `_certificates`: the CA/TL radii, that ball check (`_check_balls`)
+and the abstentions.  `certify_many` feeds it one space's membership and
+distance passes, and its ball check draws every row from one generator per
+call; `certify` is its one-row call.  The attack trials feed it one
+`paired_geometry` pass, and each row's ball check draws from its trial's
+own stream, so a trial's certificate is its one-row `certify`.
 
 `verify_contract` runs its trials in sub-batches of `fit_batch` trials, and
 a sub-batch is a stack of arrays from the draws to the report, with no
@@ -29,10 +32,7 @@ labels it with one call of the target and fits it in one pass
 `paired_geometry` pass over the natural points for the attack directions and
 one over the attacked points for the certificates, labels the points with
 one call of the target and one row-wise pass for the learners
-(`member_labels`), and forms losses and witnesses as arrays.  The ball
-check of a certified trial draws from that trial's own stream,
-derive_rng(trial seed, 101), re-keyed into one Philox per sub-batch
-(`derived_rngs`): the points a one-row `certify` of the trial checks.
+(`member_labels`), and forms losses and witnesses as arrays.
 
 All geometry goes through the version-space methods listed in
 `version_space`; nothing here depends on the representation.
@@ -40,6 +40,7 @@ All geometry goes through the version-space methods listed in
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -61,7 +62,6 @@ from .distributions import (
     derived_rngs,
     dimension,
     map_trial_chunks,
-    uniform_ball,
     uniform_balls,
 )
 from .losses import LossKind, _check_pair, losses_from_labels
@@ -79,12 +79,10 @@ from .version_space import (
     paired_geometry,
     random_members,
 )
-# not called here: perfbench's layer tracer wraps these names, so that a
-# cone's one-point distance, the one-sample fit (the trials fit in batches)
-# and the one-point loss (the trials compute losses from labels) report 0
-# calls, where a missing name would report their metrics as absent
+# not called here: perfbench's layer tracer wraps these one-point forms, so
+# they report 0 calls, where a missing name would report its metrics absent
 from .losses import fixed_loss  # noqa: F401
-from .version_space import cone_dis_distance_info, fit_version_space  # noqa: F401
+from .version_space import cone_dis_distance_info  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -132,37 +130,25 @@ class ReliabilityCertificate:
         }
 
 
-def _assert_balls_label_constancy(
-    vs: VersionSpace, Z: np.ndarray, radii: np.ndarray, labels: np.ndarray, seed: int
-) -> None:
+def _check_balls(vs: VersionSpace, members: np.ndarray, Z: np.ndarray, radii: np.ndarray,
+                 labels: np.ndarray, rngs) -> None:
     """BALL_CONSTANCY_SAMPLES uniform points in each open ball B(Z[i],
-    radii[i]) must all get labels[i] from the canonical member.  One
-    generator, derive_rng(seed, 101), draws the balls' points in row blocks
-    of at most SR_CHUNK_ELEMS coordinates; a call with one block makes one
-    draw."""
-    rng = derive_rng(seed, 101)
+    radii[i]) must all get labels[i] from members[i] (`member_labels`), or
+    the first row that fails raises.  Row i draws from the i-th generator
+    of the iterator `rngs`, in row blocks of at most SR_CHUNK_ELEMS
+    coordinates."""
     k, d = Z.shape
     n = BALL_CONSTANCY_SAMPLES
-    member = vs.canonical_member()
     step = max(1, SR_CHUNK_ELEMS // (n * d))
     for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        balls = uniform_ball(rng, (hi - lo, n), d, radii[lo:hi, None] * (1.0 - 1e-9))
+        hi = lo + step
+        balls = uniform_balls(rngs, n, d, radii[lo:hi] * (1.0 - 1e-9))
         balls += Z[lo:hi, None, :]
-        got = member.predict_many(balls.reshape(-1, d)).reshape(-1, n)
-        _assert_balls_unanimous(got, Z[lo:hi], radii[lo:hi], labels[lo:hi])
-
-
-def _assert_balls_unanimous(got: np.ndarray, Z: np.ndarray, radii: np.ndarray,
-                            labels: np.ndarray) -> None:
-    """Every point j of the ball B(Z[i], radii[i]) must get labels[i] from
-    its canonical member: got[i, j] is the label it got."""
-    bad = got != labels[:, None]
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        raise LabelConstancyError(
-            f"certified ball of radius {radii[i]} around {Z[i]} contains both labels"
-        )
+        bad = member_labels(vs, members[lo:hi], balls) != labels[lo:hi, None]
+        if bad.any():
+            i = lo + int(np.argmax(bad.any(axis=1)))
+            raise LabelConstancyError(f"certified ball of radius {radii[i]} around {Z[i]} "
+                                      "contains both labels")
 
 
 def _as_rows(Z) -> np.ndarray:
@@ -175,6 +161,23 @@ def _as_rows(Z) -> np.ndarray:
     return Z
 
 
+def _certificates(kind: LossKind, labels: np.ndarray, radii: np.ndarray | None, vss: list,
+                  Z: np.ndarray, rngs_of) -> tuple[np.ndarray, np.ndarray]:
+    """The certificates of rows Z[i] of the spaces vss[i] from their codes
+    `labels` and, for stability, their distances `radii` (unread for CA and
+    TL, whose radii are +inf).  Stability rows with a positive radius pass
+    the ball check by their canonical members, drawing from rngs_of(rows);
+    abstentions get radius -1."""
+    if kind is not LossKind.ST:
+        return labels, np.where(labels != 0, math.inf, -1.0)
+    rows = np.flatnonzero(radii > 0.0)
+    if rows.size:
+        _check_balls(vss[0], np.array([vss[i].canonical for i in rows]), Z[rows], radii[rows],
+                     labels[rows], rngs_of(rows))
+    radii[labels == 0] = -1.0
+    return labels, radii
+
+
 def certify_many(
     vs: VersionSpace, Z, kind: LossKind, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,24 +185,15 @@ def certify_many(
 
     Returns the labels (int8: +1, -1, or 0 for an abstention) and the radii
     (-1 on abstentions, +inf on the rest for CA and TL).  The stability
-    ball check draws from one generator per call, derived from `seed`,
-    over every certified row.
+    radius is the disagreement distance, and its ball check draws every row
+    from one generator per call, derive_rng(seed, 101).
     """
     Z = _as_rows(Z)
     check_width(vs, Z)
     labels = vs.membership_many(Z)
-    if kind is not LossKind.ST:
-        return labels, np.where(labels != 0, math.inf, -1.0)
-    # stability: radius = distance to the disagreement region, 0 on disputed rows
-    radii = vs.dis_distance_many(Z, labels)
-    check = radii > 0.0
-    if check.all():  # no row to drop: the usual one-row call skips the indexing
-        _assert_balls_label_constancy(vs, Z, radii, labels, seed)
-        return labels, radii
-    radii[labels == 0] = -1.0
-    if check.any():
-        _assert_balls_label_constancy(vs, Z[check], radii[check], labels[check], seed)
-    return labels, radii
+    radii = vs.dis_distance_many(Z, labels) if kind is LossKind.ST else None
+    return _certificates(kind, labels, radii, [vs] * len(Z), Z,
+                         lambda rows: itertools.repeat(derive_rng(seed, 101)))
 
 
 def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> ReliabilityCertificate:
@@ -379,35 +373,6 @@ def fitted_batches(
         yield batch, rngs, fit_stack(X, y, concept, hint)
 
 
-def fitted_trials(
-    concept: ConceptClass, hstar: Hypothesis, spec: DistributionSpec, m: int, trials: range, rng_of
-):
-    """(t, rng, vs) for each trial t of `fitted_batches`, one at a time."""
-    for batch, rngs, vss in fitted_batches(concept, hstar, spec, m, trials, rng_of):
-        yield from zip(batch, rngs, vss)
-
-
-def _certify_trials(vss: list, Z: np.ndarray, kind: LossKind, seeds: list):
-    """`certify(vss[i], Z[i], kind, seed=seeds[i])` of every row, as the
-    (labels, radii) arrays of `certify_many`: one `paired_geometry` call,
-    and the stability ball check of each certified row draws the points
-    its one-row call would, from derive_rng(seeds[i], 101), here one Philox
-    re-keyed per row (`derived_rngs`).  Each ball is labelled by its row's
-    canonical member in one row-wise pass (`member_labels`)."""
-    labels, radii, _ = paired_geometry(vss, Z)
-    if kind is not LossKind.ST:
-        return labels, np.where(labels != 0, math.inf, -1.0)
-    rows = np.flatnonzero(radii > 0.0)
-    if rows.size:
-        balls = uniform_balls(derived_rngs([seeds[i] for i in rows], 101), BALL_CONSTANCY_SAMPLES,
-                              Z.shape[1], radii[rows] * (1.0 - 1e-9))
-        balls += Z[rows, None, :]
-        got = member_labels(vss[0], np.array([vss[i].canonical for i in rows]), balls)
-        _assert_balls_unanimous(got, Z[rows], radii[rows], labels[rows])
-    radii[labels == 0] = -1.0
-    return labels, radii
-
-
 # witness reasons, by the code `_finish_trials` gives each trial (0: none)
 _REASONS = (
     None,
@@ -426,18 +391,21 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
 
     Every trial draws its learner (`random_members`, one array for the
     sub-batch), then its natural point x, then its attack
-    (`_craft_attacks`).  The attacked points z are certified together
-    (`_certify_trials`).  A trial is certified when its radius exceeds
-    |z - x| (open balls); then the learner's loss at z and the issued
-    prediction are checked against the target.  A trial whose radius is 0
-    must still predict the target's label at z.  The target labels every
-    z, and the natural points of the certified trials, in one call each,
-    and the learners label their z in one row-wise pass (`member_labels`):
-    no hypothesis is built per trial."""
+    (`_craft_attacks`).  The attacked points z are certified together, as
+    a one-row `certify(vss[i], z, seed=seeds[i])` of each trial would.  A
+    trial is certified when its radius exceeds |z - x| (open balls); then
+    the learner's loss at z and the issued prediction are checked against
+    the target.  A trial whose radius is 0 must still predict the target's
+    label at z.  The target labels every z, and the natural points of the
+    certified trials, in one call each, and the learners label their z in
+    one row-wise pass (`member_labels`): no hypothesis is built per
+    trial."""
     learners = random_members(vss, rngs)
     X = np.concatenate([_draw(sampler, rng, 1) for rng in rngs])
     Z = _craft_attacks(vss, X, budget, strategy, rngs, batch)
-    labels, radii = _certify_trials(vss, Z, kind, seeds)
+    labels, radii, _ = paired_geometry(vss, Z)
+    labels, radii = _certificates(kind, labels, radii, vss, Z,
+                                  lambda rows: derived_rngs([seeds[i] for i in rows], 101))
     dist = np.array([math.sqrt(v @ v) for v in Z - X])  # each |z - x| as np.linalg.norm makes it
     binding = radii > dist
     hz = hstar.predict_many(Z)

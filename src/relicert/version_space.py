@@ -22,11 +22,13 @@ inside a representation:
   dim                        the points' width, where the class fixes it.
 
 `paired_geometry(vss, Z)` asks the same questions of a list of fitted
-version spaces of one class, row i of Z against space i, and
-`attack_directions(vss, X, rngs)` steps each row toward its space's
-disputed points.  `random_members(vss, rngs)` draws one member per space as
-an array (cuts, or unit normals), of which `random_member` is the one-row
-call, and `member_labels` labels points by such members in one pass.
+version spaces of one class, row i of Z against space i, by the same rules:
+one witness rule (`_codes`) for every class, and one distance assembly per
+class (`_cut_gap`, `_ray_gap`).  `attack_directions(vss, X, rngs)` steps
+each row toward its space's disputed points.  `random_members(vss, rngs)`
+draws one member per space as an array (cuts, or unit normals), of which
+`random_member` is the one-row call, and `member_labels` labels points by
+such members in one pass.
 
 Membership in the agreement region is exact for every class.  The distance
 of an agreed point z is the Euclidean distance to the disagreement region
@@ -142,6 +144,31 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return g / max(float(np.linalg.norm(g)), 1e-300)
 
 
+def _codes(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Agreement codes from whether some member labels a point +1 (sign(0)
+    = +1) and whether some labels it -1: +1 without a -1 witness, 0 with
+    witnesses of both signs, and -1 with only -1 witnesses."""
+    return (plus >= minus).view(np.int8) - minus.view(np.int8)
+
+
+def _cut_gap(u: np.ndarray, lo, hi, scale) -> np.ndarray:
+    """Distance of the cut coordinates u to the open interval (lo, hi),
+    scaled into the points' space."""
+    return np.maximum(np.maximum(lo - u, 0.0), np.maximum(u - hi, 0.0)) * scale
+
+
+def _ray_gap(extreme, codes: np.ndarray) -> np.ndarray:
+    """A cone's distances from the least and largest value <w, z> of each
+    point over its generators, extreme(np.minimum) and extreme(np.maximum):
+    max(min, 0) [code > 0] + max(-max, 0) [code < 0] without a select.
+    code <= 0 means a -1 witness, so min < 0, and the second term is finite
+    where its indicator is 0 (a value >= -STRICT_LP_TOL), so no inf * 0
+    arises and no distance is -0.0."""
+    dist = np.maximum(extreme(np.minimum), 0.0)
+    dist += np.maximum(-extreme(np.maximum), 0.0) * (codes < 0)
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # interval version spaces (thresholds; offset-boundary offsets)
 # ---------------------------------------------------------------------------
@@ -184,14 +211,14 @@ class IntervalVS:
         return _residuals(self.base, X)
 
     def membership_many(self, X: np.ndarray) -> np.ndarray:
+        """A cut t in (lo, hi] labels u +1 when u >= t: some cut does so
+        when u > lo, and some labels it -1 when u < hi (`_codes`)."""
         u = self.coords(X)
-        return (u >= self.hi).view(np.int8) - (u <= self.lo).view(np.int8)
+        return _codes(u > self.lo, u < self.hi)
 
     def dis_distance_many(self, X: np.ndarray, codes=None) -> np.ndarray:
-        """Distance to the open interval (lo, hi) of disputed cuts; `codes`
-        are not needed here."""
-        u = self.coords(X)
-        return np.maximum(np.maximum(self.lo - u, 0.0), np.maximum(u - self.hi, 0.0)) * self._scale
+        """Distance to the disputed cuts (lo, hi); `codes` are not needed."""
+        return _cut_gap(self.coords(X), self.lo, self.hi, self._scale)
 
     def _member(self, t: float) -> Hypothesis:
         return OffsetBoundary(self.base, t) if self.base is not None else Threshold(t)
@@ -323,25 +350,12 @@ class _Bank:
     exhaustive = True  # every generator is present; read by perfbench's layer tracer
 
     def codes(self, V: np.ndarray) -> np.ndarray:
-        """Membership codes from the values V = W @ Z.T, as the int8
-        [plus >= minus] - [minus]: +1 without a -1 witness, 0 with
-        witnesses of both signs, -1 with only -1 witnesses."""
-        plus = (V > self.plus_above[:, None]).any(axis=0)
-        minus = (V < -STRICT_LP_TOL).any(axis=0)
-        return (plus >= minus).view(np.int8) - minus.view(np.int8)
+        """Membership codes (`_codes`) from the values V = W @ Z.T."""
+        return _codes((V > self.plus_above[:, None]).any(axis=0), (V < -STRICT_LP_TOL).any(axis=0))
 
     def distances(self, V: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
-        """max(min V, 0) [code > 0] + max(-max V, 0) [code < 0] per point,
-        without a select.  The first indicator is implied: a point with
-        code <= 0 has a -1 witness, so min V < 0 and max(min V, 0) = +0.
-        The second term is finite wherever its indicator is 0 (such a point
-        has a value >= -STRICT_LP_TOL), so no inf * 0 arises, and no
-        distance is -0.0."""
-        if codes is None:
-            codes = self.codes(V)
-        dist = np.maximum(V.min(axis=0), 0.0)
-        dist += np.maximum(-V.max(axis=0), 0.0) * (codes < 0)
-        return dist
+        """The distances (`_ray_gap`) from the values V = W @ Z.T."""
+        return _ray_gap(lambda f: f.reduce(V, axis=0), self.codes(V) if codes is None else codes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +421,7 @@ class ConeVS:
     @property
     def canonical(self) -> np.ndarray:
         """The canonical member's unit normal."""
-        return self.member.w
+        return self.canonical_member().w
 
     def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
         """The one-row draw of `random_members`."""
@@ -969,34 +983,25 @@ def check_width(vs: VersionSpace, X: np.ndarray) -> None:
 
 def paired_geometry(vss: list, Z: np.ndarray) -> tuple:
     """Row i of Z against the fitted version space vss[i], for a list of one
-    class: the membership codes (int8), the distances of
-    `dis_distance_many` (0 on disputed rows) and, for cones, the generator w
-    of vss[i] with the least signed value code * <w, z> on each row (the
-    first such; the first generator on a disputed row); None for intervals.
-
-    Each value is the one-row query's: a cone row makes its own product
-    W_i @ z_i, the product `membership_many` makes for one row, and the
+    class: the codes of `membership_many`, the distances of
+    `dis_distance_many` and, for cones, the first generator w of vss[i] with
+    the least code * <w, z> on each row (None for intervals).  Each value is
+    the one-row query's: a cone row makes its own product W_i @ z_i, and the
     reductions over each row's segment of the concatenated values are exact.
-    An interval row compares its one-row coordinate with the stacked cuts.
     """
     check_width(vss[0], Z)
     if isinstance(vss[0], IntervalVS):
         u = vss[0].coords(Z)  # one base for the class: elementwise per row
-        lo = np.array([vs.lo for vs in vss])
-        hi = np.array([vs.hi for vs in vss])
-        codes = (u >= hi).view(np.int8) - (u <= lo).view(np.int8)
-        dist = np.maximum(np.maximum(lo - u, 0.0), np.maximum(u - hi, 0.0))
-        return codes, dist * np.array([vs._scale for vs in vss]), None
+        lo, hi, scale = np.array([(vs.lo, vs.hi, vs._scale) for vs in vss]).T
+        return _codes(u > lo, u < hi), _cut_gap(u, lo, hi, scale), None
     # a fitted cone holds at least one generator, so no segment is empty
     banks = [vs.bank for vs in vss]
     sizes = np.array([bank.W.shape[0] for bank in banks])
     starts = np.cumsum(sizes) - sizes
     V = np.concatenate([bank.W @ z for bank, z in zip(banks, Z)])
     plus = np.logical_or.reduceat(V > np.concatenate([b.plus_above for b in banks]), starts)
-    minus = np.logical_or.reduceat(V < -STRICT_LP_TOL, starts)
-    codes = (plus >= minus).view(np.int8) - minus.view(np.int8)
-    dist = np.maximum(np.minimum.reduceat(V, starts), 0.0)
-    dist += np.maximum(-np.maximum.reduceat(V, starts), 0.0) * (codes < 0)
+    codes = _codes(plus, np.logical_or.reduceat(V < -STRICT_LP_TOL, starts))
+    dist = _ray_gap(lambda f: f.reduceat(V, starts), codes)
     signed = V * np.repeat(codes, sizes)
     least = np.flatnonzero(signed == np.repeat(np.minimum.reduceat(signed, starts), sizes))
     nearest = np.concatenate([bank.W for bank in banks])[least[np.searchsorted(least, starts)]]

@@ -41,7 +41,7 @@ from relicert.core import (
 )
 from relicert.distributions import _draw, derive_rng, uniform_ball
 from relicert.losses import LossKind, _check_pair, fixed_loss, fixed_loss_many
-from relicert.reliability import MAX_WITNESSES, certify, fitted_trials, margin_alpha
+from relicert.reliability import MAX_WITNESSES, certify, fitted_batches, margin_alpha
 from relicert.version_space import ConeVS, IntervalVS, _random_unit, cone_dis_distance_info
 
 TWO_PI = 2.0 * math.pi
@@ -661,15 +661,16 @@ def run_trial(trial, trial_seed, rng, vs, hstar, sampler, budget, kind, strategy
 
 def contract_report(concept, hstar, sampler, m, trials, budget, kind, strategy, seed=0):
     """`verify_contract(...).to_json_dict()` from a `run_trial` loop over
-    `fitted_trials`."""
+    the trials of `fitted_batches`."""
     certified, witnesses = 0, []
-    for t, rng, vs in fitted_trials(concept, hstar, sampler, m, range(trials),
-                                    lambda t: derive_rng(seed ^ t)):
-        binding, bad = run_trial(t, (seed ^ t) & 0xFFFFFFFFFFFFFFFF, rng, vs, hstar, sampler,
-                                 budget, kind, strategy)
-        certified += int(binding)
-        if bad is not None:
-            witnesses.append(bad)
+    for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(trials),
+                                           lambda t: derive_rng(seed ^ t)):
+        for t, rng, vs in zip(batch, rngs, vss):
+            binding, bad = run_trial(t, (seed ^ t) & 0xFFFFFFFFFFFFFFFF, rng, vs, hstar,
+                                     sampler, budget, kind, strategy)
+            certified += int(binding)
+            if bad is not None:
+                witnesses.append(bad)
     return {
         "trials": trials,
         "certified": certified,

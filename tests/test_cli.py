@@ -357,7 +357,7 @@ def test_version_flag():
 @pytest.mark.parametrize(
     "target, error",
     [
-        ("relicert.reliability._assert_balls_label_constancy", LabelConstancyError),
+        ("relicert.reliability._check_balls", LabelConstancyError),
         ("relicert.version_space.max_margin_direction", LPError),
     ],
 )

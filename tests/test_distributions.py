@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -232,7 +233,7 @@ def test_zero_draws():
 
 
 # The uniform-ball formulas that `uniform_ball` replaced, kept as written:
-# the spec sampler, the sampled ball-sup loss and the certified-ball check.
+# the spec sampler and the sampled ball-sup loss.
 
 
 def _old_draw(rng, n, d, radius):
@@ -250,17 +251,6 @@ def _old_sample_ball(rng, x, eta, n):
     return x[None, :] + g * radii[:, None]
 
 
-def _old_ball_check(rng, Z, radii, n):
-    k, d = Z.shape
-    g = rng.standard_normal((k * n, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    scale = rng.random((k, n)) ** (1.0 / d) * (radii[:, None] * (1.0 - 1e-9))
-    g *= scale.reshape(-1, 1)
-    balls = g.reshape(k, n, d)
-    balls += Z[:, None, :]
-    return g
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
 def test_uniform_ball_matches_the_formulas_it_replaced(d, n):
@@ -272,11 +262,6 @@ def test_uniform_ball_matches_the_formulas_it_replaced(d, n):
     x = np.linspace(-1.0, 1.0, d)
     new = x + uniform_ball(rng(), n, d, 0.3)
     assert new.tobytes() == _old_sample_ball(rng(), x, 0.3, n).tobytes()
-    Z = rng().standard_normal((n, d))
-    radii = np.linspace(0.1, 2.0, n)
-    balls = uniform_ball(rng(), (n, 64), d, radii[:, None] * (1.0 - 1e-9))
-    balls += Z[:, None, :]
-    assert balls.reshape(-1, d).tobytes() == _old_ball_check(rng(), Z, radii, 64).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
@@ -285,11 +270,20 @@ def test_uniform_balls_draws_each_generators_own_ball(d):
     # ones a one-row certify of that trial draws from its own stream
     radii = np.linspace(0.1, 2.0, 9) * (1.0 - 1e-9)
     got = uniform_balls([derive_rng(s, 101) for s in range(9)], 64, d, radii)
-    want = [uniform_ball(derive_rng(s, 101), (1, 64), d, radii[s : s + 1, None])[0]
-            for s in range(9)]
+    want = [uniform_ball(derive_rng(s, 101), 64, d, radii[s]) for s in range(9)]
     assert got.tobytes() == np.stack(want).tobytes()
     rekeyed = uniform_balls(derived_rngs(range(9), 101), 64, d, radii)
     assert rekeyed.tobytes() == got.tobytes()
+    # an iterator gives up exactly one generator per ball, so row blocks of
+    # one check draw what one call draws
+    rngs = derived_rngs(range(9), 101)
+    blocks = [uniform_balls(rngs, 64, d, radii[lo : lo + 4]) for lo in range(0, 9, 4)]
+    assert np.concatenate(blocks).tobytes() == got.tobytes()
+    # certify_many's check: one generator for every row, row after row
+    one = derive_rng(3, 101)
+    want = [uniform_ball(one, 64, d, r) for r in radii]
+    repeated = uniform_balls(itertools.repeat(derive_rng(3, 101)), 64, d, radii)
+    assert repeated.tobytes() == np.stack(want).tobytes()
 
 
 _EDGE_SEEDS = [0, 2**63, 2**64 - 1, 7, -1, -(2**63), -12345, 7]

@@ -201,9 +201,9 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
     assert got == want
 
     attack = (0.2, LossKind.ST, "boundary-directed")
-    fits = reliability.fitted_trials("linear", hstar, P, 60, range(150),
-                                     lambda t: derive_rng(32 ^ t))
-    assert [(t, vs.rays().tobytes()) for t, _, vs in fits] == [
+    fits = reliability.fitted_batches("linear", hstar, P, 60, range(150),
+                                      lambda t: derive_rng(32 ^ t))
+    assert [(t, vs.rays().tobytes()) for batch, _, vss in fits for t, vs in zip(batch, vss)] == [
         (t, one_fit(np.random.Generator(np.random.Philox(key=32 ^ t)), 60).rays().tobytes())
         for t in range(150)
     ]

@@ -22,7 +22,7 @@ from relicert.core import (
     _as_point,
     predict,
 )
-from relicert.distributions import IsotropicGaussian, UniformCube
+from relicert.distributions import IsotropicGaussian, UniformCube, derived_rngs
 from relicert.estimators import sample_size_for_epsilon
 from relicert.losses import LossKind
 from relicert import reliability, version_space
@@ -255,18 +255,28 @@ def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
 
 
 def test_wrong_canonical_member_fails_the_batched_ball_check(monkeypatch):
-    # the attack trials' ball check labels each ball by its row's canonical
-    # member in one pass; each row certifies as its one-row certify does
+    # the attack trials' certificates: one paired_geometry pass, then the
+    # finish certify_many ends in, each row drawing from its own trial's
+    # stream; each row certifies as its one-row certify does, and the ball
+    # check labels each ball by its row's canonical member
     S = Dataset.from_points([[1.0, 0.5], [1.0, -0.5]], [1, -1])
     vs = fit_version_space(S, "linear")
     Z = np.array([[3.0, 3.0], [-3.0, 3.0], [0.0, 3.0]])
-    labels, radii = reliability._certify_trials([vs] * 3, Z, LossKind.ST, [4, 5, 6])
-    for z, label, radius, seed in zip(Z, labels, radii, [4, 5, 6]):
+    seeds = [4, 5, 6]
+
+    def finish():
+        labels, radii, _ = version_space.paired_geometry([vs] * 3, Z)
+        return reliability._certificates(
+            LossKind.ST, labels, radii, [vs] * 3, Z,
+            lambda rows: derived_rngs([seeds[i] for i in rows], 101))
+
+    labels, radii = finish()
+    for z, label, radius, seed in zip(Z, labels, radii, seeds):
         cert = certify(vs, z, LossKind.ST, seed=seed)
         assert (cert.prediction, cert.radius) == (label, radius)
     monkeypatch.setattr(ConeVS, "canonical", property(lambda self: np.array([0.6, 0.8])))
     with pytest.raises(LabelConstancyError) as err:
-        reliability._certify_trials([vs] * 3, Z, LossKind.ST, [4, 5, 6])
+        finish()
     assert str(err.value) == (
         f"certified ball of radius {radii[1]} around {Z[1]} contains both labels")
 

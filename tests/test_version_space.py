@@ -23,6 +23,7 @@ from oracles import (
 from relicert.core import BaseBoundary, Dataset, LinearHomogeneous, OffsetBoundary, Threshold
 from relicert.losses import LossKind
 from relicert.reliability import certify
+from relicert import version_space
 from relicert.version_space import (
     ConeVS,
     DegenerateVersionSpaceError,
@@ -507,16 +508,21 @@ def test_antipodal_samples_give_a_line_of_normals():
     assert vs.dis_distance_many(Z).tolist() == [0.0] * 5
 
 
-def test_cone_tie_rule_on_negative_sample_facets():
-    # rays on a negative sample's facet are limits of consistent normals;
-    # the +-tolerance rule labels the facet's normal direction as they do
+def _strict_facet_sample():
+    # a d = 3 sample whose negative samples' facets carry rays
     rng = np.random.default_rng(21)
     hstar = LinearHomogeneous(np.array([0.3, -0.2, 1.0]))
     X = rng.standard_normal((8, 3))
     S = Dataset(X, hstar.predict_many(X))
-    vs = fit_version_space(S, "linear")
+    return S, fit_version_space(S, "linear")
+
+
+def test_cone_tie_rule_on_negative_sample_facets():
+    # rays on a negative sample's facet are limits of consistent normals;
+    # the +-tolerance rule labels the facet's normal direction as they do
+    S, vs = _strict_facet_sample()
     checked = 0
-    for x in X[S.y < 0]:
+    for x in S.X[S.y < 0]:
         u = x / np.linalg.norm(x)
         if np.min(np.abs(vs.rays() @ u)) > 1e-12:
             continue  # no ray on this facet
@@ -534,12 +540,101 @@ def test_cone_tie_rule_on_positive_sample_facets():
     assert vs.membership_many(Z).tolist() == [0, 0, 1, -1, 1]
 
 
+def _one_row_queries(vss, Z):
+    """Each row's codes and distances from its own space's one-row queries."""
+    codes = np.array([vs.membership_many(z[None, :])[0] for vs, z in zip(vss, Z)])
+    dist = np.array([vs.dis_distance_many(z[None, :])[0] for vs, z in zip(vss, Z)])
+    return codes, dist
+
+
+def test_paired_geometry_rows_are_the_one_row_queries():
+    rng = np.random.default_rng(5)
+    hstar = LinearHomogeneous(np.array([0.48, 0.6, -0.64]))
+    cones = [_strict_facet_sample()[1], fit_version_space(Dataset.empty(3), "linear"),
+             fit_version_space(Dataset.from_points([[0.2, 0.9, -0.4]], [-1]), "linear")]
+    for m in (3, 12, 60):
+        X = rng.standard_normal((m, 3))
+        cones.append(fit_version_space(Dataset(X, hstar.predict_many(X)), "linear"))
+    sizes = [vs.rays().shape[0] for vs in cones]
+    assert len(set(sizes)) >= 5
+    assert (cones[0].bank.plus_above == version_space.STRICT_LP_TOL).sum() >= 2
+    assert sizes[2] == 5  # one ray, and +-l for a 2-d lineality space
+    # per cone: Gaussian points, its samples' directions and their
+    # antipodes, its rays, and the origin
+    vss, rows = [], []
+    for vs in cones:
+        U = vs.A if vs.A.shape[0] else np.eye(3)
+        P = np.vstack([rng.standard_normal((20, 3)), U, -U, vs.rays(), np.zeros((1, 3))])
+        vss += [vs] * len(P)
+        rows.append(P)
+    order = rng.permutation(len(vss))
+    vss, Z = [vss[i] for i in order], np.vstack(rows)[order]
+    codes, dist, nearest = version_space.paired_geometry(vss, Z)
+    want_codes, want_dist = _one_row_queries(vss, Z)
+    assert codes.dtype == np.int8 and np.array_equal(codes, want_codes)
+    assert {-1, 0, 1} <= set(codes.tolist())
+    assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))
+    for vs, z, code, w in zip(vss, Z, codes, nearest):
+        signed = code * (vs.rays() @ z)
+        assert w.tobytes() == vs.rays()[np.argmin(signed)].tobytes()  # the first to attain it
+
+    # intervals: thresholds and offsets, half-infinite cuts, and threshold
+    # points at every lo and hi
+    for base in (None, BaseBoundary("sine", (0.1, 0.3, 2.0))):
+        bounds = ((0.2, 0.8), (-math.inf, 0.5), (0.1, math.inf), (-math.inf, math.inf),
+                  (-0.3, -0.25))
+        spaces = [IntervalVS(lo, hi, base) for lo, hi in bounds]
+        values = [0.2, 0.8, 0.5, 0.1, -0.3, -0.25, 0.0, 1.5, -2.0, 0.6]
+        vss = [spaces[i % len(spaces)] for i in range(len(spaces) * len(values))]
+        u = np.array([values[i // len(spaces)] for i in range(len(vss))])
+        if base is None:
+            Z = u[:, None]
+        else:  # points whose residual is about u
+            x1 = rng.uniform(0.0, 1.0, len(u))
+            Z = np.column_stack([x1, u + base(x1[:, None])])
+        codes, dist, nearest = version_space.paired_geometry(vss, Z)
+        want_codes, want_dist = _one_row_queries(vss, Z)
+        assert nearest is None
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))
+        assert {-1, 0, 1} <= set(codes.tolist())
+
+
+def test_witness_rule_ties_on_single_and_paired_paths():
+    # intervals: a cut at u = hi labels u +1 (sign(0) = +1), and no cut in
+    # (lo, hi] labels u = lo +1
+    spaces = [IntervalVS(0.2, 0.8), IntervalVS(-math.inf, 0.8), IntervalVS(0.2, math.inf)]
+    for vs, u, code in zip(spaces + spaces[:1], (0.8, 0.8, 0.2, 0.2), (1, 1, -1, -1)):
+        assert vs.membership_many(np.array([[u]])).tolist() == [code]
+        assert vs.dis_distance_many(np.array([[u]])).tolist() == [0.0]
+    Z = np.array([[0.8], [0.8], [0.2], [0.2]])
+    codes, dist, _ = version_space.paired_geometry(spaces + spaces[:1], Z)
+    assert codes.tolist() == [1, 1, -1, -1] and dist.tolist() == [0.0] * 4
+
+    # a cone with a ray on a positive sample's facet and a ray on the
+    # negative sample's (strict) facet
+    S, vs = spec_arc()
+    strict = vs.bank.plus_above == version_space.STRICT_LP_TOL
+    assert strict.sum() == 1
+    x_pos, x_neg = S.X[0] / np.linalg.norm(S.X[0]), S.X[1] / np.linalg.norm(S.X[1])
+    ties = np.abs(vs.rays() @ np.vstack([x_pos, x_neg]).T) <= version_space.STRICT_LP_TOL
+    assert ties[~strict, 0].all() and ties[strict, 1].all()
+    # -x_pos: 0 on the free ray is a +1 witness, and the strict ray is a -1
+    # witness, so the point is disputed; x_neg: 0 on the strict ray is no
+    # witness, so only the free ray's -1 counts
+    Z = np.vstack([-x_pos, x_neg])
+    assert vs.membership_many(Z).tolist() == [0, -1]
+    codes, dist, nearest = version_space.paired_geometry([vs, vs], Z)
+    assert codes.tolist() == [0, -1]
+    assert [a.tolist() for a in _one_row_queries([vs, vs], Z)] == [[0, -1], dist.tolist()]
+    assert dist[0] == 0.0 and dist[1] <= 1e-15  # x_neg is on the strict facet
+    assert nearest[1].tobytes() == vs.rays()[strict][0].tobytes()
+
+
 @pytest.mark.parametrize("d, m, seed, n, rays", [(2, 100, 3, 10_000, 2), (5, 20, 24, 5, 30)])
 def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypatch):
     # the queries reduce (rays, points) products over their leading axis;
     # the oracles walk the generators one point at a time
-    import relicert.version_space as version_space
-
     rng = np.random.default_rng(seed)
     hstar = LinearHomogeneous(rng.standard_normal(d))
     X = rng.standard_normal((m, d))
@@ -683,8 +778,6 @@ def test_batched_ray_build_is_batch_invariant(d, monkeypatch):
     # does every cone of any sub-stack in another order, and of the stack
     # with SR_CHUNK_ELEMS so small that the shared flags of the candidate
     # pairs are counted in one-row blocks
-    import relicert.version_space as version_space
-
     rng = np.random.default_rng(90 + d)
     cones, stack, strict, interior = _mixed_stack(d, rng)
     alone = []
@@ -740,8 +833,6 @@ def test_degenerate_cones_keep_only_extreme_rays(monkeypatch):
     # third ray on the shared cuts); a pair it wrongly admits would add a
     # generator that is no extreme ray.  The generators must be qhull's
     # extreme rays, one each, and the second test must have rejected pairs.
-    import relicert.version_space as version_space
-
     rejected = []
 
     def held_by_two(F, c, common):
@@ -779,8 +870,6 @@ def test_degenerate_cones_keep_only_extreme_rays(monkeypatch):
 
 def test_batched_ray_cap_names_the_member(monkeypatch):
     # a member past the cap raises from the batch what it raises alone
-    import relicert.version_space as version_space
-
     rng = np.random.default_rng(98)
     cones = [_unit_rows(*_polygon_cone(10, rng))]
     for _ in range(3):
@@ -809,8 +898,6 @@ def test_erm_solves_a_small_lp_at_large_m(d, monkeypatch):
     # rows the ray build cut with, and its margin is the minimum slack over
     # all m rows
     from scipy.optimize import linprog
-
-    import relicert.version_space as version_space
 
     solved = []
 
