@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Hypothesis, LinearHomogeneous, Threshold
+from .core import Dataset, Hypothesis, LinearHomogeneous, OffsetBoundary, Threshold
 from .distributions import (
     DistributionSpec,
     _draw,
@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .losses import LossKind
 from .reliability import fitted_batches, sr_membership_mask
-from .version_space import ConceptClass, OffsetClass
+from .version_space import ConceptClass, OffsetClass, check_target
 # not called here: perfbench's layer tracer wraps the one-point form and the
 # one-sample fit, so they report 0 calls instead of absent metrics
 from .reliability import safely_reliable_membership  # noqa: F401
@@ -135,7 +135,9 @@ class ThetaEstimate:
         return int(self.r_grid.size)
 
 
-def _theta_rotinv(hstar: LinearHomogeneous, Q, grid, n, seed) -> np.ndarray:
+def _theta_rotinv(hstar: LinearHomogeneous, P, Q, grid, n, seed) -> tuple[np.ndarray, str]:
+    if not is_rotation_invariant(P):
+        raise ValueError("the linear path needs a rotationally invariant source distribution")
     XQ = sample(Q, seed, n)
     norms = np.linalg.norm(XQ, axis=1)
     good = norms > 0.0
@@ -143,8 +145,7 @@ def _theta_rotinv(hstar: LinearHomogeneous, Q, grid, n, seed) -> np.ndarray:
     c[good] = (XQ[good] @ hstar.w) / norms[good]
     theta = np.arccos(np.clip(c, -1.0, 1.0))
     rot = np.abs(math.pi / 2.0 - theta)
-    masses = np.array([np.mean(good & (rot <= math.pi * r)) for r in grid])
-    return masses
+    return np.array([np.mean(good & (rot <= math.pi * r)) for r in grid]), "rotinv"
 
 
 def _threshold_dis_interval(P, tstar: float, r: float) -> tuple[float, float]:
@@ -194,14 +195,14 @@ def _theta_threshold(hstar: Threshold, P, Q, grid, n, seed) -> tuple[np.ndarray,
     return _quantile_band_masses(ref, xq, hstar.t, grid), "threshold-empirical"
 
 
-def _theta_offset(concept: OffsetClass, hstar, P, Q, grid, n, seed) -> np.ndarray:
+def _theta_offset(hstar: OffsetBoundary, P, Q, grid, n, seed) -> tuple[np.ndarray, str]:
     """Offsets of a fixed boundary behave as thresholds on the residual."""
-    base = concept.base
+    base = hstar.base
     ref = sample(P, seed ^ 0xA5A5, n)
     xq = sample(Q, seed, n)
     return _quantile_band_masses(
         ref[:, -1] - base(ref[:, :-1]), xq[:, -1] - base(xq[:, :-1]), hstar.offset, grid
-    )
+    ), "residual-empirical"
 
 
 def theta_pq(
@@ -216,6 +217,7 @@ def theta_pq(
 ) -> ThetaEstimate:
     """Supremum over the radius grid of (target mass of the disputed region
     of the source disagreement ball) / radius."""
+    check_target(concept, hstar)
     if n < 1:
         raise ValueError("need at least one sample")
     grid = default_r_grid(epsilon) if r_grid is None else np.asarray(r_grid, dtype=float)
@@ -223,20 +225,12 @@ def theta_pq(
         raise ValueError("grid radii must be at least epsilon")
     if grid.max() > 1.0:
         raise ValueError("grid radii must not exceed 1")
-    if concept == "linear" and isinstance(hstar, LinearHomogeneous):
-        if not is_rotation_invariant(P):
-            raise ValueError(
-                "the linear path needs a rotationally invariant source distribution"
-            )
-        masses = _theta_rotinv(hstar, Q, grid, n, seed)
-        method = "rotinv"
-    elif concept == "threshold" and isinstance(hstar, Threshold):
+    if concept == "linear":
+        masses, method = _theta_rotinv(hstar, P, Q, grid, n, seed)
+    elif concept == "threshold":
         masses, method = _theta_threshold(hstar, P, Q, grid, n, seed)
-    elif isinstance(concept, OffsetClass):
-        masses = _theta_offset(concept, hstar, P, Q, grid, n, seed)
-        method = "residual-empirical"
-    else:
-        raise ValueError(f"no supported path for concept {concept!r} with this spec pair")
+    else:  # the target's base is the class's (`check_target`)
+        masses, method = _theta_offset(hstar, P, Q, grid, n, seed)
     value = float(np.max(masses / grid))
     return ThetaEstimate(
         value=value, r_grid=grid, masses=masses, epsilon=epsilon, n=n, seed=seed, method=method
@@ -299,6 +293,7 @@ def reliable_correctness(
     correctness: the fraction of target draws in the agreement region.
     Passing a labeled target sample enforces the realizability premise.
     """
+    check_target(concept, hstar)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if n_test < 1:

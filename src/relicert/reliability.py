@@ -64,17 +64,17 @@ from .distributions import (
     map_trial_chunks,
     uniform_balls,
 )
-from .losses import LossKind, _check_pair, losses_from_labels
+from .losses import LossKind, losses_from_labels
 from .version_space import (
     SR_CHUNK_ELEMS,
     ConceptClass,
     VersionSpace,
     _random_unit,
     attack_directions,
+    check_target,
     check_width,
     fit_batch,
     fit_stack,
-    interior_hint,
     member_labels,
     paired_geometry,
     random_members,
@@ -358,12 +358,13 @@ def fitted_batches(
     from spec, and vss[i] the version space fitted to them.  The draws,
     each through `_draw` from the trial's own generator, fill one (K, m, d)
     stack, which hstar labels in one call and `fit_stack` fits in one pass,
-    hinted by `interior_hint(hstar)`.  Each trial draws only from its own
-    generator and a stacked fit is the same bits as a one-sample fit, so
-    the results are those of a loop that fits one trial at a time."""
+    hinted by the normal of a linear target (its callers have checked the
+    pair: `check_target`).  Each trial draws only from its own generator and
+    a stacked fit is the same bits as a one-sample fit, so the results are
+    those of a loop that fits one trial at a time."""
     d = dimension(spec)
     step = fit_batch(m, d)
-    hint = interior_hint(hstar)
+    hint = hstar.w if concept == "linear" else None
     for i in range(0, len(trials), step):
         batch = trials[i : i + step]
         rngs = [rng_of(t) for t in batch]
@@ -413,7 +414,6 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
     loss = np.zeros(len(vss), dtype=bool)
     rows = np.flatnonzero(binding)
     if rows.size:
-        _check_pair(vss[0].canonical_member(), hstar)
         learned = member_labels(vss[0], learners[rows], Z[rows, None])[:, 0]
         loss[rows] = losses_from_labels(kind, learned, hz[rows], hstar.predict_many(X[rows])) != 0
     reason = np.select(
@@ -474,6 +474,7 @@ def verify_contract(
     target concept.  Any nonzero loss inside a certified radius is recorded
     as a violation with full reproduction data.
     """
+    check_target(concept, hstar)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if not 0.0 <= budget < math.inf:

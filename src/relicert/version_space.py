@@ -14,9 +14,8 @@ inside a representation:
   membership_many(X)         agreement code per row: +1, -1, or 0 (disputed);
   dis_distance_many(X, codes)
                              the distance below, 0 on disputed rows;
-  canonical_member()         the interval midpoint, the cone's interior
-                             normal (`canonical`: its cut, or unit normal);
-  random_member(rng)         a consistent hypothesis away from the boundary;
+  canonical                  the canonical member as an array: the interval
+                             midpoint's cut, or the cone's interior normal;
   ca_cap_mask(hstar, X, eta) whether the part of B(x, eta) with the target
                              label of x stays unanimous, per row;
   dim                        the points' width, where the class fixes it.
@@ -26,9 +25,9 @@ version spaces of one class, row i of Z against space i, by the same rules:
 one witness rule (`_codes`) for every class, and one distance assembly per
 class (`_cut_gap`, `_ray_gap`).  `attack_directions(vss, X, rngs)` steps
 each row toward its space's disputed points.  `random_members(vss, rngs)`
-draws one member per space as an array (cuts, or unit normals), of which
-`random_member` is the one-row call, and `member_labels` labels points by
-such members in one pass.
+draws one member per space as an array (cuts, or unit normals), and
+`member_labels` labels points by such members in one pass: only `erm`
+builds a hypothesis.  `check_target` checks a target's class.
 
 Membership in the agreement region is exact for every class.  The distance
 of an agreed point z is the Euclidean distance to the disagreement region
@@ -77,6 +76,7 @@ direction.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -124,6 +124,18 @@ def concept_from_dict(d: dict) -> ConceptClass:
     if kind in ("threshold", "linear"):
         return kind
     raise ValueError(f"unknown concept kind {kind!r}")
+
+
+def check_target(concept: ConceptClass, hstar: Hypothesis) -> None:
+    """Raise ValueError unless the target hstar belongs to the concept
+    class: one of its kind and, for an offset class, of its base, on whose
+    residual the version space's cuts act."""
+    base = getattr(concept, "base", None)
+    want = {"kind": concept} if base is None else {"kind": "offset", "base": base.to_dict()}
+    got = {key: v for key, v in hstar.to_dict().items() if key in ("kind", "base")}
+    if got != want:
+        raise ValueError(f"the target's class {json.dumps(got)} is not the concept class "
+                         f"{json.dumps(want)}")
 
 
 def _residuals(base: BaseBoundary, X: np.ndarray) -> np.ndarray:
@@ -220,9 +232,6 @@ class IntervalVS:
         """Distance to the disputed cuts (lo, hi); `codes` are not needed."""
         return _cut_gap(self.coords(X), self.lo, self.hi, self._scale)
 
-    def _member(self, t: float) -> Hypothesis:
-        return OffsetBoundary(self.base, t) if self.base is not None else Threshold(t)
-
     @property
     def canonical(self) -> float:
         """The canonical cut: the midpoint; one unit inside a half-infinite
@@ -234,24 +243,6 @@ class IntervalVS:
         if math.isinf(self.hi):
             return self.lo + 1.0
         return 0.5 * (self.lo + self.hi)
-
-    def canonical_member(self) -> Hypothesis:
-        """The hypothesis of the canonical cut."""
-        return self._member(self.canonical)
-
-    def random_member(self, rng: np.random.Generator) -> Hypothesis:
-        """The one-row draw of `random_members`."""
-        return self._member(float(random_members([self], [rng])[0]))
-
-    def _random_cut(self, rng: np.random.Generator) -> float:
-        u = _interior_fraction(rng)
-        if math.isinf(self.lo) and math.isinf(self.hi):
-            return rng.standard_normal()
-        if math.isinf(self.lo):
-            return self.hi - rng.random()
-        if math.isinf(self.hi):
-            return self.lo + rng.random()
-        return self.lo + u * (self.hi - self.lo)
 
     def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
         """Closed form: the cut values the same-label part of each eta-ball
@@ -382,9 +373,9 @@ class ConeVS:
     the hint.  A fit without one takes the normalised sum of the extreme
     rays, or a generator of a cone that is a linear subspace; the same
     generators decided that the sample is realizable (see `_fit_cones`).
-    `member` is the interior normal as a hypothesis, and `slack` the least
-    <A_i, interior> over the rows (+inf without rows), which bounds the
-    random members' steps.
+    `canonical`, the canonical member, is interior / |interior|, and `slack`
+    the least <A_i, interior> over the rows (+inf without rows), which
+    bounds the random members' steps.
     """
 
     A: np.ndarray  # (m, d), unit rows
@@ -392,7 +383,7 @@ class ConeVS:
     interior: np.ndarray  # (d,) feasible unit normal, strictly so if the cone has interior
     dim: int
     bank: _Bank
-    member: LinearHomogeneous
+    canonical: np.ndarray  # (d,) interior / |interior|
     slack: float
 
     def rays(self) -> np.ndarray:
@@ -413,19 +404,6 @@ class ConeVS:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         cols = () if codes is None else (codes,)
         return _per_point_blocks(bank.W, X, bank.distances, float, *cols)
-
-    def canonical_member(self) -> LinearHomogeneous:
-        """The interior normal."""
-        return self.member
-
-    @property
-    def canonical(self) -> np.ndarray:
-        """The canonical member's unit normal."""
-        return self.canonical_member().w
-
-    def random_member(self, rng: np.random.Generator) -> LinearHomogeneous:
-        """The one-row draw of `random_members`."""
-        return LinearHomogeneous(random_members([self], [rng])[0])
 
     def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
         """The cap test on the generators, which span the cone."""
@@ -802,8 +780,8 @@ def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -
     one `_build_cone_banks` call over the stack, and an interior normal
     each: the hint when it is strictly feasible, e1 for an empty sample,
     else the one the generators give.  The hint or e1 is also the build's
-    reference normal.  Every cone the hint serves shares one member, and
-    takes its slack from the feasibility test of the hint.
+    reference normal.  Every cone the hint serves shares one canonical
+    normal, and takes its slack from the feasibility test of the hint.
 
     Without either, a sample is strictly consistent iff every negative-label
     (strict) row has a generator w with <w, A_i> > STRICT_LP_TOL: each such
@@ -835,7 +813,7 @@ def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -
             served = ~empty & (slack > STRICT_LP_TOL)
             interior[served] = w
     banks = _build_cone_banks(A, strict, interior)
-    shared = LinearHomogeneous(w) if served.any() else None
+    shared = w / float(np.linalg.norm(w)) if served.any() else None
     out = []
     for c, (bank, whole, fitted, gap) in enumerate(
             zip(banks, real.all(axis=1).tolist(), (served | empty).tolist(), slack.tolist())):
@@ -859,7 +837,7 @@ def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -
             w = w / norm if norm > 1e-12 else W[0]
             gap = float(np.min(A_c @ w))
         out.append(ConeVS(A=A_c, strict=strict_c, interior=w, dim=d, bank=bank, slack=gap,
-                          member=shared if served[c] else LinearHomogeneous(w)))
+                          canonical=shared if served[c] else w / float(np.linalg.norm(w))))
     return out
 
 
@@ -941,12 +919,6 @@ def fit_version_space(
     return fit_stack(S.X[None], S.y[None], concept, interior_hint)[0]
 
 
-def interior_hint(hstar: Hypothesis) -> np.ndarray | None:
-    """The normal of a linear target, for `fit_version_space(interior_hint=)`
-    on samples that target labelled; None for other targets."""
-    return hstar.w if isinstance(hstar, LinearHomogeneous) else None
-
-
 def erm(S: Dataset, concept: ConceptClass) -> Hypothesis:
     """A canonical zero-error hypothesis: the interval midpoint, or for
     linear separators the max-margin LP direction, max s with <A_i, w> >= s
@@ -956,16 +928,17 @@ def erm(S: Dataset, concept: ConceptClass) -> Hypothesis:
     same cone, so every other unit row is a conic combination of them whose
     weights sum to at least 1, and it cannot bind at a margin >= 0: the LP's
     margin is the margin over all rows, at a size that does not grow with
-    m.  A cone without interior (margin <= STRICT_LP_TOL) gives the cone's
-    interior normal instead.
+    m.  A cone without rows or without interior (margin <= STRICT_LP_TOL)
+    gives the cone's interior normal instead.
     """
     vs = fit_version_space(S, concept)
-    if not isinstance(vs, ConeVS) or vs.A.shape[0] == 0:
-        return vs.canonical_member()
-    w, s = max_margin_direction(vs.A[vs.bank.cuts])
-    if s <= STRICT_LP_TOL:
-        return vs.canonical_member()
-    return LinearHomogeneous(w / np.linalg.norm(w))
+    if isinstance(vs, IntervalVS):
+        return Threshold(vs.canonical) if vs.base is None else OffsetBoundary(vs.base, vs.canonical)
+    if vs.A.shape[0]:
+        w, s = max_margin_direction(vs.A[vs.bank.cuts])
+        if s > STRICT_LP_TOL:
+            return LinearHomogeneous(w / np.linalg.norm(w))
+    return LinearHomogeneous(vs.interior)
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1016,16 @@ def random_members(vss: list, rngs: list) -> np.ndarray:
     interval, a uniform step inside a half-infinite one, or a Gaussian
     draw on the whole line."""
     if isinstance(vss[0], IntervalVS):
-        return np.array([vs._random_cut(rng) for vs, rng in zip(vss, rngs)])
+        cuts = np.empty(len(vss))
+        for i, (vs, rng) in enumerate(zip(vss, rngs)):
+            u = _interior_fraction(rng)
+            if math.isinf(vs.lo) and math.isinf(vs.hi):
+                cuts[i] = rng.standard_normal()
+            elif math.isinf(vs.lo) or math.isinf(vs.hi):
+                cuts[i] = vs.hi - rng.random() if math.isinf(vs.lo) else vs.lo + rng.random()
+            else:
+                cuts[i] = vs.lo + u * (vs.hi - vs.lo)
+        return cuts
     V = np.empty((len(vss), vss[0].dim))
     step = np.empty(len(vss))
     for i, (vs, rng) in enumerate(zip(vss, rngs)):

@@ -42,6 +42,7 @@ from relicert.core import (
 from relicert.distributions import _draw, derive_rng, uniform_ball
 from relicert.losses import LossKind, _check_pair, fixed_loss, fixed_loss_many
 from relicert.reliability import MAX_WITNESSES, certify, fitted_batches, margin_alpha
+from relicert import version_space
 from relicert.version_space import ConeVS, IntervalVS, _random_unit, cone_dis_distance_info
 
 TWO_PI = 2.0 * math.pi
@@ -625,11 +626,20 @@ def craft_attack(vs, x, budget, strategy, rng, trial):
     raise ValueError(f"unknown attack strategy {strategy!r}")
 
 
+def learner(vs, rng):
+    """One trial's learner as a hypothesis: its row of
+    `version_space.random_members`, drawn alone."""
+    member = version_space.random_members([vs], [rng])[0]
+    if isinstance(vs, ConeVS):
+        return LinearHomogeneous(member)
+    return Threshold(float(member)) if vs.base is None else OffsetBoundary(vs.base, float(member))
+
+
 def run_trial(trial, trial_seed, rng, vs, hstar, sampler, budget, kind, strategy):
     """The rest of one attack-verify trial on its fitted version space, with
     the generator that drew its sample, one point at a time through
     `certify` and `fixed_loss`: (certified, witness or None)."""
-    h_learn = vs.random_member(rng)
+    h_learn = learner(vs, rng)
     x = _draw(sampler, rng, 1)[0]
     z = craft_attack(vs, x, budget, strategy, rng, trial)
     cert = certify(vs, z, kind, seed=trial_seed)

@@ -234,6 +234,44 @@ def test_shift_cli(tmp_path):
     assert run(*argv, "--trials", "0") == 2
 
 
+
+# a concept class and a target of another class: (concept, hstar, dist)
+_CONSTANT = '{"kind":"offset","base":{"kind":"constant","params":[0.5]}}'
+_CUBE2 = '{"kind":"uniform_cube","d":2}'
+_MISMATCHED = {
+    "threshold-linear": (THRESH, '{"kind":"linear","w":[1.0]}', GAUSS1),
+    "offset-linear": (_CONSTANT, '{"kind":"linear","w":[0.6,0.8]}', _CUBE2),
+    "offset-other-base": (_CONSTANT, '{"kind":"offset","base":{"kind":"sine",'
+                          '"params":[0.5,0.1,1.0]},"offset":0.0}', _CUBE2),
+}
+_TARGET_CALLS = {
+    **{f"sr-mass-{loss}": ["sr-mass", "--m", "50", "--eta1", "0.1", "--eta2", "0.05",
+                           "--loss", loss, "--trials", "2", "--n", "50"]
+       for loss in ("st", "ca", "tl")},
+    **{f"shift-{loss}": ["shift", "--m", "50", "--loss", loss, "--trials", "2", "--n", "50"]
+       for loss in ("none", "st")},
+    "theta": ["theta", "--epsilon", "0.05", "--n", "200"],
+    **{f"attack-verify-{loss}": ["attack-verify", "--m", "50", "--trials", "20",
+                                 "--budget", "0.2", "--loss", loss] for loss in ("st", "ca")},
+}
+
+
+@pytest.mark.parametrize("call", sorted(_TARGET_CALLS))
+@pytest.mark.parametrize("pair", sorted(_MISMATCHED))
+def test_target_of_another_class_exits_2(pair, call, tmp_path, capsys):
+    # every command that takes a target checks it against the concept class
+    # first, an offset target's base included
+    concept, hstar, dist = _MISMATCHED[pair]
+    argv = _TARGET_CALLS[call]
+    where = ["--p", dist, "--q", dist] if argv[0] in ("shift", "theta") else ["--dist", dist]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run(*argv, "--concept", concept, "--hstar", hstar, *where, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: the target's class {") and "is not the concept class {" in err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -232,13 +233,12 @@ def test_certify_many_rejects_bad_points():
 def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
     S = Dataset.from_points([[1.0, 0.5], [1.0, -0.5]], [1, -1])
     vs = fit_version_space(S, "linear")
-    assert vs.canonical_member() is vs.canonical_member()  # built once
     Z = np.array([[3.0, 3.0], [-3.0, 3.0], [0.0, 3.0]])
     labels, radii = certify_many(vs, Z, LossKind.ST)
     assert labels.tolist() == [1, 1, 1] and np.all(radii > 0.0)
     # the boundary of (1, 1) runs through the second point, and through the
     # third point's ball; the first point's ball stays on its positive side
-    monkeypatch.setattr(ConeVS, "canonical_member", lambda self: LinearHomogeneous([1.0, 1.0]))
+    vs = dataclasses.replace(vs, canonical=LinearHomogeneous([1.0, 1.0]).w)
     certify(vs, Z[0], LossKind.ST)
     named = f"radius {radii[1]} around {Z[1]} contains both labels"
     with pytest.raises(LabelConstancyError) as err:
@@ -254,7 +254,7 @@ def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
     assert str(err.value) == f"certified ball of {named}"
 
 
-def test_wrong_canonical_member_fails_the_batched_ball_check(monkeypatch):
+def test_wrong_canonical_member_fails_the_batched_ball_check():
     # the attack trials' certificates: one paired_geometry pass, then the
     # finish certify_many ends in, each row drawing from its own trial's
     # stream; each row certifies as its one-row certify does, and the ball
@@ -274,7 +274,7 @@ def test_wrong_canonical_member_fails_the_batched_ball_check(monkeypatch):
     for z, label, radius, seed in zip(Z, labels, radii, seeds):
         cert = certify(vs, z, LossKind.ST, seed=seed)
         assert (cert.prediction, cert.radius) == (label, radius)
-    monkeypatch.setattr(ConeVS, "canonical", property(lambda self: np.array([0.6, 0.8])))
+    vs = dataclasses.replace(vs, canonical=np.array([0.6, 0.8]))
     with pytest.raises(LabelConstancyError) as err:
         finish()
     assert str(err.value) == (
@@ -657,8 +657,8 @@ def test_batched_finish_matches_per_trial_oracle(case, strategy):
 def test_batched_finish_matches_per_trial_oracle_on_witnesses(case, monkeypatch):
     # a learner on the wrong side of the target: fixed_loss fires inside
     # certified radii, and the witnesses must match the oracle's.  The batched
-    # draw is patched where the finish calls it and where the one-row
-    # `random_member` of the oracle calls it, so both see the same learners
+    # draw is patched where the finish calls it and where the oracle's
+    # one-row draw (`oracles.learner`) calls it, so both see the same learners
     draw = version_space.random_members
 
     def wrong_side(vss, rngs):

@@ -36,6 +36,7 @@ from relicert.version_space import (
     fit_stack,
     fit_version_space,
     fit_version_spaces,
+    member_labels,
     random_members,
 )
 
@@ -118,20 +119,20 @@ def test_hinted_fit_of_an_empty_linear_sample():
         assert vs.interior.tolist() == plain.interior.tolist() == [1.0, 0.0, 0.0]
         assert vs.rays().tobytes() == plain.rays().tobytes()
         assert vs.A.shape == (0, 3) and vs.slack == math.inf
-    assert served.member is not plain.member and 0.0 < served.slack < 1.0
+    assert served.canonical is not plain.canonical and 0.0 < served.slack < 1.0
     assert served.slack == np.min(served.A @ served.interior)
     # its member draw: the interior fraction, then a Gaussian normal
     rng, ref = (np.random.Generator(np.random.Philox(key=9)) for _ in range(2))
     ref.random()
     g = ref.standard_normal(3)
-    assert np.allclose(hinted.random_member(rng).w, g / np.linalg.norm(g), rtol=0, atol=1e-15)
+    assert np.allclose(random_members([hinted], [rng])[0], g / np.linalg.norm(g),
+                       rtol=0, atol=1e-15)
     assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("concept", ["linear", "threshold"])
 def test_member_draws_are_rows_of_one_batched_draw(concept):
-    # random_member is the one-row call of random_members, and every draw
-    # takes the interior fraction, then (cones) the unit vector and the step
+    # each row of random_members is its one-row call, and every draw takes the interior fraction, then (cones) the unit vector and the step
     rng = np.random.default_rng(8)
     d = 3 if concept == "linear" else 1
     hstar = LinearHomogeneous(np.array([0.6, -0.48, 0.64])) if d == 3 else Threshold(0.1)
@@ -147,8 +148,6 @@ def test_member_draws_are_rows_of_one_batched_draw(concept):
     batch, rngs = random_members(vss, streams()), streams()
     for i, (vs, rng) in enumerate(zip(vss, rngs)):
         assert random_members([vs], [rng])[0].tobytes() == batch[i].tobytes()
-        one = vs.random_member(streams()[i])
-        assert np.allclose(one.w if d == 3 else one.t, batch[i], rtol=0, atol=1e-15)
         ref = streams()[i]
         u = 0.02 + 0.96 * ref.random()
         if d == 1:
@@ -252,6 +251,61 @@ def test_erm_is_always_consistent():
         assert np.array_equal(g.predict_many(S.X), S.y)
 
 
+
+def test_erm_without_lp_margin_is_the_canonical_normal():
+    # no rows, or no interior (margin 0): erm gives the fitted cone's
+    # canonical normal, bit for bit; an interval gives its canonical cut
+    X = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+    for S in (Dataset.from_points(X, [1, 1, 1]), Dataset.empty(3)):
+        w = erm(S, "linear").w
+        assert w.tobytes() == fit_version_space(S, "linear").canonical.tobytes()
+    base = BaseBoundary("affine", (0.1, 0.5))
+    S = Dataset.from_points([[0.5, 0.2], [0.5, 0.9]], [-1, 1])
+    h = erm(S, OffsetClass(base))
+    assert isinstance(h, OffsetBoundary) and h.base is base
+    assert h.offset == fit_version_space(S, OffsetClass(base)).canonical
+
+
+def test_cone_canonical_is_the_normalised_interior():
+    # the canonical normal holds the bits of LinearHomogeneous(interior).w:
+    # unhinted, hinted (one array shared by the served cones), empty, and
+    # with a lineality space (+-l among the generators)
+    rng = np.random.default_rng(12)
+    w = np.array([0.6, -0.48, 0.64])
+    X = rng.standard_normal((40, 3))
+    S = Dataset(X, LinearHomogeneous(w).predict_many(X))
+    line = Dataset.from_points([[0.3, 0.4, 1.2]], [1])
+    cones = [fit_version_space(T, "linear", interior_hint=hint)
+             for T in (S, Dataset.empty(3), line) for hint in (None, w)]
+    cones += fit_version_spaces([S, S, Dataset.empty(3), line], "linear", interior_hint=w)
+    assert cones[-4].canonical is cones[-3].canonical
+    for vs in cones:
+        assert vs.canonical.tobytes() == LinearHomogeneous(vs.interior).w.tobytes()
+    assert len(cones[4].rays()) > 2  # the line's cone holds +-l
+
+
+@pytest.mark.parametrize("concept, hstar, ok", [
+    ("threshold", Threshold(0.1), True),
+    ("linear", LinearHomogeneous([1.0, 0.0]), True),
+    (OffsetClass(BaseBoundary("affine", (0.1, 0.5))),
+     OffsetBoundary(BaseBoundary("affine", (0.1, 0.5)), 0.2), True),
+    ("threshold", LinearHomogeneous([1.0]), False),
+    ("linear", Threshold(0.1), False),
+    (OffsetClass(BaseBoundary("constant", (0.5,))), LinearHomogeneous([0.6, 0.8]), False),
+    (OffsetClass(BaseBoundary("affine", (0.1, 0.5))),
+     OffsetBoundary(BaseBoundary("affine", (0.1, 0.4)), 0.2), False),
+    (OffsetClass(BaseBoundary("constant", (0.5,))),
+     OffsetBoundary(BaseBoundary("sine", (0.5, 0.1, 1.0)), 0.0), False),
+    ("threshold", OffsetBoundary(BaseBoundary("constant", (0.5,)), 0.0), False),
+])
+def test_check_target_pairs_each_class_with_its_targets(concept, hstar, ok):
+    if ok:
+        version_space.check_target(concept, hstar)
+    else:
+        with pytest.raises(ValueError, match="is not the concept class"):
+            version_space.check_target(concept, hstar)
+
+
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -264,7 +318,7 @@ def test_cone_fit_without_interior(d):
     X[0, 1], X[1, 1], X[2, 0] = 1.0, -1.0, 1.0
     S = Dataset.from_points(X, [1, 1, 1])
     vs = fit_version_space(S, "linear")
-    assert np.array_equal(vs.canonical_member().predict_many(X), S.y)
+    assert np.array_equal(member_labels(vs, vs.canonical[None], X[None])[0], S.y)
     assert np.array_equal(erm(S, "linear").predict_many(X), S.y)  # margin 0: the ray interior
     if d == 2:
         # e1 is the only consistent normal: every point is agreed, sign(z1)
@@ -279,7 +333,7 @@ def test_negative_sample_on_a_cone_without_interior_is_realizable():
     S = Dataset.from_points([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1, 1, -1])
     vs = fit_version_space(S, "linear")
     assert np.allclose(vs.interior, [-1.0, 0.0], atol=1e-12)
-    assert np.array_equal(vs.canonical_member().predict_many(S.X), S.y)
+    assert np.array_equal(member_labels(vs, vs.canonical[None], S.X[None])[0], S.y)
 
 
 def test_membership_interval_examples():
@@ -500,7 +554,7 @@ def test_antipodal_samples_give_a_line_of_normals():
     # the arc of normal angles was two isolated points
     S = Dataset.from_points([[0.0, 1.0], [0.0, -1.0]], [1, 1])
     vs = fit_version_space(S, "linear")
-    assert np.array_equal(vs.canonical_member().predict_many(S.X), S.y)
+    assert np.array_equal(member_labels(vs, vs.canonical[None], S.X[None])[0], S.y)
     assert sorted(map(tuple, np.round(vs.rays(), 12))) == [(-1.0, 0.0), (1.0, 0.0)]
     Z = np.array([[0.0, 2.0], [0.0, -3.0], [0.0, 0.0], [1.0, 0.5], [-1.0, 0.0]])
     # e1 and -e1 label only the second axis alike (sign(0) = +1)
@@ -823,8 +877,8 @@ def test_batched_fit_is_batch_invariant():
             assert np.array_equal(vs.interior.view(np.int64), one.interior.view(np.int64))
         assert vs.A.shape[0] == len(S)
         assert batch[1].A.shape[0] == len(samples[1]) - 1  # the zero row is no row
-    served = [vs.member for vs in fit_version_spaces(samples[:5], "linear", interior_hint=w)]
-    assert all(mem is served[0] for mem in served)
+    served = [vs.canonical for vs in fit_version_spaces(samples[:5], "linear", interior_hint=w)]
+    assert all(normal is served[0] for normal in served)
 
 
 def test_degenerate_cones_keep_only_extreme_rays(monkeypatch):
@@ -953,7 +1007,7 @@ def _ray_fit_against_lp(X, y):
         assert np.min(vs.A @ w) > 0.0
     # off the ties, the interior normal labels the sample as given
     clear = np.abs(X @ w) > 1e-12
-    assert np.array_equal(vs.canonical_member().predict_many(X[clear]), y[clear])
+    assert np.array_equal(member_labels(vs, vs.canonical[None], X[clear][None])[0], y[clear])
     return True, on_all > 1e-9
 
 
