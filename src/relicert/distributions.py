@@ -41,18 +41,18 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, *stream)))
 
 
-def derived_rngs(seeds, *stream: int):
-    """derive_rng(seed, *stream) for each seed in turn, as one Philox
-    generator re-keyed before each yield: key [_stream_key(seed, *stream),
-    0], counter 0 and an empty buffer, the state a fresh Philox(key=) has,
-    so the draws are the same bits.  A yielded generator is valid only
-    until the next one is taken."""
+def derived_rngs(words):
+    """derive_rng(*w) for each tuple w = (seed, *stream) of `words` in turn,
+    as one Philox generator re-keyed before each yield: key
+    [_stream_key(*w), 0], counter 0 and an empty buffer, the state a fresh
+    Philox(key=) has, so the draws are the same bits.  A yielded generator
+    is valid only until the next one is taken."""
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
-    for seed in seeds:
-        key[0] = _stream_key(seed, *stream)
+    for w in words:
+        key[0] = _stream_key(*w)
         bitgen.state = state
         yield rng
 

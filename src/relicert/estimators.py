@@ -4,6 +4,18 @@ coefficient, and reliable correctness under distribution shift.
 Confidence intervals are two-sided 95% Hoeffding bounds over the
 independent units actually averaged: the training-sample draws of a
 quantity averaged over refits.
+
+The mass estimators (`sr_mass`, `reliable_correctness`) run their trials
+as stacks of arrays from the draws to the masses.  The trials are fitted
+in sub-batches (`fitted_batches`), and the fitted trials then run in
+blocks (`version_space.mask_blocks`): consecutive trials whose stacked
+(trials, max(d, generators), test points) values stay within a fixed
+share of SR_CHUNK_ELEMS.  A block draws its test points into one (K,
+n_test, d) stack and makes one `sr_membership_mask` pass.  Trial t's
+training and test generators are used once each, so each comes from a
+Philox generator re-keyed per trial (`derived_rngs`) to the stream words
+(seed, t, 0) and (seed, t, 1): the bits of derive_rng(seed, t, 0) and
+derive_rng(seed, t, 1).
 """
 
 from __future__ import annotations
@@ -18,7 +30,8 @@ from .distributions import (
     DistributionSpec,
     _draw,
     cdf_1d,
-    derive_rng,
+    derived_rngs,
+    dimension,
     is_rotation_invariant,
     map_trial_chunks,
     quantile_1d,
@@ -26,7 +39,7 @@ from .distributions import (
 )
 from .losses import LossKind
 from .reliability import fitted_batches, sr_membership_mask
-from .version_space import ConceptClass, OffsetClass, check_target
+from .version_space import ConceptClass, OffsetClass, check_target, mask_blocks
 # not called here: perfbench's layer tracer wraps the one-point form and the
 # one-sample fit, so they report 0 calls instead of absent metrics
 from .reliability import safely_reliable_membership  # noqa: F401
@@ -256,18 +269,23 @@ def sample_size_for_epsilon(eps: float, vc_dim: int, delta: float = 0.05, c: flo
 def _shift_trial_mean(args) -> list[float]:
     """Per trial lo..hi-1 of `reliable_correctness`, the share of n_test
     fresh target draws in the (safely-)reliable region of the trial's fit.
-    Trial t draws its training sample from derive_rng(seed, t, 0)
-    (`fitted_batches`) and its target points from derive_rng(seed, t, 1)."""
+    Trial t draws its training sample from stream (seed, t, 0)
+    (`fitted_batches`) and its target points from (seed, t, 1), each from
+    one re-keyed generator (`derived_rngs`).  Each block of fitted trials
+    (`mask_blocks`) stacks its target points and makes one mask pass."""
     concept, hstar, P, Q, m, eta1, eta2, kind, n_test, seed, lo, hi = args
-    out = []
-    for batch, _, vss in fitted_batches(concept, hstar, P, m, range(lo, hi),
-                                        lambda t: derive_rng(seed, t, 0)):
-        for t, vs in zip(batch, vss):
-            T = _draw(Q, derive_rng(seed, t, 1), n_test)
-            if kind is None:
-                out.append(float(np.mean(vs.membership_many(T) != 0)))
-            else:
-                out.append(float(np.mean(sr_membership_mask(vs, hstar, T, eta1, eta2, kind))))
+    loss = LossKind.TL if kind is None else kind  # at eta1 = 0: the agreement region
+    d = dimension(Q)
+    tests = derived_rngs((seed, t, 1) for t in range(lo, hi))
+    out: list[float] = []
+    for _, _, vss in fitted_batches(concept, hstar, P, m, range(lo, hi),
+                                    lambda batch: derived_rngs((seed, t, 0) for t in batch)):
+        for block in mask_blocks(vss, n_test, d):
+            T = np.empty((len(block), n_test, d))
+            for row, rng in zip(T, tests):
+                row[:] = _draw(Q, rng, n_test)
+            part = vss[block.start : block.stop]
+            out += sr_membership_mask(part, hstar, T, eta1, eta2, loss).mean(axis=1).tolist()
     return out
 
 

@@ -33,6 +33,9 @@ labels it with one call of the target and fits it in one pass
 one over the attacked points for the certificates, labels the points with
 one call of the target and one row-wise pass for the learners
 (`member_labels`), and forms losses and witnesses as arrays.
+`sr_membership_mask` decides safely-reliable membership for a stack of
+fitted spaces and their points at once (`region_masks`); the mass
+estimators call it once per block of trials.
 
 All geometry goes through the version-space methods listed in
 `version_space`; nothing here depends on the representation.
@@ -78,6 +81,7 @@ from .version_space import (
     member_labels,
     paired_geometry,
     random_members,
+    region_masks,
 )
 # not called here: perfbench's layer tracer wraps these one-point forms, so
 # they report 0 calls, where a missing name would report its metrics absent
@@ -209,35 +213,42 @@ def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> Reliabilit
 
 
 def sr_membership_mask(
-    vs: VersionSpace,
+    vss: list,
     hstar: Hypothesis | None,
-    X,
+    T,
     eta1: float,
     eta2: float,
     kind: LossKind,
 ) -> np.ndarray:
-    """Safely-reliable membership of every row of X, batched for every loss
-    and version space (see `safely_reliable_membership` for the regions).
+    """Safely-reliable membership of the points T[k] (n, d) of a stack T
+    (K, n, d) in the region of vss[k], K fitted spaces of one class, as
+    (K, n) bool (see `safely_reliable_membership` for the regions).
 
-    Stability and true-label compare the disagreement distance
-    (`dis_distance_many`) with eta1 + eta2 or eta1 (plain
-    agreement when that is 0).  The constrained-adversary region is the
-    agreed points that pass the version space's `ca_cap_mask`.
+    Stability and true-label compare the disagreement distance with
+    eta1 + eta2 or eta1 (plain agreement when that is 0).  The
+    constrained-adversary region is the agreed points whose same-label
+    cap of the eta1-ball stays unanimous.  The spaces run in blocks
+    (`version_space.mask_blocks`): consecutive spaces whose stacked values
+    stay within a fixed share of SR_CHUNK_ELEMS, each block in one pass
+    (`version_space.region_masks`); a space over the share is a block of
+    its own, split over its points.  Row k is the mask of the one-space
+    call sr_membership_mask([vss[k]], hstar, T[k:k+1], ...).
     """
     if not (0.0 <= eta1 < math.inf and 0.0 <= eta2 < math.inf):
         raise ValueError("attack strengths must be nonnegative and finite")
-    X = _as_rows(X)
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 3 or T.shape[0] != len(vss):
+        raise ValueError(f"points must form a (K, n, d) stack for K = {len(vss)} version "
+                         f"spaces, got shape {T.shape}")
+    if not np.isfinite(T).all():
+        raise ValueError("point coordinates must be finite")
+    if vss:
+        check_width(vss[0], T[0])
     if kind is LossKind.CA:
         if hstar is None:
             raise ValueError("the constrained-adversary region needs the target concept")
-        codes = vs.membership_many(X)
-        mask = codes != 0
-        mask[mask] = vs.ca_cap_mask(hstar, X[mask], eta1)
-        return mask
-    need = eta1 + eta2 if kind is LossKind.ST else eta1
-    if need == 0.0:
-        return vs.membership_many(X) != 0
-    return vs.dis_distance_many(X) >= need
+        return region_masks(vss, T, hstar=hstar, eta=eta1)
+    return region_masks(vss, T, eta1 + eta2 if kind is LossKind.ST else eta1)
 
 
 def safely_reliable_membership(
@@ -258,7 +269,7 @@ def safely_reliable_membership(
     This is the one-point call of `sr_membership_mask`.
     """
     x = _as_point(x)
-    return bool(sr_membership_mask(vs, hstar, x[None, :], eta1, eta2, kind)[0])
+    return bool(sr_membership_mask([vs], hstar, x[None, None, :], eta1, eta2, kind)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +362,28 @@ def _craft_attacks(vss: list, X: np.ndarray, budget: float, strategy: str, rngs:
 
 
 def fitted_batches(
-    concept: ConceptClass, hstar: Hypothesis, spec: DistributionSpec, m: int, trials: range, rng_of
+    concept: ConceptClass, hstar: Hypothesis, spec: DistributionSpec, m: int, trials: range,
+    rngs_of,
 ):
     """(batch, rngs, vss) for each sub-batch of `fit_batch(m, d)` trials:
-    rngs[i] = rng_of(batch[i]), after it drew the trial's m training points
-    from spec, and vss[i] the version space fitted to them.  The draws,
-    each through `_draw` from the trial's own generator, fill one (K, m, d)
-    stack, which hstar labels in one call and `fit_stack` fits in one pass,
-    hinted by the normal of a linear target (its callers have checked the
-    pair: `check_target`).  Each trial draws only from its own generator and
-    a stacked fit is the same bits as a one-sample fit, so the results are
+    rngs = rngs_of(batch), an iterable of the trials' generators, of which
+    one is taken just before each trial draws its m training points from
+    spec, and vss[i] the version space fitted to the points of batch[i].
+    A list of fresh generators lives on after the draws; a re-keyed
+    iterator (`derived_rngs`) does not.  The draws, each through `_draw`
+    from the trial's own generator, fill one (K, m, d) stack, which hstar
+    labels in one call and `fit_stack` fits in one pass, hinted by the
+    normal of a linear target (its callers have checked the pair:
+    `check_target`).  Each trial draws only from its own generator and a
+    stacked fit is the same bits as a one-sample fit, so the results are
     those of a loop that fits one trial at a time."""
     d = dimension(spec)
     step = fit_batch(m, d)
     hint = hstar.w if concept == "linear" else None
     for i in range(0, len(trials), step):
         batch = trials[i : i + step]
-        rngs = [rng_of(t) for t in batch]
-        X = np.stack([_draw(spec, rng, m) for rng in rngs])
+        rngs = rngs_of(batch)
+        X = np.stack([_draw(spec, rng, m) for _, rng in zip(batch, rngs)])
         y = hstar.predict_many(X.reshape(-1, d)).reshape(X.shape[:2])
         check_labelled(X, y)
         yield batch, rngs, fit_stack(X, y, concept, hint)
@@ -406,7 +421,7 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
     Z = _craft_attacks(vss, X, budget, strategy, rngs, batch)
     labels, radii, _ = paired_geometry(vss, Z)
     labels, radii = _certificates(kind, labels, radii, vss, Z,
-                                  lambda rows: derived_rngs([seeds[i] for i in rows], 101))
+                                  lambda rows: derived_rngs((seeds[i], 101) for i in rows))
     dist = np.array([math.sqrt(v @ v) for v in Z - X])  # each |z - x| as np.linalg.norm makes it
     binding = radii > dist
     hz = hstar.predict_many(Z)
@@ -444,7 +459,7 @@ def _run_trial_range(args) -> tuple[int, list[dict]]:
     certified = 0
     witnesses: list[dict] = []
     for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(lo, hi),
-                                           lambda t: derive_rng(seed ^ t)):
+                                           lambda batch: [derive_rng(seed ^ t) for t in batch]):
         seeds = [(seed ^ t) & 0xFFFFFFFFFFFFFFFF for t in batch]
         count, bad = _finish_trials(batch, seeds, rngs, vss, hstar, sampler, budget, kind,
                                     strategy)

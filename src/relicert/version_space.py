@@ -16,14 +16,16 @@ inside a representation:
                              the distance below, 0 on disputed rows;
   canonical                  the canonical member as an array: the interval
                              midpoint's cut, or the cone's interior normal;
-  ca_cap_mask(hstar, X, eta) whether the part of B(x, eta) with the target
-                             label of x stays unanimous, per row;
   dim                        the points' width, where the class fixes it.
 
 `paired_geometry(vss, Z)` asks the same questions of a list of fitted
 version spaces of one class, row i of Z against space i, by the same rules:
 one witness rule (`_codes`) for every class, and one distance assembly per
-class (`_cut_gap`, `_ray_gap`).  `attack_directions(vss, X, rngs)` steps
+class (`_cut_gap`, `_ray_gap`).  `region_masks(vss, T, ...)` asks them of a
+stack T (K, n, d), the points T[k] against space k, in blocks of spaces
+(`mask_blocks`), and adds the constrained-adversary cap test: whether the
+part of B(x, eta) with the target label of x stays unanimous.
+`attack_directions(vss, X, rngs)` steps
 each row toward its space's disputed points.  `random_members(vss, rngs)`
 draws one member per space as an array (cuts, or unit normals), and
 `member_labels` labels points by such members in one pass: only `erm`
@@ -48,8 +50,8 @@ dimensions, antipodal samples, or none).  On such a cone a point with a
 component in null(A) is disputed and an agreed point has distance 0.
 Queries are laid out ray-major: products R @ X.T of shape (rays, points),
 reduced over their short leading axis.  Every such pass (membership,
-distance, the cap test) runs over row blocks of X with at most
-SR_CHUNK_ELEMS entries each, and assembles codes and distances by
+distance, the masks and their cap test) runs over row blocks of X with at
+most SR_CHUNK_ELEMS entries each, and assembles codes and distances by
 arithmetic, not by selects.  A cone whose ray build holds more than RAY_CAP
 rays at any step is not represented: the fit raises
 DegenerateVersionSpaceError.
@@ -244,27 +246,14 @@ class IntervalVS:
             return self.lo + 1.0
         return 0.5 * (self.lo + self.hi)
 
-    def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
-        """Closed form: the cut values the same-label part of each eta-ball
-        reaches must miss the disputed interval."""
-        if not isinstance(hstar, (Threshold, OffsetBoundary)):
-            raise ValueError("target concept does not match the version space")
-        cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
-        y = hstar.predict_many(X)
-        u_x = self.coords(X)
-        reach = eta / self._scale  # residual reach of the eta point ball
-        cap_lo = np.where(y > 0, np.maximum(u_x - reach, cut), u_x - reach)
-        cap_hi = np.where(y > 0, u_x + reach, np.minimum(u_x + reach, cut))
-        return ~((cap_lo < self.hi) & (cap_hi > self.lo))
-
 
 # ---------------------------------------------------------------------------
-# (rays, points) passes in row blocks, and the constrained-adversary cap
-# test for linear version spaces
+# (rays, points) passes in row blocks
 # ---------------------------------------------------------------------------
 
 # Entries per block of every (rays, points) pass of the cone's queries and
-# cap test, and of the ray build's pair tests: blocks stay cache-sized.
+# of `region_masks`, and of the ray build's pair tests: blocks stay
+# cache-sized.
 SR_CHUNK_ELEMS = 1 << 18
 
 
@@ -283,43 +272,6 @@ def _per_point_blocks(rays: np.ndarray, X: np.ndarray, reduce, dtype, *cols) -> 
         hi = lo + size
         out[lo:hi] = reduce(rays @ X[lo:hi].T, *(c[lo:hi] for c in cols))
     return out
-
-
-def _caps_stay_unanimous(
-    rays: np.ndarray, hstar: Hypothesis, X: np.ndarray, eta: float
-) -> np.ndarray:
-    """Per point x: whether the part of B(x, eta) sharing the target label y
-    keeps <w, y*z> >= 0 for every ray w (sufficient on the rays' conic hull
-    because the cap minimum is superadditive in w).
-
-    With u = y*w and a = y*w*, the minimum of <u, z> over B(x, eta) cut by
-    {a.z >= 0} is <u, x> - eta*|u| when the free minimiser x - eta*u/|u|
-    lies in the cut, and otherwise sits on the face a.z = 0.  Rays enter
-    only through |w|, w.w* and |w - (w.w*) w*|; points only through x.w
-    and x.w*.  The arrays are (rays, points), built in blocks (see
-    `_per_point_blocks`) and reduced over the rays.
-    """
-    if not isinstance(hstar, LinearHomogeneous):
-        raise ValueError("target concept does not match the version space")
-    wstar = hstar.w
-    nu = np.linalg.norm(rays, axis=1)[:, None]
-    ua = (rays @ wstar)[:, None]  # u.a for either label
-    ut = np.linalg.norm(rays - ua * wstar[None, :], axis=1)[:, None]
-    step = eta / nu
-
-    def unanimous(V: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-        s = hstar.margins(Xb)
-        y = np.where(s >= 0.0, 1.0, -1.0)
-        ax = y * s  # a.x >= 0: the cap is never empty
-        ux = y * V
-        free = ax - step * ua >= 0.0
-        beta = np.maximum(-ax, -eta)  # move this far along a to reach a.z = 0
-        rad = np.sqrt(np.maximum(eta * eta - beta * beta, 0.0))
-        face = ux + beta * ua - rad * ut
-        low = np.where(free, ux - eta * nu, face)
-        return ~(low < 0.0).any(axis=0)
-
-    return _per_point_blocks(rays, X, unanimous, bool, X)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +356,6 @@ class ConeVS:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         cols = () if codes is None else (codes,)
         return _per_point_blocks(bank.W, X, bank.distances, float, *cols)
-
-    def ca_cap_mask(self, hstar: Hypothesis, X: np.ndarray, eta: float) -> np.ndarray:
-        """The cap test on the generators, which span the cone."""
-        return _caps_stay_unanimous(self.rays(), hstar, X, eta)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -979,6 +927,119 @@ def paired_geometry(vss: list, Z: np.ndarray) -> tuple:
     least = np.flatnonzero(signed == np.repeat(np.minimum.reduceat(signed, starts), sizes))
     nearest = np.concatenate([bank.W for bank in banks])[least[np.searchsorted(least, starts)]]
     return codes, dist, nearest
+
+
+def mask_blocks(vss: list, n: int, d: int) -> list[range]:
+    """The trial blocks of `region_masks` for n points in R^d per space:
+    runs of consecutive spaces whose count, times the largest width among
+    them (d, or a cone's generator count where that is larger), times n
+    stays within SR_CHUNK_ELEMS >> 5 entries.  A space over that share is
+    a block of its own."""
+    share = SR_CHUNK_ELEMS >> 5
+    blocks, lo, top = [], 0, 0
+    for i, vs in enumerate(vss):
+        width = max(d, vs.bank.W.shape[0]) if isinstance(vs, ConeVS) else d
+        if i > lo and (i + 1 - lo) * max(top, width) * n > share:
+            blocks.append(range(lo, i))
+            lo, top = i, 0
+        top = max(top, width)
+    return blocks + [range(lo, len(vss))] if vss else blocks
+
+
+def region_masks(vss: list, T: np.ndarray, need: float = 0.0, hstar: Hypothesis | None = None,
+                 eta: float | None = None) -> np.ndarray:
+    """(K, n) bool for a stack T (K, n, d), the points T[k] against vss[k]
+    (one class): with a cap radius `eta`, the agreed points whose cap of
+    B(x, eta) with the target hstar's label of x stays unanimous; else the
+    points at distance >= need when need > 0, else the agreed points.
+
+    The spaces run in `mask_blocks`, each block as one stack of arrays:
+    a cone pads its generators and their `plus_above` values to the
+    block's largest count by repeating its first generator (any, min and
+    max are unchanged by a repeated row), and one product W @ T.T gives
+    the values of the codes (`_codes`), the distances (`_ray_gap`) and
+    the cap test.  A block whose (spaces, generators, points) values pass
+    SR_CHUNK_ELEMS entries runs over point blocks, as `_per_point_blocks`
+    splits one space's points.  Intervals broadcast each space's cuts
+    and scale over its row.  Every value is its one-space query's."""
+    K, n, d = T.shape
+    out = np.empty((K, n), dtype=bool)
+    for block in mask_blocks(vss, n, d):
+        rows = slice(block.start, block.stop)
+        part = vss[rows]
+        rays = max((vs.bank.W.shape[0] for vs in part if isinstance(vs, ConeVS)), default=1)
+        step = max(1, SR_CHUNK_ELEMS // (len(part) * rays))
+        for lo in range(0, n, step):
+            cols = slice(lo, lo + step)
+            out[rows, cols] = _block_masks(part, T[rows, cols], need, hstar, eta)
+    return out
+
+
+def _block_masks(vss: list, T: np.ndarray, need: float, hstar, eta) -> np.ndarray:
+    """`region_masks` of one block of spaces and points, in one pass."""
+    K, n, d = T.shape
+    flat = T.reshape(-1, d)
+    if isinstance(vss[0], IntervalVS):
+        lo, hi, scale = np.array([(vs.lo, vs.hi, vs._scale) for vs in vss]).T[:, :, None]
+        u = vss[0].coords(flat).reshape(K, n)  # one base for the class: elementwise per row
+        if eta is None and need > 0.0:
+            return _cut_gap(u, lo, hi, scale) >= need
+        agreed = _codes(u > lo, u < hi) != 0
+        if eta is None:
+            return agreed
+        # closed form: the cut values the same-label part of each eta-ball
+        # reaches must miss the disputed interval
+        if not isinstance(hstar, (Threshold, OffsetBoundary)):
+            raise ValueError("target concept does not match the version space")
+        cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
+        y = hstar.predict_many(flat).reshape(K, n)
+        reach = eta / scale  # residual reach of the eta point ball
+        cap_lo = np.where(y > 0, np.maximum(u - reach, cut), u - reach)
+        cap_hi = np.where(y > 0, u + reach, np.minimum(u + reach, cut))
+        return agreed & ~((cap_lo < hi) & (cap_hi > lo))
+    banks = [vs.bank for vs in vss]
+    rows = np.arange(max(bank.W.shape[0] for bank in banks))
+    pads = [np.where(rows < bank.W.shape[0], rows, 0) for bank in banks]
+    W = np.stack([bank.W[pad] for bank, pad in zip(banks, pads)])
+    above = np.stack([bank.plus_above[pad] for bank, pad in zip(banks, pads)])
+    V = W @ T.transpose(0, 2, 1)
+    codes = _codes((V > above[:, :, None]).any(axis=1), (V < -STRICT_LP_TOL).any(axis=1))
+    if eta is None:
+        return codes != 0 if need == 0.0 else _ray_gap(lambda f: f.reduce(V, axis=1), codes) >= need
+    return (codes != 0) & _unanimous_caps(W, V, hstar, flat, eta)
+
+
+def _unanimous_caps(W: np.ndarray, V: np.ndarray, hstar, X: np.ndarray, eta: float) -> np.ndarray:
+    """Per point x of each cone: whether the part of B(x, eta) sharing the
+    target label y keeps <w, y*z> >= 0 for every generator w (sufficient
+    on the generators' conic hull because the cap minimum is superadditive
+    in w).  W (K, rays, d) are the cones' generators, X the (K * n, d)
+    rows of the points, cone by cone, and V (K, rays, n) the values of
+    the generators at them.
+
+    With u = y*w and a = y*w*, the minimum of <u, z> over B(x, eta) cut by
+    {a.z >= 0} is <u, x> - eta*|u| when the free minimiser x - eta*u/|u|
+    lies in the cut, and otherwise sits on the face a.z = 0.  Generators
+    enter only through |w|, w.w* and |w - (w.w*) w*|; points only through
+    x.w and x.w*.  The arrays are (K, rays, points), reduced over the
+    generators."""
+    if not isinstance(hstar, LinearHomogeneous):
+        raise ValueError("target concept does not match the version space")
+    wstar = hstar.w
+    nu = np.linalg.norm(W, axis=2)[:, :, None]
+    ua = (W @ wstar)[:, :, None]  # u.a for either label
+    ut = np.linalg.norm(W - ua * wstar, axis=2)[:, :, None]
+    step = eta / nu
+    s = hstar.margins(X).reshape(V.shape[0], 1, V.shape[2])
+    y = np.where(s >= 0.0, 1.0, -1.0)
+    ax = y * s  # a.x >= 0: the cap is never empty
+    ux = y * V
+    free = ax - step * ua >= 0.0
+    beta = np.maximum(-ax, -eta)  # move this far along a to reach a.z = 0
+    rad = np.sqrt(np.maximum(eta * eta - beta * beta, 0.0))
+    face = ux + beta * ua - rad * ut
+    low = np.where(free, ux - eta * nu, face)
+    return ~(low < 0.0).any(axis=1)
 
 
 def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:

@@ -674,7 +674,7 @@ def contract_report(concept, hstar, sampler, m, trials, budget, kind, strategy, 
     the trials of `fitted_batches`."""
     certified, witnesses = 0, []
     for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(trials),
-                                           lambda t: derive_rng(seed ^ t)):
+                                           lambda batch: [derive_rng(seed ^ t) for t in batch]):
         for t, rng, vs in zip(batch, rngs, vss):
             binding, bad = run_trial(t, (seed ^ t) & 0xFFFFFFFFFFFFFFFF, rng, vs, hstar,
                                      sampler, budget, kind, strategy)

@@ -272,11 +272,11 @@ def test_uniform_balls_draws_each_generators_own_ball(d):
     got = uniform_balls([derive_rng(s, 101) for s in range(9)], 64, d, radii)
     want = [uniform_ball(derive_rng(s, 101), 64, d, radii[s]) for s in range(9)]
     assert got.tobytes() == np.stack(want).tobytes()
-    rekeyed = uniform_balls(derived_rngs(range(9), 101), 64, d, radii)
+    rekeyed = uniform_balls(derived_rngs((s, 101) for s in range(9)), 64, d, radii)
     assert rekeyed.tobytes() == got.tobytes()
     # an iterator gives up exactly one generator per ball, so row blocks of
     # one check draw what one call draws
-    rngs = derived_rngs(range(9), 101)
+    rngs = derived_rngs((s, 101) for s in range(9))
     blocks = [uniform_balls(rngs, 64, d, radii[lo : lo + 4]) for lo in range(0, 9, 4)]
     assert np.concatenate(blocks).tobytes() == got.tobytes()
     # certify_many's check: one generator for every row, row after row
@@ -296,13 +296,24 @@ def _stream_bits(rng):
             + rng.integers(0, 2**31, 3, dtype=np.int32).tobytes())
 
 
-@pytest.mark.parametrize("stream", [(101,), (), (3, 4)])
+# the estimators' words: trial t's training stream (seed, t, 0) and test
+# stream (seed, t, 1), trial after trial
+_TRIAL_WORDS = [(seed, t, j) for seed in (0, 2**63, 2**64 - 1, -9) for t in (0, 1, 17)
+                for j in (0, 1)]
+
+
+@pytest.mark.parametrize("stream", [(101,), (), (3, 4), None])
 def test_derived_rngs_rekey_to_the_derive_rng_streams(stream):
-    # one Philox re-keyed per seed draws the bits of a fresh derive_rng(seed,
-    # *stream): several rows in one call, keys at the 64-bit edges, negative
-    # seeds, and a seed repeated after others
-    got = [_stream_bits(rng) for rng in derived_rngs(_EDGE_SEEDS, *stream)]
-    assert got == [_stream_bits(derive_rng(seed, *stream)) for seed in _EDGE_SEEDS]
+    # one Philox re-keyed per word tuple draws the bits of a fresh
+    # derive_rng(*words): several rows in one call, keys at the 64-bit
+    # edges, negative seeds, and a seed repeated after others; stream None
+    # takes the estimators' per-trial words
+    if stream is None:
+        words = _TRIAL_WORDS
+    else:
+        words = [(seed, *stream) for seed in _EDGE_SEEDS]
+    got = [_stream_bits(rng) for rng in derived_rngs(words)]
+    assert got == [_stream_bits(derive_rng(*w)) for w in words]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import run_trial
 
-from relicert import estimators, reliability
+from relicert import estimators, reliability, version_space
 from relicert.core import Dataset, LinearHomogeneous, Threshold, _as_point
 from relicert.distributions import (
     IsotropicGaussian,
@@ -181,7 +181,8 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
     # both trial workers fit in sub-batches of fit_batch(m, d) trials: 51 + 9
     # for the shift trials below, 68 + 68 + 14 for the attack trials; each
     # trial must come out bit for bit as a loop fitting one trial at a time,
-    # and the attack trials' batched finish as the one-trial oracle
+    # drawing from a fresh derive_rng pair and making one mask call, and the
+    # attack trials' batched finish as the one-trial oracle
     assert (fit_batch(80, 3), fit_batch(60, 3)) == (51, 68)
     hstar = LinearHomogeneous(np.array([0.48, 0.6, -0.64]))
     P = IsotropicGaussian(3)
@@ -191,18 +192,28 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
         X = _draw(P, rng, m)
         return fit_version_space(Dataset(X, hstar.predict_many(X)), "linear", hstar.w)
 
-    strengths = (0.1, 0.05, LossKind.ST)
-    got = estimators._shift_trial_mean(("linear", hstar, P, Q, 80, *strengths, 300, 14, 0, 60))
-    want = []
-    for t in range(60):
-        vs = one_fit(derive_rng(14, t, 0), 80)
-        T = _draw(Q, derive_rng(14, t, 1), 300)
-        want.append(float(np.mean(sr_membership_mask(vs, hstar, T, *strengths))))
-    assert got == want
+    fits = [one_fit(derive_rng(14, t, 0), 80) for t in range(60)]
+    # every loss and plain agreement (kind None) at a test size that puts
+    # several trials in a mask block, and a size at which the trials with
+    # the most generators run over several point blocks
+    assert min(len(b) for b in version_space.mask_blocks(fits, 300, 3)[:-1]) > 1
+    assert version_space.SR_CHUNK_ELEMS // max(vs.rays().shape[0] for vs in fits) < 33_000
+    for strengths, n in [((0.1, 0.05, LossKind.ST), 300), ((0.1, 0.0, LossKind.CA), 300),
+                         ((0.1, 0.0, LossKind.TL), 300), ((0.0, 0.0, None), 300),
+                         ((0.1, 0.05, LossKind.ST), 33_000), ((0.1, 0.0, LossKind.CA), 33_000)]:
+        got = estimators._shift_trial_mean(("linear", hstar, P, Q, 80, *strengths, n, 14, 0, 60))
+        want = []
+        for t, vs in enumerate(fits):
+            T = _draw(Q, derive_rng(14, t, 1), n)
+            if strengths[2] is None:
+                want.append(float(np.mean(vs.membership_many(T) != 0)))
+            else:
+                want.append(float(np.mean(sr_membership_mask([vs], hstar, T[None], *strengths))))
+        assert got == want
 
     attack = (0.2, LossKind.ST, "boundary-directed")
     fits = reliability.fitted_batches("linear", hstar, P, 60, range(150),
-                                      lambda t: derive_rng(32 ^ t))
+                                      lambda batch: [derive_rng(32 ^ t) for t in batch])
     assert [(t, vs.rays().tobytes()) for batch, _, vss in fits for t, vs in zip(batch, vss)] == [
         (t, one_fit(np.random.Generator(np.random.Philox(key=32 ^ t)), 60).rays().tobytes())
         for t in range(150)

@@ -268,7 +268,7 @@ def test_wrong_canonical_member_fails_the_batched_ball_check():
         labels, radii, _ = version_space.paired_geometry([vs] * 3, Z)
         return reliability._certificates(
             LossKind.ST, labels, radii, [vs] * 3, Z,
-            lambda rows: derived_rngs([seeds[i] for i in rows], 101))
+            lambda rows: derived_rngs((seeds[i], 101) for i in rows))
 
     labels, radii = finish()
     for z, label, radius, seed in zip(Z, labels, radii, seeds):
@@ -394,18 +394,56 @@ def _mask_case(name: str):
     return vs, hstar, T
 
 
+def _mask_stack(name: str):
+    """Several version spaces of one class, their target and a (K, n, d)
+    stack of test points, one row of points per space: cones with
+    different generator counts, a lineality cone (m < d) and an empty
+    sample; thresholds with half-infinite cuts; sine and affine offsets."""
+    rng = np.random.default_rng(47)
+    if name == "cone-stack":
+        hstar, concept, d = LinearHomogeneous(np.array([0.6, 0.0, 0.8])), "linear", 3
+        samples = [rng.standard_normal((m, d)) for m in (40, 7, 3, 1, 0, 12)]
+        edges = [[0.0, 0.0, 0.0], [0.8, 0.0, -0.6], [0.0, 2.0, 0.0], [2.0, 0.0, 0.0]]
+        T = [np.vstack([1.5 * rng.standard_normal((40, d)), edges]) for _ in samples]
+    elif name == "threshold-stack":
+        hstar, concept = Threshold(0.25), "threshold"
+        samples = [rng.uniform(-1.0, 1.0, (20, 1)), rng.uniform(0.3, 1.0, (6, 1)),
+                   rng.uniform(-1.0, 0.2, (6, 1)), np.zeros((0, 1)), np.array([[0.25]])]
+        T = [np.vstack([rng.uniform(-1.5, 1.5, (40, 1)), [[0.0], [0.25], [0.35], [-0.35]]])
+             for _ in samples]
+    else:  # sine and affine offsets
+        if name == "sine-stack":
+            base, d = BaseBoundary("sine", (0.5, 0.1, 1.0)), 2
+        else:
+            base, d = BaseBoundary("affine", (0.2, 0.3, -0.2)), 3
+        hstar, concept = OffsetBoundary(base, 0.05), OffsetClass(base)
+        samples = [rng.uniform(0.0, 1.0, (m, d)) for m in (30, 4, 0, 9)]
+        T = [rng.uniform(-0.2, 1.2, (44, d)) for _ in samples]
+    vss = [fit_version_space(Dataset(X, hstar.predict_many(X)) if len(X)
+                             else Dataset.empty(X.shape[1]), concept) for X in samples]
+    return vss, hstar, np.stack(T)
+
+
+_STACKS = ["cone-stack", "threshold-stack", "sine-stack", "affine-stack"]
+_STRENGTHS = [(0.0, 0.0), (0.0, 0.1), (0.1, 0.05), (0.3, 0.0)]
+
+
 @pytest.mark.parametrize(
-    "name", ["interval", "offset", "arc", "cone", "interval-empty", "arc-empty", "cone-empty"]
+    "name",
+    ["interval", "offset", "arc", "cone", "interval-empty", "arc-empty", "cone-empty"] + _STACKS,
 )
-def test_sr_mask_matches_pointwise_oracle(name):
+def test_sr_mask_matches_pointwise_oracle(name, monkeypatch):
+    if name in _STACKS:
+        return _check_stacked_mask(name, monkeypatch)
     vs, hstar, T = _mask_case(name)
     if name == "cone":
         assert isinstance(vs, ConeVS) and vs.rays().shape[1] == 3
     hits = 0
     for kind in LossKind:
-        for eta1, eta2 in [(0.0, 0.0), (0.0, 0.1), (0.1, 0.05), (0.3, 0.0)]:
-            mask = sr_membership_mask(vs, hstar, T, eta1, eta2, kind)
-            assert mask.dtype == bool and mask.shape == (T.shape[0],)
+        for eta1, eta2 in _STRENGTHS:
+            mask = sr_membership_mask([vs], hstar, T[None], eta1, eta2, kind)
+            assert mask.dtype == bool and mask.shape == (1, T.shape[0])
+            mask = mask[0]
             want = [safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind) for x in T]
             assert mask.tolist() == want
             one = [safely_reliable_membership(vs, hstar, x, eta1, eta2, kind) for x in T]
@@ -414,6 +452,48 @@ def test_sr_mask_matches_pointwise_oracle(name):
     # an empty sample leaves every point disputed, except the origin of the
     # homogeneous classes
     assert hits > 0 or name == "interval-empty"
+
+
+def _check_stacked_mask(name, monkeypatch):
+    # row k of the stacked mask is the one-space call of vss[k] on T[k], bit
+    # for bit, and the pointwise oracle, with the spaces and points in
+    # one block, in blocks of several and of single spaces, and split over
+    # their points
+    vss, hstar, T = _mask_stack(name)
+    K, n, d = T.shape
+    rays = [vs.rays().shape[0] if isinstance(vs, ConeVS) else 1 for vs in vss]
+    if name == "cone-stack":
+        R = vss[3].rays()  # m = 1 < d: +-l for each lineality vector l
+        assert len(set(rays)) > 2 and (np.abs(R[:, None] + R[None]).max(axis=2) == 0.0).sum() == 4
+    if name == "threshold-stack":
+        cuts = [(vs.lo, vs.hi) for vs in vss[1:4]]
+        assert [tuple(map(math.isinf, c)) for c in cuts] == [(True, False), (False, True),
+                                                           (True, True)]
+    one = {(kind, eta): np.stack([sr_membership_mask([vs], hstar, X[None], *eta, kind)[0]
+                                  for vs, X in zip(vss, T)])
+           for kind in LossKind for eta in _STRENGTHS}
+    for kind, (eta1, eta2) in one:
+        want = [[safely_reliable_pointwise(vs, hstar, x, eta1, eta2, kind) for x in X]
+                for vs, X in zip(vss, T)]
+        assert one[kind, (eta1, eta2)].tolist() == want
+    assert all(0 < one[kind, (0.1, 0.05)].sum() < K * n for kind in LossKind)
+    width = max(d, max(rays))
+    # one block; blocks of two or more spaces; one space per block, split
+    # into point blocks of at most 8 points per generator count
+    for chunk, multi in [(version_space.SR_CHUNK_ELEMS, False), ((2 * width * n) << 5, True),
+                         (8 * max(rays), False)]:
+        monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", chunk)
+        blocks = [len(b) for b in version_space.mask_blocks(vss, n, d)]
+        assert sum(blocks) == K and (max(blocks) > 1 and len(blocks) > 1) == multi
+        for kind, eta in one:
+            mask = sr_membership_mask(vss, hstar, T, *eta, kind)
+            assert mask.dtype == bool and mask.shape == (K, n)
+            assert np.array_equal(mask, one[kind, eta]), (chunk, kind, eta)
+        monkeypatch.undo()
+    assert blocks == [1] * K and chunk // min(rays) < n
+    # an empty stack of points
+    empty = sr_membership_mask(vss, hstar, T[:, :0], 0.1, 0.0, LossKind.CA)
+    assert empty.shape == (K, 0)
 
 
 def _one_hypothesis_arc():
@@ -434,7 +514,7 @@ def test_st_mask_matches_certified_radius(name):
     else:
         vs, hstar, T = _mask_case(name)
     for eta1, eta2 in [(0.0, 0.1), (0.1, 0.0), (0.1, 0.05), (0.3, 0.2)]:
-        mask = sr_membership_mask(vs, hstar, T, eta1, eta2, LossKind.ST)
+        mask = sr_membership_mask([vs], hstar, T[None], eta1, eta2, LossKind.ST)[0]
         radii = [certify(vs, z, LossKind.ST, seed=4).radius for z in T]
         assert mask.tolist() == [r >= eta1 + eta2 for r in radii]
 

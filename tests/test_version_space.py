@@ -708,10 +708,10 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
     assert np.array_equal(vs.dis_distance_many(Z, codes), dist)
     caps = {}
     for eta in (0.05, 0.3):
-        caps[eta] = vs.ca_cap_mask(hstar, Z, eta)
+        caps[eta] = version_space.region_masks([vs], Z[None], hstar=hstar, eta=eta)[0]
         y = hstar.predict_many(Z)
-        assert caps[eta].tolist() == [cap_stays_unanimous(R, hstar.w, z, yz, eta)
-                                      for z, yz in zip(Z, y)]
+        assert caps[eta].tolist() == [c != 0 and cap_stays_unanimous(R, hstar.w, z, yz, eta)
+                                      for c, z, yz in zip(codes, Z, y)]
     # and the meaning of the codes, away from ties
     off = np.abs(R @ Z[:n].T).min(axis=0) > 1e-3
     if d == 2:
@@ -749,7 +749,8 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
         assert np.array_equal(vs.dis_distance_many(ZE, one[0]).view(np.int64),
                               one[1].view(np.int64))
     for eta, cap in caps.items():
-        assert np.array_equal(vs.ca_cap_mask(hstar, Z, eta), cap)
+        assert np.array_equal(version_space.region_masks([vs], Z[None], hstar=hstar, eta=eta)[0],
+                              cap)
 
 
 @pytest.mark.parametrize("d, m", [(2, 100), (3, 60), (4, 40)])
