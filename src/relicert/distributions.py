@@ -60,8 +60,9 @@ def derived_rngs(words):
 def map_trial_chunks(fn, args_base: tuple, trials: int, jobs: int) -> list:
     """fn(args_base + (lo, hi)) over contiguous chunks of range(trials), one
     chunk per worker process (in this process when jobs <= 1 or one chunk
-    covers every trial); the results in chunk order.  Each trial seeds its
-    own generator from (seed, trial), so the results do not depend on jobs."""
+    covers every trial; no more workers than chunks, which fork would all
+    start); the results in chunk order.  Each trial seeds its own generator
+    from (seed, trial), so the results do not depend on jobs."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if jobs <= 1:
@@ -73,7 +74,7 @@ def map_trial_chunks(fn, args_base: tuple, trials: int, jobs: int) -> list:
         return [fn(c) for c in chunks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return list(pool.map(fn, chunks))
 
 

@@ -12,14 +12,14 @@ the set of points whose surrounding ball stays inside the agreement region
 with a constant label.  For the classes here a ball inside the agreement
 region cannot straddle two labels unless it meets the disagreement region
 (margin-exclusion / translation arguments), so the stability radius equals
-the disagreement distance (`dis_distance_many` of the version space); a
-defensive runtime sample of the certified balls fails loudly if that
-structural fact is ever violated.  Both certificate paths end in one
-finish, `_certificates`: the CA/TL radii, that ball check (`_check_balls`)
-and the abstentions.  `certify_many` feeds it one space's membership and
-distance passes, and its ball check draws every row from one generator per
-call; `certify` is its one-row call.  The attack trials feed it one
-`paired_geometry` pass, and each row's ball check draws from its trial's
+the disagreement distance; a defensive runtime sample of the certified
+balls fails loudly if that structural fact is ever violated.  Both
+certificate paths end in one finish, `_certificates`: the CA/TL radii,
+that ball check (`_check_balls`) and the abstentions.  Both feed it the
+codes and distances of one `version_space.stack_query` call: `certify_many`
+of one space and its points, whose ball check draws every row from one
+generator per call (`certify` is its one-row call), and the attack trials
+of row i against space i, whose ball checks each draw from their trial's
 own stream, so a trial's certificate is its one-row `certify`.
 
 `verify_contract` runs its trials in sub-batches of `fit_batch` trials, and
@@ -29,12 +29,13 @@ samples, each drawn from the trial's own generator, in one (K, m, d) stack,
 labels it with one call of the target and fits it in one pass
 (`fit_stack`).  `_finish_trials` draws the learners as one array
 (`random_members`), the natural points and attacks per trial, makes one
-`paired_geometry` pass over the natural points for the attack directions and
-one over the attacked points for the certificates, labels the points with
+blocked pass over the natural points for the attack directions
+(`attack_directions`) and one over the attacked points for the
+certificates (`stack_query`), labels the points with
 one call of the target and one row-wise pass for the learners
 (`member_labels`), and forms losses and witnesses as arrays.
 `sr_membership_mask` decides safely-reliable membership for a stack of
-fitted spaces and their points at once (`region_masks`); the mass
+fitted spaces and their points at once (a mask of `stack_query`); the mass
 estimators call it once per block of trials.
 
 All geometry goes through the version-space methods listed in
@@ -79,9 +80,8 @@ from .version_space import (
     fit_batch,
     fit_stack,
     member_labels,
-    paired_geometry,
     random_members,
-    region_masks,
+    stack_query,
 )
 # not called here: perfbench's layer tracer wraps these one-point forms, so
 # they report 0 calls, where a missing name would report its metrics absent
@@ -194,9 +194,8 @@ def certify_many(
     """
     Z = _as_rows(Z)
     check_width(vs, Z)
-    labels = vs.membership_many(Z)
-    radii = vs.dis_distance_many(Z, labels) if kind is LossKind.ST else None
-    return _certificates(kind, labels, radii, [vs] * len(Z), Z,
+    codes, dist = stack_query([vs], Z[None])
+    return _certificates(kind, codes[0], dist[0], [vs] * len(Z), Z,
                          lambda rows: itertools.repeat(derive_rng(seed, 101)))
 
 
@@ -227,11 +226,8 @@ def sr_membership_mask(
     Stability and true-label compare the disagreement distance with
     eta1 + eta2 or eta1 (plain agreement when that is 0).  The
     constrained-adversary region is the agreed points whose same-label
-    cap of the eta1-ball stays unanimous.  The spaces run in blocks
-    (`version_space.mask_blocks`): consecutive spaces whose stacked values
-    stay within a fixed share of SR_CHUNK_ELEMS, each block in one pass
-    (`version_space.region_masks`); a space over the share is a block of
-    its own, split over its points.  Row k is the mask of the one-space
+    cap of the eta1-ball stays unanimous.  One `version_space.stack_query`
+    pass decides every row, and row k is the mask of the one-space
     call sr_membership_mask([vss[k]], hstar, T[k:k+1], ...).
     """
     if not (0.0 <= eta1 < math.inf and 0.0 <= eta2 < math.inf):
@@ -247,8 +243,8 @@ def sr_membership_mask(
     if kind is LossKind.CA:
         if hstar is None:
             raise ValueError("the constrained-adversary region needs the target concept")
-        return region_masks(vss, T, hstar=hstar, eta=eta1)
-    return region_masks(vss, T, eta1 + eta2 if kind is LossKind.ST else eta1)
+        return stack_query(vss, T, hstar=hstar, eta=eta1)
+    return stack_query(vss, T, need=eta1 + eta2 if kind is LossKind.ST else eta1)
 
 
 def safely_reliable_membership(
@@ -419,8 +415,8 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
     learners = random_members(vss, rngs)
     X = np.concatenate([_draw(sampler, rng, 1) for rng in rngs])
     Z = _craft_attacks(vss, X, budget, strategy, rngs, batch)
-    labels, radii, _ = paired_geometry(vss, Z)
-    labels, radii = _certificates(kind, labels, radii, vss, Z,
+    codes, dist = stack_query(vss, Z[:, None])
+    labels, radii = _certificates(kind, codes[:, 0], dist[:, 0], vss, Z,
                                   lambda rows: derived_rngs((seeds[i], 101) for i in rows))
     dist = np.array([math.sqrt(v @ v) for v in Z - X])  # each |z - x| as np.linalg.norm makes it
     binding = radii > dist

@@ -12,24 +12,24 @@ Every class answers the same geometry queries, and no other module looks
 inside a representation:
 
   membership_many(X)         agreement code per row: +1, -1, or 0 (disputed);
-  dis_distance_many(X, codes)
-                             the distance below, 0 on disputed rows;
+  dis_distance_many(X)       the distance below, 0 on disputed rows;
   canonical                  the canonical member as an array: the interval
                              midpoint's cut, or the cone's interior normal;
   dim                        the points' width, where the class fixes it.
 
-`paired_geometry(vss, Z)` asks the same questions of a list of fitted
-version spaces of one class, row i of Z against space i, by the same rules:
-one witness rule (`_codes`) for every class, and one distance assembly per
-class (`_cut_gap`, `_ray_gap`).  `region_masks(vss, T, ...)` asks them of a
-stack T (K, n, d), the points T[k] against space k, in blocks of spaces
-(`mask_blocks`), and adds the constrained-adversary cap test: whether the
-part of B(x, eta) with the target label of x stays unanimous.
-`attack_directions(vss, X, rngs)` steps
-each row toward its space's disputed points.  `random_members(vss, rngs)`
-draws one member per space as an array (cuts, or unit normals), and
-`member_labels` labels points by such members in one pass: only `erm`
-builds a hypothesis.  `check_target` checks a target's class.
+Every query is one blocked pass of `stack_query(vss, T, ...)`: the points
+T[k] of a stack T (K, n, d) against vss[k], K fitted spaces of one class
+(one point set: T = X[None]; row i against space i: T = Z[:, None]), with
+one witness rule (`_codes`) for every class and one distance formula per
+class (`_cut_gap`, `_ray_gap`).  It gives the codes and distances, or a
+mask: the points at a given distance, or, for the constrained-adversary
+loss, whether the part of B(x, eta) with the target label of x stays
+unanimous.  `attack_directions(vss, X, rngs)` steps each row toward its
+space's disputed points, from the same blocked values.
+`random_members(vss, rngs)` draws one member per space as an array (cuts,
+or unit normals), and `member_labels` labels points by such members in one
+pass: only `erm` builds a hypothesis.  `check_target` checks a target's
+class.
 
 Membership in the agreement region is exact for every class.  The distance
 of an agreed point z is the Euclidean distance to the disagreement region
@@ -48,13 +48,11 @@ extreme rays, plus +-l for an orthonormal basis l of the lineality space
 null(A) when the cone contains a line (fewer independent samples than
 dimensions, antipodal samples, or none).  On such a cone a point with a
 component in null(A) is disputed and an agreed point has distance 0.
-Queries are laid out ray-major: products R @ X.T of shape (rays, points),
-reduced over their short leading axis.  Every such pass (membership,
-distance, the masks and their cap test) runs over row blocks of X with at
-most SR_CHUNK_ELEMS entries each, and assembles codes and distances by
-arithmetic, not by selects.  A cone whose ray build holds more than RAY_CAP
-rays at any step is not represented: the fit raises
-DegenerateVersionSpaceError.
+Queries are laid out ray-major: each block forms one padded product
+W @ P^T of shape (spaces, rays, points), at most SR_CHUNK_ELEMS entries,
+reduced over the rays, and assembles codes and distances by arithmetic,
+not by selects.  A cone whose ray build holds more than RAY_CAP rays at
+any step is not represented: the fit raises DegenerateVersionSpaceError.
 
 `fit_stack` fits a stack of samples, X (K, m, d) and y (K, m), and
 `fit_version_spaces` a list of them, stacked in sub-stacks of `fit_batch`
@@ -171,16 +169,26 @@ def _cut_gap(u: np.ndarray, lo, hi, scale) -> np.ndarray:
     return np.maximum(np.maximum(lo - u, 0.0), np.maximum(u - hi, 0.0)) * scale
 
 
-def _ray_gap(extreme, codes: np.ndarray) -> np.ndarray:
-    """A cone's distances from the least and largest value <w, z> of each
-    point over its generators, extreme(np.minimum) and extreme(np.maximum):
+def _ray_gap(V: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Cones' distances from the least and largest value <w, z> of each
+    point over their generators, the values V (spaces, rays, points):
     max(min, 0) [code > 0] + max(-max, 0) [code < 0] without a select.
     code <= 0 means a -1 witness, so min < 0, and the second term is finite
     where its indicator is 0 (a value >= -STRICT_LP_TOL), so no inf * 0
     arises and no distance is -0.0."""
-    dist = np.maximum(extreme(np.minimum), 0.0)
-    dist += np.maximum(-extreme(np.maximum), 0.0) * (codes < 0)
+    dist = np.maximum(V.min(axis=1), 0.0)
+    dist += np.maximum(-V.max(axis=1), 0.0) * (codes < 0)
     return dist
+
+
+def _membership_many(vs, X) -> np.ndarray:
+    """The codes of the rows of X, every class's `membership_many`."""
+    return stack_query([vs], np.atleast_2d(np.asarray(X, dtype=float))[None])[0][0]
+
+
+def _dis_distance_many(vs, X) -> np.ndarray:
+    """The distances of the rows of X, every class's `dis_distance_many`."""
+    return stack_query([vs], np.atleast_2d(np.asarray(X, dtype=float))[None])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +232,8 @@ class IntervalVS:
             return X[:, 0]
         return _residuals(self.base, X)
 
-    def membership_many(self, X: np.ndarray) -> np.ndarray:
-        """A cut t in (lo, hi] labels u +1 when u >= t: some cut does so
-        when u > lo, and some labels it -1 when u < hi (`_codes`)."""
-        u = self.coords(X)
-        return _codes(u > self.lo, u < self.hi)
-
-    def dis_distance_many(self, X: np.ndarray, codes=None) -> np.ndarray:
-        """Distance to the disputed cuts (lo, hi); `codes` are not needed."""
-        return _cut_gap(self.coords(X), self.lo, self.hi, self._scale)
+    membership_many = _membership_many
+    dis_distance_many = _dis_distance_many
 
     @property
     def canonical(self) -> float:
@@ -247,31 +248,9 @@ class IntervalVS:
         return 0.5 * (self.lo + self.hi)
 
 
-# ---------------------------------------------------------------------------
-# (rays, points) passes in row blocks
-# ---------------------------------------------------------------------------
-
-# Entries per block of every (rays, points) pass of the cone's queries and
-# of `region_masks`, and of the ray build's pair tests: blocks stay
-# cache-sized.
+# Entries per block of the (spaces, rays, points) values of `stack_query`,
+# and of the ray build's pair tests: blocks stay cache-sized.
 SR_CHUNK_ELEMS = 1 << 18
-
-
-def _per_point_blocks(rays: np.ndarray, X: np.ndarray, reduce, dtype, *cols) -> np.ndarray:
-    """reduce(rays @ X[rows].T, *(c[rows] for c in cols)) over row blocks
-    `rows` of X whose (rays, points) product has at most SR_CHUNK_ELEMS
-    entries.  `reduce` returns one value per point of its block, and the
-    blocks' values are concatenated.  X that fits in one block makes one
-    call with the arrays as given: no slicing, no output copy."""
-    n = X.shape[0]
-    size = max(1, SR_CHUNK_ELEMS // max(rays.shape[0], 1))
-    if n <= size:
-        return reduce(rays @ X.T, *cols)
-    out = np.empty(n, dtype=dtype)
-    for lo in range(0, n, size):
-        hi = lo + size
-        out[lo:hi] = reduce(rays @ X[lo:hi].T, *(c[lo:hi] for c in cols))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +271,6 @@ class _Bank:
     cuts: np.ndarray
     exhaustive = True  # every generator is present; read by perfbench's layer tracer
 
-    def codes(self, V: np.ndarray) -> np.ndarray:
-        """Membership codes (`_codes`) from the values V = W @ Z.T."""
-        return _codes((V > self.plus_above[:, None]).any(axis=0), (V < -STRICT_LP_TOL).any(axis=0))
-
-    def distances(self, V: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
-        """The distances (`_ray_gap`) from the values V = W @ Z.T."""
-        return _ray_gap(lambda f: f.reduce(V, axis=0), self.codes(V) if codes is None else codes)
-
 
 @dataclass(frozen=True, eq=False)
 class ConeVS:
@@ -307,8 +278,7 @@ class ConeVS:
     rows from negative labels are `strict` (<w, A_i> > 0).
 
     Every query reads the cone's unit generators (`rays`), built by the
-    fit and held in `bank`, in blocks of at most SR_CHUNK_ELEMS (rays,
-    points) entries (`_per_point_blocks`).  A generator w is a -1 witness at z
+    fit and held in `bank`, through `stack_query`.  A generator w is a -1 witness at z
     when <w, z> < -STRICT_LP_TOL.  It is a +1 witness when <w, z> >
     STRICT_LP_TOL, and also when |<w, z>| <= STRICT_LP_TOL if w lies on no
     strict facet: such a w is itself a consistent normal, and sign(0) = +1.
@@ -342,20 +312,8 @@ class ConeVS:
         """The unit generators (see `_Bank`), one per row."""
         return self.bank.W
 
-    def membership_many(self, X: np.ndarray) -> np.ndarray:
-        bank = self.bank
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _per_point_blocks(bank.W, X, bank.codes, np.int8)
-
-    def dis_distance_many(self, X: np.ndarray, codes=None) -> np.ndarray:
-        """min |<w, z>| over unit normals w in the cone, 0 on disputed rows:
-        the least <w, z> over the generators on +1 rows, and the least
-        -<w, z> on -1 rows.  `codes`, when the caller has them, must be
-        `membership_many(X)`; otherwise they come from the same product."""
-        bank = self.bank
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        cols = () if codes is None else (codes,)
-        return _per_point_blocks(bank.W, X, bank.distances, float, *cols)
+    membership_many = _membership_many
+    dis_distance_many = _dis_distance_many
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -707,7 +665,7 @@ class ConeDistanceInfo:
 def cone_dis_distance_info(vs: ConeVS, z, agreed_sign: int) -> ConeDistanceInfo:
     """The one-point form of `ConeVS.dis_distance_many` for z in the
     agreement region, with the minimising generator.  No query calls it:
-    `paired_geometry` finds that generator for every row at once."""
+    `attack_directions` finds that generator for every row at once."""
     z = _as_point(z, dim=vs.dim)
     W = vs.rays()
     vals = W @ (float(agreed_sign) * z)
@@ -902,35 +860,8 @@ def check_width(vs: VersionSpace, X: np.ndarray) -> None:
         )
 
 
-def paired_geometry(vss: list, Z: np.ndarray) -> tuple:
-    """Row i of Z against the fitted version space vss[i], for a list of one
-    class: the codes of `membership_many`, the distances of
-    `dis_distance_many` and, for cones, the first generator w of vss[i] with
-    the least code * <w, z> on each row (None for intervals).  Each value is
-    the one-row query's: a cone row makes its own product W_i @ z_i, and the
-    reductions over each row's segment of the concatenated values are exact.
-    """
-    check_width(vss[0], Z)
-    if isinstance(vss[0], IntervalVS):
-        u = vss[0].coords(Z)  # one base for the class: elementwise per row
-        lo, hi, scale = np.array([(vs.lo, vs.hi, vs._scale) for vs in vss]).T
-        return _codes(u > lo, u < hi), _cut_gap(u, lo, hi, scale), None
-    # a fitted cone holds at least one generator, so no segment is empty
-    banks = [vs.bank for vs in vss]
-    sizes = np.array([bank.W.shape[0] for bank in banks])
-    starts = np.cumsum(sizes) - sizes
-    V = np.concatenate([bank.W @ z for bank, z in zip(banks, Z)])
-    plus = np.logical_or.reduceat(V > np.concatenate([b.plus_above for b in banks]), starts)
-    codes = _codes(plus, np.logical_or.reduceat(V < -STRICT_LP_TOL, starts))
-    dist = _ray_gap(lambda f: f.reduceat(V, starts), codes)
-    signed = V * np.repeat(codes, sizes)
-    least = np.flatnonzero(signed == np.repeat(np.minimum.reduceat(signed, starts), sizes))
-    nearest = np.concatenate([bank.W for bank in banks])[least[np.searchsorted(least, starts)]]
-    return codes, dist, nearest
-
-
 def mask_blocks(vss: list, n: int, d: int) -> list[range]:
-    """The trial blocks of `region_masks` for n points in R^d per space:
+    """The trial blocks of `stack_query` for n points in R^d per space:
     runs of consecutive spaces whose count, times the largest width among
     them (d, or a cone's generator count where that is larger), times n
     stays within SR_CHUNK_ELEMS >> 5 entries.  A space over that share is
@@ -946,76 +877,100 @@ def mask_blocks(vss: list, n: int, d: int) -> list[range]:
     return blocks + [range(lo, len(vss))] if vss else blocks
 
 
-def region_masks(vss: list, T: np.ndarray, need: float = 0.0, hstar: Hypothesis | None = None,
-                 eta: float | None = None) -> np.ndarray:
-    """(K, n) bool for a stack T (K, n, d), the points T[k] against vss[k]
-    (one class): with a cap radius `eta`, the agreed points whose cap of
-    B(x, eta) with the target hstar's label of x stays unanimous; else the
-    points at distance >= need when need > 0, else the agreed points.
-
-    The spaces run in `mask_blocks`, each block as one stack of arrays:
-    a cone pads its generators and their `plus_above` values to the
-    block's largest count by repeating its first generator (any, min and
-    max are unchanged by a repeated row), and one product W @ T.T gives
-    the values of the codes (`_codes`), the distances (`_ray_gap`) and
-    the cap test.  A block whose (spaces, generators, points) values pass
-    SR_CHUNK_ELEMS entries runs over point blocks, as `_per_point_blocks`
-    splits one space's points.  Intervals broadcast each space's cuts
-    and scale over its row.  Every value is its one-space query's."""
-    K, n, d = T.shape
-    out = np.empty((K, n), dtype=bool)
+def _query_blocks(vss: list, T: np.ndarray, visit) -> None:
+    """visit(rows, cols, P, G, V, codes) per block of the stack T: a run of
+    spaces `rows` (`mask_blocks`) and a chunk of points `cols` with at most
+    SR_CHUNK_ELEMS values, P = T[rows, cols], and the codes (`_codes`).
+    Cones: G = (W, above), the generators and `plus_above` values padded to
+    the block's largest count by repeating the first (any, min, max and the
+    first argmin are unchanged), gathered by one index; V = W @ P^T.
+    Intervals: G = (lo, hi, scale), (spaces, 1) each; V the cut
+    coordinates.  A block's values are freed before the next one's form."""
+    _, n, d = T.shape
     for block in mask_blocks(vss, n, d):
         rows = slice(block.start, block.stop)
         part = vss[rows]
-        rays = max((vs.bank.W.shape[0] for vs in part if isinstance(vs, ConeVS)), default=1)
-        step = max(1, SR_CHUNK_ELEMS // (len(part) * rays))
+        if isinstance(part[0], ConeVS):
+            sizes = np.array([vs.bank.W.shape[0] for vs in part])
+            j = np.arange(sizes.max())
+            pick = (np.cumsum(sizes) - sizes)[:, None] + np.where(j < sizes[:, None], j, 0)
+            G = (np.concatenate([vs.bank.W for vs in part])[pick],
+                 np.concatenate([vs.bank.plus_above for vs in part])[pick][:, :, None])
+        else:
+            G = tuple(np.array([(vs.lo, vs.hi, vs._scale) for vs in part]).T[:, :, None])
+        step = max(1, SR_CHUNK_ELEMS // (len(part) * G[0].shape[1]))  # spaces x rays
         for lo in range(0, n, step):
             cols = slice(lo, lo + step)
-            out[rows, cols] = _block_masks(part, T[rows, cols], need, hstar, eta)
-    return out
+            visit(rows, cols, *_block_values(part[0], G, T[rows, cols]))
 
 
-def _block_masks(vss: list, T: np.ndarray, need: float, hstar, eta) -> np.ndarray:
-    """`region_masks` of one block of spaces and points, in one pass."""
-    K, n, d = T.shape
-    flat = T.reshape(-1, d)
-    if isinstance(vss[0], IntervalVS):
-        lo, hi, scale = np.array([(vs.lo, vs.hi, vs._scale) for vs in vss]).T[:, :, None]
-        u = vss[0].coords(flat).reshape(K, n)  # one base for the class: elementwise per row
-        if eta is None and need > 0.0:
-            return _cut_gap(u, lo, hi, scale) >= need
-        agreed = _codes(u > lo, u < hi) != 0
-        if eta is None:
-            return agreed
-        # closed form: the cut values the same-label part of each eta-ball
-        # reaches must miss the disputed interval
-        if not isinstance(hstar, (Threshold, OffsetBoundary)):
-            raise ValueError("target concept does not match the version space")
-        cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
-        y = hstar.predict_many(flat).reshape(K, n)
-        reach = eta / scale  # residual reach of the eta point ball
-        cap_lo = np.where(y > 0, np.maximum(u - reach, cut), u - reach)
-        cap_hi = np.where(y > 0, u + reach, np.minimum(u + reach, cut))
-        return agreed & ~((cap_lo < hi) & (cap_hi > lo))
-    banks = [vs.bank for vs in vss]
-    rows = np.arange(max(bank.W.shape[0] for bank in banks))
-    pads = [np.where(rows < bank.W.shape[0], rows, 0) for bank in banks]
-    W = np.stack([bank.W[pad] for bank, pad in zip(banks, pads)])
-    above = np.stack([bank.plus_above[pad] for bank, pad in zip(banks, pads)])
-    V = W @ T.transpose(0, 2, 1)
-    codes = _codes((V > above[:, :, None]).any(axis=1), (V < -STRICT_LP_TOL).any(axis=1))
-    if eta is None:
-        return codes != 0 if need == 0.0 else _ray_gap(lambda f: f.reduce(V, axis=1), codes) >= need
-    return (codes != 0) & _unanimous_caps(W, V, hstar, flat, eta)
+def _block_values(vs: VersionSpace, G: tuple, P: np.ndarray) -> tuple:
+    """(P, G, V, codes) of a block of `_query_blocks` of the class of vs."""
+    if isinstance(vs, ConeVS):
+        V = G[0] @ P.transpose(0, 2, 1)
+        return P, G, V, _codes((V > G[1]).any(axis=1), (V < -STRICT_LP_TOL).any(axis=1))
+    V = vs.coords(P.reshape(-1, P.shape[2])).reshape(P.shape[:2])  # one base for the class
+    # a cut t in (lo, hi] labels u +1 when u >= t: some cut does so when
+    # u > lo, and some labels it -1 when u < hi
+    return P, G, V, _codes(V > G[0], V < G[1])
 
 
-def _unanimous_caps(W: np.ndarray, V: np.ndarray, hstar, X: np.ndarray, eta: float) -> np.ndarray:
+def stack_query(vss: list, T: np.ndarray, need: float | None = None,
+                hstar: Hypothesis | None = None, eta: float | None = None):
+    """The points T[k] (n, d) of a stack T (K, n, d) against vss[k], K
+    fitted spaces of one class, in one blocked pass (`_query_blocks`).
+
+    Without `need` or `eta`: the codes (int8) and the distances to the
+    disagreement region (0 on disputed points), (K, n) each.  Else a (K, n)
+    bool mask, reduced per block: with a cap radius `eta`, the agreed
+    points whose cap of B(x, eta) with hstar's label of x stays unanimous;
+    else the points at distance >= need > 0, or the agreed ones at need 0.
+    Every value is its one-space query's, but a cone's padded
+    matrix-vector product (n = 1) may round differently from its own."""
+    K, n, _ = T.shape
+    mask = need is not None or eta is not None
+    out = np.empty((K, n), dtype=bool if mask else np.int8)
+    dist = None if mask else np.empty((K, n))
+    cone = bool(vss) and isinstance(vss[0], ConeVS)
+
+    def visit(rows, cols, P, G, V, codes):
+        if eta is not None:
+            caps = (_unanimous_caps if cone else _unanimous_cuts)(G, V, hstar, P, eta)
+            out[rows, cols] = (codes != 0) & caps
+        elif need == 0.0:
+            out[rows, cols] = codes != 0
+        else:
+            gap = _ray_gap(V, codes) if cone else _cut_gap(V, *G)
+            if need is None:
+                out[rows, cols], dist[rows, cols] = codes, gap
+            else:
+                out[rows, cols] = gap >= need
+
+    _query_blocks(vss, T, visit)
+    return out if mask else (out, dist)
+
+
+def _unanimous_cuts(G: tuple, u: np.ndarray, hstar, P: np.ndarray, eta: float) -> np.ndarray:
+    """The cap test of a block of intervals G = (lo, hi, scale), in closed
+    form: the cut values that the same-label part of each eta-ball around
+    P reaches (from u, their cut coordinates) must miss (lo, hi)."""
+    lo, hi, scale = G
+    if not isinstance(hstar, (Threshold, OffsetBoundary)):
+        raise ValueError("target concept does not match the version space")
+    cut = hstar.t if isinstance(hstar, Threshold) else hstar.offset
+    y = hstar.predict_many(P.reshape(-1, P.shape[2])).reshape(u.shape)
+    reach = eta / scale  # residual reach of the eta point ball
+    cap_lo = np.where(y > 0, np.maximum(u - reach, cut), u - reach)
+    cap_hi = np.where(y > 0, u + reach, np.minimum(u + reach, cut))
+    return ~((cap_lo < hi) & (cap_hi > lo))
+
+
+def _unanimous_caps(G: tuple, V: np.ndarray, hstar, P: np.ndarray, eta: float) -> np.ndarray:
     """Per point x of each cone: whether the part of B(x, eta) sharing the
     target label y keeps <w, y*z> >= 0 for every generator w (sufficient
     on the generators' conic hull because the cap minimum is superadditive
-    in w).  W (K, rays, d) are the cones' generators, X the (K * n, d)
-    rows of the points, cone by cone, and V (K, rays, n) the values of
-    the generators at them.
+    in w).  G = (W, above) holds the cones' generators W (K, rays, d), P
+    (K, n, d) their points, and V (K, rays, n) the values of W at them.
 
     With u = y*w and a = y*w*, the minimum of <u, z> over B(x, eta) cut by
     {a.z >= 0} is <u, x> - eta*|u| when the free minimiser x - eta*u/|u|
@@ -1025,12 +980,12 @@ def _unanimous_caps(W: np.ndarray, V: np.ndarray, hstar, X: np.ndarray, eta: flo
     generators."""
     if not isinstance(hstar, LinearHomogeneous):
         raise ValueError("target concept does not match the version space")
-    wstar = hstar.w
+    W, wstar = G[0], hstar.w
     nu = np.linalg.norm(W, axis=2)[:, :, None]
     ua = (W @ wstar)[:, :, None]  # u.a for either label
     ut = np.linalg.norm(W - ua * wstar, axis=2)[:, :, None]
     step = eta / nu
-    s = hstar.margins(X).reshape(V.shape[0], 1, V.shape[2])
+    s = hstar.margins(P.reshape(-1, P.shape[2])).reshape(V.shape[0], 1, V.shape[2])
     y = np.where(s >= 0.0, 1.0, -1.0)
     ax = y * s  # a.x >= 0: the cap is never empty
     ux = y * V
@@ -1045,23 +1000,31 @@ def _unanimous_caps(W: np.ndarray, V: np.ndarray, hstar, X: np.ndarray, eta: flo
 def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:
     """Per row i, a unit step from X[i] toward the points vss[i] disputes.
 
-    A cone row steps against its `paired_geometry` generator w: along -w
-    where <w, x> >= 1e-15, else along w.  An interval row steps along the
-    last axis toward the disputed cuts.  A disputed row draws from its own
-    generator rngs[i], in row order: a random unit for a cone, a coin flip
-    for an interval.
+    A cone row steps against the first generator w of vss[i] with the least
+    code * <w, x>, from the values of the blocked pass (`_query_blocks`):
+    along -w where <w, x> >= 1e-15, else along w.  An interval row steps
+    along the last axis toward the disputed cuts.  A disputed row draws
+    from its own generator rngs[i], in row order: a random unit for a cone,
+    a coin flip for an interval.
     """
-    codes, _, nearest = paired_geometry(vss, X)
-    disputed = np.flatnonzero(codes == 0)
-    if nearest is None:
+    if isinstance(vss[0], IntervalVS):
+        codes = stack_query(vss, X[:, None])[0][:, 0]
         D = np.zeros(X.shape)
         D[:, -1] = -codes
-        for i in disputed:
+        for i in np.flatnonzero(codes == 0):
             D[i, -1] = 1.0 if rngs[i].random() < 0.5 else -1.0
         return D
-    margins = np.array([w @ x for w, x in zip(nearest, X)])  # each the one-point dot, as before
+    codes = np.empty(len(vss), dtype=np.int8)
+    nearest = np.empty(X.shape)
+
+    def visit(rows, cols, P, G, V, code):
+        first = np.argmin(code[:, None, :] * V, axis=1)[:, 0]
+        codes[rows], nearest[rows] = code[:, 0], G[0][np.arange(len(first)), first]
+
+    _query_blocks(vss, X[:, None], visit)
+    margins = np.array([w @ x for w, x in zip(nearest, X)])  # each row's one-point dot
     D = np.where(margins >= 1e-15, -1.0, 1.0)[:, None] * nearest
-    for i in disputed:
+    for i in np.flatnonzero(codes == 0):
         D[i] = _random_unit(rngs[i], X.shape[1])
     return D
 

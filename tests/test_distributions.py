@@ -20,7 +20,7 @@ from relicert.distributions import (
     uniform_ball,
     uniform_balls,
 )
-from relicert.distributions import _draw, derive_rng, derived_rngs
+from relicert.distributions import _draw, derive_rng, derived_rngs, map_trial_chunks
 from relicert.reliability import _craft_attacks
 
 
@@ -328,3 +328,30 @@ def test_random_ball_attack_keeps_its_draws(d):
     want = x + 0.2 * old.random() ** (1.0 / d) * g
     got = _craft_attacks(None, x[None, :], 0.2, "random-ball", [rng()], range(1))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trials, jobs, workers", [(20, 64, 20), (20, 2, 2), (7, 3, 3), (3, 8, 3)])
+def test_trial_chunks_start_one_worker_per_chunk(trials, jobs, workers, monkeypatch):
+    # the pool is asked for no more workers than there are chunks; a fake
+    # executor records the request and maps in this process
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    out = map_trial_chunks(lambda args: list(range(*args[1:])), ("base",), trials, jobs)
+    assert asked == [workers] and len(out) == workers
+    assert [t for chunk in out for t in chunk] == list(range(trials))

@@ -255,7 +255,7 @@ def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
 
 
 def test_wrong_canonical_member_fails_the_batched_ball_check():
-    # the attack trials' certificates: one paired_geometry pass, then the
+    # the attack trials' certificates: one paired stack_query pass, then the
     # finish certify_many ends in, each row drawing from its own trial's
     # stream; each row certifies as its one-row certify does, and the ball
     # check labels each ball by its row's canonical member
@@ -265,9 +265,9 @@ def test_wrong_canonical_member_fails_the_batched_ball_check():
     seeds = [4, 5, 6]
 
     def finish():
-        labels, radii, _ = version_space.paired_geometry([vs] * 3, Z)
+        codes, dist = version_space.stack_query([vs] * 3, Z[:, None])
         return reliability._certificates(
-            LossKind.ST, labels, radii, [vs] * 3, Z,
+            LossKind.ST, codes[:, 0], dist[:, 0], [vs] * 3, Z,
             lambda rows: derived_rngs((seeds[i], 101) for i in rows))
 
     labels, radii = finish()

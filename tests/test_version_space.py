@@ -601,8 +601,10 @@ def _one_row_queries(vss, Z):
     return codes, dist
 
 
-def test_paired_geometry_rows_are_the_one_row_queries():
-    rng = np.random.default_rng(5)
+def _paired_cones(rng):
+    """Rows Z[i] against cones vss[i] of five generator counts: per cone,
+    Gaussian points, its samples' directions and their antipodes, its rays,
+    and the origin, in a random order."""
     hstar = LinearHomogeneous(np.array([0.48, 0.6, -0.64]))
     cones = [_strict_facet_sample()[1], fit_version_space(Dataset.empty(3), "linear"),
              fit_version_space(Dataset.from_points([[0.2, 0.9, -0.4]], [-1]), "linear")]
@@ -613,8 +615,6 @@ def test_paired_geometry_rows_are_the_one_row_queries():
     assert len(set(sizes)) >= 5
     assert (cones[0].bank.plus_above == version_space.STRICT_LP_TOL).sum() >= 2
     assert sizes[2] == 5  # one ray, and +-l for a 2-d lineality space
-    # per cone: Gaussian points, its samples' directions and their
-    # antipodes, its rays, and the origin
     vss, rows = [], []
     for vs in cones:
         U = vs.A if vs.A.shape[0] else np.eye(3)
@@ -622,36 +622,117 @@ def test_paired_geometry_rows_are_the_one_row_queries():
         vss += [vs] * len(P)
         rows.append(P)
     order = rng.permutation(len(vss))
-    vss, Z = [vss[i] for i in order], np.vstack(rows)[order]
-    codes, dist, nearest = version_space.paired_geometry(vss, Z)
-    want_codes, want_dist = _one_row_queries(vss, Z)
-    assert codes.dtype == np.int8 and np.array_equal(codes, want_codes)
-    assert {-1, 0, 1} <= set(codes.tolist())
-    assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))
-    for vs, z, code, w in zip(vss, Z, codes, nearest):
-        signed = code * (vs.rays() @ z)
-        assert w.tobytes() == vs.rays()[np.argmin(signed)].tobytes()  # the first to attain it
+    return [vss[i] for i in order], np.vstack(rows)[order]
 
-    # intervals: thresholds and offsets, half-infinite cuts, and threshold
-    # points at every lo and hi
+
+def _paired_intervals(rng, base):
+    """Rows against intervals: half-infinite cuts, and points whose cut
+    coordinate sits at every lo and hi."""
+    bounds = ((0.2, 0.8), (-math.inf, 0.5), (0.1, math.inf), (-math.inf, math.inf),
+              (-0.3, -0.25))
+    spaces = [IntervalVS(lo, hi, base) for lo, hi in bounds]
+    values = [0.2, 0.8, 0.5, 0.1, -0.3, -0.25, 0.0, 1.5, -2.0, 0.6]
+    vss = [spaces[i % len(spaces)] for i in range(len(spaces) * len(values))]
+    u = np.array([values[i // len(spaces)] for i in range(len(vss))])
+    if base is None:
+        return vss, u[:, None]
+    x1 = rng.uniform(0.0, 1.0, len(u))  # points whose residual is about u
+    return vss, np.column_stack([x1, u + base(x1[:, None])])
+
+
+def test_paired_rows_are_the_one_row_queries():
+    rng = np.random.default_rng(5)
+    vss, Z = _paired_cones(rng)
+    codes, dist = version_space.stack_query(vss, Z[:, None])
+    want_codes, want_dist = _one_row_queries(vss, Z)
+    assert codes.dtype == np.int8 and np.array_equal(codes[:, 0], want_codes)
+    assert {-1, 0, 1} <= set(want_codes.tolist())
+    assert np.array_equal(dist[:, 0].view(np.int64), want_dist.view(np.int64))
     for base in (None, BaseBoundary("sine", (0.1, 0.3, 2.0))):
-        bounds = ((0.2, 0.8), (-math.inf, 0.5), (0.1, math.inf), (-math.inf, math.inf),
-                  (-0.3, -0.25))
-        spaces = [IntervalVS(lo, hi, base) for lo, hi in bounds]
-        values = [0.2, 0.8, 0.5, 0.1, -0.3, -0.25, 0.0, 1.5, -2.0, 0.6]
-        vss = [spaces[i % len(spaces)] for i in range(len(spaces) * len(values))]
-        u = np.array([values[i // len(spaces)] for i in range(len(vss))])
-        if base is None:
-            Z = u[:, None]
-        else:  # points whose residual is about u
-            x1 = rng.uniform(0.0, 1.0, len(u))
-            Z = np.column_stack([x1, u + base(x1[:, None])])
-        codes, dist, nearest = version_space.paired_geometry(vss, Z)
+        vss, Z = _paired_intervals(rng, base)
+        codes, dist = version_space.stack_query(vss, Z[:, None])
         want_codes, want_dist = _one_row_queries(vss, Z)
-        assert nearest is None
-        assert np.array_equal(codes, want_codes)
-        assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))
-        assert {-1, 0, 1} <= set(codes.tolist())
+        assert np.array_equal(codes[:, 0], want_codes)
+        assert np.array_equal(dist[:, 0].view(np.int64), want_dist.view(np.int64))
+        assert {-1, 0, 1} <= set(want_codes.tolist())
+
+
+def test_attack_directions_step_against_the_first_least_generator():
+    # a cone row steps against the first generator with the least code *
+    # <w, x> (along -w when <w, x> >= 1e-15, else along w); a disputed row
+    # draws a random unit from its own generator, and no other row draws
+    rng = np.random.default_rng(5)
+    vss, Z = _paired_cones(rng)
+    S, arc = spec_arc()
+    strict = arc.bank.plus_above == version_space.STRICT_LP_TOL
+    x_neg = S.X[1] / np.linalg.norm(S.X[1])  # 0 on the strict ray: its least value
+    for pairs in ([(vs, z) for vs, z in zip(vss, Z)], [(arc, x_neg), (arc, -x_neg)]):
+        spaces, X = [vs for vs, _ in pairs], np.array([z for _, z in pairs])
+        D = version_space.attack_directions(spaces, X, [np.random.default_rng(i)
+                                                        for i in range(len(X))])
+        for i, (vs, x) in enumerate(pairs):
+            code = int(vs.membership_many(x[None])[0])
+            if code == 0:
+                want = version_space._random_unit(np.random.default_rng(i), X.shape[1])
+            else:
+                w = vs.rays()[np.argmin(code * (vs.rays() @ x))]  # the first to attain it
+                want = -w if w @ x >= 1e-15 else w
+            assert D[i].tobytes() == want.tobytes(), i
+    assert D[0].tobytes() == arc.rays()[strict][0].tobytes()
+    assert 0 in [int(vs.membership_many(z[None])[0]) for vs, z in zip(vss, Z)]
+
+    # an interval row steps along the last axis toward the disputed cuts,
+    # and a disputed row flips a coin
+    for base in (None, BaseBoundary("sine", (0.1, 0.3, 2.0))):
+        vss, Z = _paired_intervals(rng, base)
+        D = version_space.attack_directions(vss, Z, [np.random.default_rng(i)
+                                                     for i in range(len(Z))])
+        codes = _one_row_queries(vss, Z)[0]
+        want = np.zeros(Z.shape)
+        want[:, -1] = [-c if c else (1.0 if np.random.default_rng(i).random() < 0.5 else -1.0)
+                       for i, c in enumerate(codes)]
+        assert np.array_equal(D, want) and {-1, 0, 1} <= set(codes.tolist())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_queries_are_the_one_space_queries(d, monkeypatch):
+    # cones of different generator counts, padded to one block's largest,
+    # and intervals: every row of a stack, in one block, in blocks of
+    # several spaces and in point chunks, has its one-space codes and
+    # distances, bit for bit.  Every chunk holds at least two points.
+    rng = np.random.default_rng(40 + d)
+    hstar = LinearHomogeneous(rng.standard_normal(d))
+    cones = [fit_version_space(Dataset.empty(d), "linear")]
+    for m in (1, 3, 12, 40):
+        X = rng.standard_normal((m, d))
+        cones.append(fit_version_space(Dataset(X, hstar.predict_many(X)), "linear", hstar.w))
+    assert len({vs.rays().shape[0] for vs in cones}) >= 3
+    base = BaseBoundary("affine", tuple(rng.uniform(-0.5, 0.5, d)))
+    intervals = [IntervalVS(lo, hi, b) for b in (None, base)
+                 for lo, hi in ((0.2, 0.8), (-math.inf, 0.5), (0.1, math.inf), (-0.3, -0.25))]
+    n = 40
+    for vss in (cones, intervals[:4], intervals[4:]):
+        width = 1 if vss[0].dim == 1 else d
+        T = np.empty((len(vss), n, width))
+        for k, vs in enumerate(vss):
+            U = vs.A if isinstance(vs, ConeVS) and vs.A.shape[0] else np.eye(width)
+            T[k] = np.vstack([U, -U, rng.standard_normal((n, width))])[:n]
+        want = [(vs.membership_many(X), vs.dis_distance_many(X)) for vs, X in zip(vss, T)]
+        assert {-1, 0, 1} <= {int(c) for codes, _ in want for c in codes}
+        rays = max(vs.rays().shape[0] if isinstance(vs, ConeVS) else 1 for vs in vss)
+        for chunk, several in [(version_space.SR_CHUNK_ELEMS, None),
+                               ((2 * max(width, rays) * n) << 5, True), (9 * rays, False)]:
+            monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", chunk)
+            blocks = [len(b) for b in version_space.mask_blocks(vss, n, width)]
+            assert several is None or (max(blocks) > 1 and len(blocks) > 1) == several
+            sizes = []
+            version_space._query_blocks(vss, T, lambda rows, cols, P, *_: sizes.append(P.shape[1]))
+            assert min(sizes) >= 2 and (min(sizes) < n) == (chunk == 9 * rays)
+            codes, dist = version_space.stack_query(vss, T)
+            for k, (want_codes, want_dist) in enumerate(want):
+                assert np.array_equal(codes[k], want_codes), (chunk, k)
+                assert np.array_equal(dist[k].view(np.int64), want_dist.view(np.int64)), (chunk, k)
+            monkeypatch.undo()
 
 
 def test_witness_rule_ties_on_single_and_paired_paths():
@@ -662,8 +743,8 @@ def test_witness_rule_ties_on_single_and_paired_paths():
         assert vs.membership_many(np.array([[u]])).tolist() == [code]
         assert vs.dis_distance_many(np.array([[u]])).tolist() == [0.0]
     Z = np.array([[0.8], [0.8], [0.2], [0.2]])
-    codes, dist, _ = version_space.paired_geometry(spaces + spaces[:1], Z)
-    assert codes.tolist() == [1, 1, -1, -1] and dist.tolist() == [0.0] * 4
+    codes, dist = version_space.stack_query(spaces + spaces[:1], Z[:, None])
+    assert codes[:, 0].tolist() == [1, 1, -1, -1] and dist[:, 0].tolist() == [0.0] * 4
 
     # a cone with a ray on a positive sample's facet and a ray on the
     # negative sample's (strict) facet
@@ -678,11 +759,10 @@ def test_witness_rule_ties_on_single_and_paired_paths():
     # witness, so only the free ray's -1 counts
     Z = np.vstack([-x_pos, x_neg])
     assert vs.membership_many(Z).tolist() == [0, -1]
-    codes, dist, nearest = version_space.paired_geometry([vs, vs], Z)
-    assert codes.tolist() == [0, -1]
-    assert [a.tolist() for a in _one_row_queries([vs, vs], Z)] == [[0, -1], dist.tolist()]
-    assert dist[0] == 0.0 and dist[1] <= 1e-15  # x_neg is on the strict facet
-    assert nearest[1].tobytes() == vs.rays()[strict][0].tobytes()
+    codes, dist = version_space.stack_query([vs, vs], Z[:, None])
+    assert codes[:, 0].tolist() == [0, -1]
+    assert [a.tolist() for a in _one_row_queries([vs, vs], Z)] == [[0, -1], dist[:, 0].tolist()]
+    assert dist[0, 0] == 0.0 and dist[1, 0] <= 1e-15  # x_neg is on the strict facet
 
 
 @pytest.mark.parametrize("d, m, seed, n, rays", [(2, 100, 3, 10_000, 2), (5, 20, 24, 5, 30)])
@@ -705,10 +785,9 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
     want = [0.0 if c == 0 else max(min(float(w @ (c * z)) for w in R), 0.0)
             for c, z in zip(codes, Z)]
     assert np.max(np.abs(dist - want)) <= 1e-12
-    assert np.array_equal(vs.dis_distance_many(Z, codes), dist)
     caps = {}
     for eta in (0.05, 0.3):
-        caps[eta] = version_space.region_masks([vs], Z[None], hstar=hstar, eta=eta)[0]
+        caps[eta] = version_space.stack_query([vs], Z[None], hstar=hstar, eta=eta)[0]
         y = hstar.predict_many(Z)
         assert caps[eta].tolist() == [c != 0 and cap_stays_unanimous(R, hstar.w, z, yz, eta)
                                       for c, z, yz in zip(codes, Z, y)]
@@ -736,8 +815,6 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
                               cone_distances_where(V, one[0]).view(np.int64))
         assert not np.signbit(one[1]).any()
         assert np.isinf(one[1]).any()
-        assert np.array_equal(vs.dis_distance_many(ZE, one[0]).view(np.int64),
-                              one[1].view(np.int64))
 
         # the same queries in at least three blocks, the last one ragged
         size = ZE.shape[0] // 3 - 1
@@ -746,10 +823,8 @@ def test_ray_major_queries_match_pointwise_oracles(d, m, seed, n, rays, monkeypa
         monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", rays * size)
         assert np.array_equal(vs.membership_many(ZE), one[0])
         assert np.array_equal(vs.dis_distance_many(ZE).view(np.int64), one[1].view(np.int64))
-        assert np.array_equal(vs.dis_distance_many(ZE, one[0]).view(np.int64),
-                              one[1].view(np.int64))
     for eta, cap in caps.items():
-        assert np.array_equal(version_space.region_masks([vs], Z[None], hstar=hstar, eta=eta)[0],
+        assert np.array_equal(version_space.stack_query([vs], Z[None], hstar=hstar, eta=eta)[0],
                               cap)
 
 
