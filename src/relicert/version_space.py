@@ -66,11 +66,9 @@ far above any rounding of a tight generator's values), so each cone is the
 same bits as its one-sample fit, `fit_version_space`.  Intervals take their
 cuts from array reductions.
 
-A linear fit without an interior hint solves no LP.  Its generators decide
-realizability: the sample is strictly consistent iff every negative-label
-row has a generator strictly inside it.  Its interior normal is the
-normalised sum of the extreme rays (any generator when the cone is a
-linear subspace).  Only `erm` solves an LP, its documented max-margin
+A linear fit solves no LP.  Its generators decide realizability, and give
+its interior normal, whether or not a hint ordered the build (see
+`_fit_cones`).  Only `erm` solves an LP, its documented max-margin
 direction.
 """
 
@@ -290,12 +288,11 @@ class ConeVS:
     z = x_n / |x_n| reads -1 and z = -x_n / |x_n| reads +1, as every
     consistent normal labels them.
 
-    `interior` is a consistent unit normal, strictly positive on every row
-    when the cone has interior.  A fit with a strictly feasible hint keeps
-    the hint.  A fit without one takes the normalised sum of the extreme
-    rays, or a generator of a cone that is a linear subspace; the same
-    generators decided that the sample is realizable (see `_fit_cones`).
-    `canonical`, the canonical member, is interior / |interior|, and `slack`
+    `interior`, also the canonical member, is a consistent unit normal,
+    strictly positive on every row when the cone has interior: the
+    normalised sum of the cone's own generators, or a generator of a cone
+    that is a linear subspace, with or without a hint; the same generators
+    decided that the sample is realizable (see `_fit_cones`).  `slack` is
     the least <A_i, interior> over the rows (+inf without rows), which
     bounds the random members' steps.
     """
@@ -305,8 +302,9 @@ class ConeVS:
     interior: np.ndarray  # (d,) feasible unit normal, strictly so if the cone has interior
     dim: int
     bank: _Bank
-    canonical: np.ndarray  # (d,) interior / |interior|
     slack: float
+
+    canonical = property(lambda self: self.interior)  # the canonical member
 
     def rays(self) -> np.ndarray:
         """The unit generators (see `_Bank`), one per row."""
@@ -327,23 +325,25 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_cone_bank(A: np.ndarray, strict: np.ndarray, interior: np.ndarray | None) -> _Bank:
+def _build_cone_bank(A: np.ndarray, strict: np.ndarray, hint: np.ndarray | None) -> _Bank:
     """The generators of one cone {w : A w >= 0}: the one-cone call of
     `_build_cone_banks`."""
-    hint = np.full((1, A.shape[1]), np.nan) if interior is None else interior[None]
-    return _build_cone_banks(A[None], strict[None], hint)[0]
+    hint = np.full((1, A.shape[1]), np.nan) if hint is None else hint[None]
+    return _build_cone_banks(A[None], strict[None], hint)[0][0]
 
 
-def _build_cone_banks(A: np.ndarray, strict: np.ndarray, interior: np.ndarray) -> list[_Bank]:
+def _build_cone_banks(A: np.ndarray, strict: np.ndarray, hint: np.ndarray) -> tuple:
     """The generators of the cones {w : A[c] w >= 0} of a stack A (K, m, d)
     of unit rows, in which zero rows stand for no row (they pad a cone with
     fewer rows); `strict` (K, m) marks the rows of negative samples, and
-    interior[c] is a feasible unit normal of cone c, or NaN.  `cuts` index
-    the rows of A[c].
+    hint[c] is a strictly feasible unit normal of cone c, or NaN.  Returns
+    the banks, whose `cuts` index the rows of A[c], and per cone the count
+    of strict rows with no generator above STRICT_LP_TOL and the interior
+    normal (see `_fit_cones`), as arrays.
 
     Each cone's rows are taken in ascending slack on a reference normal, so
     the first independent rows are tight near it.  The reference is the
-    cone's interior when there is one.  Otherwise it is the sum of the
+    hint when there is one.  Otherwise it is the sum of the
     cone's rows (it must then have rows), after up to two perceptron steps
     that add the rows it violates: a guess at an interior point, which
     spares the build most cuts by rows that are no facets.  The first rows
@@ -357,9 +357,9 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, interior: np.ndarray) -
     """
     K, m, d = A.shape
     real = A.any(axis=2)
-    ref = np.where(np.isnan(interior[:, :1]), A.sum(axis=1), interior)
+    ref = np.where(np.isnan(hint[:, :1]), A.sum(axis=1), hint)
     slack = _rowdot(A, ref[:, None, :])
-    for _ in range(2):  # perceptron steps (an interior never violates a row)
+    for _ in range(2):  # perceptron steps (a hint never violates a row)
         wrong = (slack <= 0.0) & real
         if not wrong.any():
             break
@@ -373,6 +373,7 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, interior: np.ndarray) -
     strict = strict[cone, order]
     first, rank, inverse = _independent_rows(A)
     banks: list = [None] * K
+    missed, interior = np.zeros(K, dtype=np.intp), np.empty((K, d))
     for k in sorted(set(rank.tolist())):
         group = np.flatnonzero(rank == k)
         if k == d:
@@ -390,9 +391,10 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, interior: np.ndarray) -
                 built = _double_description(rows, first[group, :k], weight[group], inverse)
             gens = [np.vstack([rays / np.linalg.norm(rays, axis=1, keepdims=True) @ Vt[:k],
                                Vt[k:], -Vt[k:]]) for Vt, (rays, _) in zip(bases, built)]
-        # the group's generators, zero rows padding each cone to the largest
+        # the group's generators, each cone padded to the largest by -0.0 rows,
+        # which change no sum
         sizes = [len(g) for g in gens]
-        W = np.zeros((group.size, max(sizes), d))
+        W = np.full((group.size, max(*sizes, 1), d), -0.0)
         for i, g in enumerate(gens):
             W[i, : len(g)] = g
         if k == d:  # a row's norm depends on that row only; a ray's is >= 1
@@ -406,11 +408,15 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, interior: np.ndarray) -
         step = max(1, (SR_CHUNK_ELEMS >> 2) // max(W.shape[1] * m, 1))
         for lo in range(0, group.size, step):
             c = group[lo : lo + step]
-            on = (W[lo : lo + step] @ A[c].transpose(0, 2, 1) <= 1e-10) & strict[c, None]
-            plus_above[lo : lo + step][on.any(axis=2)] = STRICT_LP_TOL
+            V = W[lo : lo + step] @ A[c].transpose(0, 2, 1)
+            plus_above[lo : lo + step][((V <= 1e-10) & strict[c, None]).any(axis=2)] = STRICT_LP_TOL
+            missed[c] = (strict[c] & ~(V > STRICT_LP_TOL).any(axis=1)).sum(axis=1)
+        total = W.sum(axis=1)  # in ray order
+        norm = np.sqrt(_rowdot(total, total))[:, None]
+        interior[group] = np.where(norm > 1e-12, total / np.maximum(norm, 1e-300), W[:, 0])
         for i, (c, n, (_, cuts)) in enumerate(zip(group.tolist(), sizes, built)):
             banks[c] = _Bank(W=W[i, :n], plus_above=plus_above[i, :n], cuts=order[c, cuts])
-    return banks
+    return banks, missed, interior
 
 
 def _independent_rows(A: np.ndarray) -> tuple:
@@ -682,22 +688,18 @@ VersionSpace = IntervalVS | ConeVS
 
 
 def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -> list[ConeVS]:
-    """The cones of the samples' consistent normals, their generators from
-    one `_build_cone_banks` call over the stack, and an interior normal
-    each: the hint when it is strictly feasible, e1 for an empty sample,
-    else the one the generators give.  The hint or e1 is also the build's
-    reference normal.  Every cone the hint serves shares one canonical
-    normal, and takes its slack from the feasibility test of the hint.
+    """The cones of the samples' consistent normals, with their generators
+    and what those decide, from one `_build_cone_banks` call over the
+    stack.  A hint, where it is strictly feasible, only orders the rows.
 
-    Without either, a sample is strictly consistent iff every negative-label
-    (strict) row has a generator w with <w, A_i> > STRICT_LP_TOL: each such
-    row then has a consistent normal strictly inside it, and their sum
-    serves every row at once.  The interior is the normalised sum of the
-    generators, where the +-l of the lineality basis cancel, leaving the
-    extreme rays: it is strictly positive on every row that some consistent
-    normal is strictly positive on.  When that sum is about 0 the cone is a
-    linear subspace, and any generator will do.  The first sample that
-    fails raises.
+    A sample is strictly consistent iff every negative-label (strict) row
+    has a generator w with <w, A_i> > STRICT_LP_TOL: each such row then has
+    a consistent normal strictly inside it, and their sum serves every row
+    at once.  The interior is the normalised sum of the generators, where
+    the +-l of the lineality basis cancel, leaving the extreme rays: it is
+    strictly positive on every row that some consistent normal is strictly
+    positive on.  When that sum is about 0 the cone is a linear subspace,
+    and its first generator will do.  The first sample that fails raises.
     """
     K, m, d = X.shape
     A = y[..., None] * X
@@ -707,43 +709,30 @@ def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -
     if np.any(~real & strict):
         raise RealizabilityError("the origin always receives label +1")
     A /= np.where(real, norms, 1.0)[..., None]
-    empty = ~real.any(axis=1)  # every normal is consistent: e1 is the interior
-    served = np.zeros(K, dtype=bool)  # the hint is the interior
-    interior = np.where(empty[:, None], np.eye(d)[0], np.nan)
-    slack = np.full(K, math.inf)
+    hint = np.full((K, d), np.nan)
     if interior_hint is not None:
         w = np.asarray(interior_hint, dtype=float).reshape(-1)
         if w.shape[0] == d and np.linalg.norm(w) > 1e-12:
             w = w / np.linalg.norm(w)
-            slack = np.where(real, _rowdot(A, w), math.inf).min(axis=1, initial=math.inf)
-            served = ~empty & (slack > STRICT_LP_TOL)
-            interior[served] = w
-    banks = _build_cone_banks(A, strict, interior)
-    shared = w / float(np.linalg.norm(w)) if served.any() else None
+            fits = np.where(real, _rowdot(A, w), math.inf).min(axis=1, initial=math.inf)
+            hint[fits > STRICT_LP_TOL] = w
+    banks, missed, interior = _build_cone_banks(A, strict, hint)
+    slack = np.where(real, _rowdot(A, interior[:, None]), math.inf).min(axis=1, initial=math.inf)
     out = []
-    for c, (bank, whole, fitted, gap) in enumerate(
-            zip(banks, real.all(axis=1).tolist(), (served | empty).tolist(), slack.tolist())):
-        A_c, strict_c, w = A[c], strict[c], interior[c]
+    for c, (bank, n, whole, gap) in enumerate(
+            zip(banks, missed.tolist(), real.all(axis=1).tolist(), slack.tolist())):
+        if not len(bank.W):
+            raise RealizabilityError("feasible normals reduce to the zero vector")
+        if n:
+            raise RealizabilityError(f"no strictly consistent linear separator: no consistent "
+                                     f"normal is strictly negative on {n} negative sample(s)")
+        A_c, strict_c = A[c], strict[c]
         if not whole:  # keep the sample's nonzero rows, and index the cuts into them
             A_c, strict_c = A_c[real[c]], strict_c[real[c]]
             bank = _Bank(W=bank.W, plus_above=bank.plus_above,
                          cuts=np.cumsum(real[c])[bank.cuts] - 1)
-        if not fitted:
-            W = bank.W
-            if W.shape[0] == 0:
-                raise RealizabilityError("feasible normals reduce to the zero vector")
-            missed = ~np.any(A_c[strict_c] @ W.T > STRICT_LP_TOL, axis=1)
-            if np.any(missed):
-                raise RealizabilityError(
-                    f"no strictly consistent linear separator: no consistent normal is "
-                    f"strictly negative on {int(missed.sum())} negative sample(s)"
-                )
-            w = W.sum(axis=0)
-            norm = float(np.linalg.norm(w))
-            w = w / norm if norm > 1e-12 else W[0]
-            gap = float(np.min(A_c @ w))
-        out.append(ConeVS(A=A_c, strict=strict_c, interior=w, dim=d, bank=bank, slack=gap,
-                          canonical=shared if served[c] else w / float(np.linalg.norm(w))))
+        out.append(ConeVS(A=A_c, strict=strict_c, interior=interior[c], dim=d, bank=bank,
+                          slack=gap))
     return out
 
 
@@ -817,8 +806,9 @@ def fit_version_space(
     one-sample call of `fit_stack`.
 
     `interior_hint` optionally supplies a known strictly-consistent normal
-    for a linear concept; the fit then keeps it as the interior and orders
-    the ray build's rows by their slack on it.  A hint that is not strictly
+    for a linear concept; the ray build then takes the rows in ascending
+    slack on it, which speeds the build and changes no member: the interior
+    comes from the cone's own generators.  A hint that is not strictly
     feasible is ignored.  A linear fit raises DegenerateVersionSpaceError
     when its ray build exceeds RAY_CAP.
     """

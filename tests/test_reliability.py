@@ -238,7 +238,7 @@ def test_wrong_canonical_member_fails_the_ball_check_at_its_point(monkeypatch):
     assert labels.tolist() == [1, 1, 1] and np.all(radii > 0.0)
     # the boundary of (1, 1) runs through the second point, and through the
     # third point's ball; the first point's ball stays on its positive side
-    vs = dataclasses.replace(vs, canonical=LinearHomogeneous([1.0, 1.0]).w)
+    vs = dataclasses.replace(vs, interior=LinearHomogeneous([1.0, 1.0]).w)
     certify(vs, Z[0], LossKind.ST)
     named = f"radius {radii[1]} around {Z[1]} contains both labels"
     with pytest.raises(LabelConstancyError) as err:
@@ -274,7 +274,7 @@ def test_wrong_canonical_member_fails_the_batched_ball_check():
     for z, label, radius, seed in zip(Z, labels, radii, seeds):
         cert = certify(vs, z, LossKind.ST, seed=seed)
         assert (cert.prediction, cert.radius) == (label, radius)
-    vs = dataclasses.replace(vs, canonical=np.array([0.6, 0.8]))
+    vs = dataclasses.replace(vs, interior=np.array([0.6, 0.8]))
     with pytest.raises(LabelConstancyError) as err:
         finish()
     assert str(err.value) == (

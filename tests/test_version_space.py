@@ -73,8 +73,7 @@ def test_hinted_fit_raises_the_ray_cap_at_the_fit(monkeypatch):
     with pytest.raises(DegenerateVersionSpaceError, match="above the cap of 8"):
         fit_version_space(S, "linear", interior_hint=w)
     monkeypatch.undo()
-    vs = fit_version_space(S, "linear", interior_hint=w)
-    assert vs.rays().shape[0] > 8 and np.array_equal(vs.interior, w)
+    assert fit_version_space(S, "linear", interior_hint=w).rays().shape[0] > 8
 
 
 def test_fit_arc_matches_angle_grid():
@@ -107,8 +106,9 @@ def test_fit_empty_dataset_full_class():
 
 
 def test_hinted_fit_of_an_empty_linear_sample():
-    # a hint serves no row of an empty sample: the cone keeps e1, as the
-    # unhinted fit does, alone or stacked with a sample the hint serves
+    # an empty sample's generators are +-e_i, which cancel: its interior is
+    # its first generator, e1, hinted or not, alone or stacked with a sample
+    # the hint orders
     w = np.array([0.6, 0.8, 0.0])
     plain = fit_version_space(Dataset.empty(3), "linear")
     hinted = fit_version_space(Dataset.empty(3), "linear", interior_hint=w)
@@ -119,7 +119,7 @@ def test_hinted_fit_of_an_empty_linear_sample():
         assert vs.interior.tolist() == plain.interior.tolist() == [1.0, 0.0, 0.0]
         assert vs.rays().tobytes() == plain.rays().tobytes()
         assert vs.A.shape == (0, 3) and vs.slack == math.inf
-    assert served.canonical is not plain.canonical and 0.0 < served.slack < 1.0
+    assert 0.0 < served.slack < 1.0
     assert served.slack == np.min(served.A @ served.interior)
     # its member draw: the interior fraction, then a Gaussian normal
     rng, ref = (np.random.Generator(np.random.Philox(key=9)) for _ in range(2))
@@ -266,22 +266,46 @@ def test_erm_without_lp_margin_is_the_canonical_normal():
     assert h.offset == fit_version_space(S, OffsetClass(base)).canonical
 
 
-def test_cone_canonical_is_the_normalised_interior():
-    # the canonical normal holds the bits of LinearHomogeneous(interior).w:
-    # unhinted, hinted (one array shared by the served cones), empty, and
-    # with a lineality space (+-l among the generators)
+def test_hinted_interior_is_the_normalised_generator_sum():
+    # a hint orders the ray build and is no member: the interior, also the
+    # canonical member, is the normalised sum of the cone's own generators,
+    # stacked or alone, with a lineality space (+-l) or without
     rng = np.random.default_rng(12)
     w = np.array([0.6, -0.48, 0.64])
     X = rng.standard_normal((40, 3))
     S = Dataset(X, LinearHomogeneous(w).predict_many(X))
     line = Dataset.from_points([[0.3, 0.4, 1.2]], [1])
-    cones = [fit_version_space(T, "linear", interior_hint=hint)
-             for T in (S, Dataset.empty(3), line) for hint in (None, w)]
-    cones += fit_version_spaces([S, S, Dataset.empty(3), line], "linear", interior_hint=w)
-    assert cones[-4].canonical is cones[-3].canonical
+    cones = [fit_version_space(T, "linear", interior_hint=w) for T in (S, line)]
+    cones += fit_version_spaces([S, line], "linear", interior_hint=w)
     for vs in cones:
-        assert vs.canonical.tobytes() == LinearHomogeneous(vs.interior).w.tobytes()
-    assert len(cones[4].rays()) > 2  # the line's cone holds +-l
+        total = vs.rays().sum(axis=0)
+        assert np.allclose(vs.interior, total / np.linalg.norm(total), rtol=0, atol=1e-15)
+        assert vs.canonical is vs.interior
+        assert np.linalg.norm(vs.interior - w) > 1e-3 and np.min(vs.A @ vs.interior) > 0.0
+    assert len(cones[1].rays()) > 2  # the line's cone holds +-l
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_hinted_and_unhinted_fits_agree(d):
+    # one full-rank sample, hinted by its target or not: the same decision,
+    # the same generators and the same interior, up to the rounding of the
+    # row order; a sample no hint can serve raises either way
+    rng = np.random.default_rng(40 + d)
+    for m in (d, 20, 60):
+        w = rng.standard_normal(d)
+        X = rng.standard_normal((m, d))
+        S = Dataset(X, np.where(X @ w >= 0.0, 1, -1))
+        plain = fit_version_space(S, "linear")
+        hinted = fit_version_space(S, "linear", interior_hint=w)
+        W, V = plain.rays(), hinted.rays()
+        assert W.shape == V.shape
+        assert np.abs(W[:, None, :] - V[None, :, :]).max(axis=2).min(axis=1).max() <= 1e-12
+        assert np.abs(plain.interior - hinted.interior).max() <= 1e-12
+    # a point and its antipode, both negative: no normal is negative on both
+    S = Dataset(np.vstack([X, X[:1], -X[:1]]), np.append(S.y, [-1, -1]))
+    for hint in (None, w):
+        with pytest.raises(RealizabilityError):
+            fit_version_space(S, "linear", interior_hint=hint)
 
 
 @pytest.mark.parametrize("concept, hstar, ok", [
@@ -918,20 +942,24 @@ def test_batched_ray_build_is_batch_invariant(d, monkeypatch):
     rays = [bank.W.shape[0] for bank in alone]
     cuts = [bank.cuts.size for bank in alone]
     assert len(set(cuts)) > 1 and (d == 2 or len(set(rays)) > 1)  # ragged; 2-d cones have 2 rays
-    for c, bank in enumerate(_build_cone_banks(stack, strict, interior)):
-        _same_bank(bank, alone[c])
+    banks, missed, inner = _build_cone_banks(stack, strict, interior)
+    for c, (A_c, s_c, w) in enumerate(cones):
+        _same_bank(banks[c], alone[c])
+        hint = np.full((1, d), np.nan) if w is None else w[None]
+        _, one_missed, one_inner = _build_cone_banks(A_c[None], s_c[None], hint)
+        assert missed[c] == one_missed[0] == 0
+        assert np.array_equal(inner[c].view(np.int64), one_inner[0].view(np.int64))
     order = rng.permutation(len(cones))[:4]
-    for c, bank in zip(order, _build_cone_banks(stack[order], strict[order], interior[order])):
+    for c, bank in zip(order, _build_cone_banks(stack[order], strict[order], interior[order])[0]):
         _same_bank(bank, alone[c])
     monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", 4)
-    for c, bank in enumerate(_build_cone_banks(stack, strict, interior)):
+    for c, bank in enumerate(_build_cone_banks(stack, strict, interior)[0]):
         _same_bank(bank, alone[c])
 
 
 def test_batched_fit_is_batch_invariant():
     # fits of ragged samples, one with a zero-norm point and one with a
-    # duplicated point, match their one-sample fits bit for bit; the
-    # samples the hint serves share one member
+    # duplicated point, match their one-sample fits bit for bit
     rng = np.random.default_rng(97)
     w = rng.standard_normal(3)
     samples = []
@@ -953,8 +981,6 @@ def test_batched_fit_is_batch_invariant():
             assert np.array_equal(vs.interior.view(np.int64), one.interior.view(np.int64))
         assert vs.A.shape[0] == len(S)
         assert batch[1].A.shape[0] == len(samples[1]) - 1  # the zero row is no row
-    served = [vs.canonical for vs in fit_version_spaces(samples[:5], "linear", interior_hint=w)]
-    assert all(normal is served[0] for normal in served)
 
 
 def test_degenerate_cones_keep_only_extreme_rays(monkeypatch):
