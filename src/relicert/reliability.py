@@ -62,6 +62,8 @@ from .core import (
 from .distributions import (
     DistributionSpec,
     _draw,
+    _mix64,
+    _stream_key,
     derive_rng,
     derived_rngs,
     dimension,
@@ -449,14 +451,17 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
 def _run_trial_range(args) -> tuple[int, list[dict]]:
     """Trials lo..hi-1 of `verify_contract`: the certified count and the
     witnesses.  Trial t draws its sample, and then the rest of the trial,
-    from derive_rng(seed ^ t) (`fitted_batches`), and each sub-batch of
-    fitted trials is finished together (`_finish_trials`)."""
+    from derive_rng(_mix64(seed), t) (`fitted_batches`), whose key is its
+    `trial_seed`, and each sub-batch of fitted trials is finished together
+    (`_finish_trials`).  The seed is mixed first: `_mix64` of two small
+    words repeats keys across nearby seeds, (2, 0) and (3, 63) among them."""
     concept, hstar, sampler, m, budget, kind, strategy, seed, lo, hi = args
+    key = _mix64(seed)
     certified = 0
     witnesses: list[dict] = []
     for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(lo, hi),
-                                           lambda batch: [derive_rng(seed ^ t) for t in batch]):
-        seeds = [(seed ^ t) & 0xFFFFFFFFFFFFFFFF for t in batch]
+                                           lambda batch: [derive_rng(key, t) for t in batch]):
+        seeds = [_stream_key(key, t) for t in batch]
         count, bad = _finish_trials(batch, seeds, rngs, vss, hstar, sampler, budget, kind,
                                     strategy)
         certified += count

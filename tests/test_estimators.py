@@ -13,6 +13,8 @@ from relicert.distributions import (
     UniformBall,
     UniformCube,
     _draw,
+    _mix64,
+    _stream_key,
     derive_rng,
     sample,
 )
@@ -223,9 +225,10 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
     )
     want = []
     for t in range(150):
-        rng = np.random.Generator(np.random.Philox(key=32 ^ t))
+        key = _stream_key(_mix64(32), t)
+        rng = np.random.Generator(np.random.Philox(key=key))
         vs = one_fit(rng, 60)
-        want.append(run_trial(t, 32 ^ t, rng, vs, hstar, P, *attack))
+        want.append(run_trial(t, key, rng, vs, hstar, P, *attack))
     assert certified == sum(binding for binding, _ in want)
     assert witnesses == [bad for _, bad in want if bad is not None]
 

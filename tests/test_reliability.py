@@ -23,7 +23,7 @@ from relicert.core import (
     _as_point,
     predict,
 )
-from relicert.distributions import IsotropicGaussian, UniformCube, derived_rngs
+from relicert.distributions import IsotropicGaussian, UniformCube, _stream_key, derived_rngs
 from relicert.estimators import sample_size_for_epsilon
 from relicert.losses import LossKind
 from relicert import reliability, version_space
@@ -695,6 +695,23 @@ def test_contract_worker_count_invariance_linear():
     r3 = verify_contract("linear", hstar, IsotropicGaussian(3), **kwargs, jobs=3)
     assert r1.to_json_dict() == r3.to_json_dict()
     assert 0 < r1.certified < r1.trials
+
+
+def test_trial_keys_of_nearby_seeds_are_disjoint(monkeypatch):
+    # each trial's generator is keyed by a hash of (seed, trial): seeds that
+    # differ in a few low bits run no trial twice, in any order
+    keys = []
+    derive_rng = reliability.derive_rng
+    monkeypatch.setattr(reliability, "derive_rng",
+                        lambda *w: keys.append(_stream_key(*w)) or derive_rng(*w))
+    runs = []
+    for seed in (1, 2, 3):
+        keys.clear()
+        verify_contract("threshold", Threshold(0.0), IsotropicGaussian(1), m=10, trials=100,
+                        budget=0.1, kind=LossKind.ST, seed=seed)
+        runs.append(set(keys))
+    assert [len(run) for run in runs] == [100] * 3
+    assert not (runs[0] & runs[1] or runs[0] & runs[2] or runs[1] & runs[2])
 
 
 _SINE = BaseBoundary("sine", (0.5, 0.1, 1.0))
