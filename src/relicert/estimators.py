@@ -180,17 +180,27 @@ def _cdf_at(Q, t: float) -> float:
     return cdf_1d(Q, t)
 
 
-def _quantile_band_masses(ref: np.ndarray, xq: np.ndarray, cut: float, grid) -> np.ndarray:
-    """Per radius r: the share of xq strictly inside the band of reference
-    quantiles F(cut) -/+ r, where F is the empirical CDF of ref."""
-    ref = np.sort(ref)
+def _theta_empirical(hstar: Threshold | OffsetBoundary, P, Q, grid, n,
+                     seed) -> tuple[np.ndarray, str]:
+    """Per radius r: the share of a Q sample strictly inside the band of
+    quantiles F(cut) -/+ r of a reference P sample, F its empirical CDF, on
+    the residual x_d - f(x_<d) (f = 0 for thresholds): offsets of a fixed
+    boundary behave as thresholds on the residual."""
+    base = getattr(hstar, "base", None)
+
+    def residual(X: np.ndarray) -> np.ndarray:
+        return X[:, -1] if base is None else X[:, -1] - base(X[:, :-1])
+
+    ref = np.sort(residual(sample(P, seed ^ 0xA5A5, n)))
+    xq = residual(sample(Q, seed, n))
+    cut = hstar.t if base is None else hstar.offset
     fc = float(np.searchsorted(ref, cut, side="right")) / ref.size
     masses = []
     for r in grid:
         lo = float(np.quantile(ref, max(fc - float(r), 0.0)))
         hi = float(np.quantile(ref, min(fc + float(r), 1.0)))
         masses.append(float(np.mean((xq > lo) & (xq < hi))))
-    return np.array(masses)
+    return np.array(masses), "threshold-empirical" if base is None else "residual-empirical"
 
 
 def _theta_threshold(hstar: Threshold, P, Q, grid, n, seed) -> tuple[np.ndarray, str]:
@@ -200,22 +210,8 @@ def _theta_threshold(hstar: Threshold, P, Q, grid, n, seed) -> tuple[np.ndarray,
             lo, hi = _threshold_dis_interval(P, hstar.t, float(r))
             masses.append(_cdf_at(Q, hi) - _cdf_at(Q, lo))
         return np.array(masses), "threshold-cdf"
-    except ValueError:
-        pass
-    # no closed-form CDF: empirical interval from a reference sample
-    ref = sample(P, seed ^ 0xA5A5, n)[:, 0]
-    xq = sample(Q, seed, n)[:, 0]
-    return _quantile_band_masses(ref, xq, hstar.t, grid), "threshold-empirical"
-
-
-def _theta_offset(hstar: OffsetBoundary, P, Q, grid, n, seed) -> tuple[np.ndarray, str]:
-    """Offsets of a fixed boundary behave as thresholds on the residual."""
-    base = hstar.base
-    ref = sample(P, seed ^ 0xA5A5, n)
-    xq = sample(Q, seed, n)
-    return _quantile_band_masses(
-        ref[:, -1] - base(ref[:, :-1]), xq[:, -1] - base(xq[:, :-1]), hstar.offset, grid
-    ), "residual-empirical"
+    except ValueError:  # no closed-form CDF: the empirical interval
+        return _theta_empirical(hstar, P, Q, grid, n, seed)
 
 
 def theta_pq(
@@ -224,26 +220,21 @@ def theta_pq(
     P: DistributionSpec,
     Q: DistributionSpec,
     epsilon: float,
-    r_grid=None,
     n: int = 100_000,
     seed: int = 0,
 ) -> ThetaEstimate:
-    """Supremum over the radius grid of (target mass of the disputed region
-    of the source disagreement ball) / radius."""
+    """Supremum over the radius grid `default_r_grid(epsilon)` of (target
+    mass of the disputed region of the source disagreement ball) / radius."""
     check_target(concept, hstar)
     if n < 1:
         raise ValueError("need at least one sample")
-    grid = default_r_grid(epsilon) if r_grid is None else np.asarray(r_grid, dtype=float)
-    if grid.min() < epsilon - 1e-12:
-        raise ValueError("grid radii must be at least epsilon")
-    if grid.max() > 1.0:
-        raise ValueError("grid radii must not exceed 1")
+    grid = default_r_grid(epsilon)
     if concept == "linear":
         masses, method = _theta_rotinv(hstar, P, Q, grid, n, seed)
     elif concept == "threshold":
         masses, method = _theta_threshold(hstar, P, Q, grid, n, seed)
     else:  # the target's base is the class's (`check_target`)
-        masses, method = _theta_offset(hstar, P, Q, grid, n, seed)
+        masses, method = _theta_empirical(hstar, P, Q, grid, n, seed)
     value = float(np.max(masses / grid))
     return ThetaEstimate(
         value=value, r_grid=grid, masses=masses, epsilon=epsilon, n=n, seed=seed, method=method

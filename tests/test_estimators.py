@@ -328,9 +328,9 @@ def test_theta_estimate_validation():
     with pytest.raises(ValueError):
         ThetaEstimate(value=5.0, r_grid=grid, masses=np.ones_like(grid),
                       epsilon=0.01, n=10, seed=0, method="x")
-    with pytest.raises(ValueError):
-        theta_pq("threshold", Threshold(0.0), UniformCube(1), UniformCube(1),
-                 epsilon=0.1, r_grid=np.array([0.05]))
+    with pytest.raises(ValueError, match="at least epsilon"):
+        ThetaEstimate(value=1.0, r_grid=np.array([0.05]), masses=np.array([0.05]),
+                      epsilon=0.1, n=10, seed=0, method="x")
 
 
 def test_theta_qualitative_dimension_trend(tmp_path):
