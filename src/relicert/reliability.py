@@ -27,7 +27,10 @@ a sub-batch is a stack of arrays from the draws to the report, with no
 per-trial dataset or hypothesis object.  `fitted_batches` puts the trials'
 samples, each drawn from the trial's own generator, in one (K, m, d) stack,
 labels it with one call of the target and fits it in one pass
-(`fit_stack`).  `_finish_trials` draws the learners as one array
+(`fit_stack`).  A linear target's normal orders the ray build's rows and
+nothing else: the learners and the ball check's members come from each
+cone's own generators, as a learner that never sees the target would
+hold them.  `_finish_trials` draws the learners as one array
 (`random_members`), the natural points and attacks per trial, makes one
 blocked pass over the natural points for the attack directions
 (`attack_directions`) and one over the attacked points for the
@@ -370,11 +373,12 @@ def fitted_batches(
     A list of fresh generators lives on after the draws; a re-keyed
     iterator (`derived_rngs`) does not.  The draws, each through `_draw`
     from the trial's own generator, fill one (K, m, d) stack, which hstar
-    labels in one call and `fit_stack` fits in one pass, hinted by the
-    normal of a linear target (its callers have checked the pair:
-    `check_target`).  Each trial draws only from its own generator and a
-    stacked fit is the same bits as a one-sample fit, so the results are
-    those of a loop that fits one trial at a time."""
+    labels in one call and `fit_stack` fits in one pass, its ray build
+    ordered by the normal of a linear target (its callers have checked the
+    pair: `check_target`), which no fitted member depends on.  Each trial
+    draws only from its own generator and a stacked fit is the same bits
+    as a one-sample fit, so the results are those of a loop that fits one
+    trial at a time."""
     d = dimension(spec)
     step = fit_batch(m, d)
     hint = hstar.w if concept == "linear" else None
