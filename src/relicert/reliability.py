@@ -27,10 +27,8 @@ a sub-batch is a stack of arrays from the draws to the report, with no
 per-trial dataset or hypothesis object.  `fitted_batches` puts the trials'
 samples, each drawn from the trial's own generator, in one (K, m, d) stack,
 labels it with one call of the target and fits it in one pass
-(`fit_stack`).  A linear target's normal orders the ray build's rows and
-nothing else: the learners and the ball check's members come from each
-cone's own generators, as a learner that never sees the target would
-hold them.  `_finish_trials` draws the learners as one array
+(`fit_stack`), in which a linear target's normal orders the ray build and
+is no member.  `_finish_trials` draws the learners as one array
 (`random_members`), the natural points and attacks per trial, makes one
 blocked pass over the natural points for the attack directions
 (`attack_directions`) and one over the attacked points for the
@@ -66,7 +64,6 @@ from .distributions import (
     DistributionSpec,
     _draw,
     _mix64,
-    _stream_key,
     derive_rng,
     derived_rngs,
     dimension,
@@ -373,12 +370,11 @@ def fitted_batches(
     A list of fresh generators lives on after the draws; a re-keyed
     iterator (`derived_rngs`) does not.  The draws, each through `_draw`
     from the trial's own generator, fill one (K, m, d) stack, which hstar
-    labels in one call and `fit_stack` fits in one pass, its ray build
-    ordered by the normal of a linear target (its callers have checked the
-    pair: `check_target`), which no fitted member depends on.  Each trial
-    draws only from its own generator and a stacked fit is the same bits
-    as a one-sample fit, so the results are those of a loop that fits one
-    trial at a time."""
+    labels in one call and `fit_stack` fits in one pass, its rows ordered
+    by the normal of a linear target, which is no member (its callers have
+    checked the pair: `check_target`).  Each trial draws only from its own
+    generator and a stacked fit is the same bits as a one-sample fit, so
+    the results are those of a loop that fits one trial at a time."""
     d = dimension(spec)
     step = fit_batch(m, d)
     hint = hstar.w if concept == "linear" else None
@@ -455,17 +451,17 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
 def _run_trial_range(args) -> tuple[int, list[dict]]:
     """Trials lo..hi-1 of `verify_contract`: the certified count and the
     witnesses.  Trial t draws its sample, and then the rest of the trial,
-    from derive_rng(_mix64(seed), t) (`fitted_batches`), whose key is its
-    `trial_seed`, and each sub-batch of fitted trials is finished together
-    (`_finish_trials`).  The seed is mixed first: `_mix64` of two small
-    words repeats keys across nearby seeds, (2, 0) and (3, 63) among them."""
+    from the key _mix64(_mix64(seed), t), its `trial_seed` (`_mix64` of two
+    small words repeats keys across nearby seeds), and each sub-batch of
+    fitted trials is finished together (`_finish_trials`)."""
     concept, hstar, sampler, m, budget, kind, strategy, seed, lo, hi = args
-    key = _mix64(seed)
+    mixed = _mix64(seed)
+    keys = {t: _mix64(mixed, t) for t in range(lo, hi)}
     certified = 0
     witnesses: list[dict] = []
     for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(lo, hi),
-                                           lambda batch: [derive_rng(key, t) for t in batch]):
-        seeds = [_stream_key(key, t) for t in batch]
+                                           lambda batch: [derive_rng(keys[t]) for t in batch]):
+        seeds = [keys[t] for t in batch]
         count, bad = _finish_trials(batch, seeds, rngs, vss, hstar, sampler, budget, kind,
                                     strategy)
         certified += count

@@ -39,7 +39,7 @@ from relicert.core import (
     label_to_external,
     predict,
 )
-from relicert.distributions import _draw, _mix64, _stream_key, derive_rng, uniform_ball
+from relicert.distributions import _draw, _mix64, derive_rng, uniform_ball
 from relicert.losses import LossKind, _check_pair, fixed_loss, fixed_loss_many
 from relicert.reliability import MAX_WITNESSES, certify, fitted_batches, margin_alpha
 from relicert import version_space
@@ -676,7 +676,7 @@ def contract_report(concept, hstar, sampler, m, trials, budget, kind, strategy, 
     for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(trials),
                                            lambda batch: [derive_rng(key, t) for t in batch]):
         for t, rng, vs in zip(batch, rngs, vss):
-            binding, bad = run_trial(t, _stream_key(key, t), rng, vs, hstar, sampler, budget,
+            binding, bad = run_trial(t, _mix64(key, t), rng, vs, hstar, sampler, budget,
                                      kind, strategy)
             certified += int(binding)
             if bad is not None:

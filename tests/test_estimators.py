@@ -14,7 +14,6 @@ from relicert.distributions import (
     UniformCube,
     _draw,
     _mix64,
-    _stream_key,
     derive_rng,
     sample,
 )
@@ -225,7 +224,7 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
     )
     want = []
     for t in range(150):
-        key = _stream_key(_mix64(32), t)
+        key = _mix64(_mix64(32), t)
         rng = np.random.Generator(np.random.Philox(key=key))
         vs = one_fit(rng, 60)
         want.append(run_trial(t, key, rng, vs, hstar, P, *attack))
