@@ -8,6 +8,7 @@ stream indices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import lgamma
@@ -37,8 +38,43 @@ def _stream_key(seed: int, *stream: int) -> int:
     return seed & _M64 if not stream else _mix64(seed, *stream)
 
 
+@functools.cache
+def _key_seed() -> type:
+    """The key-only seed sequence type: Philox(_key_seed()(k)) takes the
+    state of Philox(key=k), key [k, 0] and counter 0, without the
+    SeedSequence() that Philox(key=k) first draws from OS entropy and then
+    discards.  Made on first use, since its base class lives in
+    numpy.random, which importing this module does not load."""
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+
+    class KeySeed(ISpawnableSeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: int):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a key-only sequence seeds Philox only")
+            return np.array([self.key, 0], dtype=np.uint64)
+
+        def spawn(self, n_children):
+            raise TypeError("a key-only sequence has no children")
+
+        def __reduce__(self):
+            return _key_seed_of, (self.key,)
+
+    return KeySeed
+
+
+def _key_seed_of(key: int):
+    """The key-only seed sequence of `key`; also what a pickled one rebuilds
+    from, since its type is not importable by name."""
+    return _key_seed()(key)
+
+
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, *stream)))
+    return np.random.Generator(np.random.Philox(_key_seed_of(_stream_key(seed, *stream))))
 
 
 def derived_rngs(words):
@@ -211,6 +247,18 @@ def is_rotation_invariant(spec: DistributionSpec) -> bool:
     return isinstance(spec, (IsotropicGaussian, UniformBall, RadialHeavyTail))
 
 
+def is_prefix_stable(spec: DistributionSpec) -> bool:
+    """Whether a draw's first rows do not depend on its size: from one
+    generator, _draw(spec, rng, a) then _draw(spec, rng, b) are the bits of
+    _draw(spec, rng, a + b).  The Gaussian and the cube draw their values
+    row by row, and a mean shift adds to its base's rows.  The ball draws
+    every normal before any radius, the heavy tail every direction before
+    any radius, and the tilted density accepts in batches sized by n."""
+    if isinstance(spec, MeanShift):
+        return is_prefix_stable(spec.base)
+    return isinstance(spec, (IsotropicGaussian, UniformCube))
+
+
 def uniform_ball(rng: np.random.Generator, n: int, d: int, radius=1.0) -> np.ndarray:
     """n points uniform in the d-ball of `radius` around 0.  The normals are
     drawn first, then the radius fractions."""
@@ -240,16 +288,25 @@ def _scale_into_ball(g: np.ndarray, u: np.ndarray, d: int, radius) -> np.ndarray
     return g
 
 
-def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """n draws of spec from rng, (n, d).  A prefix-stable spec
+    (`is_prefix_stable`) may draw into `out`, a C-contiguous (n, d) float
+    array, which is returned: the same bits as a fresh draw."""
     d = dimension(spec)
-    if n == 0:
+    if out is not None and (out.shape != (n, d) or not is_prefix_stable(spec)):
+        raise ValueError(f"an ({n}, {d}) buffer takes the draws of a prefix-stable spec only")
+    if n == 0 and out is None:
         return np.zeros((0, d))
     if isinstance(spec, IsotropicGaussian):
-        return rng.standard_normal((n, d))
+        return rng.standard_normal((n, d), out=out)
     if isinstance(spec, UniformBall):
         return uniform_ball(rng, n, d, spec.radius)
     if isinstance(spec, UniformCube):
-        return spec.lo + (spec.hi - spec.lo) * rng.random((n, d))
+        X = rng.random((n, d), out=out)
+        X *= spec.hi - spec.lo
+        X += spec.lo
+        return X
     if isinstance(spec, NearlyUniform):
         out = np.empty((n, d))
         got = 0
@@ -269,8 +326,8 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
         r = spec.sigma * x / (1.0 - x)
         return g * r[:, None]
     if isinstance(spec, MeanShift):
-        X = _draw(spec.base, rng, n)  # a fresh array: shift it in place
-        for j, m in enumerate(spec.mu):
+        X = _draw(spec.base, rng, n, out)  # a fresh array or `out`: shift it in place
+        for j, m in enumerate(spec.mu):  # a broadcast add of mu loops d values at a time
             X[:, j] += m
         return X
     raise ValueError(f"unknown distribution spec {type(spec).__name__}")

@@ -10,7 +10,11 @@ as stacks of arrays from the draws to the masses.  The trials are fitted
 in sub-batches (`fitted_batches`), and the fitted trials then run in
 blocks (`version_space.mask_blocks`): consecutive trials whose stacked
 (trials, max(d, generators), test points) values stay within a fixed
-share of SR_CHUNK_ELEMS.  A block draws its test points into one (K,
+share of SR_CHUNK_ELEMS.  A block of one trial with a prefix-stable
+target (`distributions.is_prefix_stable`) streams its test points through
+the mask a point chunk (`version_space.chunk_points`) at a time, from one
+reused buffer, and adds up the counts, so its memory does not grow with
+n_test.  Any other block draws each trial's test points into one (K,
 n_test, d) stack and makes one `sr_membership_mask` pass.  Trial t's
 training and test generators are used once each, so each comes from a
 Philox generator re-keyed per trial (`derived_rngs`) to the stream words
@@ -32,6 +36,7 @@ from .distributions import (
     cdf_1d,
     derived_rngs,
     dimension,
+    is_prefix_stable,
     is_rotation_invariant,
     map_trial_chunks,
     quantile_1d,
@@ -39,7 +44,7 @@ from .distributions import (
 )
 from .losses import LossKind
 from .reliability import fitted_batches, sr_membership_mask
-from .version_space import ConceptClass, OffsetClass, check_target, mask_blocks
+from .version_space import ConceptClass, OffsetClass, check_target, chunk_points, mask_blocks
 # not called here: perfbench's layer tracer wraps the one-point form and the
 # one-sample fit, so they report 0 calls instead of absent metrics
 from .reliability import safely_reliable_membership  # noqa: F401
@@ -262,21 +267,38 @@ def _shift_trial_mean(args) -> list[float]:
     fresh target draws in the (safely-)reliable region of the trial's fit.
     Trial t draws its training sample from stream (seed, t, 0)
     (`fitted_batches`) and its target points from (seed, t, 1), each from
-    one re-keyed generator (`derived_rngs`).  Each block of fitted trials
-    (`mask_blocks`) stacks its target points and makes one mask pass."""
+    one re-keyed generator (`derived_rngs`).  A block of one trial with a
+    prefix-stable target draws its points a chunk at a time
+    (`chunk_points`) into one buffer, reused and grown as needed, and
+    counts the points inside: count / n_test is the bits of the mean of the
+    whole mask.  Any other block (`mask_blocks`) stacks its target points
+    and makes one mask pass."""
     concept, hstar, P, Q, m, eta1, eta2, kind, n_test, seed, lo, hi = args
     loss = LossKind.TL if kind is None else kind  # at eta1 = 0: the agreement region
     d = dimension(Q)
+    stable = is_prefix_stable(Q)
     tests = derived_rngs((seed, t, 1) for t in range(lo, hi))
+    buf = np.empty(0)
     out: list[float] = []
     for _, _, vss in fitted_batches(concept, hstar, P, m, range(lo, hi),
                                     lambda batch: derived_rngs((seed, t, 0) for t in batch)):
         for block in mask_blocks(vss, n_test, d):
-            T = np.empty((len(block), n_test, d))
-            for row, rng in zip(T, tests):
-                row[:] = _draw(Q, rng, n_test)
             part = vss[block.start : block.stop]
-            out += sr_membership_mask(part, hstar, T, eta1, eta2, loss).mean(axis=1).tolist()
+            if not (stable and len(part) == 1):
+                T = np.empty((len(part), n_test, d))
+                for row, rng in zip(T, tests):
+                    row[:] = _draw(Q, rng, n_test)
+                out += sr_membership_mask(part, hstar, T, eta1, eta2, loss).mean(axis=1).tolist()
+                continue
+            rng, step = next(tests), min(chunk_points(part), n_test)
+            if buf.size < step * d:
+                buf = np.empty(step * d)
+            count = 0
+            for start in range(0, n_test, step):
+                c = min(step, n_test - start)
+                T = _draw(Q, rng, c, buf[: c * d].reshape(c, d))[None]
+                count += np.count_nonzero(sr_membership_mask(part, hstar, T, eta1, eta2, loss))
+            out.append(count / n_test)
     return out
 
 

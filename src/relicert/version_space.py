@@ -867,10 +867,19 @@ def mask_blocks(vss: list, n: int, d: int) -> list[range]:
     return blocks + [range(lo, len(vss))] if vss else blocks
 
 
+def chunk_points(part: list) -> int:
+    """Points per chunk of `_query_blocks` for the block of spaces `part`:
+    the (spaces, rays, points) values of a chunk stay within SR_CHUNK_ELEMS,
+    with one ray per interval.  A block of several spaces is one chunk
+    (`mask_blocks` keeps it within a share of SR_CHUNK_ELEMS)."""
+    rays = max(vs.bank.W.shape[0] for vs in part) if isinstance(part[0], ConeVS) else 1
+    return max(1, SR_CHUNK_ELEMS // (len(part) * rays))
+
+
 def _query_blocks(vss: list, T: np.ndarray, visit) -> None:
     """visit(rows, cols, P, G, V, codes) per block of the stack T: a run of
-    spaces `rows` (`mask_blocks`) and a chunk of points `cols` with at most
-    SR_CHUNK_ELEMS values, P = T[rows, cols], and the codes (`_codes`).
+    spaces `rows` (`mask_blocks`) and a chunk of points `cols`
+    (`chunk_points`), P = T[rows, cols], and the codes (`_codes`).
     Cones: G = (W, above), the generators and `plus_above` values padded to
     the block's largest count by repeating the first (any, min, max and the
     first argmin are unchanged), gathered by one index; V = W @ P^T.
@@ -888,7 +897,7 @@ def _query_blocks(vss: list, T: np.ndarray, visit) -> None:
                  np.concatenate([vs.bank.plus_above for vs in part])[pick][:, :, None])
         else:
             G = tuple(np.array([(vs.lo, vs.hi, vs._scale) for vs in part]).T[:, :, None])
-        step = max(1, SR_CHUNK_ELEMS // (len(part) * G[0].shape[1]))  # spaces x rays
+        step = chunk_points(part)
         for lo in range(0, n, step):
             cols = slice(lo, lo + step)
             visit(rows, cols, *_block_values(part[0], G, T[rows, cols]))
@@ -915,6 +924,8 @@ def stack_query(vss: list, T: np.ndarray, need: float | None = None,
     bool mask, reduced per block: with a cap radius `eta`, the agreed
     points whose cap of B(x, eta) with hstar's label of x stays unanimous;
     else the points at distance >= need > 0, or the agreed ones at need 0.
+    A cone decides need > 0 from each point's least and largest value, as
+    `_ray_gap(V, codes) >= need` would, without forming the distances.
     Every value is its one-space query's, but a cone's padded
     matrix-vector product (n = 1) may round differently from its own."""
     K, n, _ = T.shape
@@ -929,12 +940,15 @@ def stack_query(vss: list, T: np.ndarray, need: float | None = None,
             out[rows, cols] = (codes != 0) & caps
         elif need == 0.0:
             out[rows, cols] = codes != 0
+        elif need is None:
+            out[rows, cols] = codes
+            dist[rows, cols] = _ray_gap(V, codes) if cone else _cut_gap(V, *G)
+        elif cone:
+            # _ray_gap(V, codes) >= need > 0: the gap is max(min, 0), or
+            # max(-max, 0) where the code is -1 (and min < 0)
+            out[rows, cols] = (V.min(axis=1) >= need) | ((V.max(axis=1) <= -need) & (codes < 0))
         else:
-            gap = _ray_gap(V, codes) if cone else _cut_gap(V, *G)
-            if need is None:
-                out[rows, cols], dist[rows, cols] = codes, gap
-            else:
-                out[rows, cols] = gap >= need
+            out[rows, cols] = _cut_gap(V, *G) >= need
 
     _query_blocks(vss, T, visit)
     return out if mask else (out, dist)

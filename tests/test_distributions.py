@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from relicert.distributions import (
     UniformBall,
     UniformCube,
     cdf_1d,
+    is_prefix_stable,
     quantile_1d,
     sample,
     spec_from_dict,
     uniform_ball,
     uniform_balls,
 )
-from relicert.distributions import _draw, derive_rng, derived_rngs, map_trial_chunks
+from relicert.distributions import _draw, _key_seed, derive_rng, derived_rngs, map_trial_chunks
 from relicert.reliability import _craft_attacks
 
 
@@ -124,6 +126,56 @@ def test_mean_shift_adds_mu_to_the_base_draw_bitwise(base, n):
     X1 = sample(MeanShift(base, mu), seed=9, n=n)
     assert X1.shape == (n, 3) and X1.dtype == np.float64
     assert np.array_equal(X1.view(np.int64), (X0 + mu).view(np.int64))
+
+
+PREFIX_STABLE = MEAN_SHIFT_BASES[:1] + MEAN_SHIFT_BASES[2:3] + MEAN_SHIFT_BASES[-1:]
+
+
+@pytest.mark.parametrize("spec", MEAN_SHIFT_BASES + [MeanShift(UniformBall(3), np.ones(3))],
+                         ids=lambda s: type(s).__name__)
+def test_prefix_stable_specs_draw_chunks_into_a_buffer(spec):
+    # gaussian, uniform_cube and mean_shift over them draw chunk after chunk
+    # into one buffer with the bits of one whole draw; the others draw
+    # their whole sample at once and refuse a buffer
+    whole = _draw(spec, derive_rng(11, 1), 1000)
+    assert is_prefix_stable(spec) == any(spec is s for s in PREFIX_STABLE)
+    buf = np.empty((400, 3))
+    if not is_prefix_stable(spec):
+        with pytest.raises(ValueError):
+            _draw(spec, derive_rng(11, 1), 400, buf)
+        return
+    rng, parts = derive_rng(11, 1), []
+    for c in (400, 400, 200):
+        out = _draw(spec, rng, c, buf[:c])
+        assert out is not None and np.shares_memory(out, buf) and out.shape == (c, 3)
+        parts.append(out.copy())
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    with pytest.raises(ValueError):
+        _draw(spec, rng, 300, buf)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1])
+def test_key_only_sequence_seeds_philox_as_its_key(key):
+    # derive_rng's Philox(_key_seed()(k)) skips the OS-entropy SeedSequence
+    # that Philox(key=k) makes and discards, and has its state and stream
+    a, b = np.random.Philox(_key_seed()(key)), np.random.Philox(key=key)
+    sa, sb = a.state, b.state
+    assert sa["state"]["key"].tolist() == sb["state"]["key"].tolist() == [key, 0]
+    assert sa["state"]["counter"].tolist() == sb["state"]["counter"].tolist()
+    assert [sa[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+        sb[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+    ga, gb = np.random.Generator(a), np.random.Generator(b)
+    assert ga.random(1000).tobytes() == gb.random(1000).tobytes()
+    assert _stream_bits(ga) == _stream_bits(gb)
+    want = _stream_bits(np.random.Generator(np.random.Philox(key=key)))
+    assert _stream_bits(derive_rng(key)) == want
+    # a derived generator pickles (numpy 2 pickles the seed sequence too),
+    # mid-stream as well as fresh
+    rng = derive_rng(key)
+    assert _stream_bits(pickle.loads(pickle.dumps(rng))) == want
+    rng.random(3)
+    again = pickle.loads(pickle.dumps(rng))
+    assert again.random(5).tobytes() == rng.random(5).tobytes()
 
 
 def test_cube_bounds_and_density():

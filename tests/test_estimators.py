@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,19 @@ import pytest
 from oracles import run_trial
 
 from relicert import estimators, reliability, version_space
-from relicert.core import Dataset, LinearHomogeneous, Threshold, _as_point
+from relicert.core import (
+    BaseBoundary,
+    Dataset,
+    LinearHomogeneous,
+    OffsetBoundary,
+    Threshold,
+    _as_point,
+)
 from relicert.distributions import (
     IsotropicGaussian,
     MeanShift,
+    NearlyUniform,
+    RadialHeavyTail,
     UniformBall,
     UniformCube,
     _draw,
@@ -230,6 +240,68 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
         want.append(run_trial(t, key, rng, vs, hstar, P, *attack))
     assert certified == sum(binding for binding, _ in want)
     assert witnesses == [bad for _, bad in want if bad is not None]
+
+
+def _every_sampler(d: int) -> list:
+    shift = np.linspace(0.2, 0.5, d)
+    return [IsotropicGaussian(d), UniformCube(d, -1.0, 2.0), UniformBall(d),
+            NearlyUniform(d, 0.5, 1.5), RadialHeavyTail(d, -1.0 / (2 * d + 3)),
+            MeanShift(IsotropicGaussian(d), shift), MeanShift(UniformBall(d), shift)]
+
+
+_SINE = BaseBoundary("sine", (0.0, 0.2, 1.0))
+_STREAM_TARGETS = {
+    "cone2": ("linear", LinearHomogeneous(np.array([0.6, -0.8])), IsotropicGaussian(2), 60),
+    "cone3": ("linear", LinearHomogeneous(np.array([0.48, 0.6, -0.64])), IsotropicGaussian(3), 80),
+    "cone5": ("linear", LinearHomogeneous(np.array([0.4, -0.4, 0.4, -0.4, 0.6])),
+              IsotropicGaussian(5), 100),
+    "threshold": ("threshold", Threshold(0.3), IsotropicGaussian(1), 100),
+    "sine": (version_space.OffsetClass(_SINE), OffsetBoundary(_SINE, 0.0), UniformCube(2), 100),
+}
+
+
+@pytest.mark.parametrize("target", list(_STREAM_TARGETS))
+def test_streamed_masses_are_the_whole_stack_masses(target, monkeypatch):
+    # with blocks small enough that each trial's test points run through the
+    # mask in at least 3 chunks (and, at n = 5, in one chunk, several trials
+    # to a block where they fit), every sampler and every loss gives each
+    # trial's mass bit for bit as one mask call over the trial's whole draw
+    monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", 1 << 11)
+    concept, hstar, P, m = _STREAM_TARGETS[target]
+    seed, trials = 6, 4
+    fits = [vs for _, _, vss in reliability.fitted_batches(
+        concept, hstar, P, m, range(trials), lambda batch: [derive_rng(seed, t, 0) for t in batch])
+        for vs in vss]
+    steps = [version_space.chunk_points([vs]) for vs in fits]
+    n = 3 * max(steps) + 7
+    assert min(steps) < n // 3
+    losses = [(LossKind.ST, 0.1, 0.05), (LossKind.TL, 0.1, 0.0), (LossKind.CA, 0.1, 0.0),
+              (None, 0.0, 0.0)]
+    for Q in _every_sampler(1 if target == "threshold" else P.d):
+        for kind, eta1, eta2 in losses:
+            for size in (5, n):
+                got = estimators._shift_trial_mean(
+                    (concept, hstar, P, Q, m, eta1, eta2, kind, size, seed, 0, trials))
+                want = [float(np.mean(sr_membership_mask(
+                    [vs], hstar, _draw(Q, derive_rng(seed, t, 1), size)[None], eta1, eta2,
+                    kind or LossKind.TL))) for t, vs in enumerate(fits)]
+                assert got == want, (type(Q).__name__, kind, size)
+
+
+def test_streamed_trial_memory_does_not_grow_with_n():
+    # a prefix-stable target streams each trial's 2 000 000 points through
+    # one reused chunk buffer, where a whole (1, n, d) stack and its draw
+    # took 64 MB
+    hstar = LinearHomogeneous(np.array([0.6, 0.8]))
+    P = IsotropicGaussian(2)
+    tracemalloc.start()
+    try:
+        reliable_correctness("linear", hstar, P, MeanShift(P, 0.5 * hstar.w), m=100, trials=2,
+                             n_test=2_000_000, eta1=0.1, eta2=0.05, kind=LossKind.ST, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -787,6 +788,36 @@ def test_witness_rule_ties_on_single_and_paired_paths():
     assert codes[:, 0].tolist() == [0, -1]
     assert [a.tolist() for a in _one_row_queries([vs, vs], Z)] == [[0, -1], dist[:, 0].tolist()]
     assert dist[0, 0] == 0.0 and dist[1, 0] <= 1e-15  # x_neg is on the strict facet
+
+
+def test_cone_need_masks_are_the_distance_test():
+    # a cone's mask at need > 0 decides from each point's least and largest
+    # generator value: it must be the distance test, dist >= need, on points
+    # at distance exactly need, disputed points, needs at and below
+    # STRICT_LP_TOL, and generators on strict facets (plus_above = +tol)
+    tol = version_space.STRICT_LP_TOL
+    # generators e1, e2, e3, the second on a strict facet: the values are
+    # the points' coordinates
+    bank = version_space._Bank(np.eye(3), np.array([-tol, tol, -tol]), np.arange(0))
+    grid = ConeVS(np.zeros((0, 3)), np.zeros(0, dtype=bool), np.ones(3) / math.sqrt(3.0), 3,
+                  bank, math.inf)
+    strict_vs = _strict_facet_sample()[1]
+    vss, Z = _paired_cones(np.random.default_rng(5))
+    _, dist = version_space.stack_query(vss, Z[:, None])
+    agreed = np.unique(dist[dist > 0.0])
+    assert (strict_vs.bank.plus_above == tol).any() and agreed.size > 10
+    for need in (tol / 4, tol, 2.5 * tol, 1e-3, *agreed[:: agreed.size // 4]):
+        values = (-1.0, -need, -tol, -0.5 * tol, -0.0, 0.0, 0.5 * tol, tol, need, 1.0)
+        T = np.array(list(itertools.product(values, repeat=3)))
+        own = np.vstack([Z, strict_vs.A, -strict_vs.A])[None]
+        for space, P in ((grid, T[None]), (strict_vs, own), (None, Z[:, None])):
+            stack = vss if space is None else [space]
+            codes, dist = version_space.stack_query(stack, P)
+            mask = version_space.stack_query(stack, P, need=need)
+            assert np.array_equal(mask, dist >= need), need
+            if space is grid:
+                assert {-1, 0, 1} <= set(codes.ravel().tolist())
+                assert mask.any() and not mask.all() and (dist == need).any()
 
 
 @pytest.mark.parametrize("d, m, seed, n, rays", [(2, 100, 3, 10_000, 2), (5, 20, 24, 5, 30)])
