@@ -15,6 +15,8 @@ from math import lgamma
 
 import numpy as np
 
+from .version_space import SR_CHUNK_ELEMS
+
 TILT_KINDS = ("cos1", "lin1")
 
 
@@ -30,6 +32,21 @@ def _mix64(*words: int) -> int:
     h ^= h >> 33
     h = (h * 0xFF51AFD7ED558CCD) & _M64
     h ^= h >> 33
+    return h
+
+
+def _mix64_many(*words) -> np.ndarray:
+    """`_mix64` of words of which some are uint64 arrays (the rest 64-bit
+    ints), elementwise in one pass, as a uint64 array of at least one
+    entry: the same bits, by uint64 arithmetic, which wraps where `_mix64`
+    masks."""
+    c = np.uint64(0x9E3779B97F4A7C15)
+    h = np.full(np.broadcast_shapes((1,), *(np.shape(w) for w in words)), c)
+    for w in words:  # array arithmetic first: numpy warns on a scalar's overflow
+        h ^= (h << np.uint64(6)) + (h >> np.uint64(2)) + c + np.asarray(w, dtype=np.uint64)
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
     return h
 
 
@@ -78,17 +95,23 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def derived_rngs(words):
-    """derive_rng(*w) for each tuple w = (seed, *stream) of `words` in turn,
-    as one Philox generator re-keyed before each yield: key
-    [_stream_key(*w), 0], counter 0 and an empty buffer, the state a fresh
-    Philox(key=) has, so the draws are the same bits.  A yielded generator
-    is valid only until the next one is taken."""
+    """derive_rng(*w) for each tuple w = (seed, *stream) of `words` in turn:
+    `keyed_rngs` of their keys."""
+    return keyed_rngs(_stream_key(*w) for w in words)
+
+
+def keyed_rngs(keys):
+    """derive_rng(k) for each 64-bit key k of `keys` in turn, as one Philox
+    generator re-keyed before each yield: key [k, 0], counter 0 and an
+    empty buffer, the state a fresh Philox(key=k) has, so the draws are the
+    same bits.  A yielded generator is valid only until the next one is
+    taken."""
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
-    for w in words:
-        key[0] = _stream_key(*w)
+    for k in keys:
+        key[0] = k
         bitgen.state = state
         yield rng
 
@@ -101,7 +124,9 @@ def map_trial_chunks(fn, args_base: tuple, trials: int, jobs: int) -> list:
     from (seed, trial), so the results do not depend on jobs."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    if jobs == 1:
         chunks = [args_base + (0, trials)]
     else:
         size = max(1, (trials + jobs - 1) // jobs)
@@ -259,10 +284,12 @@ def is_prefix_stable(spec: DistributionSpec) -> bool:
     return isinstance(spec, (IsotropicGaussian, UniformCube))
 
 
-def uniform_ball(rng: np.random.Generator, n: int, d: int, radius=1.0) -> np.ndarray:
-    """n points uniform in the d-ball of `radius` around 0.  The normals are
-    drawn first, then the radius fractions."""
-    return _scale_into_ball(rng.standard_normal((n, d)), rng.random(n), d, radius)
+def uniform_ball(rng: np.random.Generator, n: int, d: int, radius=1.0,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """n points uniform in the d-ball of `radius` around 0, in `out` (n, d)
+    when given.  The normals are drawn first, then the radius fractions."""
+    g = rng.standard_normal((n, d), out=out)
+    return _scale_into_ball(g, rng.random(n), d, radius)
 
 
 def uniform_balls(rngs, n: int, d: int, radius) -> np.ndarray:
@@ -270,61 +297,85 @@ def uniform_balls(rngs, n: int, d: int, radius) -> np.ndarray:
     from the iterable `rngs` (a list, `derived_rngs`, or one generator
     repeated), stacked (len(radius), n, d): each generator draws its normals
     and then its radius fractions before the next is taken, and exactly
-    len(radius) are taken.  The arithmetic runs once over the stack."""
+    len(radius) are taken; fewer raise ValueError.  The arithmetic runs
+    once over the stack."""
     radius = np.asarray(radius)
     g = np.empty((radius.shape[0], n, d))
     u = np.empty((radius.shape[0], n))
+    taken = 0
     for i, rng in zip(range(radius.shape[0]), rngs):
         rng.standard_normal(out=g[i])
         rng.random(out=u[i])
+        taken += 1
+    if taken < radius.shape[0]:
+        raise ValueError(f"{radius.shape[0]} balls need as many generators, got {taken}")
     return _scale_into_ball(g, u, d, radius[:, None])
 
 
+def _row_blocks(n: int, d: int):
+    """Slices of at most SR_CHUNK_ELEMS // d rows covering range(n): the
+    blocks in which draws are scaled in place, so their temporaries stay
+    small."""
+    step = max(1, SR_CHUNK_ELEMS // d)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _scale_into_ball(g: np.ndarray, u: np.ndarray, d: int, radius) -> np.ndarray:
-    """The normals g, in place, as points of the ball of `radius`: each
-    normalised, then scaled by radius * u ** (1/d)."""
-    g /= np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-300)
-    g *= (radius * u ** (1.0 / d))[..., None]
+    """The normals g (n, d), or (K, n, d) with radius (K, 1), in place, as
+    points of the ball of `radius`: each normalised, then scaled by
+    radius * u ** (1/d), in row blocks (`_row_blocks`)."""
+    for rows in _row_blocks(g.shape[-2], d):
+        block = g[..., rows, :]
+        block /= np.maximum(np.linalg.norm(block, axis=-1, keepdims=True), 1e-300)
+        block *= (radius * u[..., rows] ** (1.0 / d))[..., None]
     return g
 
 
 def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int,
           out: np.ndarray | None = None) -> np.ndarray:
-    """n draws of spec from rng, (n, d).  A prefix-stable spec
-    (`is_prefix_stable`) may draw into `out`, a C-contiguous (n, d) float
-    array, which is returned: the same bits as a fresh draw."""
+    """n draws of spec from rng, (n, d), written into `out`, a C-contiguous
+    (n, d) float array, when it is given and returned: the same bits as a
+    fresh draw, with no second copy of the draw.  Only a prefix-stable spec
+    (`is_prefix_stable`) may be drawn in parts."""
     d = dimension(spec)
-    if out is not None and (out.shape != (n, d) or not is_prefix_stable(spec)):
-        raise ValueError(f"an ({n}, {d}) buffer takes the draws of a prefix-stable spec only")
-    if n == 0 and out is None:
-        return np.zeros((0, d))
+    if out is not None and out.shape != (n, d):
+        raise ValueError(f"an ({n}, {d}) buffer takes ({n}, {d}) draws, got {out.shape}")
+    if n == 0:
+        return np.zeros((0, d)) if out is None else out
     if isinstance(spec, IsotropicGaussian):
         return rng.standard_normal((n, d), out=out)
     if isinstance(spec, UniformBall):
-        return uniform_ball(rng, n, d, spec.radius)
+        return uniform_ball(rng, n, d, spec.radius, out)
     if isinstance(spec, UniformCube):
         X = rng.random((n, d), out=out)
         X *= spec.hi - spec.lo
         X += spec.lo
         return X
     if isinstance(spec, NearlyUniform):
-        out = np.empty((n, d))
+        out = np.empty((n, d)) if out is None else out
         got = 0
         while got < n:
             batch = max(n - got, 16)
             X = rng.random((batch, d))
             u = rng.random(batch)
-            acc = X[u * spec.b <= spec.density(X)]
-            take = min(acc.shape[0], n - got)
-            out[got : got + take] = acc[:take]
-            got += take
+            for rows in _row_blocks(batch, d):  # the accepted rows, in order
+                acc = X[rows][u[rows] * spec.b <= spec.density(X[rows])]
+                take = min(acc.shape[0], n - got)
+                out[got : got + take] = acc[:take]
+                got += take
         return out
     if isinstance(spec, RadialHeavyTail):
-        g = rng.standard_normal((n, d))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        x = rng.beta(spec.d, spec.decay - spec.d, size=n)
-        r = spec.sigma * x / (1.0 - x)
-        return g * r[:, None]
+        g = rng.standard_normal((n, d), out=out)
+        r = rng.beta(spec.d, spec.decay - spec.d, size=n)
+        rest = 1.0 - r
+        r *= spec.sigma
+        r /= rest  # sigma * x / (1 - x) for the beta draws x
+        del rest
+        for rows in _row_blocks(n, d):
+            block = g[rows]
+            block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-300)
+            block *= r[rows, None]
+        return g
     if isinstance(spec, MeanShift):
         X = _draw(spec.base, rng, n, out)  # a fresh array or `out`: shift it in place
         for j, m in enumerate(spec.mu):  # a broadcast add of mu loops d values at a time

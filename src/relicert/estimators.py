@@ -7,15 +7,18 @@ quantity averaged over refits.
 
 The mass estimators (`sr_mass`, `reliable_correctness`) run their trials
 as stacks of arrays from the draws to the masses.  The trials are fitted
-in sub-batches (`fitted_batches`), and the fitted trials then run in
-blocks (`version_space.mask_blocks`): consecutive trials whose stacked
-(trials, max(d, generators), test points) values stay within a fixed
-share of SR_CHUNK_ELEMS.  A block of one trial with a prefix-stable
-target (`distributions.is_prefix_stable`) streams its test points through
-the mask a point chunk (`version_space.chunk_points`) at a time, from one
+in sub-batches (`fitted_batches`), each one stack of padded arrays
+(`version_space.ConeStack` or `IntervalStack`), and the fitted trials then
+run in blocks (`version_space.mask_blocks`), sub-stacks of views:
+consecutive trials whose stacked (trials, max(d, generators), test
+points) values stay within a fixed share of SR_CHUNK_ELEMS.  No trial
+gathers single spaces.  A block of one trial with a prefix-stable target
+(`distributions.is_prefix_stable`) streams its test points through the
+mask a point chunk (`version_space.chunk_points`) at a time, from one
 reused buffer, and adds up the counts, so its memory does not grow with
-n_test.  Any other block draws each trial's test points into one (K,
-n_test, d) stack and makes one `sr_membership_mask` pass.  Trial t's
+n_test.  Any other block draws each trial's test points straight into its
+row of one (K, n_test, d) stack, freed before the next block's, and makes
+one `sr_membership_mask` pass.  Trial t's
 training and test generators are used once each, so each comes from a
 Philox generator re-keyed per trial (`derived_rngs`) to the stream words
 (seed, t, 0) and (seed, t, 1): the bits of derive_rng(seed, t, 0) and
@@ -271,8 +274,8 @@ def _shift_trial_mean(args) -> list[float]:
     prefix-stable target draws its points a chunk at a time
     (`chunk_points`) into one buffer, reused and grown as needed, and
     counts the points inside: count / n_test is the bits of the mean of the
-    whole mask.  Any other block (`mask_blocks`) stacks its target points
-    and makes one mask pass."""
+    whole mask.  Any other block (`mask_blocks`) draws its target points
+    straight into one stack and makes one mask pass."""
     concept, hstar, P, Q, m, eta1, eta2, kind, n_test, seed, lo, hi = args
     loss = LossKind.TL if kind is None else kind  # at eta1 = 0: the agreement region
     d = dimension(Q)
@@ -286,9 +289,10 @@ def _shift_trial_mean(args) -> list[float]:
             part = vss[block.start : block.stop]
             if not (stable and len(part) == 1):
                 T = np.empty((len(part), n_test, d))
-                for row, rng in zip(T, tests):
-                    row[:] = _draw(Q, rng, n_test)
+                for k, rng in zip(range(len(part)), tests):
+                    _draw(Q, rng, n_test, T[k])
                 out += sr_membership_mask(part, hstar, T, eta1, eta2, loss).mean(axis=1).tolist()
+                del T  # before the next block's stack
                 continue
             rng, step = next(tests), min(chunk_points(part), n_test)
             if buf.size < step * d:

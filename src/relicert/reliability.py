@@ -16,24 +16,30 @@ the disagreement distance; a defensive runtime sample of the certified
 balls fails loudly if that structural fact is ever violated.  Both
 certificate paths end in one finish, `_certificates`: the CA/TL radii,
 that ball check (`_check_balls`) and the abstentions.  Both feed it the
-codes and distances of one `version_space.stack_query` call: `certify_many`
-of one space and its points, whose ball check draws every row from one
-generator per call (`certify` is its one-row call), and the attack trials
-of row i against space i, whose ball checks each draw from their trial's
-own stream, so a trial's certificate is its one-row `certify`.
+codes and distances of one `version_space.stack_query` call and a stack of
+spaces: `certify_many` of one space (`as_stack([vs])`, its one gather)
+and its points, whose ball check draws every row from one generator per
+call (`certify` is its one-row call), and the attack trials of row i
+against space i of their fitted stack, whose ball checks each draw from
+their trial's own stream, so a trial's certificate is its one-row
+`certify`.
 
-`verify_contract` runs its trials in sub-batches of `fit_batch` trials, and
-a sub-batch is a stack of arrays from the draws to the report, with no
-per-trial dataset or hypothesis object.  `fitted_batches` puts the trials'
-samples, each drawn from the trial's own generator, in one (K, m, d) stack,
-labels it with one call of the target and fits it in one pass
-(`fit_stack`), in which a linear target's normal orders the ray build and
-is no member.  `_finish_trials` draws the learners as one array
-(`random_members`), the natural points and attacks per trial, makes one
-blocked pass over the natural points for the attack directions
-(`attack_directions`) and one over the attacked points for the
-certificates (`stack_query`), labels the points with
-one call of the target and one row-wise pass for the learners
+`verify_contract` fits its trials in sub-batches of `fit_batch` trials and
+finishes them in runs of whole sub-batches (`_runs`) of at most
+SR_CHUNK_ELEMS // (m d) trials.  A run is one stack of padded arrays
+(`version_space.ConeStack` or `IntervalStack`) from the draws to the
+report, with no per-trial dataset, hypothesis or version-space object.
+The trial keys and their ball-check keys are mixed in one uint64 pass each
+(`_mix64_many`).  `fitted_batches` draws the trials' samples, each from
+the trial's own generator, straight into one (K, m, d) stack, labels it
+with one call of the target and fits it in one pass (`fit_stack`), in
+which a linear target's normal orders the ray build and is no member;
+`join_stacks` joins a run's stacks.  `_finish_trials` draws the learners
+as one array (`random_members`), the natural points straight into one
+array and the attacks per trial, makes one blocked pass over the natural
+points for the attack directions (`attack_directions`) and one over the
+attacked points for the certificates (`stack_query`), labels the points
+with one call of the target and one row-wise pass for the learners
 (`member_labels`), and forms losses and witnesses as arrays.
 `sr_membership_mask` decides safely-reliable membership for a stack of
 fitted spaces and their points at once (a mask of `stack_query`); the mass
@@ -64,9 +70,10 @@ from .distributions import (
     DistributionSpec,
     _draw,
     _mix64,
+    _mix64_many,
     derive_rng,
-    derived_rngs,
     dimension,
+    keyed_rngs,
     map_trial_chunks,
     uniform_balls,
 )
@@ -76,11 +83,13 @@ from .version_space import (
     ConceptClass,
     VersionSpace,
     _random_unit,
+    as_stack,
     attack_directions,
     check_target,
     check_width,
     fit_batch,
     fit_stack,
+    join_stacks,
     member_labels,
     random_members,
     stack_query,
@@ -136,13 +145,13 @@ class ReliabilityCertificate:
         }
 
 
-def _check_balls(vs: VersionSpace, members: np.ndarray, Z: np.ndarray, radii: np.ndarray,
+def _check_balls(vss, members: np.ndarray, Z: np.ndarray, radii: np.ndarray,
                  labels: np.ndarray, rngs) -> None:
     """BALL_CONSTANCY_SAMPLES uniform points in each open ball B(Z[i],
-    radii[i]) must all get labels[i] from members[i] (`member_labels`), or
-    the first row that fails raises.  Row i draws from the i-th generator
-    of the iterator `rngs`, in row blocks of at most SR_CHUNK_ELEMS
-    coordinates."""
+    radii[i]) must all get labels[i] from members[i], members of the class
+    of the stack vss (`member_labels`), or the first row that fails raises.
+    Row i draws from the i-th generator of the iterator `rngs`, in row
+    blocks of at most SR_CHUNK_ELEMS coordinates."""
     k, d = Z.shape
     n = BALL_CONSTANCY_SAMPLES
     step = max(1, SR_CHUNK_ELEMS // (n * d))
@@ -150,7 +159,7 @@ def _check_balls(vs: VersionSpace, members: np.ndarray, Z: np.ndarray, radii: np
         hi = lo + step
         balls = uniform_balls(rngs, n, d, radii[lo:hi] * (1.0 - 1e-9))
         balls += Z[lo:hi, None, :]
-        bad = member_labels(vs, members[lo:hi], balls) != labels[lo:hi, None]
+        bad = member_labels(vss, members[lo:hi], balls) != labels[lo:hi, None]
         if bad.any():
             i = lo + int(np.argmax(bad.any(axis=1)))
             raise LabelConstancyError(f"certified ball of radius {radii[i]} around {Z[i]} "
@@ -167,19 +176,21 @@ def _as_rows(Z) -> np.ndarray:
     return Z
 
 
-def _certificates(kind: LossKind, labels: np.ndarray, radii: np.ndarray | None, vss: list,
+def _certificates(kind: LossKind, labels: np.ndarray, radii: np.ndarray | None, vss,
                   Z: np.ndarray, rngs_of) -> tuple[np.ndarray, np.ndarray]:
-    """The certificates of rows Z[i] of the spaces vss[i] from their codes
-    `labels` and, for stability, their distances `radii` (unread for CA and
-    TL, whose radii are +inf).  Stability rows with a positive radius pass
-    the ball check by their canonical members, drawing from rngs_of(rows);
-    abstentions get radius -1."""
+    """The certificates of rows Z[i] from their codes `labels` and, for
+    stability, their distances `radii` (unread for CA and TL, whose radii
+    are +inf), against the stack vss (`as_stack`): one space for every row,
+    or vss[i] for row i.  Stability rows with a positive radius pass the
+    ball check by their spaces' canonical members, drawing from
+    rngs_of(rows); abstentions get radius -1."""
     if kind is not LossKind.ST:
         return labels, np.where(labels != 0, math.inf, -1.0)
     rows = np.flatnonzero(radii > 0.0)
     if rows.size:
-        _check_balls(vss[0], np.array([vss[i].canonical for i in rows]), Z[rows], radii[rows],
-                     labels[rows], rngs_of(rows))
+        vss = as_stack(vss)
+        members = vss.canonical[rows if len(vss) > 1 else np.zeros_like(rows)]
+        _check_balls(vss, members, Z[rows], radii[rows], labels[rows], rngs_of(rows))
     radii[labels == 0] = -1.0
     return labels, radii
 
@@ -196,8 +207,9 @@ def certify_many(
     """
     Z = _as_rows(Z)
     check_width(vs, Z)
-    codes, dist = stack_query([vs], Z[None])
-    return _certificates(kind, codes[0], dist[0], [vs] * len(Z), Z,
+    one = as_stack([vs])
+    codes, dist = stack_query(one, Z[None])
+    return _certificates(kind, codes[0], dist[0], one, Z,
                          lambda rows: itertools.repeat(derive_rng(seed, 101)))
 
 
@@ -214,7 +226,7 @@ def certify(vs: VersionSpace, z, kind: LossKind, *, seed: int = 0) -> Reliabilit
 
 
 def sr_membership_mask(
-    vss: list,
+    vss,
     hstar: Hypothesis | None,
     T,
     eta1: float,
@@ -222,8 +234,9 @@ def sr_membership_mask(
     kind: LossKind,
 ) -> np.ndarray:
     """Safely-reliable membership of the points T[k] (n, d) of a stack T
-    (K, n, d) in the region of vss[k], K fitted spaces of one class, as
-    (K, n) bool (see `safely_reliable_membership` for the regions).
+    (K, n, d) in the region of vss[k], K fitted spaces of one class (a
+    stack, or a list: `as_stack`), as (K, n) bool (see
+    `safely_reliable_membership` for the regions).
 
     Stability and true-label compare the disagreement distance with
     eta1 + eta2 or eta1 (plain agreement when that is 0).  The
@@ -234,14 +247,15 @@ def sr_membership_mask(
     """
     if not (0.0 <= eta1 < math.inf and 0.0 <= eta2 < math.inf):
         raise ValueError("attack strengths must be nonnegative and finite")
+    vss = as_stack(vss)
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or T.shape[0] != len(vss):
         raise ValueError(f"points must form a (K, n, d) stack for K = {len(vss)} version "
                          f"spaces, got shape {T.shape}")
     if not np.isfinite(T).all():
         raise ValueError("point coordinates must be finite")
-    if vss:
-        check_width(vss[0], T[0])
+    if len(vss):
+        check_width(vss, T[0])
     if kind is LossKind.CA:
         if hstar is None:
             raise ValueError("the constrained-adversary region needs the target concept")
@@ -366,25 +380,50 @@ def fitted_batches(
     """(batch, rngs, vss) for each sub-batch of `fit_batch(m, d)` trials:
     rngs = rngs_of(batch), an iterable of the trials' generators, of which
     one is taken just before each trial draws its m training points from
-    spec, and vss[i] the version space fitted to the points of batch[i].
-    A list of fresh generators lives on after the draws; a re-keyed
-    iterator (`derived_rngs`) does not.  The draws, each through `_draw`
-    from the trial's own generator, fill one (K, m, d) stack, which hstar
-    labels in one call and `fit_stack` fits in one pass, its rows ordered
-    by the normal of a linear target, which is no member (its callers have
-    checked the pair: `check_target`).  Each trial draws only from its own
-    generator and a stacked fit is the same bits as a one-sample fit, so
-    the results are those of a loop that fits one trial at a time."""
+    spec, and vss the stack of version spaces (`fit_stack`), vss[i] fitted
+    to the points of batch[i].  A list of fresh generators lives on after
+    the draws; a re-keyed iterator (`derived_rngs`) does not.  The draws,
+    each through `_draw` from the trial's own generator, go straight into
+    one (K, m, d) stack, which hstar labels in one call and `fit_stack`
+    fits in one pass, its rows ordered by the normal of a linear target,
+    which is no member (its callers have checked the pair:
+    `check_target`).  Each trial draws only from its own generator and a
+    stacked fit is the same bits as a one-sample fit, so the results are
+    those of a loop that fits one trial at a time."""
     d = dimension(spec)
     step = fit_batch(m, d)
     hint = hstar.w if concept == "linear" else None
     for i in range(0, len(trials), step):
         batch = trials[i : i + step]
         rngs = rngs_of(batch)
-        X = np.stack([_draw(spec, rng, m) for _, rng in zip(batch, rngs)])
+        X = np.empty((len(batch), m, d))
+        for x, rng in zip(X, rngs):
+            _draw(spec, rng, m, x)
         y = hstar.predict_many(X.reshape(-1, d)).reshape(X.shape[:2])
         check_labelled(X, y)
         yield batch, rngs, fit_stack(X, y, concept, hint)
+
+
+def _runs(batches, cap: int):
+    """The (batch, rngs, vss) of `fitted_batches` joined into runs of
+    consecutive sub-batches of at most `cap` trials (one sub-batch at
+    least): the trials' range, their generators in a list, and one stack
+    (`join_stacks`).  The sub-batches' own stacks are dropped before a run
+    is yielded."""
+
+    def joined(run):
+        out = (range(run[0][0].start, run[-1][0].stop), [r for _, rngs, _ in run for r in rngs],
+               join_stacks([vss for _, _, vss in run]))
+        run.clear()
+        return out
+
+    run: list = []
+    for item in batches:
+        if run and item[0].stop - run[0][0].start > cap:
+            yield joined(run)
+        run.append(item)
+    if run:
+        yield joined(run)
 
 
 # witness reasons, by the code `_finish_trials` gives each trial (0: none)
@@ -396,30 +435,33 @@ _REASONS = (
 )
 
 
-def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypothesis,
-                   sampler: DistributionSpec, budget: float, kind: LossKind,
+def _finish_trials(batch: range, seeds: list, balls: np.ndarray, rngs: list, vss,
+                   hstar: Hypothesis, sampler: DistributionSpec, budget: float, kind: LossKind,
                    strategy: str) -> tuple[int, list[dict]]:
-    """The rest of the fitted trials `batch` of `verify_contract`, each
-    drawing from the generator that drew its sample: the certified count
-    and the witnesses, in trial order.
+    """The rest of the fitted trials `batch` of `verify_contract`, the
+    stack vss, each drawing from the generator that drew its sample: the
+    certified count and the witnesses, in trial order.
 
     Every trial draws its learner (`random_members`, one array for the
-    sub-batch), then its natural point x, then its attack
-    (`_craft_attacks`).  The attacked points z are certified together, as
-    a one-row `certify(vss[i], z, seed=seeds[i])` of each trial would.  A
-    trial is certified when its radius exceeds |z - x| (open balls); then
-    the learner's loss at z and the issued prediction are checked against
-    the target.  A trial whose radius is 0 must still predict the target's
-    label at z.  The target labels every z, and the natural points of the
-    certified trials, in one call each, and the learners label their z in
-    one row-wise pass (`member_labels`): no hypothesis is built per
-    trial."""
+    run), then its natural point x, straight into one array, then its
+    attack (`_craft_attacks`).  The attacked points z are certified
+    together, as a one-row `certify(vss[i], z, seed=seeds[i])` of each
+    trial would, the ball check of trial i drawing from the key balls[i] =
+    _mix64(seeds[i], 101).  A trial is certified when its radius exceeds
+    |z - x| (open balls); then the learner's loss at z and the issued
+    prediction are checked against the target.  A trial whose radius is 0
+    must still predict the target's label at z.  The target labels every
+    z, and the natural points of the certified trials, in one call each,
+    and the learners label their z in one row-wise pass (`member_labels`):
+    no hypothesis is built per trial."""
     learners = random_members(vss, rngs)
-    X = np.concatenate([_draw(sampler, rng, 1) for rng in rngs])
+    X = np.empty((len(vss), dimension(sampler)))
+    for x, rng in zip(X, rngs):
+        _draw(sampler, rng, 1, x[None])
     Z = _craft_attacks(vss, X, budget, strategy, rngs, batch)
     codes, dist = stack_query(vss, Z[:, None])
     labels, radii = _certificates(kind, codes[:, 0], dist[:, 0], vss, Z,
-                                  lambda rows: derived_rngs((seeds[i], 101) for i in rows))
+                                  lambda rows: keyed_rngs(balls[rows]))
     dist = np.array([math.sqrt(v @ v) for v in Z - X])  # each |z - x| as np.linalg.norm makes it
     binding = radii > dist
     hz = hstar.predict_many(Z)
@@ -427,7 +469,7 @@ def _finish_trials(batch: range, seeds: list, rngs: list, vss: list, hstar: Hypo
     loss = np.zeros(len(vss), dtype=bool)
     rows = np.flatnonzero(binding)
     if rows.size:
-        learned = member_labels(vss[0], learners[rows], Z[rows, None])[:, 0]
+        learned = member_labels(vss, learners[rows], Z[rows, None])[:, 0]
         loss[rows] = losses_from_labels(kind, learned, hz[rows], hstar.predict_many(X[rows])) != 0
     reason = np.select(
         [binding & loss, binding & wrong, ~binding & (radii >= 0.0) & wrong], [1, 2, 3], 0
@@ -452,18 +494,24 @@ def _run_trial_range(args) -> tuple[int, list[dict]]:
     """Trials lo..hi-1 of `verify_contract`: the certified count and the
     witnesses.  Trial t draws its sample, and then the rest of the trial,
     from the key _mix64(_mix64(seed), t), its `trial_seed` (`_mix64` of two
-    small words repeats keys across nearby seeds), and each sub-batch of
-    fitted trials is finished together (`_finish_trials`)."""
+    small words repeats keys across nearby seeds); the trial keys and their
+    ball-check keys are mixed in one array pass each (`_mix64_many`).  Runs
+    of fitted sub-batches (`_runs`) of at most SR_CHUNK_ELEMS // (m d)
+    trials are finished together (`_finish_trials`)."""
     concept, hstar, sampler, m, budget, kind, strategy, seed, lo, hi = args
-    mixed = _mix64(seed)
-    keys = {t: _mix64(mixed, t) for t in range(lo, hi)}
+    keys = _mix64_many(_mix64(seed), np.arange(lo, hi, dtype=np.uint64))
+    balls = _mix64_many(keys, 101)
+    seeds = keys.tolist()
+    cap = max(1, SR_CHUNK_ELEMS // max(m * dimension(sampler), 1))
     certified = 0
     witnesses: list[dict] = []
-    for batch, rngs, vss in fitted_batches(concept, hstar, sampler, m, range(lo, hi),
-                                           lambda batch: [derive_rng(keys[t]) for t in batch]):
-        seeds = [keys[t] for t in batch]
-        count, bad = _finish_trials(batch, seeds, rngs, vss, hstar, sampler, budget, kind,
-                                    strategy)
+    batches = fitted_batches(
+        concept, hstar, sampler, m, range(lo, hi),
+        lambda batch: [derive_rng(k) for k in seeds[batch.start - lo : batch.stop - lo]])
+    for batch, rngs, vss in _runs(batches, cap):
+        rows = slice(batch.start - lo, batch.stop - lo)
+        count, bad = _finish_trials(batch, seeds[rows], balls[rows], rngs, vss, hstar, sampler,
+                                    budget, kind, strategy)
         certified += count
         witnesses += bad
     return certified, witnesses

@@ -17,11 +17,23 @@ inside a representation:
                              midpoint's cut, or the cone's interior normal;
   dim                        the points' width, where the class fixes it.
 
+Fitted spaces travel as stacks, one set of padded arrays per class, from
+the ray build to the last query: `IntervalStack` holds the cuts lo and hi
+(K,), and `ConeStack` the rows, the interiors and slacks, and the
+generators (`_Banks`): W (K, R, d), each cone's own generators followed by
+copies of its first, with their `plus_above` values, counts and cut rows.
+stack[k] is space k as an `IntervalVS` or `ConeVS`, for callers of one
+space, and stack[a:b] a sub-stack of views.  Every query takes a stack, or
+a list of single spaces, which `as_stack` gathers into one: the only
+gather of single spaces.
+
 Every query is one blocked pass of `stack_query(vss, T, ...)`: the points
 T[k] of a stack T (K, n, d) against vss[k], K fitted spaces of one class
 (one point set: T = X[None]; row i against space i: T = Z[:, None]), with
 one witness rule (`_codes`) for every class and one distance formula per
-class (`_cut_gap`, `_ray_gap`).  It gives the codes and distances, or a
+class (`_cut_gap`, `_ray_gap`).  A block of cones reads the view
+W[rows, :top] of the stack, top the block's own largest count, so its
+products have the shape and the bits of that block alone.  It gives the codes and distances, or a
 mask: the points at a given distance, or, for the constrained-adversary
 loss, whether the part of B(x, eta) with the target label of x stays
 unanimous.  `attack_directions(vss, X, rngs)` steps each row toward its
@@ -54,12 +66,13 @@ reduced over the rays, and assembles codes and distances by arithmetic,
 not by selects.  A cone whose ray build holds more than RAY_CAP rays at
 any step is not represented: the fit raises DegenerateVersionSpaceError.
 
-`fit_stack` fits a stack of samples, X (K, m, d) and y (K, m), and
-`fit_version_spaces` a list of them, stacked in sub-stacks of `fit_batch`
-samples.  The stack's cones share one ray build, whose every step is one
-set of array operations over the stack of cones still cutting, and whose
-generators are normalised and tested against the strict facets per rank
-group.  No cone's arithmetic depends on the stack around it (fixed-order
+`fit_stack` fits a stack of samples, X (K, m, d) and y (K, m), into one
+stack, and `fit_version_spaces` a list of them, stacked in sub-stacks of
+`fit_batch` samples.  The stack's cones share one ray build, whose every
+step is one set of array operations over the stack of cones still cutting,
+which gathers the rays of the cones that finish at a step in one index,
+and whose generators are normalised and tested against the strict facets
+per rank group, as padded arrays throughout.  No cone's arithmetic depends on the stack around it (fixed-order
 sums over the coordinates; BLAS only on one-shape blocks, on 0/1 counts,
 which are exact, and in the strict-facet test, whose 1e-10 tolerance is
 far above any rounding of a tight generator's values), so each cone is the
@@ -194,23 +207,12 @@ def _dis_distance_many(vs, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalVS:
-    """Feasible cut values (lo, hi]; DIS is the open interval (lo, hi).
+class _Cuts:
+    """The cut geometry an interval and a stack of intervals of one class
+    share: the cut coordinate of a point, and the scale from cut values
+    into the points' space."""
 
-    For the offset class, cuts act on the residual x_{d+1} - f(x_1..d);
-    Euclidean distances to DIS are the residual distances divided by
-    sqrt(1 + C^2), with C the base's `lipschitz` constant.  That is exact
-    for the `constant` and `affine` bases and a certified lower bound for
-    `sine`.  For `quadratic` it is no bound: C = |amp| bounds the slope only
-    on x_1 in [0, 1], and where the nearest band point lies outside that
-    range (for some points inside the cube too) the quotient can exceed the
-    true distance.
-    """
-
-    lo: float
-    hi: float
-    base: BaseBoundary | None = None  # set for the offset class
+    base: BaseBoundary | None
 
     @property
     def _scale(self) -> float:
@@ -230,6 +232,25 @@ class IntervalVS:
             return X[:, 0]
         return _residuals(self.base, X)
 
+
+@dataclass(frozen=True, eq=False)
+class IntervalVS(_Cuts):
+    """Feasible cut values (lo, hi]; DIS is the open interval (lo, hi).
+
+    For the offset class, cuts act on the residual x_{d+1} - f(x_1..d);
+    Euclidean distances to DIS are the residual distances divided by
+    sqrt(1 + C^2), with C the base's `lipschitz` constant.  That is exact
+    for the `constant` and `affine` bases and a certified lower bound for
+    `sine`.  For `quadratic` it is no bound: C = |amp| bounds the slope only
+    on x_1 in [0, 1], and where the nearest band point lies outside that
+    range (for some points inside the cube too) the quotient can exceed the
+    true distance.
+    """
+
+    lo: float
+    hi: float
+    base: BaseBoundary | None = None  # set for the offset class
+
     membership_many = _membership_many
     dis_distance_many = _dis_distance_many
 
@@ -244,6 +265,37 @@ class IntervalVS:
         if math.isinf(self.hi):
             return self.lo + 1.0
         return 0.5 * (self.lo + self.hi)
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalStack(_Cuts):
+    """K intervals (lo[k], hi[k]] of one class, as `fit_stack` returns them
+    and every query reads them.  stack[k] is interval k as an `IntervalVS`,
+    stack[a:b] a sub-stack of views."""
+
+    lo: np.ndarray  # (K,)
+    hi: np.ndarray  # (K,)
+    base: BaseBoundary | None = None
+
+    def __len__(self) -> int:
+        return self.lo.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return IntervalStack(self.lo[k], self.hi[k], self.base)
+        return IntervalVS(float(self.lo[k]), float(self.hi[k]), self.base)
+
+    @property
+    def canonical(self) -> np.ndarray:
+        """Every interval's `IntervalVS.canonical` cut, (K,)."""
+        lo, hi = self.lo, self.hi
+        out = np.zeros(lo.shape)
+        below, above = np.isinf(lo), np.isinf(hi)
+        both = ~(below | above)
+        out[both] = 0.5 * (lo[both] + hi[both])
+        out[below & ~above] = hi[below & ~above] - 1.0
+        out[above & ~below] = lo[above & ~below] + 1.0
+        return out
 
 
 # Entries per block of the (spaces, rays, points) values of `stack_query`,
@@ -268,6 +320,32 @@ class _Bank:
     plus_above: np.ndarray
     cuts: np.ndarray
     exhaustive = True  # every generator is present; read by perfbench's layer tracer
+
+
+@dataclass(frozen=True, eq=False)
+class _Banks:
+    """The banks of K cones as padded arrays.  W (K, R, d) holds cone c's
+    counts[c] generators, then copies of its first, so a cone's any, min,
+    max and first argmin over the rows are its own; `plus_above` (K, R)
+    likewise; `cuts` (K, C) holds its n_cuts[c] cut rows first.  banks[c]
+    is cone c's `_Bank`, banks[a:b] a sub-stack of views."""
+
+    W: np.ndarray
+    plus_above: np.ndarray
+    counts: np.ndarray
+    cuts: np.ndarray
+    n_cuts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return _Banks(self.W[c], self.plus_above[c], self.counts[c], self.cuts[c],
+                          self.n_cuts[c])
+        n = self.counts[c]
+        return _Bank(W=self.W[c, :n], plus_above=self.plus_above[c, :n],
+                     cuts=self.cuts[c, : self.n_cuts[c]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +392,95 @@ class ConeVS:
     dis_distance_many = _dis_distance_many
 
 
+@dataclass(frozen=True, eq=False)
+class ConeStack:
+    """K cones in R^dim as padded arrays, as `fit_stack` returns them and
+    every query reads them: the rows A (K, m, d), of which `real` marks
+    each cone's own (zero rows pad it), `strict` (K, m), the generators
+    (`_Banks`), and `interior` (K, d) and `slack` (K,), as `ConeVS` has
+    them.  stack[c] is cone c as a `ConeVS`, stack[a:b] a sub-stack of
+    views."""
+
+    A: np.ndarray
+    strict: np.ndarray
+    real: np.ndarray
+    interior: np.ndarray
+    slack: np.ndarray
+    dim: int
+    bank: _Banks
+
+    canonical = property(lambda self: self.interior)  # every cone's canonical member
+
+    def __len__(self) -> int:
+        return self.interior.shape[0]
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return ConeStack(self.A[c], self.strict[c], self.real[c], self.interior[c],
+                             self.slack[c], self.dim, self.bank[c])
+        A, strict, real, bank = self.A[c], self.strict[c], self.real[c], self.bank[c]
+        if not real.all():  # keep the sample's nonzero rows, and index the cuts into them
+            A, strict = A[real], strict[real]
+            bank = _Bank(W=bank.W, plus_above=bank.plus_above, cuts=np.cumsum(real)[bank.cuts] - 1)
+        return ConeVS(A=A, strict=strict, interior=self.interior[c], dim=self.dim, bank=bank,
+                      slack=float(self.slack[c]))
+
+
+def _widened(a: np.ndarray, width: int, first: bool) -> np.ndarray:
+    """The stacked rows a (K, rows, ...) padded to `width` rows by copies of
+    each one's first row (first=True) or by zero rows."""
+    if a.shape[1] == width:
+        return a
+    shape = (a.shape[0], width - a.shape[1]) + a.shape[2:]
+    pad = np.repeat(a[:, :1], shape[1], axis=1) if first else np.zeros(shape, dtype=a.dtype)
+    return np.concatenate([a, pad], axis=1)
+
+
+def as_stack(vss):
+    """The spaces vss as a stack: a stack as it is; a list of spaces of one
+    class gathered into one, padded as a fitted stack is (`join_stacks`).
+    This is the only gather of single spaces; one space is gathered as
+    views."""
+    if isinstance(vss, (ConeStack, IntervalStack)):
+        return vss
+    if not vss:
+        return IntervalStack(np.zeros(0), np.zeros(0))
+    if isinstance(vss[0], IntervalVS):
+        return IntervalStack(np.array([vs.lo for vs in vss], dtype=float),
+                             np.array([vs.hi for vs in vss], dtype=float), vss[0].base)
+    return join_stacks([ConeStack(
+        A=vs.A[None], strict=vs.strict[None], real=np.ones((1, vs.A.shape[0]), dtype=bool),
+        interior=vs.interior[None], slack=np.array([vs.slack], dtype=float), dim=vs.dim,
+        bank=_Banks(vs.bank.W[None], vs.bank.plus_above[None], np.array([vs.bank.W.shape[0]]),
+                    vs.bank.cuts[None], np.array([vs.bank.cuts.size])),
+    ) for vs in vss])
+
+
+def join_stacks(stacks: list):
+    """Stacks of one class as one stack, in order, each padded as a fitted
+    stack is to the widest (`_widened`)."""
+    if len(stacks) == 1:
+        return stacks[0]
+    if isinstance(stacks[0], IntervalStack):
+        return IntervalStack(np.concatenate([s.lo for s in stacks]),
+                             np.concatenate([s.hi for s in stacks]), stacks[0].base)
+
+    def joined(arrays, first=False):
+        width = max(a.shape[1] for a in arrays)
+        return np.concatenate([_widened(a, width, first) for a in arrays])
+
+    banks = [s.bank for s in stacks]
+    return ConeStack(
+        A=joined([s.A for s in stacks]), strict=joined([s.strict for s in stacks]),
+        real=joined([s.real for s in stacks]),
+        interior=np.concatenate([s.interior for s in stacks]),
+        slack=np.concatenate([s.slack for s in stacks]), dim=stacks[0].dim,
+        bank=_Banks(joined([b.W for b in banks], True), joined([b.plus_above for b in banks], True),
+                    np.concatenate([b.counts for b in banks]), joined([b.cuts for b in banks]),
+                    np.concatenate([b.n_cuts for b in banks])),
+    )
+
+
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_j x[..., j] * y[..., j], added in the order j = 0, 1, ...  Each
     value depends on its own operands only, never on the stack around them:
@@ -337,9 +504,9 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, hint: np.ndarray) -> tu
     of unit rows, in which zero rows stand for no row (they pad a cone with
     fewer rows); `strict` (K, m) marks the rows of negative samples, and
     hint[c] is a strictly feasible unit normal of cone c, or NaN.  Returns
-    the banks, whose `cuts` index the rows of A[c], and per cone the count
-    of strict rows with no generator above STRICT_LP_TOL and the interior
-    normal (see `_fit_cones`), as arrays.
+    the banks as one padded `_Banks`, whose `cuts` index the rows of A[c],
+    and per cone the count of strict rows with no generator above
+    STRICT_LP_TOL and the interior normal (see `_fit_cones`), as arrays.
 
     Each cone's rows are taken in ascending slack on a reference normal, so
     the first independent rows are tight near it.  The reference is the
@@ -372,13 +539,17 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, hint: np.ndarray) -> tu
     weight = 1.0 / np.maximum(slack, 1e-300)
     strict = strict[cone, order]
     first, rank, inverse = _independent_rows(A)
-    banks: list = [None] * K
-    missed, interior = np.zeros(K, dtype=np.intp), np.empty((K, d))
+    counts, n_cuts, missed = (np.zeros(K, dtype=np.intp) for _ in range(3))
+    cuts, interior = np.zeros((K, m), dtype=np.intp), np.empty((K, d))
+    groups = []
     for k in sorted(set(rank.tolist())):
         group = np.flatnonzero(rank == k)
         if k == d:
-            built = _double_description(A[group], first[group], weight[group], inverse)
-            gens = [rays for rays, _ in built]
+            # the generators, each cone padded to the largest by -0.0 rows,
+            # which change no sum
+            W, n, cut, n_cut = _double_description(A[group], first[group], weight[group], inverse)
+            # a row's norm depends on that row only; a ray's is >= 1
+            W /= np.maximum(np.linalg.norm(W, axis=2, keepdims=True), 1e-300)
         else:  # rotate into the row space; null(A) is the lineality space
             bases = [np.linalg.svd(A[c, first[c, :k]])[2] for c in group]
             rows = np.zeros((group.size, m, k))
@@ -386,19 +557,18 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, hint: np.ndarray) -> tu
                 n = int(np.isfinite(slack[c]).sum())
                 rows[i, :n] = A[c, :n] @ bases[i][:k].T
             if k == 0:  # no rows: the cone is all of R^d
-                built = [(np.zeros((0, 0)), np.zeros(0, dtype=np.intp))] * group.size
+                R, n = np.zeros((group.size, 1, 0)), np.zeros(group.size, dtype=np.intp)
+                cut, n_cut = np.zeros((group.size, 0), dtype=np.intp), n
             else:
-                built = _double_description(rows, first[group, :k], weight[group], inverse)
+                R, n, cut, n_cut = _double_description(rows, first[group, :k], weight[group],
+                                                       inverse)
             gens = [np.vstack([rays / np.linalg.norm(rays, axis=1, keepdims=True) @ Vt[:k],
-                               Vt[k:], -Vt[k:]]) for Vt, (rays, _) in zip(bases, built)]
-        # the group's generators, each cone padded to the largest by -0.0 rows,
-        # which change no sum
-        sizes = [len(g) for g in gens]
-        W = np.full((group.size, max(*sizes, 1), d), -0.0)
-        for i, g in enumerate(gens):
-            W[i, : len(g)] = g
-        if k == d:  # a row's norm depends on that row only; a ray's is >= 1
-            W /= np.maximum(np.linalg.norm(W, axis=2, keepdims=True), 1e-300)
+                               Vt[k:], -Vt[k:]]) for Vt, rays in
+                    zip(bases, (R[i, :c] for i, c in enumerate(n.tolist())))]
+            n = np.array([len(g) for g in gens])
+            W = np.full((group.size, max(*n, 1), d), -0.0)
+            for i, g in enumerate(gens):
+                W[i, : len(g)] = g
         # a generator on a strict facet (<A_i, w> <= 1e-10 on a strict row)
         # is a +1 witness only above STRICT_LP_TOL, any other above the
         # float below -STRICT_LP_TOL.  The (rays, rows) values come in cone
@@ -414,9 +584,21 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, hint: np.ndarray) -> tu
         total = W.sum(axis=1)  # in ray order
         norm = np.sqrt(_rowdot(total, total))[:, None]
         interior[group] = np.where(norm > 1e-12, total / np.maximum(norm, 1e-300), W[:, 0])
-        for i, (c, n, (_, cuts)) in enumerate(zip(group.tolist(), sizes, built)):
-            banks[c] = _Bank(W=W[i, :n], plus_above=plus_above[i, :n], cuts=order[c, cuts])
-    return banks, missed, interior
+        counts[group], n_cuts[group] = n, n_cut
+        cuts[group, : cut.shape[1]] = order[group[:, None], cut]
+        groups.append((group, W, plus_above))
+    if len(groups) == 1:  # every cone: the group is the stack, in order
+        _, W, plus_above = groups[0]
+    else:
+        width = max(W.shape[1] for _, W, _ in groups)
+        W, plus_above = np.empty((K, width, d)), np.empty((K, width))
+        for group, W_g, above in groups:
+            W[group, : W_g.shape[1]], plus_above[group, : W_g.shape[1]] = W_g, above
+    pad = np.arange(W.shape[1]) >= counts[:, None]  # then copies of each cone's first generator
+    np.copyto(W, W[:, :1], where=pad[..., None])
+    np.copyto(plus_above, plus_above[:, :1], where=pad)
+    cuts = np.ascontiguousarray(cuts[:, : n_cuts.max()])  # the trials' stacks live on: trim them
+    return _Banks(W, plus_above, counts, cuts, n_cuts), missed, interior
 
 
 def _independent_rows(A: np.ndarray) -> tuple:
@@ -469,13 +651,15 @@ def _independent_rows(A: np.ndarray) -> tuple:
 
 def _double_description(
     A: np.ndarray, first: np.ndarray, weight: np.ndarray, inverse: np.ndarray | None = None
-) -> list:
+) -> tuple:
     """Extreme rays of the pointed cones {u : A[c] u >= 0}, for a stack A
     (K, m, k) of rank-k row sets (zero rows pad the shorter ones), by
-    double description, and the indices of the rows each cut with: a list
-    of (rays, cuts), one per cone.  Rays are scaled to a largest |entry| of
-    1, a scale whose computation rounds nothing.  `inverse`, when given,
-    holds the inverses of the cones' first rows.
+    double description, and the indices of the rows each cut with, as
+    padded arrays: rays (K, R, k), cone c's counts[c] rays first and -0.0
+    rows after them, and cuts (K, m), its first n_cuts[c] entries.  Rays
+    are scaled to a largest |entry| of 1, a scale whose computation rounds
+    nothing.  `inverse`, when given, holds the inverses of the cones' first
+    rows.
 
     Cone c starts from the simplicial cone of its k independent rows
     first[c], then is cut by its other rows, one violated row at a time:
@@ -503,10 +687,12 @@ def _double_description(
     per row], and one row of F, [1 | tight flag per cut], in float32, whose
     0/1 counts are exact.  Both are buffers with spare rows: new rays go
     below the rows in use, and the rows of rays a cut removed are zeroed, so
-    a cut copies neither.  When a cut finds no room, the stack is compacted
-    into buffers of twice the rows it needs, without the zero rows and the
-    value columns of rows no cone has pending.  A value is read only while
-    its row is pending, so no zero row is ever violated, positive or tight.
+    a cut copies neither.  The rays of the cones that leave the stack at a
+    step are gathered in one index.  When a cut finds no room, the stack is
+    compacted into buffers of twice the rows it needs, without the zero rows
+    and the value columns of rows no cone has pending.  A value is read only
+    while its row is pending, so no zero row is ever violated, positive or
+    tight.
     A new ray's values are the combination of its parents' values that makes
     the ray, so no step forms a product with A.  Values and combinations are
     elementwise or summed over k in a fixed order (`_rowdot`), comparisons
@@ -539,17 +725,22 @@ def _double_description(
     n_cut = k
     least = max(k - 1, 1)  # shared flags of an adjacent pair: 1, and k - 2 cuts
     cone = ar  # each stack row's cone in the input
-    out: list = [None] * K
+    done_at: list = []  # per step that cones leave: (cones, rays, counts, cuts)
     while True:
         V = X[:, :used, k:]
         low = V.min(axis=1, initial=np.inf)
         violated = (low < -tol) & pending
         live = violated.any(axis=1)
-        if not live.all():
-            for i in np.flatnonzero(~live):
-                out[cone[i]] = (X[i, :used][F[i, :used, 0] > 0.0, :k], cuts[i, :n_cut])
+        if not live.all():  # the cones done: their rays, in buffer order
+            done = np.flatnonzero(~live)
+            alive = F[done, :used, 0] > 0.0
+            count = alive.sum(axis=1)
+            slots = np.argsort(~alive, axis=1, kind="stable")[:, : max(count.max(), 1)]
+            rays = X[done[:, None], slots, :k]
+            rays[np.arange(slots.shape[1]) >= count[:, None]] = -0.0
+            done_at.append((cone[done], rays, count, cuts[done, :n_cut]))
             if not live.any():
-                return out
+                return _by_cone(done_at, K)
             X, F, low, violated = X[live], F[live], low[live], violated[live]
             weight, cuts, cone = weight[live], cuts[live], cone[live]
             ar = np.arange(cone.size)
@@ -612,6 +803,22 @@ def _double_description(
         X[c, slot] = new
         F[c, slot, : 1 + n_cut] = common
         used += added
+
+
+def _by_cone(done_at: list, K: int) -> tuple:
+    """The (rays, counts, cuts, n_cuts) of `_double_description` from the
+    cones done at each step, (cones, rays, counts, cuts) each, in input
+    order: padded by -0.0 rays and zero cuts."""
+    if len(done_at) == 1:  # every cone at once, in order
+        _, rays, counts, cuts = done_at[0]
+        return rays, counts, cuts, np.full(K, cuts.shape[1])
+    rays = np.full((K, max(r.shape[1] for _, r, _, _ in done_at), done_at[0][1].shape[2]), -0.0)
+    cuts = np.zeros((K, max(c.shape[1] for _, _, _, c in done_at)), dtype=np.intp)
+    counts, n_cuts = np.empty(K, dtype=np.intp), np.empty(K, dtype=np.intp)
+    for cone, r, count, cut in done_at:
+        rays[cone, : r.shape[1]], cuts[cone, : cut.shape[1]] = r, cut
+        counts[cone], n_cuts[cone] = count, cut.shape[1]
+    return rays, counts, cuts, n_cuts
 
 
 def _pair_candidates(F: np.ndarray, pos: np.ndarray, neg: np.ndarray, least: int) -> tuple:
@@ -687,7 +894,7 @@ VersionSpace = IntervalVS | ConeVS
 # ---------------------------------------------------------------------------
 
 
-def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -> list[ConeVS]:
+def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -> ConeStack:
     """The cones of the samples' consistent normals, with their generators
     and what those decide, from one `_build_cone_banks` call over the
     stack.  A hint, where it is strictly feasible, only orders the rows.
@@ -717,23 +924,16 @@ def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -
             fits = np.where(real, _rowdot(A, w), math.inf).min(axis=1, initial=math.inf)
             hint[fits > STRICT_LP_TOL] = w
     banks, missed, interior = _build_cone_banks(A, strict, hint)
-    slack = np.where(real, _rowdot(A, interior[:, None]), math.inf).min(axis=1, initial=math.inf)
-    out = []
-    for c, (bank, n, whole, gap) in enumerate(
-            zip(banks, missed.tolist(), real.all(axis=1).tolist(), slack.tolist())):
-        if not len(bank.W):
+    failed = (banks.counts == 0) | (missed > 0)
+    if failed.any():
+        c = int(np.argmax(failed))
+        if not banks.counts[c]:
             raise RealizabilityError("feasible normals reduce to the zero vector")
-        if n:
-            raise RealizabilityError(f"no strictly consistent linear separator: no consistent "
-                                     f"normal is strictly negative on {n} negative sample(s)")
-        A_c, strict_c = A[c], strict[c]
-        if not whole:  # keep the sample's nonzero rows, and index the cuts into them
-            A_c, strict_c = A_c[real[c]], strict_c[real[c]]
-            bank = _Bank(W=bank.W, plus_above=bank.plus_above,
-                         cuts=np.cumsum(real[c])[bank.cuts] - 1)
-        out.append(ConeVS(A=A_c, strict=strict_c, interior=interior[c], dim=d, bank=bank,
-                          slack=gap))
-    return out
+        raise RealizabilityError(f"no strictly consistent linear separator: no consistent "
+                                 f"normal is strictly negative on {missed[c]} negative sample(s)")
+    slack = np.where(real, _rowdot(A, interior[:, None]), math.inf).min(axis=1, initial=math.inf)
+    return ConeStack(A=A, strict=strict, real=real, interior=interior, slack=slack, dim=d,
+                     bank=banks)
 
 
 def fit_batch(m: int, d: int) -> int:
@@ -752,10 +952,11 @@ def fit_batch(m: int, d: int) -> int:
 
 def fit_stack(
     X: np.ndarray, y: np.ndarray, concept: ConceptClass, interior_hint: np.ndarray | None = None
-) -> list[VersionSpace]:
+) -> ConeStack | IntervalStack:
     """`fit_version_space` of each sample (X[c], y[c]) of a stack X (K, m,
-    d), y (K, m), in one pass; label 0 marks a padding row, which is no
-    point of its sample.  The stack is not checked here (`Dataset` and
+    d), y (K, m), in one pass, as one stack of arrays (stack[c] is the
+    space of sample c); label 0 marks a padding row, which is no point of
+    its sample.  The stack is not checked here (`Dataset` and
     `check_labelled` check samples).  Linear samples share one ray build,
     so a stack holds at most `fit_batch(m, d)` of them, and each cone is
     the same bits as its one-sample fit."""
@@ -769,14 +970,14 @@ def fit_stack(
     if concept == "threshold" and X.shape[2] != 1:
         raise ValueError("threshold concepts act on 1-d data")
     U = vs.coords(X.reshape(-1, X.shape[2])).reshape(y.shape) if y.size else y
-    lo = np.where(y < 0, U, -math.inf).max(axis=1, initial=-math.inf).tolist()
-    hi = np.where(y > 0, U, math.inf).min(axis=1, initial=math.inf).tolist()
-    for a, b in zip(lo, hi):
-        if not a < b:
-            raise RealizabilityError(
-                f"no consistent cut: largest negative {a} >= smallest positive {b}"
-            )
-    return [IntervalVS(a, b, vs.base) for a, b in zip(lo, hi)]
+    lo = np.where(y < 0, U, -math.inf).max(axis=1, initial=-math.inf)
+    hi = np.where(y > 0, U, math.inf).min(axis=1, initial=math.inf)
+    failed = ~(lo < hi)
+    if failed.any():
+        a, b = lo[failed][0].item(), hi[failed][0].item()
+        raise RealizabilityError(
+            f"no consistent cut: largest negative {a} >= smallest positive {b}")
+    return IntervalStack(lo, hi, vs.base)
 
 
 def fit_version_spaces(
@@ -850,74 +1051,86 @@ def check_width(vs: VersionSpace, X: np.ndarray) -> None:
         )
 
 
-def mask_blocks(vss: list, n: int, d: int) -> list[range]:
-    """The trial blocks of `stack_query` for n points in R^d per space:
-    runs of consecutive spaces whose count, times the largest width among
-    them (d, or a cone's generator count where that is larger), times n
-    stays within SR_CHUNK_ELEMS >> 5 entries.  A space over that share is
-    a block of its own."""
-    share = SR_CHUNK_ELEMS >> 5
-    blocks, lo, top = [], 0, 0
-    for i, vs in enumerate(vss):
-        width = max(d, vs.bank.W.shape[0]) if isinstance(vs, ConeVS) else d
-        if i > lo and (i + 1 - lo) * max(top, width) * n > share:
-            blocks.append(range(lo, i))
-            lo, top = i, 0
-        top = max(top, width)
-    return blocks + [range(lo, len(vss))] if vss else blocks
+def mask_blocks(vss, n: int, d: int) -> list[range]:
+    """The trial blocks of `stack_query` for n points in R^d per space of
+    the stack vss (`as_stack`): runs of consecutive spaces whose count,
+    times the largest width among them (d, or a cone's generator count
+    where that is larger), times n stays within SR_CHUNK_ELEMS >> 5
+    entries.  A space over that share is a block of its own."""
+    vss = as_stack(vss)
+    cone = isinstance(vss, ConeStack)
+    widths = np.maximum(vss.bank.counts, d) if cone else np.full(len(vss), d)
+    if len(vss) * widths.max(initial=0) * n <= SR_CHUNK_ELEMS >> 5:  # one block holds all
+        return [range(len(vss))] if len(vss) else []
+    blocks, lo = [], 0
+    while lo < len(vss):  # the longest run from lo within the share, one space at least
+        tops = np.maximum.accumulate(widths[lo:])
+        fits = np.arange(1, tops.size + 1) * tops * n <= SR_CHUNK_ELEMS >> 5
+        size = tops.size if fits.all() else max(int(np.argmin(fits)), 1)
+        blocks.append(range(lo, lo + size))
+        lo += size
+    return blocks
 
 
-def chunk_points(part: list) -> int:
-    """Points per chunk of `_query_blocks` for the block of spaces `part`:
-    the (spaces, rays, points) values of a chunk stay within SR_CHUNK_ELEMS,
-    with one ray per interval.  A block of several spaces is one chunk
-    (`mask_blocks` keeps it within a share of SR_CHUNK_ELEMS)."""
-    rays = max(vs.bank.W.shape[0] for vs in part) if isinstance(part[0], ConeVS) else 1
-    return max(1, SR_CHUNK_ELEMS // (len(part) * rays))
+def _top(vss, rows) -> int:
+    """The largest generator count of the cones vss[rows], 1 for intervals:
+    a block's padded width."""
+    return int(vss.bank.counts[rows].max()) if isinstance(vss, ConeStack) else 1
 
 
-def _query_blocks(vss: list, T: np.ndarray, visit) -> None:
+def chunk_points(part) -> int:
+    """Points per chunk of `_query_blocks` for the block of spaces `part`
+    (a stack): the (spaces, rays, points) values of a chunk stay within
+    SR_CHUNK_ELEMS, with one ray per interval.  A block of several spaces
+    is one chunk (`mask_blocks` keeps it within a share of SR_CHUNK_ELEMS)."""
+    return _chunk(len(part), _top(part, slice(None)))
+
+
+def _chunk(spaces: int, top: int) -> int:
+    """`chunk_points` of a block of `spaces` spaces of padded width `top`."""
+    return max(1, SR_CHUNK_ELEMS // (spaces * top))
+
+
+def _query_blocks(vss, T: np.ndarray, visit) -> None:
     """visit(rows, cols, P, G, V, codes) per block of the stack T: a run of
-    spaces `rows` (`mask_blocks`) and a chunk of points `cols`
-    (`chunk_points`), P = T[rows, cols], and the codes (`_codes`).
-    Cones: G = (W, above), the generators and `plus_above` values padded to
-    the block's largest count by repeating the first (any, min, max and the
-    first argmin are unchanged), gathered by one index; V = W @ P^T.
-    Intervals: G = (lo, hi, scale), (spaces, 1) each; V the cut
+    spaces `rows` (`mask_blocks`) of the stack vss (`as_stack`) and a chunk
+    of points `cols` (`chunk_points`), P = T[rows, cols], and the codes
+    (`_codes`).  Cones: G = (W, above), the views W[rows, :top] and
+    plus_above[rows, :top] of the padded generators, top the block's largest
+    count (any, min, max and the first argmin of a cone are its own); V =
+    W @ P^T.  Intervals: G = (lo, hi, scale), (spaces, 1) each; V the cut
     coordinates.  A block's values are freed before the next one's form."""
+    vss = as_stack(vss)
     _, n, d = T.shape
     for block in mask_blocks(vss, n, d):
         rows = slice(block.start, block.stop)
-        part = vss[rows]
-        if isinstance(part[0], ConeVS):
-            sizes = np.array([vs.bank.W.shape[0] for vs in part])
-            j = np.arange(sizes.max())
-            pick = (np.cumsum(sizes) - sizes)[:, None] + np.where(j < sizes[:, None], j, 0)
-            G = (np.concatenate([vs.bank.W for vs in part])[pick],
-                 np.concatenate([vs.bank.plus_above for vs in part])[pick][:, :, None])
+        top = _top(vss, rows)
+        if isinstance(vss, ConeStack):
+            G = (vss.bank.W[rows, :top], vss.bank.plus_above[rows, :top, None])
         else:
-            G = tuple(np.array([(vs.lo, vs.hi, vs._scale) for vs in part]).T[:, :, None])
-        step = chunk_points(part)
+            G = (vss.lo[rows, None], vss.hi[rows, None], vss._scale)
+        step = _chunk(len(block), top)
         for lo in range(0, n, step):
             cols = slice(lo, lo + step)
-            visit(rows, cols, *_block_values(part[0], G, T[rows, cols]))
+            visit(rows, cols, *_block_values(vss, G, T[rows, cols]))
 
 
-def _block_values(vs: VersionSpace, G: tuple, P: np.ndarray) -> tuple:
-    """(P, G, V, codes) of a block of `_query_blocks` of the class of vs."""
-    if isinstance(vs, ConeVS):
+def _block_values(vss, G: tuple, P: np.ndarray) -> tuple:
+    """(P, G, V, codes) of a block of `_query_blocks` of the stack vss."""
+    if isinstance(vss, ConeStack):
         V = G[0] @ P.transpose(0, 2, 1)
         return P, G, V, _codes((V > G[1]).any(axis=1), (V < -STRICT_LP_TOL).any(axis=1))
-    V = vs.coords(P.reshape(-1, P.shape[2])).reshape(P.shape[:2])  # one base for the class
+    V = vss.coords(P.reshape(-1, P.shape[2])).reshape(P.shape[:2])  # one base for the class
     # a cut t in (lo, hi] labels u +1 when u >= t: some cut does so when
     # u > lo, and some labels it -1 when u < hi
     return P, G, V, _codes(V > G[0], V < G[1])
 
 
-def stack_query(vss: list, T: np.ndarray, need: float | None = None,
+def stack_query(vss, T: np.ndarray, need: float | None = None,
                 hstar: Hypothesis | None = None, eta: float | None = None):
     """The points T[k] (n, d) of a stack T (K, n, d) against vss[k], K
-    fitted spaces of one class, in one blocked pass (`_query_blocks`).
+    fitted spaces of one class (a stack, or a list: `as_stack`), in one
+    blocked pass (`_query_blocks`).
 
     Without `need` or `eta`: the codes (int8) and the distances to the
     disagreement region (0 on disputed points), (K, n) each.  Else a (K, n)
@@ -928,11 +1141,12 @@ def stack_query(vss: list, T: np.ndarray, need: float | None = None,
     `_ray_gap(V, codes) >= need` would, without forming the distances.
     Every value is its one-space query's, but a cone's padded
     matrix-vector product (n = 1) may round differently from its own."""
+    vss = as_stack(vss)
     K, n, _ = T.shape
     mask = need is not None or eta is not None
     out = np.empty((K, n), dtype=bool if mask else np.int8)
     dist = None if mask else np.empty((K, n))
-    cone = bool(vss) and isinstance(vss[0], ConeVS)
+    cone = isinstance(vss, ConeStack)
 
     def visit(rows, cols, P, G, V, codes):
         if eta is not None:
@@ -1001,7 +1215,7 @@ def _unanimous_caps(G: tuple, V: np.ndarray, hstar, P: np.ndarray, eta: float) -
     return ~(low < 0.0).any(axis=1)
 
 
-def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:
+def attack_directions(vss, X: np.ndarray, rngs: list) -> np.ndarray:
     """Per row i, a unit step from X[i] toward the points vss[i] disputes.
 
     A cone row steps against the first generator w of vss[i] with the least
@@ -1011,7 +1225,8 @@ def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:
     from its own generator rngs[i], in row order: a random unit for a cone,
     a coin flip for an interval.
     """
-    if isinstance(vss[0], IntervalVS):
+    vss = as_stack(vss)
+    if isinstance(vss, IntervalStack):
         codes = stack_query(vss, X[:, None])[0][:, 0]
         D = np.zeros(X.shape)
         D[:, -1] = -codes
@@ -1033,48 +1248,50 @@ def attack_directions(vss: list, X: np.ndarray, rngs: list) -> np.ndarray:
     return D
 
 
-def random_members(vss: list, rngs: list) -> np.ndarray:
+def random_members(vss, rngs: list) -> np.ndarray:
     """A random consistent member of each version space vss[i] (of one
-    class), away from its boundary, drawn from rngs[i]: (K, d) unit normals
-    for cones, (K,) cuts for intervals.  Each generator draws the interior
-    fraction first (`_interior_fraction`).  A cone with rows then draws a
-    unit vector g and a step fraction s, and its member is the interior
-    normal plus 0.45 * slack * s * g; a cone without rows draws a Gaussian
-    normal.  An interval's cut sits at that fraction of a bounded
+    class; `as_stack`), away from its boundary, drawn from rngs[i]: (K, d)
+    unit normals for cones, (K,) cuts for intervals.  Each generator draws
+    the interior fraction first (`_interior_fraction`).  A cone with rows
+    then draws a unit vector g and a step fraction s, and its member is the
+    interior normal plus 0.45 * slack * s * g; a cone without rows draws a
+    Gaussian normal.  An interval's cut sits at that fraction of a bounded
     interval, a uniform step inside a half-infinite one, or a Gaussian
     draw on the whole line."""
-    if isinstance(vss[0], IntervalVS):
+    vss = as_stack(vss)
+    if isinstance(vss, IntervalStack):
         cuts = np.empty(len(vss))
-        for i, (vs, rng) in enumerate(zip(vss, rngs)):
+        for i, (lo, hi, rng) in enumerate(zip(vss.lo.tolist(), vss.hi.tolist(), rngs)):
             u = _interior_fraction(rng)
-            if math.isinf(vs.lo) and math.isinf(vs.hi):
+            if math.isinf(lo) and math.isinf(hi):
                 cuts[i] = rng.standard_normal()
-            elif math.isinf(vs.lo) or math.isinf(vs.hi):
-                cuts[i] = vs.hi - rng.random() if math.isinf(vs.lo) else vs.lo + rng.random()
+            elif math.isinf(lo) or math.isinf(hi):
+                cuts[i] = hi - rng.random() if math.isinf(lo) else lo + rng.random()
             else:
-                cuts[i] = vs.lo + u * (vs.hi - vs.lo)
+                cuts[i] = lo + u * (hi - lo)
         return cuts
-    V = np.empty((len(vss), vss[0].dim))
+    V = np.empty((len(vss), vss.dim))
     step = np.empty(len(vss))
-    for i, (vs, rng) in enumerate(zip(vss, rngs)):
+    for i, (slack, rows, rng) in enumerate(zip(vss.slack.tolist(), vss.real.any(axis=1).tolist(),
+                                               rngs)):
         _interior_fraction(rng)  # unused by cones; drawn to keep the stream order
         rng.standard_normal(out=V[i])
-        step[i] = 0.45 * vs.slack * rng.random() if vs.A.shape[0] else math.inf
+        step[i] = 0.45 * slack * rng.random() if rows else math.inf
     full = np.isfinite(step)  # a cone without rows keeps its Gaussian draw
     g = V[full] / np.maximum(np.linalg.norm(V[full], axis=1), 1e-300)[:, None]
-    V[full] = np.array([vs.interior for vs in vss])[full] + step[full, None] * g
+    V[full] = vss.interior[full] + step[full, None] * g
     norms = np.linalg.norm(V, axis=1)
     if not (np.all(np.isfinite(V)) and np.all(norms >= 1e-12)):
         raise ValueError("weight vector must be finite and nonzero")
     return V / norms[:, None]
 
 
-def member_labels(vs: VersionSpace, members: np.ndarray, P: np.ndarray) -> np.ndarray:
+def member_labels(vs, members: np.ndarray, P: np.ndarray) -> np.ndarray:
     """The labels (+1 or -1, sign(0) = +1) of the points P[i] (n, d) by
-    members[i], members of the class of `vs` as `random_members` gives
-    them: a row-wise product with the unit normal for cones, the cut
-    coordinate minus the cut for intervals."""
-    if isinstance(vs, IntervalVS):
+    members[i], members of the class of `vs` (a space or a stack) as
+    `random_members` gives them: a row-wise product with the unit normal
+    for cones, the cut coordinate minus the cut for intervals."""
+    if isinstance(vs, _Cuts):
         margins = vs.coords(P.reshape(-1, P.shape[2])).reshape(P.shape[:2]) - members[:, None]
     else:
         margins = _rowdot(P, members[:, None, :])

@@ -220,6 +220,16 @@ def test_sample_size_exit_codes(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+@pytest.mark.parametrize("command", sorted(_SIZED))
+def test_jobs_below_one_exit_2(command, jobs, tmp_path, capsys):
+    # a worker count below 1 is a usage error, as a negative m is
+    out = tmp_path / "out"
+    assert run(*_SIZED[command], "--m", "20", "--jobs", jobs, "--out", str(out)) == 2
+    assert f"jobs must be positive, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shift_cli(tmp_path):
     out = tmp_path / "shift.csv"
     argv = [

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,17 @@ from relicert.distributions import (
     uniform_ball,
     uniform_balls,
 )
-from relicert.distributions import _draw, _key_seed, derive_rng, derived_rngs, map_trial_chunks
+from relicert import distributions
+from relicert.distributions import (
+    _draw,
+    _key_seed,
+    _mix64,
+    _mix64_many,
+    derive_rng,
+    derived_rngs,
+    keyed_rngs,
+    map_trial_chunks,
+)
 from relicert.reliability import _craft_attacks
 
 
@@ -136,13 +147,17 @@ PREFIX_STABLE = MEAN_SHIFT_BASES[:1] + MEAN_SHIFT_BASES[2:3] + MEAN_SHIFT_BASES[
 def test_prefix_stable_specs_draw_chunks_into_a_buffer(spec):
     # gaussian, uniform_cube and mean_shift over them draw chunk after chunk
     # into one buffer with the bits of one whole draw; the others draw
-    # their whole sample at once and refuse a buffer
+    # their whole sample at once, into a buffer of its shape, with the bits
+    # of a fresh draw
     whole = _draw(spec, derive_rng(11, 1), 1000)
     assert is_prefix_stable(spec) == any(spec is s for s in PREFIX_STABLE)
     buf = np.empty((400, 3))
     if not is_prefix_stable(spec):
+        into = np.empty((1000, 3))
+        assert _draw(spec, derive_rng(11, 1), 1000, into) is into
+        assert into.tobytes() == whole.tobytes()
         with pytest.raises(ValueError):
-            _draw(spec, derive_rng(11, 1), 400, buf)
+            _draw(spec, derive_rng(11, 1), 300, buf)
         return
     rng, parts = derive_rng(11, 1), []
     for c in (400, 400, 200):
@@ -336,6 +351,65 @@ def test_uniform_balls_draws_each_generators_own_ball(d):
     want = [uniform_ball(one, 64, d, r) for r in radii]
     repeated = uniform_balls(itertools.repeat(derive_rng(3, 101)), 64, d, radii)
     assert repeated.tobytes() == np.stack(want).tobytes()
+
+
+def test_uniform_balls_refuse_too_few_generators():
+    # a generator iterator that runs out leaves no rows undrawn: it raises
+    with pytest.raises(ValueError, match="3 balls need as many generators, got 2"):
+        uniform_balls(iter([derive_rng(1), derive_rng(2)]), 64, 2, np.ones(3))
+    with pytest.raises(ValueError):
+        uniform_balls(derived_rngs([]), 64, 2, np.ones(1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_whole_draws_scale_in_row_blocks(d, monkeypatch):
+    # the ball, the heavy tail and the tilted density scale and accept their
+    # draws in place, in row blocks: the bits of the whole-array arithmetic,
+    # and into a caller's buffer too
+    n = 1000
+    monkeypatch.setattr(distributions, "SR_CHUNK_ELEMS", 64)  # blocks of 64 // d rows
+    ball, tail = UniformBall(d), RadialHeavyTail(d, -1.0 / (2 * d + 3))
+    tilted = NearlyUniform(d, 0.5, 1.5)
+    rng = derive_rng(5, d)
+    g = rng.standard_normal((n, d))
+    u = rng.random(n)
+    g /= np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-300)
+    g *= (ball.radius * u ** (1.0 / d))[..., None]
+    want = {ball: g}
+    rng = derive_rng(5, d)
+    g = rng.standard_normal((n, d))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    x = rng.beta(tail.d, tail.decay - tail.d, size=n)
+    want[tail] = g * (tail.sigma * x / (1.0 - x))[:, None]
+    rng, got, parts = derive_rng(5, d), 0, []
+    while got < n:  # one accepted batch after another
+        X, v = rng.random((max(n - got, 16), d)), rng.random(max(n - got, 16))
+        parts.append(X[v * tilted.b <= tilted.density(X)][: n - got])
+        got += parts[-1].shape[0]
+    want[tilted] = np.concatenate(parts)
+    for spec, whole in want.items():
+        assert _draw(spec, derive_rng(5, d), n).tobytes() == whole.tobytes()
+        out = np.empty((n, d))
+        assert _draw(spec, derive_rng(5, d), n, out) is out and out.tobytes() == whole.tobytes()
+
+
+def test_vectorised_mix64_is_the_scalar_one():
+    # the attack trials mix their keys in one uint64 pass: the bits of
+    # _mix64, with no overflow warning, at the edge words
+    words = [0, 1, 2**63, 2**64 - 1]
+    W = np.array(words, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in words:
+            assert _mix64_many(a).tolist() == [_mix64(a)]
+            assert _mix64_many(a, W).tolist() == [_mix64(a, b) for b in words]
+            assert _mix64_many(W, a).tolist() == [_mix64(b, a) for b in words]
+            assert _mix64_many(W, W, a).tolist() == [_mix64(b, b, a) for b in words]
+        assert _mix64_many(W).tolist() == [_mix64(b) for b in words]
+    # a generator re-keyed to those keys draws what derive_rng draws
+    keys = _mix64_many(_mix64(7), np.arange(5, dtype=np.uint64))
+    assert [rng.random() for rng in keyed_rngs(keys)] == [
+        derive_rng(k).random() for k in keys.tolist()]
 
 
 _EDGE_SEEDS = [0, 2**63, 2**64 - 1, 7, -1, -(2**63), -12345, 7]

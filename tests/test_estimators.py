@@ -304,6 +304,23 @@ def test_streamed_trial_memory_does_not_grow_with_n():
     assert peak < 10e6
 
 
+def test_whole_draws_write_into_the_trial_stack():
+    # a target that is not prefix-stable draws each trial whole, straight
+    # into its row of the stack, scaled in row blocks, and a block's stack is
+    # freed before the next block's: a 32-MB draw peaks well below two
+    # stacks (144 MB when each draw was copied into its row)
+    hstar = LinearHomogeneous(np.array([0.6, 0.8]))
+    ball = UniformBall(2)
+    tracemalloc.start()
+    try:
+        reliable_correctness("linear", hstar, ball, ball, m=100, trials=2, n_test=2_000_000,
+                             eta1=0.05, kind=LossKind.ST, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
 # ---------------------------------------------------------------------------
 # rotation-invariant hypothesis-ball membership
 # ---------------------------------------------------------------------------

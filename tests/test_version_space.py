@@ -719,19 +719,28 @@ def test_attack_directions_step_against_the_first_least_generator():
         assert np.array_equal(D, want) and {-1, 0, 1} <= set(codes.tolist())
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_stacked_queries_are_the_one_space_queries(d, monkeypatch):
     # cones of different generator counts, padded to one block's largest,
     # and intervals: every row of a stack, in one block, in blocks of
     # several spaces and in point chunks, has its one-space codes and
-    # distances, bit for bit.  Every chunk holds at least two points.
+    # distances, bit for bit, whether the stack is a list of spaces, their
+    # gather (`as_stack`) or one fit of their samples, whose blocks are views
+    # of its padded arrays.  Every chunk holds at least two points.
     rng = np.random.default_rng(40 + d)
     hstar = LinearHomogeneous(rng.standard_normal(d))
-    cones = [fit_version_space(Dataset.empty(d), "linear")]
+    samples = [Dataset.empty(d)]
     for m in (1, 3, 12, 40):
         X = rng.standard_normal((m, d))
-        cones.append(fit_version_space(Dataset(X, hstar.predict_many(X)), "linear", hstar.w))
+        samples.append(Dataset(X, hstar.predict_many(X)))
+    cones = [fit_version_space(S, "linear", hstar.w if len(S) else None) for S in samples]
     assert len({vs.rays().shape[0] for vs in cones}) >= 3
+    X = np.zeros((len(samples), 40, d))
+    y = np.zeros(X.shape[:2], dtype=np.int64)
+    for c, S in enumerate(samples):
+        X[c, : len(S)], y[c, : len(S)] = S.X, S.y
+    fitted = fit_stack(X, y, "linear", hstar.w)
+    assert [vs.rays().tobytes() for vs in fitted] == [vs.rays().tobytes() for vs in cones]
     base = BaseBoundary("affine", tuple(rng.uniform(-0.5, 0.5, d)))
     intervals = [IntervalVS(lo, hi, b) for b in (None, base)
                  for lo, hi in ((0.2, 0.8), (-math.inf, 0.5), (0.1, math.inf), (-0.3, -0.25))]
@@ -745,19 +754,56 @@ def test_stacked_queries_are_the_one_space_queries(d, monkeypatch):
         want = [(vs.membership_many(X), vs.dis_distance_many(X)) for vs, X in zip(vss, T)]
         assert {-1, 0, 1} <= {int(c) for codes, _ in want for c in codes}
         rays = max(vs.rays().shape[0] if isinstance(vs, ConeVS) else 1 for vs in vss)
+        stacks = [vss, version_space.as_stack(vss)] + ([fitted] if vss is cones else [])
         for chunk, several in [(version_space.SR_CHUNK_ELEMS, None),
                                ((2 * max(width, rays) * n) << 5, True), (9 * rays, False)]:
             monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", chunk)
-            blocks = [len(b) for b in version_space.mask_blocks(vss, n, width)]
-            assert several is None or (max(blocks) > 1 and len(blocks) > 1) == several
+            blocks = version_space.mask_blocks(vss, n, width)
+            assert several is None or (max(map(len, blocks)) > 1 and len(blocks) > 1) == several
             sizes = []
             version_space._query_blocks(vss, T, lambda rows, cols, P, *_: sizes.append(P.shape[1]))
             assert min(sizes) >= 2 and (min(sizes) < n) == (chunk == 9 * rays)
-            codes, dist = version_space.stack_query(vss, T)
-            for k, (want_codes, want_dist) in enumerate(want):
-                assert np.array_equal(codes[k], want_codes), (chunk, k)
-                assert np.array_equal(dist[k].view(np.int64), want_dist.view(np.int64)), (chunk, k)
+            for stack in stacks:
+                codes, dist = version_space.stack_query(stack, T)
+                for k, (want_codes, want_dist) in enumerate(want):
+                    assert np.array_equal(codes[k], want_codes), (chunk, k)
+                    assert np.array_equal(dist[k].view(np.int64),
+                                          want_dist.view(np.int64)), (chunk, k)
             monkeypatch.undo()
+    # paired queries (one point per space, T = Z[:, None]) of a fitted stack
+    # of 60 trials, whose blocks are narrower than its padded width: a
+    # block's values are those of its own padding to its largest count, bit
+    # for bit.  Below d = 8 they are each row's one-space
+    # query too; at d = 8 a padded matrix-vector product may round otherwise
+    pick = np.arange(60) % len(samples)
+    paired = fit_stack(X[pick], y[pick], "linear", hstar.w)
+    Z = np.vstack([rng.standard_normal((30, d)), samples[-1].X[:15], -samples[-1].X[15:30]])
+    one = [(cones[c].membership_many(z[None])[0], cones[c].dis_distance_many(z[None])[0])
+           for c, z in zip(pick, Z)]
+    width = paired.bank.W.shape[1]
+    for chunk in (version_space.SR_CHUNK_ELEMS, 64 * width):
+        monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", chunk)
+        blocks = version_space.mask_blocks(paired, 1, d)
+        tops = [paired.bank.counts[b.start : b.stop].max() for b in blocks]
+        assert chunk != 64 * width or (len(blocks) > 2 and min(tops) < width)
+        padded = np.empty(len(Z))
+        for b in blocks:
+            rows = slice(b.start, b.stop)
+            top = paired.bank.counts[rows].max()
+            V = np.ascontiguousarray(paired.bank.W[rows, :top]) @ Z[rows, :, None]
+            code = version_space._codes((V > paired.bank.plus_above[rows, :top, None]).any(axis=1),
+                                        (V < -version_space.STRICT_LP_TOL).any(axis=1))
+            padded[rows] = version_space._ray_gap(V, code)[:, 0]
+        for stack in (paired, [cones[c] for c in pick]):
+            codes, dist = version_space.stack_query(stack, Z[:, None])
+            assert np.array_equal(dist[:, 0].view(np.int64), padded.view(np.int64))
+            assert codes[:, 0].tolist() == [int(c) for c, _ in one]
+            want = np.array([v for _, v in one])
+            if d < 8:
+                assert np.array_equal(dist[:, 0].view(np.int64), want.view(np.int64))
+            else:
+                assert np.allclose(dist[:, 0], want, rtol=1e-12, atol=1e-15)
+        monkeypatch.undo()
 
 
 def test_witness_rule_ties_on_single_and_paired_paths():
