@@ -539,7 +539,7 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, hint: np.ndarray) -> tu
     weight = 1.0 / np.maximum(slack, 1e-300)
     strict = strict[cone, order]
     first, rank, inverse = _independent_rows(A)
-    counts, n_cuts, missed = (np.zeros(K, dtype=np.intp) for _ in range(3))
+    counts, n_cuts, missed = np.zeros((3, K), dtype=np.intp)
     cuts, interior = np.zeros((K, m), dtype=np.intp), np.empty((K, d))
     groups = []
     for k in sorted(set(rank.tolist())):
@@ -595,8 +595,9 @@ def _build_cone_banks(A: np.ndarray, strict: np.ndarray, hint: np.ndarray) -> tu
         for group, W_g, above in groups:
             W[group, : W_g.shape[1]], plus_above[group, : W_g.shape[1]] = W_g, above
     pad = np.arange(W.shape[1]) >= counts[:, None]  # then copies of each cone's first generator
-    np.copyto(W, W[:, :1], where=pad[..., None])
-    np.copyto(plus_above, plus_above[:, :1], where=pad)
+    if pad.any():
+        np.copyto(W, W[:, :1], where=pad[..., None])
+        np.copyto(plus_above, plus_above[:, :1], where=pad)
     cuts = np.ascontiguousarray(cuts[:, : n_cuts.max()])  # the trials' stacks live on: trim them
     return _Banks(W, plus_above, counts, cuts, n_cuts), missed, interior
 
@@ -737,7 +738,8 @@ def _double_description(
             count = alive.sum(axis=1)
             slots = np.argsort(~alive, axis=1, kind="stable")[:, : max(count.max(), 1)]
             rays = X[done[:, None], slots, :k]
-            rays[np.arange(slots.shape[1]) >= count[:, None]] = -0.0
+            if count.min() < slots.shape[1]:  # pad the shorter cones with -0.0 rays
+                rays[np.arange(slots.shape[1]) >= count[:, None]] = -0.0
             done_at.append((cone[done], rays, count, cuts[done, :n_cut]))
             if not live.any():
                 return _by_cone(done_at, K)
