@@ -18,11 +18,10 @@ mask a point chunk (`version_space.chunk_points`) at a time, from one
 reused buffer, and adds up the counts, so its memory does not grow with
 n_test.  Any other block draws each trial's test points straight into its
 row of one (K, n_test, d) stack, freed before the next block's, and makes
-one `sr_membership_mask` pass.  Trial t's
-training and test generators are used once each, so each comes from a
-Philox generator re-keyed per trial (`derived_rngs`) to the stream words
-(seed, t, 0) and (seed, t, 1): the bits of derive_rng(seed, t, 0) and
-derive_rng(seed, t, 1).
+one `sr_membership_mask` pass.  Trial t's training and test generators are
+used once each, so each comes from a Philox generator re-keyed per trial
+(`derived_rngs`) to the stream words (seed, t, 0) and (seed, t, 1): the
+bits of derive_rng(seed, t, 0) and derive_rng(seed, t, 1).
 """
 
 from __future__ import annotations
