@@ -24,23 +24,25 @@ against space i of their fitted stack, whose ball checks each draw from
 their trial's own stream, so a trial's certificate is its one-row
 `certify`.
 
-`verify_contract` fits its trials in sub-batches of `fit_batch` trials and
-finishes them in runs of whole sub-batches (`_runs`) of at most
-SR_CHUNK_ELEMS // (m d) trials.  A run is one stack of padded arrays
-(`version_space.ConeStack` or `IntervalStack`) from the draws to the
-report, with no per-trial dataset, hypothesis or version-space object.
-The trial keys and their ball-check keys are mixed in one uint64 pass each
-(`_mix64_many`).  `fitted_batches` draws the trials' samples, each from
-the trial's own generator, straight into one (K, m, d) stack, labels it
-with one call of the target and fits it in one pass (`fit_stack`), in
-which a linear target's normal orders the ray build and is no member;
-`join_stacks` joins a run's stacks.  `_finish_trials` draws the learners
-as one array (`random_members`), the natural points straight into one
-array and the attacks per trial, makes one blocked pass over the natural
-points for the attack directions (`attack_directions`) and one over the
-attacked points for the certificates (`stack_query`), labels the points
-with one call of the target and one row-wise pass for the learners
-(`member_labels`), and forms losses and witnesses as arrays.
+`verify_contract` fits its trials in the fewest sub-batches of at most
+`fit_batch` trials, of near-equal size (`version_space.sub_batches`: 300
+trials at d = 3, m = 60 are three of 100), and finishes them in runs of
+whole sub-batches (`_runs`) of at most SR_CHUNK_ELEMS // (m d) trials.
+A run is one stack of padded arrays (`version_space.ConeStack` or
+`IntervalStack`) from the draws to the report, with no per-trial dataset,
+hypothesis or version-space object.  The trial keys and their ball-check
+keys are mixed in one uint64 pass each (`_mix64_many`).  `fitted_batches`
+draws the trials' samples, each from the trial's own generator, straight
+into one (K, m, d) stack, labels it with one call of the target and fits
+it in one pass (`fit_stack`), in which a linear target's normal orders the
+ray build and is no member; `join_stacks` joins a run's stacks.
+`_finish_trials` draws the learners as one array (`random_members`), the
+natural points straight into one array and the attacks per trial, makes
+one blocked pass over the natural points for the attack directions
+(`attack_directions`) and one over the attacked points for the
+certificates (`stack_query`), labels the points with one call of the
+target and one row-wise pass for the learners (`member_labels`), and forms
+losses and witnesses as arrays.
 `sr_membership_mask` decides safely-reliable membership for a stack of
 fitted spaces and their points at once (a mask of `stack_query`); the mass
 estimators call it once per block of trials.
@@ -87,12 +89,12 @@ from .version_space import (
     attack_directions,
     check_target,
     check_width,
-    fit_batch,
     fit_stack,
     join_stacks,
     member_labels,
     random_members,
     stack_query,
+    sub_batches,
 )
 # not called here: perfbench's layer tracer wraps these one-point forms, so
 # they report 0 calls, where a missing name would report its metrics absent
@@ -377,7 +379,9 @@ def fitted_batches(
     concept: ConceptClass, hstar: Hypothesis, spec: DistributionSpec, m: int, trials: range,
     rngs_of,
 ):
-    """(batch, rngs, vss) for each sub-batch of `fit_batch(m, d)` trials:
+    """(batch, rngs, vss) for each sub-batch of the trials: the fewest
+    sub-batches of at most `fit_batch(m, d)` trials, of near-equal size
+    (`sub_batches`), so that few ray builds share their fixed cost evenly;
     rngs = rngs_of(batch), an iterable of the trials' generators, of which
     one is taken just before each trial draws its m training points from
     spec, and vss the stack of version spaces (`fit_stack`), vss[i] fitted
@@ -391,10 +395,10 @@ def fitted_batches(
     stacked fit is the same bits as a one-sample fit, so the results are
     those of a loop that fits one trial at a time."""
     d = dimension(spec)
-    step = fit_batch(m, d)
+    starts = sub_batches(len(trials), m, d)
     hint = hstar.w if concept == "linear" else None
-    for i in range(0, len(trials), step):
-        batch = trials[i : i + step]
+    for i in starts:
+        batch = trials[i : i + starts.step]
         rngs = rngs_of(batch)
         X = np.empty((len(batch), m, d))
         for x, rng in zip(X, rngs):

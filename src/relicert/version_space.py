@@ -33,11 +33,12 @@ T[k] of a stack T (K, n, d) against vss[k], K fitted spaces of one class
 one witness rule (`_codes`) for every class and one distance formula per
 class (`_cut_gap`, `_ray_gap`).  A block of cones reads the view
 W[rows, :top] of the stack, top the block's own largest count, so its
-products have the shape and the bits of that block alone.  It gives the codes and distances, or a
-mask: the points at a given distance, or, for the constrained-adversary
-loss, whether the part of B(x, eta) with the target label of x stays
-unanimous.  `attack_directions(vss, X, rngs)` steps each row toward its
-space's disputed points, from the same blocked values.
+products have the shape and the bits of that block alone.  It gives the
+codes and distances, or a mask: the points at a given distance, or, for
+the constrained-adversary loss, whether the part of B(x, eta) with the
+target label of x stays unanimous.  `attack_directions(vss, X, rngs)`
+steps each row toward its space's disputed points, from the same blocked
+values.
 `random_members(vss, rngs)` draws one member per space as an array (cuts,
 or unit normals), and `member_labels` labels points by such members in one
 pass: only `erm` builds a hypothesis.  `check_target` checks a target's
@@ -67,17 +68,20 @@ not by selects.  A cone whose ray build holds more than RAY_CAP rays at
 any step is not represented: the fit raises DegenerateVersionSpaceError.
 
 `fit_stack` fits a stack of samples, X (K, m, d) and y (K, m), into one
-stack, and `fit_version_spaces` a list of them, stacked in sub-stacks of
-`fit_batch` samples.  The stack's cones share one ray build, whose every
-step is one set of array operations over the stack of cones still cutting,
-which gathers the rays of the cones that finish at a step in one index,
-and whose generators are normalised and tested against the strict facets
-per rank group, as padded arrays throughout.  No cone's arithmetic depends on the stack around it (fixed-order
-sums over the coordinates; BLAS only on one-shape blocks, on 0/1 counts,
-which are exact, and in the strict-facet test, whose 1e-10 tolerance is
-far above any rounding of a tight generator's values), so each cone is the
-same bits as its one-sample fit, `fit_version_space`.  Intervals take their
-cuts from array reductions.
+stack, and `fit_version_spaces` a list of them, in the fewest sub-stacks
+of at most `fit_batch` samples, of near-equal size (`sub_batches`).  The
+stack's cones share one ray build, whose every step is one set of array
+operations over the stack.  A cone that has no violated row left waits
+in the stack, masked, until half the stack is done; then the done cones
+leave together, their rays gathered in one index, and the stack shrinks
+in place, so a build copies no stack when cones finish.  The generators
+are normalised and tested against the strict facets per rank group, as
+padded arrays throughout.  No cone's arithmetic depends on the stack
+around it (fixed-order sums over the coordinates; BLAS only on one-shape
+blocks, on 0/1 counts, which are exact, and in the strict-facet test,
+whose 1e-10 tolerance is far above any rounding of a tight generator's
+values), so each cone is the same bits as its one-sample fit,
+`fit_version_space`.  Intervals take their cuts from array reductions.
 
 A linear fit solves no LP.  Its generators decide realizability, and give
 its interior normal, whether or not a hint ordered the build (see
@@ -688,19 +692,25 @@ def _double_description(
     per row], and one row of F, [1 | tight flag per cut], in float32, whose
     0/1 counts are exact.  Both are buffers with spare rows: new rays go
     below the rows in use, and the rows of rays a cut removed are zeroed, so
-    a cut copies neither.  The rays of the cones that leave the stack at a
-    step are gathered in one index.  When a cut finds no room, the stack is
-    compacted into buffers of twice the rows it needs, without the zero rows
-    and the value columns of rows no cone has pending.  A value is read only
-    while its row is pending, so no zero row is ever violated, positive or
-    tight.
+    a cut copies neither.  When a cut finds no room, the stack is compacted
+    into buffers of twice the rows it needs, without the zero rows and the
+    value columns of rows no cone has pending, in one gather.  A value is
+    read only while its row is pending, so no zero row is ever violated,
+    positive or tight.
+    A cone without a violated row is done: its cut count is kept, and it
+    waits in the stack with its negative and positive flags masked off, so
+    it neither loses nor gains a ray.  Once half the stack or more is done,
+    the done cones leave together, their rays gathered in buffer order in
+    one index, and the cones still cutting move to the front of X and F in
+    place.  So a stack of K cones leaves in at most log2(K) + 1 groups,
+    which `_by_cone` puts together, and no step copies the stack.
     A new ray's values are the combination of its parents' values that makes
-    the ray, so no step forms a product with A.  Values and combinations are
-    elementwise or summed over k in a fixed order (`_rowdot`), comparisons
-    and extrema are exact, and the pair tests count 0/1 flags, which is
-    exact in any order, so a cone's rays are the same bits in any stack.  A
-    cone without a violated row leaves the stack.  More than RAY_CAP rays in
-    a cone after any cut raise DegenerateVersionSpaceError.
+    the ray, formed in place, so no step forms a product with A.  Values and
+    combinations are elementwise or summed over k in a fixed order
+    (`_rowdot`), comparisons and extrema are exact, and the pair tests count
+    0/1 flags, which is exact in any order, so a cone's rays are the same
+    bits in any stack.  More than RAY_CAP rays in a cone after any cut raise
+    DegenerateVersionSpaceError.
     """
     K, m, k = A.shape
     tol = 1e-10
@@ -726,13 +736,20 @@ def _double_description(
     n_cut = k
     least = max(k - 1, 1)  # shared flags of an adjacent pair: 1, and k - 2 cuts
     cone = ar  # each stack row's cone in the input
-    done_at: list = []  # per step that cones leave: (cones, rays, counts, cuts)
+    own = np.full(K, -1)  # each stack row's cut count once done, -1 while it cuts
+    done_at: list = []  # per group of cones that leave: (cones, rays, counts, cuts, n_cuts)
     while True:
         V = X[:, :used, k:]
         low = V.min(axis=1, initial=np.inf)
         violated = (low < -tol) & pending
         live = violated.any(axis=1)
-        if not live.all():  # the cones done: their rays, in buffer order
+        wait = not live.all()
+        if wait:
+            own[~live & (own < 0)] = n_cut
+        if wait and 2 * np.count_nonzero(live) <= cone.size:
+            # half the stack or more is done: the done cones leave, with
+            # their rays in buffer order and their own cuts
+            wait = False
             done = np.flatnonzero(~live)
             alive = F[done, :used, 0] > 0.0
             count = alive.sum(axis=1)
@@ -740,17 +757,28 @@ def _double_description(
             rays = X[done[:, None], slots, :k]
             if count.min() < slots.shape[1]:  # pad the shorter cones with -0.0 rays
                 rays[np.arange(slots.shape[1]) >= count[:, None]] = -0.0
-            done_at.append((cone[done], rays, count, cuts[done, :n_cut]))
+            n_done = own[done]
+            cut = cuts[done, : n_done.max()]
+            if n_done.min() < cut.shape[1]:  # zero the cuts past each cone's own
+                cut[np.arange(cut.shape[1]) >= n_done[:, None]] = 0
+            done_at.append((cone[done], rays, count, cut, n_done))
             if not live.any():
                 return _by_cone(done_at, K)
-            X, F, low, violated = X[live], F[live], low[live], violated[live]
-            weight, cuts, cone = weight[live], cuts[live], cone[live]
+            stay = np.flatnonzero(live)
+            for i, c in enumerate(stay.tolist()):  # to the front, in place: no copy of the stack
+                if i != c:
+                    X[i], F[i] = X[c], F[c]
+            X, F, low, violated = X[: stay.size], F[: stay.size], low[stay], violated[stay]
+            weight, cuts, cone, own = weight[stay], cuts[stay], cone[stay], own[stay]
             ar = np.arange(cone.size)
             V = X[:, :used, k:]
         j = np.where(violated, low * weight, np.inf).argmin(axis=1)
         vals = V[ar, :, j]
         neg = vals < -tol
         pos = vals > tol
+        if wait:  # the done cones that wait neither cut nor add rays
+            neg &= live[:, None]
+            pos &= live[:, None]
         cuts[:, n_cut] = rows[j]
         # the rows still violated, but the one cut now, stay pending
         pending = violated
@@ -770,7 +798,12 @@ def _double_description(
             keep = ~doubt
             keep[doubt] = _held_by_two(Fu, c[doubt], common[doubt])
             c, p, n, common = c[keep], p[keep], n[keep], common[keep]
-        new = vals[c, p, None] * X[c, n] - vals[c, n, None] * X[c, p]
+        new = X[c, n]
+        new *= vals[c, p, None]
+        other = X[c, p]
+        other *= vals[c, n, None]
+        new -= other
+        del other
         new /= np.abs(new[:, :k]).max(axis=1, keepdims=True)
         common[:, n_cut] = 1.0  # tight on the cut that made it
         gone = np.nonzero(neg)
@@ -795,7 +828,7 @@ def _double_description(
             cols = np.concatenate([np.arange(k), k + rest])
             size = 2 * (used + added)
             Xc = np.zeros((cone.size, size, cols.size))
-            Xc[:, :used] = X[ar[:, None], slots][..., cols]
+            Xc[:, :used] = X[ar[:, None, None], slots[..., None], cols]
             Fc = np.zeros((cone.size, size, F.shape[2]), dtype=F.dtype)
             Fc[:, :used] = F[ar[:, None], slots]
             X, F = Xc, Fc
@@ -809,17 +842,17 @@ def _double_description(
 
 def _by_cone(done_at: list, K: int) -> tuple:
     """The (rays, counts, cuts, n_cuts) of `_double_description` from the
-    cones done at each step, (cones, rays, counts, cuts) each, in input
-    order: padded by -0.0 rays and zero cuts."""
+    groups of cones that left the stack together, (cones, rays, counts,
+    cuts, n_cuts) each, in input order: padded by -0.0 rays and zero
+    cuts."""
     if len(done_at) == 1:  # every cone at once, in order
-        _, rays, counts, cuts = done_at[0]
-        return rays, counts, cuts, np.full(K, cuts.shape[1])
-    rays = np.full((K, max(r.shape[1] for _, r, _, _ in done_at), done_at[0][1].shape[2]), -0.0)
-    cuts = np.zeros((K, max(c.shape[1] for _, _, _, c in done_at)), dtype=np.intp)
+        return done_at[0][1:]
+    rays = np.full((K, max(g[1].shape[1] for g in done_at), done_at[0][1].shape[2]), -0.0)
+    cuts = np.zeros((K, max(g[3].shape[1] for g in done_at)), dtype=np.intp)
     counts, n_cuts = np.empty(K, dtype=np.intp), np.empty(K, dtype=np.intp)
-    for cone, r, count, cut in done_at:
+    for cone, r, count, cut, n_cut in done_at:
         rays[cone, : r.shape[1]], cuts[cone, : cut.shape[1]] = r, cut
-        counts[cone], n_cuts[cone] = count, cut.shape[1]
+        counts[cone], n_cuts[cone] = count, n_cut
     return rays, counts, cuts, n_cuts
 
 
@@ -836,7 +869,7 @@ def _pair_candidates(F: np.ndarray, pos: np.ndarray, neg: np.ndarray, least: int
     FN = (F[cone, N] * neg[cone, N][..., None]).transpose(0, 2, 1)  # zero past the negative rays
     FP = F * pos[..., None]
     step = max(1, SR_CHUNK_ELEMS // max(K * N.shape[1], 1))
-    found = [(lo, *np.nonzero(FP[:, lo : lo + step] @ FN >= least))
+    found = [(lo, *np.nonzero(_flag_product(FP[:, lo : lo + step], FN) >= least))
              for lo in range(0, max(r, 1), step)]
     if len(found) == 1:  # sorted already
         _, c, p, j = found[0]
@@ -862,8 +895,18 @@ def _held_by_two(F: np.ndarray, c: np.ndarray, common: np.ndarray) -> np.ndarray
     step = max(1, SR_CHUNK_ELEMS // max(F.shape[0] * F.shape[1], 1))
     for lo in range(0, P.shape[1], step):
         block = P[:, lo : lo + step]
-        holders[:, lo : lo + step] = (block @ Ft == block.sum(axis=2, keepdims=True)).sum(axis=2)
+        holders[:, lo : lo + step] = (_flag_product(block, Ft)
+                                      == block.sum(axis=2, keepdims=True)).sum(axis=2)
     return holders[c, slot] == 2
+
+
+@np.errstate(invalid="ignore")
+def _flag_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of float32 0/1 flags.  No product or sum of 0s and 1s is
+    invalid, so an "invalid value" warning here would be a stale status
+    flag of the BLAS kernel, one that fails at random a run that turns
+    warnings into errors; it is ignored."""
+    return a @ b
 
 
 @dataclass(frozen=True)
@@ -939,17 +982,33 @@ def _fit_cones(X: np.ndarray, y: np.ndarray, interior_hint: np.ndarray | None) -
 
 
 def fit_batch(m: int, d: int) -> int:
-    """How many samples of m points in R^d one stack (`fit_stack`) holds:
-    SR_CHUNK_ELEMS entries of the ray build's buffers (X
-    and F of `_double_description`, spare rows included) in all, at
-    m * 2^(d + 3) per sample.  A stack pads each cone to its largest, so
-    the share must cover a sample's worst case, not its median.  Measured
-    peaks per cone on Gaussian samples, hinted and unhinted, at most: 940
-    for d = 3, m = 60 (share 3 840); 4 400 for d = 5, m = 60 (15 360);
-    26 000 for d = 6, m = 100 (51 200); for d = 8, m = 200 about 10^5,
-    and 590 000 for a cone of 3 000 rays (409 600), so such samples are
-    built one at a time."""
-    return max(1, SR_CHUNK_ELEMS // (max(m, 1) << min(d + 3, 20)))
+    """How many samples of m points in R^d one stack (`fit_stack`) holds at
+    most: SR_CHUNK_ELEMS entries of the ray build's buffers (X and F of
+    `_double_description`, spare rows included) in all, at a share of
+    m * 2^(d + 2) per sample for d >= 3.  At d <= 2 the share is
+    m * 2^(d + 3), since larger 2-d stacks ran slower (d = 2, m = 200:
+    15.6 -> 15.9 ms per 200-trial `verify_contract` call at 81 cones a
+    stack instead of 40).  A stack pads each cone to its largest, so one
+    cone above its share stretches the buffers of its whole stack.
+    Measured peaks per cone (one-cone fits of Gaussian samples, hinted and
+    unhinted, at most; the share in brackets): 936 for d = 3, m = 60
+    (1 920); 8 624 for d = 5, m = 40 (5 120), unhinted only, so a stack
+    of 51 such samples may reach 1.7 * SR_CHUNK_ELEMS, and 6 952 for
+    m = 100 (12 800); 19 008 for d = 6, m = 100 (25 600); for d = 8,
+    222 288 at m = 100 (102 400) and 233 216 at m = 200 (204 800), and
+    590 000 for a cone of 3 000 rays, so such samples are built one or two
+    at a time."""
+    return max(1, SR_CHUNK_ELEMS // (max(m, 1) << min(d + 3 if d <= 2 else d + 2, 20)))
+
+
+def sub_batches(n: int, m: int, d: int) -> range:
+    """The starts of the sub-batches in which n samples of m points in R^d
+    are fitted, each sub-batch `step` samples long (the last one may be
+    shorter): the fewest sub-batches that `fit_batch(m, d)` allows, of
+    near-equal size.  At a share of 136, 301 samples run as 101 + 101 +
+    99."""
+    parts = -(-n // fit_batch(m, d))
+    return range(0, n, -(-n // parts) if n else 1)
 
 
 def fit_stack(
@@ -987,7 +1046,7 @@ def fit_version_spaces(
 ) -> list[VersionSpace]:
     """`fit_version_space` of each sample, in order: the samples (of one
     dimension) stacked, zero rows of label 0 padding the shorter ones, and
-    `fit_stack` of each sub-stack of `fit_batch` samples."""
+    `fit_stack` of each sub-stack (`sub_batches`)."""
     if not samples:
         return []
     d = samples[0].dimension
@@ -997,9 +1056,10 @@ def fit_version_spaces(
     y = np.zeros(X.shape[:2], dtype=np.int64)
     for c, S in enumerate(samples):
         X[c, : len(S)], y[c, : len(S)] = S.X, S.y
-    step = fit_batch(X.shape[1], d)
-    return [vs for lo in range(0, len(samples), step)
-            for vs in fit_stack(X[lo : lo + step], y[lo : lo + step], concept, interior_hint)]
+    starts = sub_batches(len(samples), X.shape[1], d)
+    return [vs for lo in starts
+            for vs in fit_stack(X[lo : lo + starts.step], y[lo : lo + starts.step], concept,
+                                interior_hint)]
 
 
 def fit_version_space(

@@ -29,7 +29,7 @@ from relicert.distributions import (
 )
 from relicert.losses import LossKind
 from relicert.reliability import sr_membership_mask
-from relicert.version_space import fit_batch, fit_version_space
+from relicert.version_space import fit_batch, fit_version_space, sub_batches
 from relicert.estimators import (
     RegionEstimate,
     ThetaEstimate,
@@ -189,12 +189,15 @@ def test_shift_st_jobs_invariance_linear():
 
 
 def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
-    # both trial workers fit in sub-batches of fit_batch(m, d) trials: 51 + 9
-    # for the shift trials below, 68 + 68 + 14 for the attack trials; each
-    # trial must come out bit for bit as a loop fitting one trial at a time,
-    # drawing from a fresh derive_rng pair and making one mask call, and the
-    # attack trials' batched finish as the one-trial oracle
-    assert (fit_batch(80, 3), fit_batch(60, 3)) == (51, 68)
+    # both trial workers fit in the fewest sub-batches of at most
+    # fit_batch(m, d) trials, of near-equal size: 20 + 20 + 18 for the shift
+    # trials below, 47 + 47 + 46 for the attack trials; each trial must come
+    # out bit for bit as a loop fitting one trial at a time, drawing from a
+    # fresh derive_rng pair and making one mask call, and the attack trials'
+    # batched finish as the one-trial oracle
+    assert (fit_batch(300, 3), fit_batch(120, 3)) == (27, 68)
+    assert (sub_batches(58, 300, 3), sub_batches(140, 120, 3)) == (range(0, 58, 20),
+                                                                   range(0, 140, 47))
     hstar = LinearHomogeneous(np.array([0.48, 0.6, -0.64]))
     P = IsotropicGaussian(3)
     Q = MeanShift(P, 0.5 * hstar.w)
@@ -203,7 +206,7 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
         X = _draw(P, rng, m)
         return fit_version_space(Dataset(X, hstar.predict_many(X)), "linear", hstar.w)
 
-    fits = [one_fit(derive_rng(14, t, 0), 80) for t in range(60)]
+    fits = [one_fit(derive_rng(14, t, 0), 300) for t in range(58)]
     # every loss and plain agreement (kind None) at a test size that puts
     # several trials in a mask block, and a size at which the trials with
     # the most generators run over several point blocks
@@ -212,7 +215,7 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
     for strengths, n in [((0.1, 0.05, LossKind.ST), 300), ((0.1, 0.0, LossKind.CA), 300),
                          ((0.1, 0.0, LossKind.TL), 300), ((0.0, 0.0, None), 300),
                          ((0.1, 0.05, LossKind.ST), 33_000), ((0.1, 0.0, LossKind.CA), 33_000)]:
-        got = estimators._shift_trial_mean(("linear", hstar, P, Q, 80, *strengths, n, 14, 0, 60))
+        got = estimators._shift_trial_mean(("linear", hstar, P, Q, 300, *strengths, n, 14, 0, 58))
         want = []
         for t, vs in enumerate(fits):
             T = _draw(Q, derive_rng(14, t, 1), n)
@@ -223,20 +226,20 @@ def test_trial_loops_match_one_fit_per_trial_across_sub_batches():
         assert got == want
 
     attack = (0.2, LossKind.ST, "boundary-directed")
-    fits = reliability.fitted_batches("linear", hstar, P, 60, range(150),
+    fits = reliability.fitted_batches("linear", hstar, P, 120, range(140),
                                       lambda batch: [derive_rng(32 ^ t) for t in batch])
     assert [(t, vs.rays().tobytes()) for batch, _, vss in fits for t, vs in zip(batch, vss)] == [
-        (t, one_fit(np.random.Generator(np.random.Philox(key=32 ^ t)), 60).rays().tobytes())
-        for t in range(150)
+        (t, one_fit(np.random.Generator(np.random.Philox(key=32 ^ t)), 120).rays().tobytes())
+        for t in range(140)
     ]
     certified, witnesses = reliability._run_trial_range(
-        ("linear", hstar, P, 60, *attack, 32, 0, 150)
+        ("linear", hstar, P, 120, *attack, 32, 0, 140)
     )
     want = []
-    for t in range(150):
+    for t in range(140):
         key = _mix64(_mix64(32), t)
         rng = np.random.Generator(np.random.Philox(key=key))
-        vs = one_fit(rng, 60)
+        vs = one_fit(rng, 120)
         want.append(run_trial(t, key, rng, vs, hstar, P, *attack))
     assert certified == sum(binding for binding, _ in want)
     assert witnesses == [bad for _, bad in want if bad is not None]

@@ -42,8 +42,8 @@ from relicert.reliability import (
 from relicert.version_space import (
     ConeVS,
     OffsetClass,
-    fit_batch,
     fit_version_space,
+    sub_batches,
 )
 
 
@@ -697,6 +697,38 @@ def test_contract_worker_count_invariance_linear():
     assert 0 < r1.certified < r1.trials
 
 
+@pytest.mark.parametrize("share", [1, 7, 1000])
+def test_reports_and_fits_do_not_depend_on_the_sub_batches(share, monkeypatch):
+    # each trial draws from its own generator and each cone is the same bits
+    # in any stack, so neither the reports nor the fitted banks may change
+    # when the trials are fitted one at a time, in sub-batches of 7, or all
+    # in one (1 000 is above every trial count here)
+    cases = [("threshold", Threshold(0.2), IsotropicGaussian(1), 50, 40),
+             ("linear", LinearHomogeneous(np.array([0.6, -0.48, 0.64])), IsotropicGaussian(3),
+              60, 40),
+             ("linear", LinearHomogeneous(np.array([0.5, -0.5, 0.5, 0.3, -0.4])),
+              IsotropicGaussian(5), 40, 30)]
+    rng = np.random.default_rng(51)
+    samples = []
+    for d, w in [(3, cases[1][1].w), (5, cases[2][1].w)]:
+        Xs = [rng.standard_normal((m, d)) for m in (60, 13, 41, 60, 5, 22, 60, 37, 9)]
+        samples.append(([Dataset(X, np.where(X @ w >= 0.0, 1, -1)) for X in Xs], w))
+
+    def run():
+        reports = [json.dumps(verify_contract(*case, 0.2, kind, seed=12).to_json_dict(),
+                              sort_keys=True)
+                   for case in cases for kind in (LossKind.ST, LossKind.CA)]
+        fits = [vs for batch, w in samples for hint in (w, None)
+                for vs in version_space.fit_version_spaces(batch, "linear", hint)]
+        return reports, [(vs.bank.W.tobytes(), vs.bank.plus_above.tobytes(),
+                          vs.bank.cuts.tobytes(), vs.interior.tobytes()) for vs in fits]
+
+    want = run()
+    monkeypatch.setattr(version_space, "fit_batch", lambda m, d: share)
+    assert len(sub_batches(40, 60, 3)) == -(-40 // share)
+    assert run() == want
+
+
 def test_trial_keys_of_nearby_seeds_are_disjoint(monkeypatch):
     # each trial's generator is keyed by a hash of (seed, trial): seeds that
     # differ in a few low bits run no trial twice, in any order
@@ -717,22 +749,22 @@ def test_trial_keys_of_nearby_seeds_are_disjoint(monkeypatch):
 _SINE = BaseBoundary("sine", (0.5, 0.1, 1.0))
 
 # (concept, target, distribution, m, trials): every case runs at least three
-# fit sub-batches of fit_batch(m, d) trials, the last one ragged
+# fit sub-batches (`sub_batches`), the last one shorter
 _FINISH_CASES = {
     "linear2": ("linear", LinearHomogeneous(np.array([0.8, -0.6])), IsotropicGaussian(2), 200, 100),
     "linear3": ("linear", LinearHomogeneous(np.array([0.6, -0.48, 0.64])), IsotropicGaussian(3),
-                60, 150),
+                120, 140),
     "linear5": ("linear", LinearHomogeneous(np.array([0.5, -0.5, 0.5, 0.3, -0.4])),
-                IsotropicGaussian(5), 30, 80),
+                IsotropicGaussian(5), 60, 80),
     "threshold": ("threshold", Threshold(0.2), IsotropicGaussian(1), 400, 100),
-    "offset": (OffsetClass(_SINE), OffsetBoundary(_SINE, 0.05), UniformCube(2), 300, 100),
+    "offset": (OffsetClass(_SINE), OffsetBoundary(_SINE, 0.05), UniformCube(2), 300, 98),
 }
 
 
 def _finish_parity(case, strategy, kind, jobs, seed):
     concept, hstar, dist, m, trials = _FINISH_CASES[case]
-    step = fit_batch(m, dist.d)
-    assert trials > 2 * step and trials % step
+    starts = sub_batches(trials, m, dist.d)
+    assert len(starts) >= 3 and trials % starts.step
     args = (concept, hstar, dist, m, trials, 0.2, kind, strategy)
     got = verify_contract(*args, seed=seed, jobs=jobs).to_json_dict()
     want = contract_report(*args, seed=seed)

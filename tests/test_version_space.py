@@ -1034,6 +1034,47 @@ def test_batched_ray_build_is_batch_invariant(d, monkeypatch):
         _same_bank(bank, alone[c])
 
 
+def test_done_cones_leave_the_ray_build_in_groups(monkeypatch):
+    # cones that finish cutting wait in the stack until half of it is done,
+    # then leave together: polygon cones finish at their own steps (a
+    # triangle at step 0), so the full-rank cones leave in several groups,
+    # and cones whose rows span a plane take the rotated path.  Every cone
+    # must get its one-cone bank, bit for bit, counts and cut counts
+    # included, also with the pair tests in one-row blocks
+    rng = np.random.default_rng(33)
+    cones = [_unit_rows(*_polygon_cone(n, rng)) for n in (3, 14, 5, 9, 24, 4, 18, 7)]
+    for n in (6, 11):  # rank 2: rows in the plane x3 = 0
+        t = np.sort(rng.uniform(-1.2, 1.2, n))
+        cones.append(_unit_rows(np.column_stack([np.cos(t), np.sin(t), np.zeros(n)]),
+                                np.ones(n, dtype=np.int64)))
+    m = max(A.shape[0] for A, _ in cones)
+    stack, strict = np.zeros((len(cones), m, 3)), np.zeros((len(cones), m), dtype=bool)
+    for c, (A_c, s_c) in enumerate(cones):
+        stack[c, : A_c.shape[0]], strict[c, : A_c.shape[0]] = A_c, s_c
+    alone = [_build_cone_bank(A_c, s_c, None) for A_c, s_c in cones]
+    groups = []
+
+    def by_cone(done_at, K):
+        groups.append([(cone.tolist(), n_cuts.tolist()) for cone, _, _, _, n_cuts in done_at])
+        return by_cone_of(done_at, K)
+
+    by_cone_of = version_space._by_cone
+    monkeypatch.setattr(version_space, "_by_cone", by_cone)
+    for small in (False, True):
+        if small:
+            monkeypatch.setattr(version_space, "SR_CHUNK_ELEMS", 4)
+        groups.clear()
+        banks = _build_cone_banks(stack, strict, np.full((len(cones), 3), np.nan))[0]
+        for c, bank in enumerate(alone):
+            _same_bank(banks[c], bank)
+            assert (banks.counts[c], banks.n_cuts[c]) == (bank.W.shape[0], bank.cuts.size)
+        rotated, full = groups  # rank groups build in ascending rank
+        assert len(full) >= 2 and sorted(c for cone, _ in full for c in cone) == list(range(8))
+        assert sorted(c for cone, _ in rotated for c in cone) == [0, 1]
+        steps = {n for _, n_cuts in full for n in n_cuts}
+        assert len(steps) >= 3 and 3 in steps  # the triangle is done at step 0
+
+
 def test_batched_fit_is_batch_invariant():
     # fits of ragged samples, one with a zero-norm point and one with a
     # duplicated point, match their one-sample fits bit for bit
