@@ -985,28 +985,29 @@ def fit_batch(m: int, d: int) -> int:
     """How many samples of m points in R^d one stack (`fit_stack`) holds at
     most: SR_CHUNK_ELEMS entries of the ray build's buffers (X and F of
     `_double_description`, spare rows included) in all, at a share of
-    m * 2^(d + 2) per sample for d >= 3.  At d <= 2 the share is
-    m * 2^(d + 3), since larger 2-d stacks ran slower (d = 2, m = 200:
-    15.6 -> 15.9 ms per 200-trial `verify_contract` call at 81 cones a
-    stack instead of 40).  A stack pads each cone to its largest, so one
-    cone above its share stretches the buffers of its whole stack.
-    Measured peaks per cone (one-cone fits of Gaussian samples, hinted and
-    unhinted, at most; the share in brackets): 936 for d = 3, m = 60
-    (1 920); 8 624 for d = 5, m = 40 (5 120), unhinted only, so a stack
-    of 51 such samples may reach 1.7 * SR_CHUNK_ELEMS, and 6 952 for
-    m = 100 (12 800); 19 008 for d = 6, m = 100 (25 600); for d = 8,
-    222 288 at m = 100 (102 400) and 233 216 at m = 200 (204 800), and
-    590 000 for a cone of 3 000 rays, so such samples are built one or two
-    at a time."""
-    return max(1, SR_CHUNK_ELEMS // (max(m, 1) << min(d + 3 if d <= 2 else d + 2, 20)))
+    max(m, 2^d) * 2^(d + 2) per sample.  A cone's buffers hold its rays
+    times its value and flag columns; the columns grow with m and the rays
+    with d, so the share counts at least 2^d points: at d = 8 the peaks
+    barely depend on m.  A stack pads each cone to its largest, so one cone
+    above its share stretches the buffers of its whole stack.  Measured
+    peaks per cone (one-cone fits of Gaussian samples, hinted and unhinted,
+    at most; the share in brackets): 936 for d = 3, m = 60 (1 920); 8 624
+    for d = 5, m = 40 (5 120), unhinted only, so a stack of 51 such samples
+    may reach 1.7 * SR_CHUNK_ELEMS (a 300-trial `verify_contract` call then
+    runs 11 % faster than in stacks of 26, at a 27 % higher tracemalloc
+    peak), and 6 952 for m = 100 (12 800); 19 008 for d = 6, m = 100
+    (25 600); for d = 8, 222 288 at m = 100 and 233 216 at m = 200
+    (262 144), and 590 000 for a cone of 3 000 rays, so such samples are
+    built one at a time."""
+    return max(1, SR_CHUNK_ELEMS // (max(m, 1 << d) << (d + 2)))
 
 
 def sub_batches(n: int, m: int, d: int) -> range:
     """The starts of the sub-batches in which n samples of m points in R^d
     are fitted, each sub-batch `step` samples long (the last one may be
     shorter): the fewest sub-batches that `fit_batch(m, d)` allows, of
-    near-equal size.  At a share of 136, 301 samples run as 101 + 101 +
-    99."""
+    near-equal size.  Where `fit_batch` is 136, 301 samples run as 101 +
+    101 + 99."""
     parts = -(-n // fit_batch(m, d))
     return range(0, n, -(-n // parts) if n else 1)
 

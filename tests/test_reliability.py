@@ -751,13 +751,13 @@ _SINE = BaseBoundary("sine", (0.5, 0.1, 1.0))
 # (concept, target, distribution, m, trials): every case runs at least three
 # fit sub-batches (`sub_batches`), the last one shorter
 _FINISH_CASES = {
-    "linear2": ("linear", LinearHomogeneous(np.array([0.8, -0.6])), IsotropicGaussian(2), 200, 100),
+    "linear2": ("linear", LinearHomogeneous(np.array([0.8, -0.6])), IsotropicGaussian(2), 400, 100),
     "linear3": ("linear", LinearHomogeneous(np.array([0.6, -0.48, 0.64])), IsotropicGaussian(3),
                 120, 140),
     "linear5": ("linear", LinearHomogeneous(np.array([0.5, -0.5, 0.5, 0.3, -0.4])),
                 IsotropicGaussian(5), 60, 80),
-    "threshold": ("threshold", Threshold(0.2), IsotropicGaussian(1), 400, 100),
-    "offset": (OffsetClass(_SINE), OffsetBoundary(_SINE, 0.05), UniformCube(2), 300, 98),
+    "threshold": ("threshold", Threshold(0.2), IsotropicGaussian(1), 800, 100),
+    "offset": (OffsetClass(_SINE), OffsetBoundary(_SINE, 0.05), UniformCube(2), 600, 98),
 }
 
 
